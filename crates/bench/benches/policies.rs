@@ -1,13 +1,15 @@
 //! Micro-benchmarks for the policy hot paths: fault handling, demotion
-//! passes, promotion via hint faults, and hint-PTE scanning. Runs with
-//! `harness = false` on the in-tree [`tpp_bench::microbench`] harness.
+//! passes, promotion via hint faults, hint-PTE scanning, and the
+//! khugepaged collapse scan. Runs with `harness = false` on the in-tree
+//! [`tpp_bench::microbench`] harness.
 
 use tpp_bench::microbench::{bench, bench_with_setup};
 
-use tiered_mem::{Memory, NodeId, NodeKind, PageType, Pid, Vpn};
+use tiered_mem::{Memory, NodeId, NodeKind, PageType, Pid, ThpMode, Vpn, HUGE_PAGE_FRAMES};
 use tiered_sim::{LatencyModel, SimRng};
 use tpp::policy::{
-    HintSampler, LinuxDefault, PlacementPolicy, PolicyCtx, SampleScope, SamplerConfig, Tpp,
+    khugepaged_pass, HintSampler, HugeConfig, HugeState, LinuxDefault, PlacementPolicy, PolicyCtx,
+    SampleScope, SamplerConfig, Tpp,
 };
 
 fn machine(local: u64, cxl: u64) -> Memory {
@@ -131,6 +133,51 @@ fn bench_sampler() {
     bench("policy/hint_sampler_scan_16k_pages", || {
         std::hint::black_box(sampler.scan(&mut m));
     });
+
+    // One scan's budget against a 1M-page process: the per-wakeup cost
+    // must track the budget, not the address-space size.
+    let mut m = machine(1 << 19, 1 << 19);
+    for i in 0..1u64 << 20 {
+        let node = if i % 2 == 0 { NodeId(0) } else { NodeId(1) };
+        m.alloc_and_map(node, Pid(1), Vpn(i), PageType::Anon)
+            .unwrap();
+    }
+    let mut sampler = HintSampler::new(SamplerConfig {
+        pages_per_scan: 4096,
+        period_ns: 1,
+        scope: SampleScope::CxlOnly,
+    });
+    bench("policy/hint_sampler_scan_1m_pages", || {
+        std::hint::black_box(sampler.scan(&mut m));
+    });
+}
+
+fn bench_khugepaged() {
+    // A 2:1 THP-always machine holding ~45k VPNs in 88 scattered windows,
+    // each one page short of collapsible: every wakeup scans its full
+    // default budget and collapses nothing, so the state stays fixed.
+    let lat = LatencyModel::datacenter();
+    let mut m = Memory::builder()
+        .node(NodeKind::LocalDram, 40_960)
+        .node(NodeKind::Cxl, 20_480)
+        .thp_mode(ThpMode::Always)
+        .build();
+    m.create_process(Pid(1));
+    for w in 0..88u64 {
+        let node = NodeId(if w % 3 == 2 { 1 } else { 0 });
+        let base = w * 3 * HUGE_PAGE_FRAMES;
+        for i in 0..HUGE_PAGE_FRAMES - 1 {
+            let pfn = m
+                .alloc_and_map(node, Pid(1), Vpn(base + i), PageType::Anon)
+                .unwrap();
+            m.frames_mut().frame_mut(pfn).touch_hotness();
+        }
+    }
+    let budget = HugeConfig::default().khugepaged;
+    let mut state = HugeState::default();
+    bench("policy/khugepaged_pass_fragmented_thp", || {
+        std::hint::black_box(khugepaged_pass(&mut state, &mut m, &lat, budget));
+    });
 }
 
 fn main() {
@@ -138,4 +185,5 @@ fn main() {
     bench_demotion_tick();
     bench_promotion_hint_fault();
     bench_sampler();
+    bench_khugepaged();
 }

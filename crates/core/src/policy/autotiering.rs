@@ -350,12 +350,8 @@ impl PlacementPolicy for AutoTiering {
         // Hotness decay: the "timer-based hot page detection" that costs
         // CPU — every allocated frame is visited.
         if self.decay_timer.fire(ctx.now_ns) > 0 {
-            for i in 0..ctx.memory.node_count() {
-                let node = NodeId(i as u8);
-                let pfns: Vec<Pfn> = ctx.memory.frames().allocated_on(node).collect();
-                for pfn in pfns {
-                    ctx.memory.frames_mut().frame_mut(pfn).decay_hotness();
-                }
+            for frame in ctx.memory.frames_mut().allocated_frames_mut() {
+                frame.decay_hotness();
             }
         }
         // Migration-based demotion from local nodes.

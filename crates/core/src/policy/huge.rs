@@ -71,14 +71,14 @@ impl Default for HugeConfig {
 #[derive(Clone, Debug, Default)]
 pub struct HugeState {
     /// khugepaged's per-process window cursor (`khugepaged_scan.address`
-    /// analogue): successive wakeups resume where the last stopped.
+    /// analogue): successive wakeups resume where the last stopped. It is
+    /// the rank of the next window among the process's occupied windows,
+    /// not an address.
     khugepaged_cursor: HashMap<Pid, u64>,
     /// Per-node migration-scanner position, as a node-relative PFN.
     compact_cursor: Vec<u32>,
-    /// Reused buffer for each process's sorted VPNs.
-    vpn_scratch: Vec<Vpn>,
-    /// Reused buffer for the distinct aligned windows of a process.
-    window_scratch: Vec<u64>,
+    /// Reused buffer for the windows one wakeup visits in a process.
+    window_scratch: Vec<Vpn>,
 }
 
 /// Runs one wakeup of both huge-page daemons: khugepaged over every
@@ -121,28 +121,28 @@ pub fn khugepaged_pass(
         if scanned >= budget.scan_pages as u64 || time_left == 0 {
             break;
         }
-        memory.space(pid).sorted_vpns_into(&mut state.vpn_scratch);
-        // Distinct aligned windows, in address order (the VPNs are
-        // sorted, so consecutive dedup suffices).
-        state.window_scratch.clear();
-        let mut last = u64::MAX;
-        for vpn in &state.vpn_scratch {
-            let base = vpn.0 & !(HUGE_PAGE_FRAMES - 1);
-            if base != last {
-                state.window_scratch.push(base);
-                last = base;
-            }
-        }
-        let windows = &state.window_scratch;
-        if windows.is_empty() {
+        let space = memory.space(pid);
+        let windows = space.window_count();
+        if windows == 0 {
             continue;
         }
-        let mut idx = (*state.khugepaged_cursor.get(&pid).unwrap_or(&0) as usize) % windows.len();
-        let mut visited = 0usize;
-        while visited < windows.len() && scanned < budget.scan_pages as u64 && time_left > 0 {
-            let base = Vpn(windows[idx]);
-            idx = (idx + 1) % windows.len();
-            visited += 1;
+        let start = (*state.khugepaged_cursor.get(&pid).unwrap_or(&0) as usize) % windows;
+        // Gather the windows in scan order, from the cursor rank and
+        // wrapping once; collapses below need `memory` mutably.
+        state.window_scratch.clear();
+        state.window_scratch.extend(
+            space
+                .window_bases()
+                .skip(start)
+                .chain(space.window_bases())
+                .take(windows),
+        );
+        let mut idx = start;
+        for &base in &state.window_scratch {
+            if scanned >= budget.scan_pages as u64 || time_left == 0 {
+                break;
+            }
+            idx = (idx + 1) % windows;
             scanned += HUGE_PAGE_FRAMES;
             time_left = time_left.saturating_sub(latency.scan_page_ns * HUGE_PAGE_FRAMES);
             if let Some(node) = memory.collapse_candidate(pid, base) {
@@ -273,7 +273,7 @@ pub fn kcompactd_pass(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tiered_mem::{NodeKind, PageType, VmEvent};
+    use tiered_mem::{NodeKind, PageLocation, PageType, VmEvent};
 
     fn thp_machine(mode: ThpMode, pages: u64) -> Memory {
         let mut m = Memory::builder()
@@ -293,7 +293,7 @@ mod tests {
         }
         // Warm gate: one referenced page suffices.
         let pfn = match m.space(Pid(1)).translate(Vpn(3)).unwrap() {
-            tiered_mem::PageLocation::Mapped(pfn) => pfn,
+            PageLocation::Mapped(pfn) => pfn,
             other => panic!("unexpected {other:?}"),
         };
         m.frames_mut()
@@ -306,7 +306,7 @@ mod tests {
         assert_eq!(collapsed, 1);
         assert_eq!(m.vmstat().get(VmEvent::ThpCollapseAlloc), 1);
         let head = match m.space(Pid(1)).translate(Vpn(0)).unwrap() {
-            tiered_mem::PageLocation::Mapped(pfn) => pfn,
+            PageLocation::Mapped(pfn) => pfn,
             other => panic!("unexpected {other:?}"),
         };
         assert!(m.frames().frame(head).flags().contains(PageFlags::HEAD));
@@ -358,6 +358,65 @@ mod tests {
         }
         assert_eq!(m.vmstat().get(VmEvent::ThpCollapseAlloc), 3);
         assert_eq!(khugepaged_pass(&mut state, &mut m, &lat, budget), 0);
+        m.validate();
+    }
+
+    #[test]
+    fn khugepaged_rank_cursor_wraps_after_the_space_shrinks() {
+        let mut m = thp_machine(ThpMode::Always, 4096);
+        let w = HUGE_PAGE_FRAMES;
+        // Four sparse windows below two full warm ones, every page
+        // inserted in shuffled order.
+        let sparse = [0, 5 * w, 9 * w, 12 * w];
+        let full = [20 * w, 31 * w];
+        let mut vpns: Vec<u64> = sparse.iter().flat_map(|&b| b..b + 3).collect();
+        vpns.extend(full.iter().flat_map(|&b| b..b + w));
+        let n = vpns.len();
+        let map_warm = |m: &mut Memory, vpn: u64| {
+            let pfn = m
+                .alloc_and_map(NodeId(0), Pid(1), Vpn(vpn), PageType::Anon)
+                .unwrap();
+            m.frames_mut().frame_mut(pfn).touch_hotness();
+        };
+        for k in 0..n {
+            map_warm(&mut m, vpns[(k * 7919) % n]);
+        }
+        let huge = |m: &Memory, base: u64| match m.space(Pid(1)).translate(Vpn(base)) {
+            Some(PageLocation::Mapped(pfn)) => {
+                m.frames().frame(pfn).flags().contains(PageFlags::HEAD)
+            }
+            _ => false,
+        };
+        let mut state = HugeState::default();
+        let lat = LatencyModel::datacenter();
+        let one = DaemonBudget {
+            scan_pages: w as u32,
+            time_ns: 5_000_000,
+        };
+        // Ranks 0..4 are the sparse windows: nothing to collapse.
+        for _ in 0..4 {
+            assert_eq!(khugepaged_pass(&mut state, &mut m, &lat, one), 0);
+        }
+        // Six windows shrink to three, so cursor rank 4 wraps to rank 1.
+        for &base in &sparse[1..] {
+            for vpn in base..base + 3 {
+                m.release(Pid(1), Vpn(vpn));
+            }
+        }
+        assert_eq!(m.space(Pid(1)).window_count(), 3);
+        assert_eq!(khugepaged_pass(&mut state, &mut m, &lat, one), 1);
+        assert!(huge(&m, full[0]) && !huge(&m, full[1]));
+        // Fill the first window; a two-window pass from rank 2 collapses
+        // the last window, then wraps to rank 0 and collapses it too.
+        for vpn in 3..w {
+            map_warm(&mut m, vpn);
+        }
+        let two = DaemonBudget {
+            scan_pages: 2 * w as u32,
+            ..one
+        };
+        assert_eq!(khugepaged_pass(&mut state, &mut m, &lat, two), 2);
+        assert!(huge(&m, 0) && huge(&m, full[1]));
         m.validate();
     }
 

@@ -48,13 +48,14 @@ impl SamplerConfig {
 
 /// The hint-PTE scanner. Keeps one cursor per process so successive scans
 /// cover successive windows of the address space, like
-/// `task_numa_work`'s `mm->numa_scan_offset`.
+/// `task_numa_work`'s `mm->numa_scan_offset`. The cursor is a rank among
+/// the process's VPNs in ascending order, not an address.
 #[derive(Clone, Debug)]
 pub struct HintSampler {
     config: SamplerConfig,
     cursors: std::collections::HashMap<tiered_mem::Pid, u64>,
-    /// Reused per-scan buffer for each process's sorted VPNs.
-    vpn_scratch: Vec<tiered_mem::Vpn>,
+    /// Reused per-scan buffer for the VPNs one scan visits in a process.
+    visit: Vec<tiered_mem::Vpn>,
 }
 
 impl HintSampler {
@@ -63,7 +64,7 @@ impl HintSampler {
         HintSampler {
             config,
             cursors: std::collections::HashMap::new(),
-            vpn_scratch: Vec::new(),
+            visit: Vec::new(),
         }
     }
 
@@ -84,18 +85,27 @@ impl HintSampler {
         }
         let per_pid = (budget / pids.len() as u32).max(1);
         for pid in pids {
-            memory.space(pid).sorted_vpns_into(&mut self.vpn_scratch);
-            let vpns = &self.vpn_scratch;
-            if vpns.is_empty() {
+            let space = memory.space(pid);
+            let len = space.total_pages() as usize;
+            if len == 0 {
                 continue;
             }
-            let start = *self.cursors.get(&pid).unwrap_or(&0) as usize % vpns.len();
-            let mut scanned = 0usize;
+            let start = *self.cursors.get(&pid).unwrap_or(&0) as usize % len;
+            // Gather the VPNs this scan may visit, from the cursor rank and
+            // wrapping once; marking below needs `memory` mutably.
+            self.visit.clear();
+            self.visit.extend(
+                space
+                    .vpns_from_rank(start)
+                    .chain(space.vpns_from_rank(0))
+                    .take(len.min(per_pid as usize)),
+            );
             let mut idx = start;
-            while scanned < vpns.len() && marked < budget && (scanned as u32) < per_pid {
-                let vpn = vpns[idx];
-                idx = (idx + 1) % vpns.len();
-                scanned += 1;
+            for &vpn in &self.visit {
+                if marked >= budget {
+                    break;
+                }
+                idx = (idx + 1) % len;
                 let Some(PageLocation::Mapped(pfn)) = memory.space(pid).translate(vpn) else {
                     continue;
                 };
@@ -209,6 +219,56 @@ mod tests {
         });
         assert_eq!(s.scan(&mut m), 32);
         assert_eq!(s.scan(&mut m), 0);
+    }
+
+    /// The hinted pages among `vpns`, in order, clearing their marks.
+    fn take_hinted(m: &mut Memory, vpns: &[Vpn]) -> Vec<Vpn> {
+        let mut out = Vec::new();
+        for &vpn in vpns {
+            if let Some(PageLocation::Mapped(pfn)) = m.space(Pid(1)).translate(vpn) {
+                let flags = m.frames_mut().frame_mut(pfn).flags_mut();
+                if flags.contains(PageFlags::HINTED) {
+                    flags.remove(PageFlags::HINTED);
+                    out.push(vpn);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn rank_cursor_wraps_after_the_space_shrinks() {
+        let mut m = Memory::builder().node(NodeKind::LocalDram, 64).build();
+        m.create_process(Pid(1));
+        // 48 VPNs over three huge-page windows, inserted in shuffled order.
+        let mut vpns: Vec<Vpn> = (0..48u64).map(|i| Vpn((i * 29) % 48 * 23)).collect();
+        for &vpn in &vpns {
+            m.alloc_and_map(NodeId(0), Pid(1), vpn, PageType::Anon)
+                .unwrap();
+        }
+        vpns.sort_unstable();
+        let mut s = HintSampler::new(SamplerConfig {
+            pages_per_scan: 20,
+            period_ns: 1,
+            scope: SampleScope::AllNodes,
+        });
+        s.scan(&mut m);
+        assert_eq!(take_hinted(&mut m, &vpns), vpns[..20]);
+        s.scan(&mut m);
+        assert_eq!(take_hinted(&mut m, &vpns), vpns[20..40]);
+        // Shrink to 30 pages: cursor rank 40 wraps to rank 10.
+        for &vpn in &vpns[30..] {
+            m.release(Pid(1), vpn);
+        }
+        s.scan(&mut m);
+        assert_eq!(take_hinted(&mut m, &vpns), vpns[10..30]);
+        s.scan(&mut m);
+        assert_eq!(take_hinted(&mut m, &vpns), vpns[..20]);
+        // This scan wraps within itself: ranks 20..30, then 0..10.
+        s.scan(&mut m);
+        let want: Vec<Vpn> = vpns[..10].iter().chain(&vpns[20..30]).copied().collect();
+        assert_eq!(take_hinted(&mut m, &vpns), want);
+        m.validate();
     }
 
     #[test]

@@ -758,6 +758,12 @@ impl FrameTable {
             .filter(move |p| self.frames[p.index()].is_allocated())
     }
 
+    /// Iterates mutably over every allocated frame of every node, in PFN
+    /// order — an in-place walk for machine-wide per-frame updates.
+    pub fn allocated_frames_mut(&mut self) -> impl Iterator<Item = &mut Frame> + '_ {
+        self.frames.iter_mut().filter(|f| f.is_allocated())
+    }
+
     /// Counts allocated pages on `node` by accounting class
     /// `(anon, file_backed)`.
     pub fn usage_by_class(&self, node: NodeId) -> (u64, u64) {

@@ -1437,9 +1437,11 @@ impl Memory {
                 used - tails - on_lists
             );
         }
-        // 4. Page-table ↔ frame-owner bijection.
+        // 4. Page-table ↔ frame-owner bijection, and each space's
+        //    occupancy index ↔ its page-table keys.
         let mut mapped = 0u64;
         for (pid, space) in &self.spaces {
+            space.validate_index();
             for (vpn, loc) in space.iter() {
                 match loc {
                     PageLocation::Mapped(pfn) => {

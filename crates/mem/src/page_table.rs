@@ -8,11 +8,23 @@
 //! fibonacci (multiply-shift) hashing, linear probing, and tombstone-free
 //! backshift deletion, and the fault path keeps a one-entry
 //! last-translation cache in front of it.
+//!
+//! Beside the hash table each space keeps an ordered occupancy index: one
+//! bitmap per huge-page-aligned window, in address order. The background
+//! scanners (khugepaged, the hint sampler) walk it instead of collecting
+//! and sorting every VPN on each wakeup.
 
 use std::cell::Cell;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 
+use crate::frame::HUGE_PAGE_FRAMES;
 use crate::swap::SwapSlot;
 use crate::types::{Pfn, Pid, Vpn};
+
+/// Occupancy bitmap of one aligned window: bit `i` is set when
+/// `base + i` has an entry.
+type WindowBits = [u64; (HUGE_PAGE_FRAMES / 64) as usize];
 
 /// Where a virtual page currently lives.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -78,11 +90,6 @@ impl VpnMap {
     #[inline]
     fn mask(&self) -> usize {
         self.keys.len() - 1
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.len
     }
 
     #[inline]
@@ -205,6 +212,10 @@ pub struct AddressSpace {
     /// One-entry last-translation cache: workloads re-touch the same page
     /// in bursts, and the sampler walks pages it just translated.
     last: Cell<Option<(Vpn, PageLocation)>>,
+    /// Ordered occupancy index over exactly the keys of `map` (mapped and
+    /// swapped alike), keyed by window base. Windows with no entry are
+    /// absent. Updated only when a key enters or leaves `map`.
+    windows: BTreeMap<u64, WindowBits>,
 }
 
 impl AddressSpace {
@@ -216,6 +227,7 @@ impl AddressSpace {
             resident: 0,
             swapped: 0,
             last: Cell::new(None),
+            windows: BTreeMap::new(),
         }
     }
 
@@ -263,6 +275,9 @@ impl AddressSpace {
         let loc = PageLocation::Mapped(pfn);
         let prev = self.map.insert(vpn.0, loc);
         self.account_remove(prev);
+        if prev.is_none() {
+            self.index_insert(vpn.0);
+        }
         self.resident += 1;
         self.last.set(Some((vpn, loc)));
         prev
@@ -275,6 +290,9 @@ impl AddressSpace {
         let loc = PageLocation::Swapped(slot);
         let prev = self.map.insert(vpn.0, loc);
         self.account_remove(prev);
+        if prev.is_none() {
+            self.index_insert(vpn.0);
+        }
         self.swapped += 1;
         self.last.set(Some((vpn, loc)));
         prev
@@ -284,6 +302,9 @@ impl AddressSpace {
     pub fn unmap(&mut self, vpn: Vpn) -> Option<PageLocation> {
         let prev = self.map.remove(vpn.0);
         self.account_remove(prev);
+        if prev.is_some() {
+            self.index_remove(vpn.0);
+        }
         if let Some((v, _)) = self.last.get() {
             if v == vpn {
                 self.last.set(None);
@@ -305,21 +326,96 @@ impl AddressSpace {
         self.map.iter().map(|(v, l)| (Vpn(v), l))
     }
 
-    /// Collects all VPNs, sorted (for deterministic scanning).
-    pub fn sorted_vpns(&self) -> Vec<Vpn> {
-        let mut v = Vec::new();
-        self.sorted_vpns_into(&mut v);
-        v
+    fn index_insert(&mut self, vpn: u64) {
+        let (base, word, bit) = window_slot(vpn);
+        self.windows.entry(base).or_default()[word] |= bit;
     }
 
-    /// Like [`AddressSpace::sorted_vpns`], but reuses `out` instead of
-    /// allocating — the sampler calls this every scan tick.
-    pub fn sorted_vpns_into(&self, out: &mut Vec<Vpn>) {
-        out.clear();
-        out.reserve(self.map.len());
-        out.extend(self.map.iter().map(|(v, _)| Vpn(v)));
-        out.sort_unstable();
+    fn index_remove(&mut self, vpn: u64) {
+        let (base, word, bit) = window_slot(vpn);
+        let Entry::Occupied(mut window) = self.windows.entry(base) else {
+            unreachable!("{}: unmapped VPN {vpn} was never indexed", self.pid);
+        };
+        window.get_mut()[word] &= !bit;
+        if window.get().iter().all(|&w| w == 0) {
+            window.remove();
+        }
     }
+
+    /// Number of aligned windows holding at least one entry.
+    pub fn window_count(&self) -> usize {
+        self.windows.len()
+    }
+
+    /// Base VPNs of the huge-page-aligned windows holding at least one
+    /// entry (mapped or swapped), in ascending order.
+    pub fn window_bases(&self) -> impl Iterator<Item = Vpn> + '_ {
+        self.windows.keys().map(|&base| Vpn(base))
+    }
+
+    /// The VPNs with an entry (mapped or swapped) in ascending order,
+    /// starting at the `rank`-th smallest: `vpns_from_rank(r)` yields what
+    /// a sorted key list would hold at `[r..]`. Whole windows below the
+    /// rank are skipped by popcount, so reaching the start costs
+    /// O(windows), not O(entries).
+    pub fn vpns_from_rank(&self, rank: usize) -> impl Iterator<Item = Vpn> + '_ {
+        let mut skip = rank as u64;
+        self.windows.iter().flat_map(move |(&base, bits)| {
+            let count: u64 = bits.iter().map(|w| w.count_ones() as u64).sum();
+            let here = skip.min(count);
+            skip -= here;
+            window_vpns(base, bits).skip(here as usize)
+        })
+    }
+
+    /// Asserts that the occupancy index holds exactly the table's keys and
+    /// that its popcounts sum to `resident + swapped`.
+    pub(crate) fn validate_index(&self) {
+        let mut expected: BTreeMap<u64, WindowBits> = BTreeMap::new();
+        for (vpn, _) in self.map.iter() {
+            let (base, word, bit) = window_slot(vpn);
+            expected.entry(base).or_default()[word] |= bit;
+        }
+        assert!(
+            expected == self.windows,
+            "{}: occupancy index diverges from the page table",
+            self.pid
+        );
+        let indexed: u64 = self
+            .windows
+            .values()
+            .flatten()
+            .map(|w| w.count_ones() as u64)
+            .sum();
+        assert_eq!(
+            indexed,
+            self.total_pages(),
+            "{}: occupancy index popcount != resident + swapped",
+            self.pid
+        );
+    }
+}
+
+/// The window base of `vpn`, and the word and bit that mark `vpn` in that
+/// window's bitmap.
+fn window_slot(vpn: u64) -> (u64, usize, u64) {
+    let off = vpn % HUGE_PAGE_FRAMES;
+    (vpn - off, (off / 64) as usize, 1 << (off % 64))
+}
+
+/// The VPNs set in one window's bitmap, in ascending order.
+fn window_vpns(base: u64, bits: &WindowBits) -> impl Iterator<Item = Vpn> + '_ {
+    bits.iter().enumerate().flat_map(move |(i, &word)| {
+        let mut word = word;
+        std::iter::from_fn(move || {
+            if word == 0 {
+                return None;
+            }
+            let bit = word.trailing_zeros() as u64;
+            word &= word - 1;
+            Some(Vpn(base + i as u64 * 64 + bit))
+        })
+    })
 }
 
 #[cfg(test)]
@@ -372,16 +468,25 @@ mod tests {
     }
 
     #[test]
-    fn sorted_vpns_are_sorted() {
+    fn index_walks_are_sorted() {
         let mut s = AddressSpace::new(Pid(1));
-        for v in [9u64, 3, 7, 1] {
+        for v in [9u64, 3, 700, 1, 1 << 32] {
             s.map(Vpn(v), Pfn(v as u32));
         }
-        assert_eq!(s.sorted_vpns(), vec![Vpn(1), Vpn(3), Vpn(7), Vpn(9)]);
-        // The `_into` variant reuses the buffer and fully replaces it.
-        let mut buf = vec![Vpn(999)];
-        s.sorted_vpns_into(&mut buf);
-        assert_eq!(buf, vec![Vpn(1), Vpn(3), Vpn(7), Vpn(9)]);
+        s.set_swapped(Vpn(600), SwapSlot(0));
+        let all = [Vpn(1), Vpn(3), Vpn(9), Vpn(600), Vpn(700), Vpn(1 << 32)];
+        assert_eq!(s.vpns_from_rank(0).collect::<Vec<_>>(), all);
+        assert_eq!(s.vpns_from_rank(4).collect::<Vec<_>>(), all[4..]);
+        assert_eq!(s.vpns_from_rank(6).count(), 0);
+        assert_eq!(
+            s.window_bases().collect::<Vec<_>>(),
+            vec![Vpn(0), Vpn(512), Vpn(1 << 32)]
+        );
+        // Emptying a window drops it from the walk.
+        s.unmap(Vpn(600));
+        s.unmap(Vpn(700));
+        assert_eq!(s.window_count(), 2);
+        s.validate_index();
     }
 
     #[test]
@@ -451,7 +556,7 @@ mod tests {
                     assert_eq!(ours.get(key), model.get(&key).copied());
                 }
             }
-            assert_eq!(ours.len(), model.len());
+            assert_eq!(ours.len, model.len());
         }
         // Full-table walk agrees with the model.
         let mut walked: Vec<(u64, PageLocation)> = ours.iter().collect();
@@ -467,7 +572,7 @@ mod tests {
         for i in 0..10_000u64 {
             assert_eq!(m.insert(i, PageLocation::Mapped(Pfn(i as u32))), None);
         }
-        assert_eq!(m.len(), 10_000);
+        assert_eq!(m.len, 10_000);
         for i in 0..10_000u64 {
             assert_eq!(m.get(i), Some(PageLocation::Mapped(Pfn(i as u32))));
         }

@@ -7,7 +7,12 @@
 //! local SplitMix64 generator instead of proptest; every case is a pure
 //! function of its seed.
 
-use tiered_mem::{LruKind, Memory, NodeId, NodeKind, PageLocation, PageType, Pfn, Pid, Vpn};
+use std::collections::BTreeSet;
+
+use tiered_mem::{
+    AddressSpace, LruKind, Memory, NodeId, NodeKind, PageLocation, PageType, Pfn, Pid, SwapSlot,
+    Vpn, HUGE_PAGE_FRAMES,
+};
 
 /// Minimal deterministic generator for test sequences (SplitMix64).
 struct TestRng(u64);
@@ -186,7 +191,7 @@ fn migration_is_transparent_to_the_process() {
     for seed in 2000..2032u64 {
         let mut rng = TestRng(seed);
         let count = 1 + rng.below(23);
-        let vpns: std::collections::BTreeSet<u64> = (0..count).map(|_| rng.below(64)).collect();
+        let vpns: BTreeSet<u64> = (0..count).map(|_| rng.below(64)).collect();
         let mut m = small_memory();
         let pid = Pid(1);
         m.create_process(pid);
@@ -239,6 +244,67 @@ fn lru_is_a_partition() {
                 counted,
                 m.frames().used_pages(node),
                 "seed {seed} node {node:?}"
+            );
+        }
+    }
+}
+
+/// The ordered occupancy index holds exactly the page-table keys through
+/// any mix of map, re-map, swap-out and unmap, and both of its walks agree
+/// with the sorted key list: the window walk with the distinct aligned
+/// bases, the rank walk from `r` with `sorted[r..]`. VPNs sit on window
+/// edges (511/512) around the anon (0) and file (`1 << 32`) bases and a
+/// far base (`3 << 32`).
+#[test]
+fn occupancy_index_walks_match_sorted_keys() {
+    const BASES: [u64; 3] = [0, 1 << 32, 3 << 32];
+    const OFFSETS: [u64; 9] = [0, 1, 63, 64, 510, 511, 512, 513, 1023];
+    for seed in 4000..4048u64 {
+        let mut rng = TestRng(seed);
+        let mut space = AddressSpace::new(Pid(1));
+        let mut keys: BTreeSet<u64> = BTreeSet::new();
+        for step in 0..300u64 {
+            let vpn = BASES[rng.below(3) as usize] + OFFSETS[rng.below(9) as usize];
+            match rng.below(4) {
+                0 => {
+                    space.map(Vpn(vpn), Pfn(step as u32));
+                    keys.insert(vpn);
+                }
+                1 => {
+                    // Re-map a key that is already present: the index must
+                    // not change.
+                    if !keys.is_empty() {
+                        let nth = rng.below(keys.len() as u64) as usize;
+                        let vpn = *keys.iter().nth(nth).unwrap();
+                        assert!(space.map(Vpn(vpn), Pfn(step as u32)).is_some());
+                    }
+                }
+                2 => {
+                    space.set_swapped(Vpn(vpn), SwapSlot(step));
+                    keys.insert(vpn);
+                }
+                _ => {
+                    assert_eq!(space.unmap(Vpn(vpn)).is_some(), keys.remove(&vpn));
+                }
+            }
+            let sorted: Vec<Vpn> = keys.iter().map(|&v| Vpn(v)).collect();
+            let mut windows: Vec<Vpn> = sorted
+                .iter()
+                .map(|v| Vpn(v.0 - v.0 % HUGE_PAGE_FRAMES))
+                .collect();
+            windows.dedup();
+            assert_eq!(space.total_pages(), sorted.len() as u64, "seed {seed}");
+            assert_eq!(space.window_count(), windows.len(), "seed {seed}");
+            assert_eq!(
+                space.window_bases().collect::<Vec<_>>(),
+                windows,
+                "seed {seed}"
+            );
+            let r = rng.below(sorted.len() as u64 + 1) as usize;
+            assert_eq!(
+                space.vpns_from_rank(r).collect::<Vec<_>>(),
+                sorted[r..],
+                "seed {seed} rank {r}"
             );
         }
     }

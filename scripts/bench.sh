@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Performance snapshot: the substrate microbench suite plus a timed
-# standard-scale `repro` run, merged into one JSON report (default:
-# BENCH_repro.json at the repo root, which is checked in).
+# Performance snapshot: the substrate, hotpath and policy microbench
+# suites plus a timed standard-scale `repro` run, merged into one JSON
+# report (default: BENCH_repro.json at the repo root, which is checked in).
 #
 # The microbench section carries its own before/after pair: the
 # `hashmap_*_baseline` entries measure the std::collections::HashMap page
@@ -23,6 +23,8 @@ echo "running substrate microbenches..." >&2
 cargo bench -q -p tpp-bench --bench substrate 2>/dev/null | tee "$tmp/micro.txt" >&2
 echo "running hotpath microbenches..." >&2
 cargo bench -q -p tpp-bench --bench hotpath 2>/dev/null | tee -a "$tmp/micro.txt" >&2
+echo "running policy microbenches..." >&2
+cargo bench -q -p tpp-bench --bench policies 2>/dev/null | tee -a "$tmp/micro.txt" >&2
 
 echo "running standard-scale repro (--jobs $JOBS)..." >&2
 ./target/release/repro all --jobs "$JOBS" --csv "$tmp/results" \
