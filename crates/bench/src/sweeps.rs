@@ -19,8 +19,8 @@
 
 use tiered_mem::{Memory, NodeKind};
 use tiered_workloads::WorkloadProfile;
-use tpp::configs;
 use tpp::experiment::{CellSpec, ExperimentResult, PolicyChoice};
+use tpp::{configs, System};
 
 use crate::executor::{parallel_map, run_cells};
 use crate::scale::{pct, print_table, Scale};
@@ -458,19 +458,18 @@ pub fn zswap_comparison(scale: &Scale) -> Vec<Vec<String>> {
 /// node transparently; default Linux lets whoever allocated first keep
 /// it.
 ///
-/// `MultiSystem` lanes share one machine, so this experiment cannot be
-/// expressed as independent [`CellSpec`] cells; the two policy variants
-/// are still fanned out with [`parallel_map`] (each worker builds and
-/// runs its own `MultiSystem` locally).
+/// The two workloads are lanes of one [`System::colocated`] run sharing
+/// one machine, so this experiment cannot be expressed as independent
+/// [`CellSpec`] cells; the two policy variants are still fanned out with
+/// [`parallel_map`] (each worker builds and runs its own system locally).
 pub fn colocation(scale: &Scale) -> Vec<Vec<String>> {
-    use tpp::MultiSystem;
     let choices = [PolicyChoice::Linux, PolicyChoice::Tpp];
     let per_choice: Vec<Vec<Vec<String>>> = parallel_map(scale.jobs, choices.len(), |ci| {
         let choice = &choices[ci];
         let cache = tiered_workloads::cache1(scale.ws_pages / 2);
         let warehouse = tiered_workloads::data_warehouse(scale.ws_pages / 2);
         let total_ws = cache.working_set_pages() + warehouse.working_set_pages();
-        let mut system = MultiSystem::new(
+        let mut system = System::colocated(
             configs::two_to_one(total_ws),
             choice.build(),
             vec![Box::new(cache.build()), Box::new(warehouse.build())],

@@ -11,8 +11,9 @@
 //! ## Layers
 //!
 //! * [`policy`] — placement policies over the [`tiered_mem`] substrate.
-//! * [`System`] — one machine + one policy + one workload, run under a
-//!   deterministic nanosecond clock.
+//! * [`System`] — one machine + one policy + one workload, or several
+//!   co-located ones ([`System::colocated`]), run under deterministic
+//!   nanosecond clocks through one run loop and one access path.
 //! * [`configs`] — the paper's machine setups (all-local, 2:1, 1:4).
 //! * [`experiment`] — (workload × machine × policy) cells reduced to the
 //!   figures' quantities.
@@ -36,10 +37,8 @@
 pub mod configs;
 pub mod experiment;
 pub mod metrics;
-mod multi;
 pub mod policy;
 mod system;
 
 pub use metrics::RunMetrics;
-pub use multi::MultiSystem;
-pub use system::System;
+pub use system::{MultiSystem, System};

@@ -1,18 +1,36 @@
-//! The system runner: drives one workload over one machine under one
-//! placement policy, interleaving application ops with daemon ticks and
-//! accounting every nanosecond of memory stall back into application
-//! throughput.
+//! The system runner: drives one workload, or several co-located ones,
+//! over one machine under one placement policy, interleaving application
+//! ops with daemon ticks and accounting every nanosecond of memory stall
+//! back into application throughput.
+//!
+//! TPP's mechanisms (shared watermarks, one demotion daemon, promotion
+//! into the shared local node) all operate machine-wide, so co-located
+//! workloads go through exactly the access path a lone workload does.
+//! Each workload runs in its own lane, a virtual CPU with its own clock;
+//! the run loop always advances the lane that is furthest behind, so the
+//! interleaving is deterministic and fair. A single workload is the
+//! one-lane case.
 
-use tiered_mem::{EventSink, Memory, PageFlags, PageLocation, Pfn, TraceEvent};
+use std::ops::{Deref, DerefMut};
+
+use tiered_mem::{EventSink, Memory, PageFlags, PageKey, PageLocation, Pfn, TraceEvent};
 use tiered_sim::{
-    Access, AccessKind, AccessObserver, LatencyModel, NullObserver, Periodic, SimClock, SimRng,
-    Workload, WorkloadEvent,
+    Access, AccessKind, AccessObserver, LatencyModel, NullObserver, Periodic, SimRng, Workload,
+    WorkloadEvent,
 };
 
 use crate::metrics::RunMetrics;
 use crate::policy::{PlacementPolicy, PolicyCtx, UnsupportedConfig};
 
-/// A complete simulated system: machine + policy + workload.
+/// One workload and its execution state.
+struct Lane {
+    workload: Box<dyn Workload>,
+    /// This lane's virtual-CPU clock.
+    clock_ns: u64,
+    metrics: RunMetrics,
+}
+
+/// A complete simulated system: machine + policy + one or more workloads.
 ///
 /// # Examples
 ///
@@ -25,21 +43,28 @@ use crate::policy::{PlacementPolicy, PolicyCtx, UnsupportedConfig};
 /// let mut system = System::new(memory, Box::new(Tpp::new()), Box::new(workload), 42)?;
 /// system.run(3 * SEC);
 /// assert!(system.metrics().ops_completed > 0);
+///
+/// // Two services sharing one machine.
+/// let a = tiered_workloads::cache1(2_000).build();
+/// let b = tiered_workloads::data_warehouse(2_000).build();
+/// let memory = configs::two_to_one(6_000);
+/// let mut system =
+///     System::colocated(memory, Box::new(Tpp::new()), vec![Box::new(a), Box::new(b)], 7)?;
+/// system.run(2 * SEC);
+/// assert_eq!(system.lane_count(), 2);
 /// # Ok::<(), tpp::policy::UnsupportedConfig>(())
 /// ```
 pub struct System {
     memory: Memory,
     policy: Box<dyn PlacementPolicy>,
-    workload: Box<dyn Workload>,
+    lanes: Vec<Lane>,
     latency: LatencyModel,
-    clock: SimClock,
     rng: SimRng,
     daemon_timer: Periodic,
     sample_timer: Periodic,
-    metrics: RunMetrics,
     /// Per-node access latency, indexed by `NodeId` — node latencies are
-    /// fixed at machine-build time, so the access fast path reads this
-    /// array instead of chasing `memory.node(node)` per access.
+    /// fixed at machine-build time, so the access path reads this array
+    /// instead of chasing `memory.node(node)` per access.
     node_latency_ns: Vec<u64>,
     /// Whether each node is CPU-attached, indexed by `NodeId`.
     node_is_local: Vec<bool>,
@@ -59,41 +84,58 @@ impl System {
         workload: Box<dyn Workload>,
         seed: u64,
     ) -> Result<System, UnsupportedConfig> {
+        System::colocated(memory, policy, vec![workload], seed)
+    }
+
+    /// Assembles a system whose workloads share the machine, one lane
+    /// each, in the given order.
+    ///
+    /// # Errors
+    ///
+    /// [`UnsupportedConfig`] if the policy rejects the machine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workloads` is empty or two workloads share a pid.
+    pub fn colocated(
+        memory: Memory,
+        policy: Box<dyn PlacementPolicy>,
+        workloads: Vec<Box<dyn Workload>>,
+        seed: u64,
+    ) -> Result<System, UnsupportedConfig> {
+        assert!(!workloads.is_empty(), "at least one workload required");
         policy.validate_config(&memory)?;
         let mut memory = memory;
-        memory.create_process(workload.pid());
+        for w in &workloads {
+            memory.create_process(w.pid());
+        }
+        // Topology ids are dense and in index order (the builder asserts
+        // it), so these arrays index directly by `NodeId`.
+        let (node_latency_ns, node_is_local) = memory
+            .topology()
+            .ids()
+            .map(|id| (memory.node(id).latency_ns(), !memory.node(id).is_cpu_less()))
+            .unzip();
+        let lanes = workloads
+            .into_iter()
+            .map(|workload| Lane {
+                workload,
+                clock_ns: 0,
+                metrics: RunMetrics::new(),
+            })
+            .collect();
         let daemon_timer = Periodic::new(policy.tick_period_ns());
-        let mut system = System {
+        Ok(System {
             memory,
             policy,
-            workload,
+            lanes,
             latency: LatencyModel::datacenter(),
-            clock: SimClock::new(),
             rng: SimRng::seed(seed),
             daemon_timer,
             sample_timer: Periodic::new(RunMetrics::sample_period_ns()),
-            metrics: RunMetrics::new(),
-            node_latency_ns: Vec::new(),
-            node_is_local: Vec::new(),
-        };
-        system.refresh_node_cache();
-        Ok(system)
-    }
-
-    /// Rebuilds the per-node latency/locality arrays from the machine.
-    /// Node latencies are only set during machine construction, but the
-    /// refresh is cheap enough to rerun at the top of every `run` for
-    /// robustness against future mutable-latency machines.
-    fn refresh_node_cache(&mut self) {
-        self.node_latency_ns.clear();
-        self.node_is_local.clear();
-        // Topology ids are dense and in index order (the builder asserts
-        // it), so these arrays index directly by `NodeId`.
-        for id in self.memory.topology().ids() {
-            let node = self.memory.node(id);
-            self.node_latency_ns.push(node.latency_ns());
-            self.node_is_local.push(!node.is_cpu_less());
-        }
+            node_latency_ns,
+            node_is_local,
+        })
     }
 
     /// Overrides the operation-cost model.
@@ -119,9 +161,33 @@ impl System {
         &self.memory
     }
 
-    /// Collected metrics.
+    /// Collected metrics of the first (for [`System::new`], the only)
+    /// workload.
     pub fn metrics(&self) -> &RunMetrics {
-        &self.metrics
+        &self.lanes[0].metrics
+    }
+
+    /// Number of workloads sharing the machine.
+    pub fn lane_count(&self) -> usize {
+        self.lanes.len()
+    }
+
+    /// Metrics of lane `i` (same order as construction).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn lane_metrics(&self, i: usize) -> &RunMetrics {
+        &self.lanes[i].metrics
+    }
+
+    /// Name of the workload in lane `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn lane_name(&self, i: usize) -> &str {
+        self.lanes[i].workload.name()
     }
 
     /// The policy's name.
@@ -129,43 +195,57 @@ impl System {
         self.policy.name()
     }
 
-    /// Current simulated time.
+    /// Current simulated time: the furthest-behind lane's clock (every
+    /// lane has fully executed up to this instant).
     pub fn now_ns(&self) -> u64 {
-        self.clock.now_ns()
+        self.lanes.iter().map(|l| l.clock_ns).min().unwrap_or(0)
     }
 
-    /// Runs for `duration_ns` of simulated time.
+    /// Runs every lane for `duration_ns` of simulated time.
     pub fn run(&mut self, duration_ns: u64) {
         self.run_observed(duration_ns, &mut NullObserver);
     }
 
-    /// Runs for `duration_ns`, reporting every resolved access to `obs`
-    /// (e.g. a Chameleon profiler).
+    /// Runs every lane for `duration_ns`, reporting every resolved access
+    /// to `obs` (e.g. a Chameleon profiler).
     pub fn run_observed(&mut self, duration_ns: u64, obs: &mut dyn AccessObserver) {
-        self.refresh_node_cache();
-        let end = self.clock.now_ns() + duration_ns;
-        // Trace timestamps advance with the clock below; seed the initial
-        // value once rather than re-setting it at the top of every
-        // iteration (it would only repeat the post-advance update).
-        self.memory.set_trace_now(self.clock.now_ns());
-        while self.clock.now_ns() < end {
-            let now = self.clock.now_ns();
-            let op = self.workload.next_op(now, &mut self.rng);
+        let end: Vec<u64> = self
+            .lanes
+            .iter()
+            .map(|l| l.clock_ns + duration_ns)
+            .collect();
+        // Progress the lane that is furthest behind; stop when every lane
+        // reached its end.
+        while let Some(i) = self
+            .lanes
+            .iter()
+            .enumerate()
+            .filter(|(i, l)| l.clock_ns < end[*i])
+            .min_by_key(|(i, l)| (l.clock_ns, *i))
+            .map(|(i, _)| i)
+        {
+            let now = self.lanes[i].clock_ns;
+            self.memory.set_trace_now(now);
+            let op = self.lanes[i].workload.next_op(now, &mut self.rng);
             let mut mem_ns = 0u64;
             for event in &op.events {
                 match *event {
                     WorkloadEvent::Access(access) => {
-                        mem_ns += self.execute_access(now, &access, obs);
+                        mem_ns += self.execute_access(i, now, &access, obs);
                     }
                     WorkloadEvent::Free { pid, vpn } => {
                         self.memory.release(pid, vpn);
                     }
                 }
             }
+            // A zero-cost op still moves its lane forward by 1 ns; the
+            // metrics record its true cost.
             let op_ns = op.cpu_ns + mem_ns;
-            self.clock.advance(op_ns.max(1));
-            self.metrics.note_op(op_ns, mem_ns);
-            let now = self.clock.now_ns();
+            let lane = &mut self.lanes[i];
+            lane.clock_ns += op_ns.max(1);
+            lane.metrics.note_op(op_ns, mem_ns);
+            // Daemons and sampling follow the global (min) clock.
+            let now = self.now_ns();
             self.memory.set_trace_now(now);
             // Daemon wakeups (capped catch-up after long ops).
             let fires = self.daemon_timer.fire(now).min(4);
@@ -179,73 +259,50 @@ impl System {
                 self.policy.tick(&mut ctx);
             }
             if self.sample_timer.fire(now) > 0 {
-                self.metrics.sample(now, &self.memory);
+                for lane in &mut self.lanes {
+                    lane.metrics.sample(now, &self.memory);
+                }
             }
         }
     }
 
-    /// Resolves one access exactly as the run loop would (for
-    /// benchmarking the resolution hot path in isolation). Returns the
-    /// latency charged to the op.
+    /// Resolves one access of the first lane exactly as the run loop
+    /// would (for benchmarking the resolution hot path in isolation).
+    /// Returns the latency charged to the op.
     pub fn resolve_access(&mut self, now_ns: u64, access: &Access) -> u64 {
-        self.execute_access(now_ns, access, &mut NullObserver)
+        self.execute_access(0, now_ns, access, &mut NullObserver)
     }
 
-    /// Resolves one access: fault if unmapped/swapped, hint-fault
-    /// handling, reference bookkeeping. Returns the latency charged to
-    /// the op.
+    /// Resolves one access of lane `lane`: fault if unmapped/swapped,
+    /// hint-fault handling, reference bookkeeping. Returns the latency
+    /// charged to the op.
     ///
     /// The overwhelmingly common case — page mapped, no hint PTE — is a
-    /// branch-light fast path: one frame lookup resolves the node and
-    /// flags, one write-back records the touch, and the per-node latency
-    /// comes from the prebuilt arrays. Everything else (faults, hint
-    /// faults) falls through to [`System::execute_access_slow`].
-    fn execute_access(&mut self, now: u64, access: &Access, obs: &mut dyn AccessObserver) -> u64 {
+    /// branch-light fast path straight to [`System::touch_and_charge`].
+    /// Everything else (faults, hint faults) falls through to
+    /// [`System::execute_access_slow`].
+    fn execute_access(
+        &mut self,
+        lane: usize,
+        now: u64,
+        access: &Access,
+        obs: &mut dyn AccessObserver,
+    ) -> u64 {
         if let Some(PageLocation::Mapped(pfn)) = self.memory.space(access.pid).translate(access.vpn)
         {
-            let frame = self.memory.frames_mut().frame_mut(pfn);
-            if !frame.flags().contains(PageFlags::HINTED) {
-                let mark = if access.kind == AccessKind::Store {
-                    PageFlags::REFERENCED | PageFlags::DIRTY
-                } else {
-                    PageFlags::REFERENCED
-                };
-                frame.flags_mut().insert(mark);
-                frame.touch_hotness();
-                frame.set_last_access_ns(now);
-                let node = frame.node();
-                // A touch anywhere in a compound page keeps the whole
-                // unit warm: only the head has LRU standing, so tail
-                // accesses forward their marks to it (the kernel's
-                // `page_referenced` collects young bits over every PTE of
-                // a THP).
-                if frame.flags().contains(PageFlags::TAIL) {
-                    let head = self.memory.compound_head(pfn);
-                    let head_frame = self.memory.frames_mut().frame_mut(head);
-                    head_frame.flags_mut().insert(mark);
-                    head_frame.touch_hotness();
-                    head_frame.set_last_access_ns(now);
-                }
-                let node_latency = self.node_latency_ns[node.index()];
-                self.metrics.note_access(
-                    self.node_is_local[node.index()],
-                    access.page_type.is_anon(),
-                    node_latency,
-                );
-                obs.on_access(now, access, node);
-                // One workload access stands for a bundle of LLC misses
-                // (see `LatencyModel::access_bundle`); metrics record the
-                // per-miss latency, the op is charged the whole stall.
-                return node_latency * self.latency.access_bundle;
+            let flags = self.memory.frames().frame(pfn).flags();
+            if !flags.contains(PageFlags::HINTED) {
+                return self.touch_and_charge(lane, now, access, pfn, obs);
             }
         }
-        self.execute_access_slow(now, access, obs)
+        self.execute_access_slow(lane, now, access, obs)
     }
 
     /// The uncommon cases: page fault (first touch or swap-in) and NUMA
     /// hint faults, both of which need a [`PolicyCtx`].
     fn execute_access_slow(
         &mut self,
+        lane: usize,
         now: u64,
         access: &Access,
         obs: &mut dyn AccessObserver,
@@ -267,23 +324,13 @@ impl System {
                 out.pfn
             }
         };
-        // NUMA hint fault?
-        if self
-            .memory
-            .frames()
-            .frame(pfn)
-            .flags()
-            .contains(PageFlags::HINTED)
-        {
-            self.memory
-                .frames_mut()
-                .frame_mut(pfn)
-                .flags_mut()
-                .remove(PageFlags::HINTED);
-            let hint_node = self.memory.frames().frame(pfn).node();
+        let frame = self.memory.frames_mut().frame_mut(pfn);
+        if frame.flags().contains(PageFlags::HINTED) {
+            frame.flags_mut().remove(PageFlags::HINTED);
+            let node = frame.node();
             self.memory.record(TraceEvent::HintFault {
-                page: tiered_mem::PageKey::new(access.pid, access.vpn),
-                node: hint_node,
+                page: PageKey::new(access.pid, access.vpn),
+                node,
             });
             cost += self.latency.hint_fault_ns;
             let mut ctx = PolicyCtx {
@@ -299,22 +346,25 @@ impl System {
                 other => panic!("page vanished during hint fault: {other:?}"),
             };
         }
-        self.touch(now, pfn, access.kind);
-        let node = self.memory.frames().frame(pfn).node();
-        let node_latency = self.memory.node(node).latency_ns();
-        // One workload access stands for a bundle of LLC misses (see
-        // `LatencyModel::access_bundle`); metrics record the per-miss
-        // latency, the op is charged the whole stall.
-        cost += node_latency * self.latency.access_bundle;
-        let is_local = !self.memory.node(node).is_cpu_less();
-        self.metrics
-            .note_access(is_local, access.page_type.is_anon(), node_latency);
-        obs.on_access(now, access, node);
-        cost
+        cost + self.touch_and_charge(lane, now, access, pfn, obs)
     }
 
-    fn touch(&mut self, now: u64, pfn: Pfn, kind: AccessKind) {
-        let mark = if kind == AccessKind::Store {
+    /// Records an access to the resident page `pfn`: marks it referenced
+    /// (and dirty for a store), charges `lane`'s metrics and reports it to
+    /// `obs`. Returns the stall charged to the op.
+    ///
+    /// Always inlined, so the fast path's frame lookup is shared with its
+    /// `HINTED` check instead of being repeated behind a call.
+    #[inline(always)]
+    fn touch_and_charge(
+        &mut self,
+        lane: usize,
+        now: u64,
+        access: &Access,
+        pfn: Pfn,
+        obs: &mut dyn AccessObserver,
+    ) -> u64 {
+        let mark = if access.kind == AccessKind::Store {
             PageFlags::REFERENCED | PageFlags::DIRTY
         } else {
             PageFlags::REFERENCED
@@ -323,7 +373,11 @@ impl System {
         frame.flags_mut().insert(mark);
         frame.touch_hotness();
         frame.set_last_access_ns(now);
-        // Tail touches keep the whole compound warm (see the fast path).
+        let node = frame.node();
+        // A touch anywhere in a compound page keeps the whole unit warm:
+        // only the head has LRU standing, so tail accesses forward their
+        // marks to it (the kernel's `page_referenced` collects young bits
+        // over every PTE of a THP).
         if frame.flags().contains(PageFlags::TAIL) {
             let head = self.memory.compound_head(pfn);
             let head_frame = self.memory.frames_mut().frame_mut(head);
@@ -331,6 +385,55 @@ impl System {
             head_frame.touch_hotness();
             head_frame.set_last_access_ns(now);
         }
+        let node_latency = self.node_latency_ns[node.index()];
+        self.lanes[lane].metrics.note_access(
+            self.node_is_local[node.index()],
+            access.page_type.is_anon(),
+            node_latency,
+        );
+        obs.on_access(now, access, node);
+        // One workload access stands for a bundle of LLC misses (see
+        // `LatencyModel::access_bundle`); metrics record the per-miss
+        // latency, the op is charged the whole stall.
+        node_latency * self.latency.access_bundle
+    }
+}
+
+/// The former co-location runner's constructor, kept so existing callers
+/// compile: a [`System`] built by [`System::colocated`].
+pub struct MultiSystem(System);
+
+impl MultiSystem {
+    /// Forwards to [`System::colocated`].
+    ///
+    /// # Errors
+    ///
+    /// [`UnsupportedConfig`] if the policy rejects the machine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workloads` is empty or two workloads share a pid.
+    pub fn new(
+        memory: Memory,
+        policy: Box<dyn PlacementPolicy>,
+        workloads: Vec<Box<dyn Workload>>,
+        seed: u64,
+    ) -> Result<MultiSystem, UnsupportedConfig> {
+        System::colocated(memory, policy, workloads, seed).map(MultiSystem)
+    }
+}
+
+impl Deref for MultiSystem {
+    type Target = System;
+
+    fn deref(&self) -> &System {
+        &self.0
+    }
+}
+
+impl DerefMut for MultiSystem {
+    fn deref_mut(&mut self) -> &mut System {
+        &mut self.0
     }
 }
 
@@ -339,8 +442,8 @@ mod tests {
     use super::*;
     use crate::configs;
     use crate::policy::{LinuxDefault, Tpp};
-    use tiered_mem::NodeId;
-    use tiered_sim::SEC;
+    use tiered_mem::{NodeId, NodeKind, PageType, Pid, ThpMode, Vpn, HUGE_PAGE_FRAMES};
+    use tiered_sim::{Op, MS, SEC};
 
     fn quick_system(policy: Box<dyn PlacementPolicy>) -> System {
         let workload = tiered_workloads::uniform(2_000).build();
@@ -397,5 +500,132 @@ mod tests {
         let mut counter = Counter(0);
         s.run_observed(SEC, &mut counter);
         assert_eq!(counter.0, s.metrics().accesses);
+    }
+
+    fn two_lane_system(policy: Box<dyn PlacementPolicy>) -> System {
+        let a = tiered_workloads::cache1(1_500).build();
+        let b = tiered_workloads::data_warehouse(1_500).build();
+        let ws = 1_500 * 2 + 1_500; // regions + churn headroom
+        System::colocated(
+            configs::two_to_one(ws),
+            policy,
+            vec![Box::new(a), Box::new(b)],
+            3,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn lanes_progress_together() {
+        let mut s = two_lane_system(Box::new(LinuxDefault::new()));
+        s.run(3 * SEC);
+        assert!(s.now_ns() >= 3 * SEC);
+        for i in 0..s.lane_count() {
+            assert!(
+                s.lane_metrics(i).ops_completed > 100,
+                "lane {i} ({}) starved",
+                s.lane_name(i)
+            );
+        }
+        s.memory().validate();
+    }
+
+    #[test]
+    fn shared_machine_keeps_per_process_isolation() {
+        let mut s = two_lane_system(Box::new(Tpp::new()));
+        s.run(2 * SEC);
+        // Both processes have pages resident and no cross-owner mappings
+        // (validate checks the rmap bijection).
+        let m = s.memory();
+        for pid in m.pids() {
+            assert!(m.space(pid).resident_pages() > 0, "{pid} has no memory");
+        }
+        m.validate();
+    }
+
+    #[test]
+    fn deterministic_interleave() {
+        let run = || {
+            let mut s = two_lane_system(Box::new(Tpp::new()));
+            s.run(SEC);
+            (
+                s.lane_metrics(0).ops_completed,
+                s.lane_metrics(1).ops_completed,
+                s.memory().vmstat().to_string(),
+            )
+        };
+        assert_eq!(run(), run());
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one workload")]
+    fn empty_lane_list_rejected() {
+        let _ = System::colocated(
+            configs::all_local(1_000),
+            Box::new(LinuxDefault::new()),
+            vec![],
+            1,
+        );
+    }
+
+    /// Touches only tail pages (VPNs 1..=3) of its first 512-page window,
+    /// so any warmth the compound head gets is forwarded from its tails.
+    struct TailToucher;
+
+    impl Workload for TailToucher {
+        fn name(&self) -> &str {
+            "tail_toucher"
+        }
+        fn pid(&self) -> Pid {
+            Pid(99)
+        }
+        fn next_op(&mut self, _now_ns: u64, _rng: &mut SimRng) -> Op {
+            let touch = |vpn| {
+                WorkloadEvent::Access(Access {
+                    pid: Pid(99),
+                    vpn: Vpn(vpn),
+                    kind: AccessKind::Load,
+                    page_type: PageType::Anon,
+                })
+            };
+            Op {
+                cpu_ns: 1_000,
+                events: (1..=3).map(touch).collect(),
+            }
+        }
+        fn working_set_pages(&self) -> u64 {
+            HUGE_PAGE_FRAMES
+        }
+    }
+
+    #[test]
+    fn colocated_tail_touches_warm_the_compound_head() {
+        let mut machine = Memory::builder();
+        machine
+            .node(NodeKind::LocalDram, 4_096)
+            .node(NodeKind::Cxl, 2_048)
+            .swap_pages(4_096)
+            .thp_mode(ThpMode::Always);
+        let other = tiered_workloads::uniform(1_000).build();
+        let mut s = System::colocated(
+            machine.build(),
+            Box::new(LinuxDefault::new()),
+            vec![Box::new(other), Box::new(TailToucher)],
+            5,
+        )
+        .unwrap();
+        s.run(100 * MS);
+        let m = s.memory();
+        let tail_pfn = match m.space(Pid(99)).translate(Vpn(1)) {
+            Some(PageLocation::Mapped(pfn)) => pfn,
+            other => panic!("tail not mapped: {other:?}"),
+        };
+        let tail = m.frames().frame(tail_pfn);
+        assert!(tail.flags().contains(PageFlags::TAIL), "no compound page");
+        let head = m.frames().frame(m.compound_head(tail_pfn));
+        assert!(head.flags().contains(PageFlags::REFERENCED));
+        assert!(head.hotness() > 0, "head hotness never rose");
+        assert_eq!(head.last_access_ns(), tail.last_access_ns());
+        m.validate();
     }
 }

@@ -1,4 +1,4 @@
-//! Simulated time: a nanosecond clock and periodic-deadline helpers.
+//! Simulated time: nanosecond units and periodic-deadline helpers.
 //!
 //! The whole simulation is single-threaded and deterministic; "time" only
 //! advances when simulated work (CPU bursts, memory stalls, daemon
@@ -12,48 +12,6 @@ pub const MS: u64 = 1_000_000;
 pub const SEC: u64 = 1_000_000_000;
 /// Nanoseconds per minute.
 pub const MINUTE: u64 = 60 * SEC;
-
-/// The simulation clock.
-///
-/// # Examples
-///
-/// ```
-/// use tiered_sim::{SimClock, MS};
-///
-/// let mut clock = SimClock::new();
-/// clock.advance(5 * MS);
-/// assert_eq!(clock.now_ns(), 5_000_000);
-/// assert!((clock.now_secs() - 0.005).abs() < 1e-12);
-/// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SimClock {
-    now_ns: u64,
-}
-
-impl SimClock {
-    /// A clock at time zero.
-    pub fn new() -> SimClock {
-        SimClock { now_ns: 0 }
-    }
-
-    /// Current simulated time in nanoseconds.
-    #[inline]
-    pub fn now_ns(&self) -> u64 {
-        self.now_ns
-    }
-
-    /// Current simulated time in seconds.
-    #[inline]
-    pub fn now_secs(&self) -> f64 {
-        self.now_ns as f64 / SEC as f64
-    }
-
-    /// Advances the clock by `delta_ns`.
-    #[inline]
-    pub fn advance(&mut self, delta_ns: u64) {
-        self.now_ns += delta_ns;
-    }
-}
 
 /// Tracks a periodic deadline (daemon wakeups, stat sampling).
 ///
@@ -121,15 +79,6 @@ impl Periodic {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn clock_advances_monotonically() {
-        let mut c = SimClock::new();
-        assert_eq!(c.now_ns(), 0);
-        c.advance(100);
-        c.advance(SEC);
-        assert_eq!(c.now_ns(), SEC + 100);
-    }
 
     #[test]
     fn periodic_fires_exactly_on_deadline() {

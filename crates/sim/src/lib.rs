@@ -1,8 +1,9 @@
 //! # tiered-sim
 //!
-//! Deterministic simulation engine for tiered-memory experiments: the
-//! nanosecond clock, the operation-cost latency model, access-trace
-//! types, seeded randomness, and statistics collection.
+//! Deterministic simulation engine for tiered-memory experiments:
+//! nanosecond time units and periodic timers, the operation-cost latency
+//! model, access-trace types, seeded randomness, and statistics
+//! collection.
 //!
 //! This crate sits between the mechanical substrate
 //! ([`tiered_mem`]) and the policy/runner layer (`tpp`): it defines *how
@@ -13,15 +14,13 @@
 //! ## Example
 //!
 //! ```
-//! use tiered_sim::{LatencyModel, Periodic, SimClock, SimRng, MS};
+//! use tiered_sim::{LatencyModel, Periodic, SimRng, MS};
 //!
-//! let mut clock = SimClock::new();
 //! let mut kswapd = Periodic::new(50 * MS);
 //! let model = LatencyModel::datacenter();
 //! let mut rng = SimRng::seed(1);
 //!
-//! clock.advance(120 * MS);
-//! assert_eq!(kswapd.fire(clock.now_ns()), 2); // two missed wakeups
+//! assert_eq!(kswapd.fire(120 * MS), 2); // two missed wakeups
 //! assert!(model.migrate_budget_pages(MS) > 100);
 //! assert!(rng.chance(1.0));
 //! ```
@@ -36,7 +35,7 @@ mod rng;
 mod stats;
 mod trace;
 
-pub use clock::{Periodic, SimClock, MINUTE, MS, SEC, US};
+pub use clock::{Periodic, MINUTE, MS, SEC, US};
 pub use latency::{access_latency_ns, LatencyModel};
 pub use replay::{ParseTraceError, Trace, TraceRecord, TraceRecorder, TraceWorkload};
 pub use rng::SimRng;

@@ -9,13 +9,13 @@
 
 use tiered_sim::MINUTE;
 use tpp::experiment::PolicyChoice;
-use tpp::{configs, MultiSystem};
+use tpp::{configs, System};
 
 fn run(choice: PolicyChoice) -> (f64, f64, f64) {
     let cache = tiered_workloads::cache1(8_000);
     let warehouse = tiered_workloads::data_warehouse(8_000);
     let total_ws = cache.working_set_pages() + warehouse.working_set_pages();
-    let mut system = MultiSystem::new(
+    let mut system = System::colocated(
         configs::two_to_one(total_ws),
         choice.build(),
         vec![Box::new(cache.build()), Box::new(warehouse.build())],

@@ -7,61 +7,45 @@ cd "$(dirname "$0")/.."
 cargo fmt --check
 cargo clippy --workspace -- -D warnings
 cargo test -q --workspace
+# The microbench harness's own tests must finish under optimisation too
+# (a closure the optimiser folds away makes its calibration loop spin).
+cargo test --release -q -p tpp-bench --lib microbench
 # Rustdoc must build warnings-clean (broken intra-doc links etc.).
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q --workspace
 # Benches must at least compile (running them is bench.sh's job).
 cargo bench --no-run -q -p tpp-bench
 
-# Executor determinism gate: a reduced-scale repro must produce
-# byte-identical tables with and without the parallel executor. (The
-# checked-in expected/ snapshots are standard-scale, so the quick run is
-# gated against itself: --jobs 1 vs --jobs 2.)
+# Executor determinism gates: a reduced-scale repro target must produce
+# byte-identical tables and stdout with and without the parallel
+# executor. (The checked-in expected/ snapshots are standard-scale, so
+# each quick run is gated against itself: --jobs 1 vs --jobs 2.)
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 cargo build --release -q -p tpp-bench --bin repro
-./target/release/repro all --quick --jobs 1 --csv "$tmp/j1" >"$tmp/j1.out" 2>/dev/null
-./target/release/repro all --quick --jobs 2 --csv "$tmp/j2" >"$tmp/j2.out" 2>/dev/null
-diff -r "$tmp/j1" "$tmp/j2" >/dev/null || {
-  echo "executor determinism gate FAILED: --jobs 2 CSV tables differ from --jobs 1" >&2
-  exit 1
-}
-diff "$tmp/j1.out" "$tmp/j2.out" >/dev/null || {
-  echo "executor determinism gate FAILED: --jobs 2 stdout differs from --jobs 1" >&2
-  exit 1
-}
-echo "executor determinism gate: --jobs 2 output byte-identical to --jobs 1"
 
-# Topology determinism gate: the multi-preset grid must also be
-# byte-identical under the parallel executor (its cells span several
-# machine shapes, so it exercises scheduling paths `all --quick` with
-# two nodes does not).
-./target/release/repro topology --quick --jobs 1 --csv "$tmp/t1" >"$tmp/t1.out" 2>/dev/null
-./target/release/repro topology --quick --jobs 2 --csv "$tmp/t2" >"$tmp/t2.out" 2>/dev/null
-diff -r "$tmp/t1" "$tmp/t2" >/dev/null || {
-  echo "topology determinism gate FAILED: --jobs 2 CSV tables differ from --jobs 1" >&2
-  exit 1
+# determinism_gate <target> <label>
+determinism_gate() {
+  local target="$1" label="$2" out="$tmp/$1"
+  ./target/release/repro "$target" --quick --jobs 1 --csv "$out/j1" >"$out.j1.out" 2>/dev/null
+  ./target/release/repro "$target" --quick --jobs 2 --csv "$out/j2" >"$out.j2.out" 2>/dev/null
+  diff -r "$out/j1" "$out/j2" >/dev/null || {
+    echo "$label determinism gate FAILED: --jobs 2 CSV tables differ from --jobs 1" >&2
+    exit 1
+  }
+  diff "$out.j1.out" "$out.j2.out" >/dev/null || {
+    echo "$label determinism gate FAILED: --jobs 2 stdout differs from --jobs 1" >&2
+    exit 1
+  }
+  echo "$label determinism gate: --jobs 2 output byte-identical to --jobs 1"
 }
-diff "$tmp/t1.out" "$tmp/t2.out" >/dev/null || {
-  echo "topology determinism gate FAILED: --jobs 2 stdout differs from --jobs 1" >&2
-  exit 1
-}
-echo "topology determinism gate: --jobs 2 output byte-identical to --jobs 1"
 
-# THP determinism gate: the huge-page grid runs khugepaged/kcompactd in
-# every non-`never` cell, so it exercises the compound-page paths the
-# base-page targets never touch; it too must be byte-identical under the
-# parallel executor.
-./target/release/repro thp --quick --jobs 1 --csv "$tmp/h1" >"$tmp/h1.out" 2>/dev/null
-./target/release/repro thp --quick --jobs 2 --csv "$tmp/h2" >"$tmp/h2.out" 2>/dev/null
-diff -r "$tmp/h1" "$tmp/h2" >/dev/null || {
-  echo "thp determinism gate FAILED: --jobs 2 CSV tables differ from --jobs 1" >&2
-  exit 1
-}
-diff "$tmp/h1.out" "$tmp/h2.out" >/dev/null || {
-  echo "thp determinism gate FAILED: --jobs 2 stdout differs from --jobs 1" >&2
-  exit 1
-}
-echo "thp determinism gate: --jobs 2 output byte-identical to --jobs 1"
+determinism_gate all executor
+# The multi-preset grid spans several machine shapes, so it exercises
+# scheduling paths `all --quick` with two nodes does not.
+determinism_gate topology topology
+# The huge-page grid runs khugepaged/kcompactd in every non-`never` cell,
+# exercising the compound-page paths the base-page targets never touch.
+determinism_gate thp thp
 
 # If this change regenerated the checked-in bench report, surface the
 # throughput delta for review.

@@ -181,3 +181,95 @@ fn policies_share_the_same_workload_stream_per_seed() {
     assert_eq!(a.metrics.ops_completed, b.metrics.ops_completed);
     assert_eq!(a.metrics.accesses, b.metrics.accesses);
 }
+
+/// Runs `cache1 + data_warehouse` co-located on one 2:1 machine and
+/// returns per-lane `(ops_completed, accesses)`, the vmstat dump, the
+/// global clock and the migration matrix.
+fn colocated_fingerprint(choice: &PolicyChoice) -> (Vec<(u64, u64)>, String, u64, Vec<u64>) {
+    let cache = tiered_workloads::cache1(1_500);
+    let warehouse = tiered_workloads::data_warehouse(1_500);
+    let machine = configs::two_to_one(cache.working_set_pages() + warehouse.working_set_pages());
+    let mut system = tpp::MultiSystem::new(
+        machine,
+        choice.build(),
+        vec![Box::new(cache.build()), Box::new(warehouse.build())],
+        42,
+    )
+    .unwrap();
+    system.run(3 * SEC);
+    let lanes = (0..system.lane_count())
+        .map(|i| {
+            let m = system.lane_metrics(i);
+            (m.ops_completed, m.accesses)
+        })
+        .collect();
+    (
+        lanes,
+        system.memory().vmstat().to_string(),
+        system.now_ns(),
+        system.memory().migration_matrix().to_vec(),
+    )
+}
+
+/// A co-located run's output, pinned exactly: per-lane ops and
+/// accesses, the non-zero vmstat counters, the global clock and the
+/// src→dst migration matrix.
+struct Golden {
+    lanes: [(u64, u64); 2],
+    vmstat: &'static str,
+    now_ns: u64,
+    matrix: [u64; 4],
+}
+
+#[test]
+fn colocated_runs_match_golden_values() {
+    let cases = [
+        (
+            PolicyChoice::Linux,
+            Golden {
+                lanes: [(81_481, 571_875), (62_065, 561_209)],
+                vmstat: "pgfault 3468 pgalloc_local 2423 pgalloc_remote 1045 pgsteal 12 \
+                         pgscan 1409 pswpout 12",
+                now_ns: 3_000_017_320,
+                matrix: [0, 0, 0, 0],
+            },
+        ),
+        (
+            PolicyChoice::Tpp,
+            Golden {
+                lanes: [(81_782, 573_982), (63_843, 577_211)],
+                vmstat: "pgfault 3468 pgalloc_local 2423 pgalloc_remote 1045 pgscan 1612 \
+                         pgactivate 2 pgdemote_file 204 numa_pte_updates 1917 \
+                         numa_hint_faults 805 pgpromote_candidate 803 \
+                         pgpromote_candidate_demoted 1 pgpromote_attempt 137 \
+                         pgpromote_success_anon 136 pgpromote_success_file 1 \
+                         pgpromote_fail_lowmem 666 pgpromote_skip_inactive 2 \
+                         pgmigrate_success 341",
+                now_ns: 3_000_018_040,
+                matrix: [0, 204, 137, 0],
+            },
+        ),
+        (
+            PolicyChoice::AutoTiering,
+            Golden {
+                lanes: [(81_478, 571_854), (62_549, 565_565)],
+                vmstat: "pgfault 3468 pgalloc_local 2423 pgalloc_remote 1045 pgscan 1423 \
+                         pgdemote_file 24 numa_pte_updates 1916 numa_hint_faults 863 \
+                         pgpromote_candidate 862 pgpromote_attempt 16 \
+                         pgpromote_success_anon 16 pgpromote_fail_lowmem 846 \
+                         pgmigrate_success 40",
+                now_ns: 3_000_017_640,
+                matrix: [0, 24, 16, 0],
+            },
+        ),
+    ];
+    for (choice, want) in cases {
+        let (lanes, vmstat, now_ns, matrix) = colocated_fingerprint(&choice);
+        let label = choice.label();
+        assert_eq!(lanes, want.lanes, "{label}: per-lane (ops, accesses)");
+        let nonzero: Vec<&str> = vmstat.lines().filter(|l| !l.ends_with(" 0")).collect();
+        assert_eq!(nonzero.join(" "), want.vmstat, "{label}: vmstat");
+        assert_eq!(now_ns, want.now_ns, "{label}: clock");
+        assert_eq!(matrix, want.matrix, "{label}: migration matrix");
+    }
+}

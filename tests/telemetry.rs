@@ -50,6 +50,38 @@ fn counters_equal_trace_event_counts_for_every_policy() {
 }
 
 #[test]
+fn counters_equal_trace_event_counts_for_colocated_lanes() {
+    // Two processes share the machine, its daemons and its one trace:
+    // every counted event of either lane must appear in the trace.
+    let cache = tiered_workloads::cache1(2_000);
+    let warehouse = tiered_workloads::data_warehouse(2_000);
+    let ws = cache.working_set_pages() + warehouse.working_set_pages();
+    for choice in &ALL_POLICIES {
+        let mut system = System::colocated(
+            configs::two_to_one(ws),
+            choice.build(),
+            vec![Box::new(cache.build()), Box::new(warehouse.build())],
+            11,
+        )
+        .unwrap();
+        let ring = RingSink::unbounded();
+        system.set_event_sink(Box::new(ring.clone()));
+        system.run(4 * SEC);
+        let replayed = replay_counters(&ring.snapshot());
+        let vm = system.memory().vmstat();
+        for &event in TRACED_COUNTERS {
+            assert_eq!(
+                vm.get(event),
+                replayed.get(event),
+                "{}: counter {} disagrees with the trace",
+                choice.label(),
+                event.name()
+            );
+        }
+    }
+}
+
+#[test]
 fn counter_deltas_equal_event_counts_after_midrun_attach() {
     // Attaching the sink mid-run must make the *delta* of every traced
     // counter equal the ring's event counts: record() bumps both from
