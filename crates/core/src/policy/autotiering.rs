@@ -17,10 +17,12 @@ use tiered_mem::telemetry::{PromoteFailReason, PromoteSkipReason};
 use tiered_mem::{Memory, NodeId, PageFlags, PageType, Pfn, Pid, TraceEvent, Vpn};
 use tiered_sim::{Periodic, SEC};
 
-use super::huge::{run_huge_daemons, HugeState, COMPOUND_MIGRATE_FACTOR};
-use super::linux_default::{evict_page, fault_with_fallback, LinuxDefaultConfig};
-use super::reclaim::{select_victims_into, DaemonBudget, ReclaimScratch, VictimClass};
-use super::sampler::{HintSampler, SampleScope, SamplerConfig};
+use super::engine::{
+    demote, demotion_target, hinted_cxl_page, promote, reclaim_pass, split, Daemons, Victim,
+};
+use super::linux_default::{fault_with_fallback, LinuxDefaultConfig};
+use super::reclaim::DaemonBudget;
+use super::sampler::{SampleScope, SamplerConfig};
 use super::{preferred_local_node, FaultOutcome, PlacementPolicy, PolicyCtx, UnsupportedConfig};
 
 /// Configuration for [`AutoTiering`].
@@ -57,15 +59,12 @@ impl Default for AutoTieringConfig {
 #[derive(Clone, Debug)]
 pub struct AutoTiering {
     config: AutoTieringConfig,
-    sampler: HintSampler,
-    scan_timer: Periodic,
     decay_timer: Periodic,
     /// Remaining promotion-buffer tokens; refilled by demotions.
     buffer_tokens: u64,
     buffer_capacity: u64,
     initialised: bool,
-    kswapd_active: Vec<bool>,
-    huge_state: HugeState,
+    daemons: Daemons,
 }
 
 impl AutoTiering {
@@ -76,16 +75,14 @@ impl AutoTiering {
 
     /// Creates the policy with explicit knobs.
     pub fn with_config(config: AutoTieringConfig) -> AutoTiering {
+        let linux = config.linux;
         AutoTiering {
             config,
-            sampler: HintSampler::new(config.sampler),
-            scan_timer: Periodic::new(config.sampler.period_ns),
             decay_timer: Periodic::new(config.decay_period_ns),
             buffer_tokens: 0,
             buffer_capacity: 0,
             initialised: false,
-            kswapd_active: Vec::new(),
-            huge_state: HugeState::default(),
+            daemons: Daemons::new(linux.kswapd_budget, linux.huge, Some(config.sampler)),
         }
     }
 
@@ -107,102 +104,34 @@ impl AutoTiering {
     /// Demotion pass on `node`: migrate cold (hotness-zero) inactive pages
     /// to the CXL node. Coupled to the *classic* watermarks — demotion
     /// only starts below `low` and stops at `high`, so no headroom is
-    /// maintained beyond what default Linux would keep.
+    /// maintained beyond what default Linux would keep. Every demoted page
+    /// refills one promotion-buffer token.
     fn demote_pass(&mut self, ctx: &mut PolicyCtx<'_>, node: NodeId) {
         let wm = ctx.memory.node(node).watermarks().base;
         if !wm.needs_reclaim(ctx.memory.free_pages(node)) {
             return;
         }
-        // Nearest lower tier with allocation headroom; the nearest one
-        // takes the pages anyway when all candidates are pressured.
-        let order = *ctx.memory.node(node).demotion_order();
-        let target = order
-            .iter()
-            .copied()
-            .find(|&t| {
-                let twm = ctx.memory.node(t).watermarks().base;
-                twm.allows_allocation(ctx.memory.free_pages(t))
-            })
-            .or_else(|| order.first().copied());
-        let Some(target) = target else {
+        let Some(target) = demotion_target(ctx.memory, node) else {
             return;
         };
-        let demote_cost = ctx
-            .latency
-            .migrate_cost_ns(ctx.memory.migrate_hops(node, target));
-        let mut time_left = self.config.demote_budget.time_ns;
-        let mut scratch = ReclaimScratch::from_pool(ctx.memory);
-        while !wm.reclaim_satisfied(ctx.memory.free_pages(node)) && time_left > 0 {
-            let want = (wm.high - ctx.memory.free_pages(node)).min(64) as usize;
-            select_victims_into(
-                ctx.memory,
-                node,
-                want,
-                self.config.demote_budget.scan_pages as usize,
-                VictimClass::AnonAndFile,
-                &mut scratch,
-            );
-            if scratch.victims.is_empty() {
-                break;
-            }
-            let mut progressed = false;
-            for &pfn in &scratch.victims {
-                // Timer-based criterion: only cold-by-counter pages move.
-                if ctx.memory.frames().frame(pfn).hotness() > 1 {
-                    continue;
-                }
+        let before = ctx.memory.vmstat().demoted_total();
+        reclaim_pass(ctx, node, wm.high, self.config.demote_budget, |ctx, pfn| {
+            let frame = ctx.memory.frames().frame(pfn);
+            // Timer-based criterion: only cold-by-counter pages move.
+            if frame.hotness() > 1 {
+                Victim::Skipped
+            } else if frame.flags().contains(PageFlags::HEAD) {
                 // AutoTiering always splits a compound before demoting
                 // (split-on-demote): its per-page hotness ranking has no
                 // notion of compound units, so the base pages re-enter the
                 // cold end of the LRU and move individually.
-                if ctx
-                    .memory
-                    .frames()
-                    .frame(pfn)
-                    .flags()
-                    .contains(PageFlags::HEAD)
-                {
-                    ctx.memory.split_huge_page(pfn);
-                    let cost = ctx.latency.migrate_page_ns;
-                    if cost > time_left {
-                        time_left = 0;
-                        break;
-                    }
-                    time_left -= cost;
-                    progressed = true;
-                    continue;
-                }
-                let frame = ctx.memory.frames().frame(pfn);
-                let page_type = frame.page_type();
-                let page = frame.owner().expect("demotion victim is allocated");
-                let cost = match ctx.memory.migrate_page(pfn, target) {
-                    Ok(_) => {
-                        self.buffer_tokens = (self.buffer_tokens + 1).min(self.buffer_capacity);
-                        ctx.memory.record(TraceEvent::Demote {
-                            page,
-                            from: node,
-                            to: target,
-                            page_type,
-                        });
-                        demote_cost
-                    }
-                    Err(_) => match evict_page(ctx.memory, ctx.latency, pfn) {
-                        Some(c) => c,
-                        None => break,
-                    },
-                };
-                if cost > time_left {
-                    time_left = 0;
-                    break;
-                }
-                time_left -= cost;
-                progressed = true;
+                split(ctx, pfn)
+            } else {
+                demote(ctx, pfn, target)
             }
-            if !progressed {
-                break;
-            }
-        }
-        scratch.into_pool(ctx.memory);
+        });
+        let demoted = ctx.memory.vmstat().demoted_total() - before;
+        self.buffer_tokens = (self.buffer_tokens + demoted).min(self.buffer_capacity);
     }
 }
 
@@ -251,13 +180,9 @@ impl PlacementPolicy for AutoTiering {
 
     fn on_hint_fault(&mut self, ctx: &mut PolicyCtx<'_>, pfn: Pfn) -> u64 {
         self.ensure_buffer(ctx.memory);
-        let frame = ctx.memory.frames().frame(pfn);
-        let node = frame.node();
-        let page = frame.owner().expect("hint fault on a free frame");
-        if !ctx.memory.node(node).is_cpu_less() {
-            ctx.memory.record(TraceEvent::HintFaultLocal { page, node });
+        let Some(page) = hinted_cxl_page(ctx.memory, pfn) else {
             return 0;
-        }
+        };
         // Frequency criterion: only pages hot by counter are candidates.
         // Previously a silent return — the trace makes the skip visible.
         if ctx.memory.frames().frame(pfn).hotness() < self.config.hotness_threshold {
@@ -297,52 +222,14 @@ impl PlacementPolicy for AutoTiering {
             });
             return 0;
         }
-        ctx.memory.record(TraceEvent::PromoteAttempt {
-            page,
-            from: node,
-            to: target,
-        });
-        let page_type = ctx.memory.frames().frame(pfn).page_type();
-        // A hinted compound head promotes as one unit (hint sampling is
-        // head-granular); it still consumes a single buffer token — the
-        // buffer models reserved *decisions*, not pages.
-        let is_head = ctx
-            .memory
-            .frames()
-            .frame(pfn)
-            .flags()
-            .contains(PageFlags::HEAD);
-        let migrated = if is_head {
-            ctx.memory.migrate_huge(pfn, target)
-        } else {
-            ctx.memory.migrate_page(pfn, target)
+        // A hinted compound head promotes as one unit; it still consumes
+        // a single buffer token — the buffer models reserved *decisions*,
+        // not pages.
+        let Some(cost) = promote(ctx, pfn, target) else {
+            return 0;
         };
-        match migrated {
-            Ok(_) => {
-                self.buffer_tokens = self.buffer_tokens.saturating_sub(1);
-                ctx.memory.record(TraceEvent::PromoteSuccess {
-                    page,
-                    from: node,
-                    to: target,
-                    page_type,
-                });
-                let unit = ctx
-                    .latency
-                    .migrate_cost_ns(ctx.memory.migrate_hops(node, target));
-                if is_head {
-                    unit * COMPOUND_MIGRATE_FACTOR
-                } else {
-                    unit
-                }
-            }
-            Err(_) => {
-                ctx.memory.record(TraceEvent::PromoteFail {
-                    page,
-                    reason: PromoteFailReason::Busy,
-                });
-                0
-            }
-        }
+        self.buffer_tokens = self.buffer_tokens.saturating_sub(1);
+        cost
     }
 
     fn tick(&mut self, ctx: &mut PolicyCtx<'_>) {
@@ -359,22 +246,8 @@ impl PlacementPolicy for AutoTiering {
             self.demote_pass(ctx, node);
         }
         // CXL nodes reclaim the default way if ever pressured.
-        self.kswapd_active.resize(ctx.memory.node_count(), false);
-        for node in ctx.memory.cxl_nodes() {
-            let mut active = self.kswapd_active[node.index()];
-            super::linux_default::kswapd_pass(
-                ctx.memory,
-                ctx.latency,
-                node,
-                self.config.linux.kswapd_budget,
-                &mut active,
-            );
-            self.kswapd_active[node.index()] = active;
-        }
-        run_huge_daemons(ctx, &self.config.linux.huge, &mut self.huge_state);
-        if self.scan_timer.fire(ctx.now_ns) > 0 {
-            self.sampler.scan(ctx.memory);
-        }
+        let cxl = ctx.memory.cxl_nodes();
+        self.daemons.run(ctx, cxl);
     }
 
     fn tick_period_ns(&self) -> u64 {
@@ -385,6 +258,7 @@ impl PlacementPolicy for AutoTiering {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::COMPOUND_MIGRATE_FACTOR;
     use tiered_mem::NodeKind;
     use tiered_mem::VmEvent;
     use tiered_sim::{LatencyModel, SimRng};

@@ -12,11 +12,13 @@
 //! through the fault path on every cold re-access, which hurts workloads
 //! that touch pages at varied frequencies.
 
-use tiered_mem::{NodeId, PageKey, PageLocation, PageType, Pid, TraceEvent, Vpn};
+use tiered_mem::{Memory, NodeList, PageKey, PageLocation, PageType, Pfn, Pid, TraceEvent, Vpn};
 use tiered_sim::MS;
 
+use super::engine::{all_nodes, direct_reclaim, reclaim_pass, Daemons, Victim};
+use super::huge::HugeConfig;
 use super::linux_default::{materialise_cost_ns, try_place};
-use super::reclaim::{select_victims_into, DaemonBudget, ReclaimScratch, VictimClass};
+use super::reclaim::DaemonBudget;
 use super::{FaultOutcome, PlacementPolicy, PolicyCtx};
 
 /// Configuration for [`InMemorySwap`].
@@ -48,23 +50,45 @@ impl Default for InMemorySwapConfig {
 
 /// zswap-style placement: reclaim to a fast in-memory pool, fault pages
 /// back on access, no migration and no NUMA awareness.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct InMemorySwap {
     config: InMemorySwapConfig,
+    /// No kswapd (the pool reclaimer replaces it); the huge-page daemons
+    /// run with default knobs.
+    daemons: Daemons,
 }
 
 impl InMemorySwap {
     /// Creates the policy with default knobs.
     pub fn new() -> InMemorySwap {
-        InMemorySwap {
-            config: InMemorySwapConfig::default(),
-        }
+        InMemorySwap::with_config(InMemorySwapConfig::default())
     }
 
     /// Creates the policy with explicit knobs.
     pub fn with_config(config: InMemorySwapConfig) -> InMemorySwap {
-        InMemorySwap { config }
+        InMemorySwap {
+            config,
+            daemons: Daemons::new(DaemonBudget::kswapd(), HugeConfig::default(), None),
+        }
     }
+}
+
+impl Default for InMemorySwap {
+    fn default() -> InMemorySwap {
+        InMemorySwap::new()
+    }
+}
+
+/// Swaps the victim at `pfn` into the in-memory pool (zram holds any
+/// page, file pages included). Returns whether the pool took it.
+fn swap_to_pool(memory: &mut Memory, pfn: Pfn) -> bool {
+    let frame = memory.frames().frame(pfn);
+    let (page, node) = (frame.owner().expect("victim is allocated"), frame.node());
+    let swapped = memory.swap_out(pfn).is_ok();
+    if swapped {
+        memory.record(TraceEvent::ReclaimSteal { page, node });
+    }
+    swapped
 }
 
 impl PlacementPolicy for InMemorySwap {
@@ -111,40 +135,10 @@ impl PlacementPolicy for InMemorySwap {
             reason: "alloc_stall_sync_pool_reclaim",
             page: Some(PageKey::new(pid, vpn)),
         });
-        let mut cost = base_cost;
-        let node_pages = ctx.memory.capacity(prefer) as usize;
-        let mut scan_budget = 512usize;
-        let mut scratch = ReclaimScratch::from_pool(ctx.memory);
-        loop {
-            select_victims_into(
-                ctx.memory,
-                prefer,
-                32,
-                scan_budget,
-                VictimClass::AnonAndFile,
-                &mut scratch,
-            );
-            let mut freed = 0usize;
-            for &v in &scratch.victims {
-                let page = ctx
-                    .memory
-                    .frames()
-                    .frame(v)
-                    .owner()
-                    .expect("victim is allocated");
-                if ctx.memory.swap_out(v).is_ok() {
-                    ctx.memory
-                        .record(TraceEvent::ReclaimSteal { page, node: prefer });
-                    cost += self.config.swap_out_ns;
-                    freed += 1;
-                }
-            }
-            if freed > 0 || scan_budget >= node_pages {
-                break;
-            }
-            scan_budget = (scan_budget * 8).min(node_pages);
-        }
-        scratch.into_pool(ctx.memory);
+        let cost = base_cost
+            + direct_reclaim(ctx.memory, prefer, 32, 512, |memory, pfn| {
+                swap_to_pool(memory, pfn).then_some(self.config.swap_out_ns)
+            });
         for node in ctx.memory.fallback_order(prefer) {
             if let Some(pfn) = try_place(ctx.memory, node, pid, vpn, page_type, was_swapped) {
                 return FaultOutcome { pfn, cost_ns: cost };
@@ -154,8 +148,7 @@ impl PlacementPolicy for InMemorySwap {
     }
 
     fn tick(&mut self, ctx: &mut PolicyCtx<'_>) {
-        for i in 0..ctx.memory.node_count() {
-            let node = NodeId(i as u8);
+        for node in all_nodes(ctx.memory) {
             let wm = ctx.memory.node(node).watermarks().base;
             if !wm.needs_reclaim(ctx.memory.free_pages(node)) {
                 continue;
@@ -164,49 +157,15 @@ impl PlacementPolicy for InMemorySwap {
                 daemon: "pool_reclaim",
                 node: Some(node),
             });
-            let mut time_left = self.config.budget.time_ns;
-            let mut scratch = ReclaimScratch::from_pool(ctx.memory);
-            while !wm.reclaim_satisfied(ctx.memory.free_pages(node)) && time_left > 0 {
-                let want = (wm.high - ctx.memory.free_pages(node)).min(64) as usize;
-                select_victims_into(
-                    ctx.memory,
-                    node,
-                    want,
-                    self.config.budget.scan_pages as usize,
-                    VictimClass::AnonAndFile,
-                    &mut scratch,
-                );
-                if scratch.victims.is_empty() {
-                    break;
+            reclaim_pass(ctx, node, wm.high, self.config.budget, |ctx, pfn| {
+                if swap_to_pool(ctx.memory, pfn) {
+                    Victim::Moved(self.config.swap_out_ns)
+                } else {
+                    Victim::Exhausted
                 }
-                let mut progressed = false;
-                for &pfn in &scratch.victims {
-                    // Everything goes to the in-memory pool, even file
-                    // pages (zram holds any page).
-                    let page = ctx
-                        .memory
-                        .frames()
-                        .frame(pfn)
-                        .owner()
-                        .expect("victim is allocated");
-                    if ctx.memory.swap_out(pfn).is_err() {
-                        time_left = 0;
-                        break;
-                    }
-                    ctx.memory.record(TraceEvent::ReclaimSteal { page, node });
-                    if self.config.swap_out_ns > time_left {
-                        time_left = 0;
-                        break;
-                    }
-                    time_left -= self.config.swap_out_ns;
-                    progressed = true;
-                }
-                if !progressed {
-                    break;
-                }
-            }
-            scratch.into_pool(ctx.memory);
+            });
         }
+        self.daemons.run(ctx, NodeList::new());
     }
 
     fn tick_period_ns(&self) -> u64 {
@@ -218,7 +177,7 @@ impl PlacementPolicy for InMemorySwap {
 mod tests {
     use super::*;
     use tiered_mem::VmEvent;
-    use tiered_mem::{Memory, NodeKind};
+    use tiered_mem::{Memory, NodeId, NodeKind};
     use tiered_sim::{LatencyModel, SimRng};
 
     fn setup() -> (Memory, LatencyModel, SimRng, InMemorySwap) {

@@ -10,7 +10,8 @@ use tiered_mem::{
 };
 use tiered_sim::{LatencyModel, MS};
 
-use super::huge::{run_huge_daemons, HugeConfig, HugeState};
+use super::engine::{all_nodes, direct_reclaim, Daemons};
+use super::huge::HugeConfig;
 use super::reclaim::{select_victims_into, DaemonBudget, ReclaimScratch, VictimClass};
 use super::{FaultOutcome, PlacementPolicy, PolicyCtx};
 
@@ -37,11 +38,10 @@ impl Default for LinuxDefaultConfig {
 }
 
 /// Default Linux page placement.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct LinuxDefault {
     config: LinuxDefaultConfig,
-    kswapd_active: Vec<bool>,
-    huge_state: HugeState,
+    daemons: Daemons,
 }
 
 impl LinuxDefault {
@@ -54,9 +54,14 @@ impl LinuxDefault {
     pub fn with_config(config: LinuxDefaultConfig) -> LinuxDefault {
         LinuxDefault {
             config,
-            kswapd_active: Vec::new(),
-            huge_state: HugeState::default(),
+            daemons: Daemons::new(config.kswapd_budget, config.huge, None),
         }
+    }
+}
+
+impl Default for LinuxDefault {
+    fn default() -> LinuxDefault {
+        LinuxDefault::new()
     }
 }
 
@@ -78,18 +83,8 @@ impl PlacementPolicy for LinuxDefault {
 
     fn tick(&mut self, ctx: &mut PolicyCtx<'_>) {
         // kswapd: one pass per node whose reclaimer is (or becomes) awake.
-        self.kswapd_active.resize(ctx.memory.node_count(), false);
-        for i in 0..ctx.memory.node_count() {
-            let node = NodeId(i as u8);
-            kswapd_pass(
-                ctx.memory,
-                ctx.latency,
-                node,
-                self.config.kswapd_budget,
-                &mut self.kswapd_active[i],
-            );
-        }
-        run_huge_daemons(ctx, &self.config.huge, &mut self.huge_state);
+        let nodes = all_nodes(ctx.memory);
+        self.daemons.run(ctx, nodes);
     }
 
     fn tick_period_ns(&self) -> u64 {
@@ -204,7 +199,9 @@ pub(crate) fn fault_with_fallback(
         reason: "alloc_stall_direct_reclaim",
         page: Some(PageKey::new(pid, vpn)),
     });
-    let reclaim_cost = direct_reclaim(ctx.memory, ctx.latency, prefer, 32);
+    let reclaim_cost = direct_reclaim(ctx.memory, prefer, 32, 32 * 8, |memory, pfn| {
+        evict_page(memory, ctx.latency, pfn)
+    });
     for node in &order {
         if let Some(pfn) = try_place(ctx.memory, *node, pid, vpn, page_type, was_swapped) {
             return FaultOutcome {
@@ -350,46 +347,6 @@ pub(crate) fn kswapd_pass(
     }
     scratch.into_pool(memory);
     reclaimed
-}
-
-/// Synchronous direct reclaim of up to `want` pages on `node`; returns
-/// the latency charged to the allocating task.
-///
-/// Escalates the scan budget (the kernel's reclaim-priority analogue)
-/// until at least one page is freed or the whole node has been scanned —
-/// direct reclaim must make forward progress or the allocation OOMs.
-pub(crate) fn direct_reclaim(
-    memory: &mut Memory,
-    latency: &LatencyModel,
-    node: NodeId,
-    want: usize,
-) -> u64 {
-    let mut cost = 0u64;
-    let node_pages = memory.capacity(node) as usize;
-    let mut scan_budget = want * 8;
-    let mut scratch = ReclaimScratch::from_pool(memory);
-    loop {
-        select_victims_into(
-            memory,
-            node,
-            want,
-            scan_budget,
-            VictimClass::AnonAndFile,
-            &mut scratch,
-        );
-        let mut freed = 0usize;
-        for i in 0..scratch.victims.len() {
-            if let Some(c) = evict_page(memory, latency, scratch.victims[i]) {
-                cost += c;
-                freed += 1;
-            }
-        }
-        if freed > 0 || scan_budget >= node_pages {
-            scratch.into_pool(memory);
-            return cost;
-        }
-        scan_budget = (scan_budget * 8).min(node_pages);
-    }
 }
 
 #[cfg(test)]

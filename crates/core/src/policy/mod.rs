@@ -1,7 +1,8 @@
 //! Page-placement policies: the decision layer on top of the
 //! [`tiered_mem`] mechanics.
 //!
-//! Four policies are provided, mirroring the paper's evaluation matrix:
+//! Five policies are provided, mirroring the paper's evaluation matrix
+//! plus one extra baseline:
 //!
 //! * [`LinuxDefault`] — coupled allocation/reclamation, paging to swap
 //!   (§4.1: the baseline whose pitfalls motivate TPP),
@@ -15,8 +16,16 @@
 //!   allocation,
 //! * [`InMemorySwap`] — a zswap/zram-style extra baseline the paper's
 //!   related-work section argues against (§7).
+//!
+//! The policies share one layer of mechanics, the `engine` module:
+//! promotion, demotion-target selection, demotion, the budgeted reclaim
+//! loops and the daemon schedule (kswapd, huge-page daemons, hint
+//! sampler). A policy keeps only its admission gates — when a page may
+//! move — and its own daemon pass, which runs before the shared schedule
+//! on every tick.
 
 mod autotiering;
+mod engine;
 mod huge;
 mod inmem_swap;
 mod linux_default;

@@ -8,10 +8,10 @@
 
 use tiered_mem::telemetry::PromoteFailReason;
 use tiered_mem::{PageType, Pid, TraceEvent, Vpn};
-use tiered_sim::Periodic;
 
-use super::linux_default::{fault_with_fallback, kswapd_pass, LinuxDefaultConfig};
-use super::sampler::{HintSampler, SampleScope, SamplerConfig};
+use super::engine::{all_nodes, hinted_cxl_page, promote, Daemons};
+use super::linux_default::{fault_with_fallback, LinuxDefaultConfig};
+use super::sampler::{SampleScope, SamplerConfig};
 use super::{FaultOutcome, PlacementPolicy, PolicyCtx};
 
 /// Configuration for [`NumaBalancing`].
@@ -36,9 +36,7 @@ impl Default for NumaBalancingConfig {
 #[derive(Clone, Debug)]
 pub struct NumaBalancing {
     config: NumaBalancingConfig,
-    sampler: HintSampler,
-    scan_timer: Periodic,
-    kswapd_active: Vec<bool>,
+    daemons: Daemons,
 }
 
 impl NumaBalancing {
@@ -52,11 +50,10 @@ impl NumaBalancing {
         // Default NUMA balancing has no notion of tiers: it samples all
         // nodes no matter what the caller asked for.
         config.sampler.scope = SampleScope::AllNodes;
+        let linux = config.linux;
         NumaBalancing {
             config,
-            sampler: HintSampler::new(config.sampler),
-            scan_timer: Periodic::new(config.sampler.period_ns),
-            kswapd_active: Vec::new(),
+            daemons: Daemons::new(linux.kswapd_budget, linux.huge, Some(config.sampler)),
         }
     }
 }
@@ -84,14 +81,10 @@ impl PlacementPolicy for NumaBalancing {
     }
 
     fn on_hint_fault(&mut self, ctx: &mut PolicyCtx<'_>, pfn: tiered_mem::Pfn) -> u64 {
-        let frame = ctx.memory.frames().frame(pfn);
-        let node = frame.node();
-        let page = frame.owner().expect("hint fault on a free frame");
-        if !ctx.memory.node(node).is_cpu_less() {
-            // Hint fault on a local page: pure sampling overhead.
-            ctx.memory.record(TraceEvent::HintFaultLocal { page, node });
+        // A hint fault on a local page is pure sampling overhead.
+        let Some(page) = hinted_cxl_page(ctx.memory, pfn) else {
             return 0;
-        }
+        };
         // Promote toward the accessing task's socket, not a fixed node 0.
         let target = ctx.memory.home_node(page.pid);
         ctx.memory.record(TraceEvent::PromoteCandidate {
@@ -114,47 +107,12 @@ impl PlacementPolicy for NumaBalancing {
             });
             return 0;
         }
-        ctx.memory.record(TraceEvent::PromoteAttempt {
-            page,
-            from: node,
-            to: target,
-        });
-        let page_type = ctx.memory.frames().frame(pfn).page_type();
-        match ctx.memory.migrate_page(pfn, target) {
-            Ok(_) => {
-                ctx.memory.record(TraceEvent::PromoteSuccess {
-                    page,
-                    from: node,
-                    to: target,
-                    page_type,
-                });
-                ctx.latency
-                    .migrate_cost_ns(ctx.memory.migrate_hops(node, target))
-            }
-            Err(_) => {
-                ctx.memory.record(TraceEvent::PromoteFail {
-                    page,
-                    reason: PromoteFailReason::Busy,
-                });
-                0
-            }
-        }
+        promote(ctx, pfn, target).unwrap_or(0)
     }
 
     fn tick(&mut self, ctx: &mut PolicyCtx<'_>) {
-        self.kswapd_active.resize(ctx.memory.node_count(), false);
-        for i in 0..ctx.memory.node_count() {
-            kswapd_pass(
-                ctx.memory,
-                ctx.latency,
-                tiered_mem::NodeId(i as u8),
-                self.config.linux.kswapd_budget,
-                &mut self.kswapd_active[i],
-            );
-        }
-        if self.scan_timer.fire(ctx.now_ns) > 0 {
-            self.sampler.scan(ctx.memory);
-        }
+        let nodes = all_nodes(ctx.memory);
+        self.daemons.run(ctx, nodes);
     }
 
     fn tick_period_ns(&self) -> u64 {

@@ -28,12 +28,13 @@
 
 use tiered_mem::telemetry::{PromoteFailReason, PromoteSkipReason};
 use tiered_mem::{NodeId, PageFlags, PageType, Pfn, Pid, TraceEvent, Vpn, HUGE_PAGE_FRAMES};
-use tiered_sim::{Periodic, MS};
+use tiered_sim::MS;
 
-use super::huge::{run_huge_daemons, HugeConfig, HugeState, COMPOUND_MIGRATE_FACTOR};
-use super::linux_default::{evict_page, fault_with_fallback, kswapd_pass, materialise_cost_ns};
-use super::reclaim::{select_victims_into, DaemonBudget, ReclaimScratch, VictimClass};
-use super::sampler::{HintSampler, SampleScope, SamplerConfig};
+use super::engine::{demote, demotion_target, hinted_cxl_page, promote, reclaim_pass, Daemons};
+use super::huge::HugeConfig;
+use super::linux_default::{fault_with_fallback, materialise_cost_ns, try_place};
+use super::reclaim::DaemonBudget;
+use super::sampler::{SampleScope, SamplerConfig};
 use super::{FaultOutcome, PlacementPolicy, PolicyCtx};
 
 /// Configuration for [`Tpp`].
@@ -55,11 +56,6 @@ pub struct TppConfig {
     pub active_lru_filter: bool,
     /// Page-type-aware allocation (§5.4): prefer caches on CXL.
     pub cache_to_cxl: bool,
-    /// Optional promotion rate limit in pages per second (the
-    /// `numa_balancing_promote_rate_limit` knob the upstreamed tiering
-    /// code grew after the paper): bounds how much migration bandwidth
-    /// promotions may consume. `None` disables the limit.
-    pub promote_rate_limit: Option<u64>,
     /// Huge-page daemon knobs (khugepaged/kcompactd); inert unless the
     /// machine runs with a `ThpMode` other than `Never`.
     pub huge: HugeConfig,
@@ -75,7 +71,6 @@ impl Default for TppConfig {
             decouple: true,
             active_lru_filter: true,
             cache_to_cxl: false,
-            promote_rate_limit: None,
             huge: HugeConfig::default(),
         }
     }
@@ -85,18 +80,7 @@ impl Default for TppConfig {
 #[derive(Clone, Debug)]
 pub struct Tpp {
     config: TppConfig,
-    sampler: HintSampler,
-    scan_timer: Periodic,
-    /// Token bucket for the optional promotion rate limit: tokens are
-    /// whole pages, refilled once per second of simulated time.
-    promote_tokens: u64,
-    token_refill: Periodic,
-    kswapd_active: Vec<bool>,
-    /// Per-socket demotion-daemon budgets, indexed by node. A multi-socket
-    /// machine runs one demoter per CPU socket; each may carry its own
-    /// budget. Nodes without an override use `config.demote_budget`.
-    node_demote_budgets: Vec<Option<DaemonBudget>>,
-    huge_state: HugeState,
+    daemons: Daemons,
 }
 
 impl Tpp {
@@ -112,37 +96,13 @@ impl Tpp {
         config.sampler.scope = SampleScope::CxlOnly;
         Tpp {
             config,
-            sampler: HintSampler::new(config.sampler),
-            scan_timer: Periodic::new(config.sampler.period_ns),
-            promote_tokens: config.promote_rate_limit.unwrap_or(0),
-            token_refill: Periodic::new(tiered_sim::SEC),
-            kswapd_active: Vec::new(),
-            node_demote_budgets: Vec::new(),
-            huge_state: HugeState::default(),
+            daemons: Daemons::new(config.kswapd_budget, config.huge, Some(config.sampler)),
         }
     }
 
     /// The active configuration.
     pub fn config(&self) -> &TppConfig {
         &self.config
-    }
-
-    /// Gives the demotion daemon of `node` (one daemon per CPU socket) its
-    /// own budget, overriding [`TppConfig::demote_budget`] for that node.
-    pub fn set_node_demote_budget(&mut self, node: NodeId, budget: DaemonBudget) {
-        if self.node_demote_budgets.len() <= node.index() {
-            self.node_demote_budgets.resize(node.index() + 1, None);
-        }
-        self.node_demote_budgets[node.index()] = Some(budget);
-    }
-
-    /// The demotion budget in effect for `node`.
-    fn demote_budget_for(&self, node: NodeId) -> DaemonBudget {
-        self.node_demote_budgets
-            .get(node.index())
-            .copied()
-            .flatten()
-            .unwrap_or(self.config.demote_budget)
     }
 
     /// The demotion daemon: one pass over `node`.
@@ -177,134 +137,25 @@ impl Tpp {
                 node: Some(node),
             });
         }
-        // Nearest lower tier with allocation headroom (§5.2); when every
-        // candidate is pressured, the nearest one still takes the pages
-        // (its own daemon will cascade or reclaim them).
-        let order = *ctx.memory.node(node).demotion_order();
-        let target = order
-            .iter()
-            .copied()
-            .find(|&t| {
-                let wm = ctx.memory.node(t).watermarks().base;
-                wm.allows_allocation(ctx.memory.free_pages(t))
-            })
-            .or_else(|| order.first().copied());
-        let Some(target) = target else {
+        let Some(target) = demotion_target(ctx.memory, node) else {
             // Terminal tier: fall back to default reclaim.
             ctx.memory.record(TraceEvent::Decision {
                 policy: "tpp",
                 reason: "terminal_tier_default_reclaim",
                 page: None,
             });
-            self.kswapd_active.resize(ctx.memory.node_count(), false);
-            let mut active = self.kswapd_active[node.index()];
-            kswapd_pass(
-                ctx.memory,
-                ctx.latency,
-                node,
-                self.config.kswapd_budget,
-                &mut active,
-            );
-            self.kswapd_active[node.index()] = active;
+            self.daemons.kswapd(ctx, node);
             return;
         };
-        let budget = self.demote_budget_for(node);
-        let mut time_left = budget.time_ns;
-        let demote_cost = ctx
-            .latency
-            .migrate_cost_ns(ctx.memory.migrate_hops(node, target));
-        let mut scratch = ReclaimScratch::from_pool(ctx.memory);
-        while ctx.memory.free_pages(node) < target_free && time_left > 0 {
-            let want = (target_free - ctx.memory.free_pages(node)).min(64) as usize;
-            // Unlike swapping, demoted pages stay in memory, so TPP scans
-            // inactive *anon* pages as well as file pages (§5.1).
-            select_victims_into(
-                ctx.memory,
-                node,
-                want,
-                budget.scan_pages as usize,
-                VictimClass::AnonAndFile,
-                &mut scratch,
-            );
-            if scratch.victims.is_empty() {
-                break;
-            }
-            let mut progressed = false;
-            for &pfn in &scratch.victims {
-                let frame = ctx.memory.frames().frame(pfn);
-                let page_type = frame.page_type();
-                let page = frame.owner().expect("demotion victim is allocated");
-                // Split-on-demote vs migrate-whole: a cold compound moves
-                // as one unit when the target can supply an aligned
-                // block; otherwise it is shattered so the base pages take
-                // the ordinary path on later passes.
-                if frame.flags().contains(PageFlags::HEAD) {
-                    let cost = match ctx.memory.migrate_huge(pfn, target) {
-                        Ok(new_head) => {
-                            ctx.memory
-                                .frames_mut()
-                                .frame_mut(new_head)
-                                .flags_mut()
-                                .insert(PageFlags::DEMOTED);
-                            ctx.memory.record(TraceEvent::Demote {
-                                page,
-                                from: node,
-                                to: target,
-                                page_type,
-                            });
-                            demote_cost * COMPOUND_MIGRATE_FACTOR
-                        }
-                        Err(_) => {
-                            ctx.memory.split_huge_page(pfn);
-                            ctx.latency.migrate_page_ns
-                        }
-                    };
-                    if cost > time_left {
-                        time_left = 0;
-                        break;
-                    }
-                    time_left -= cost;
-                    progressed = true;
-                    continue;
-                }
-                let cost = match ctx.memory.migrate_page(pfn, target) {
-                    Ok(new_pfn) => {
-                        // Tag for the ping-pong detector (§5.5).
-                        ctx.memory
-                            .frames_mut()
-                            .frame_mut(new_pfn)
-                            .flags_mut()
-                            .insert(PageFlags::DEMOTED);
-                        ctx.memory.record(TraceEvent::Demote {
-                            page,
-                            from: node,
-                            to: target,
-                            page_type,
-                        });
-                        demote_cost
-                    }
-                    Err(_) => {
-                        // Migration failed (e.g. CXL node full): fall back
-                        // to the default reclaim mechanism for this page.
-                        ctx.memory.record(TraceEvent::DemoteFallback { page, node });
-                        match evict_page(ctx.memory, ctx.latency, pfn) {
-                            Some(c) => c,
-                            None => break,
-                        }
-                    }
-                };
-                if cost > time_left {
-                    time_left = 0;
-                    break;
-                }
-                time_left -= cost;
-                progressed = true;
-            }
-            if !progressed {
-                break;
-            }
-        }
-        scratch.into_pool(ctx.memory);
+        // Unlike swapping, demoted pages stay in memory, so TPP scans
+        // inactive *anon* pages as well as file pages (§5.1).
+        reclaim_pass(
+            ctx,
+            node,
+            target_free,
+            self.config.demote_budget,
+            |ctx, pfn| demote(ctx, pfn, target),
+        );
     }
 }
 
@@ -327,23 +178,18 @@ impl PlacementPolicy for Tpp {
         page_type: PageType,
     ) -> FaultOutcome {
         let local = ctx.memory.home_node(pid);
-        // Page-type-aware allocation (§5.4): caches go to CXL first.
+        // Page-type-aware allocation (§5.4): caches go first to the CXL
+        // node the home socket demotes to.
         if self.config.cache_to_cxl && page_type.is_file_backed() {
-            if let Some(&cxl) = ctx.memory.cxl_nodes().first() {
+            if let Some(cxl) = demotion_target(ctx.memory, local) {
                 let was_swapped = matches!(
                     ctx.memory.space(pid).translate(vpn),
                     Some(tiered_mem::PageLocation::Swapped(_))
                 );
                 let wm = ctx.memory.node(cxl).watermarks().base;
                 if wm.allows_allocation(ctx.memory.free_pages(cxl)) {
-                    if let Some(pfn) = super::linux_default::try_place(
-                        ctx.memory,
-                        cxl,
-                        pid,
-                        vpn,
-                        page_type,
-                        was_swapped,
-                    ) {
+                    if let Some(pfn) = try_place(ctx.memory, cxl, pid, vpn, page_type, was_swapped)
+                    {
                         return FaultOutcome {
                             pfn,
                             cost_ns: materialise_cost_ns(ctx.latency, page_type, was_swapped),
@@ -356,22 +202,17 @@ impl PlacementPolicy for Tpp {
     }
 
     fn on_hint_fault(&mut self, ctx: &mut PolicyCtx<'_>, pfn: Pfn) -> u64 {
-        let frame = ctx.memory.frames().frame(pfn);
-        let node = frame.node();
-        let page = frame.owner().expect("hint fault on a free frame");
-        if !ctx.memory.node(node).is_cpu_less() {
-            // CXL-only sampling should make this impossible; count it as
-            // overhead if it ever happens.
-            ctx.memory.record(TraceEvent::HintFaultLocal { page, node });
+        let Some(page) = hinted_cxl_page(ctx.memory, pfn) else {
+            // CXL-only sampling should make this impossible; it is
+            // counted as overhead if it ever happens.
             return 0;
-        }
+        };
         // Apt identification of trapped hot pages (§5.3): a page on the
         // inactive LRU may be an infrequently accessed page — mark it
         // accessed (activating it) and promote only if it is found hot
         // again on its next hint fault.
-        let lru_kind = ctx.memory.frames().frame(pfn).lru_kind();
         if self.config.active_lru_filter {
-            match lru_kind {
+            match ctx.memory.frames().frame(pfn).lru_kind() {
                 Some(kind) if !kind.is_active() => {
                     ctx.memory.activate_page(pfn);
                     ctx.memory.record(TraceEvent::PromoteSkip {
@@ -384,41 +225,21 @@ impl PlacementPolicy for Tpp {
                 None => return 0, // isolated elsewhere
             }
         }
-        let demoted = ctx
-            .memory
-            .frames()
-            .frame(pfn)
-            .flags()
-            .contains(PageFlags::DEMOTED);
+        let flags = ctx.memory.frames().frame(pfn).flags();
+        let demoted = flags.contains(PageFlags::DEMOTED);
         ctx.memory
             .record(TraceEvent::PromoteCandidate { page, demoted });
-        // Promotion rate limit (upstream's promote_rate_limit knob).
-        if let Some(limit) = self.config.promote_rate_limit {
-            if self.token_refill.fire(ctx.now_ns) > 0 {
-                self.promote_tokens = limit;
-            }
-            if self.promote_tokens == 0 {
-                ctx.memory.record(TraceEvent::PromoteFail {
-                    page,
-                    reason: PromoteFailReason::System,
-                });
-                return 0;
-            }
-            self.promote_tokens -= 1;
-        }
         // Promote to the accessing socket's DRAM (§5.3): the faulting
         // task's home node, not a hard-coded node 0.
         let target = ctx.memory.home_node(page.pid);
         // A hinted compound head promotes the whole 512-page unit in one
         // decision (hint sampling is head-granular), so the watermark is
         // checked for the whole block.
-        let is_head = ctx
-            .memory
-            .frames()
-            .frame(pfn)
-            .flags()
-            .contains(PageFlags::HEAD);
-        let need = if is_head { HUGE_PAGE_FRAMES } else { 1 };
+        let need = if flags.contains(PageFlags::HEAD) {
+            HUGE_PAGE_FRAMES
+        } else {
+            1
+        };
         // Promotion ignores the allocation watermark (§5.3) — only the
         // hard min floor gates it. Decoupled demotion keeps free pages
         // above that essentially always.
@@ -430,55 +251,7 @@ impl PlacementPolicy for Tpp {
             });
             return 0;
         }
-        ctx.memory.record(TraceEvent::PromoteAttempt {
-            page,
-            from: node,
-            to: target,
-        });
-        let page_type = ctx.memory.frames().frame(pfn).page_type();
-        let migrated = if is_head {
-            ctx.memory.migrate_huge(pfn, target)
-        } else {
-            ctx.memory.migrate_page(pfn, target)
-        };
-        match migrated {
-            Ok(new_pfn) => {
-                // Promotion clears PG_demoted (§5.5).
-                ctx.memory
-                    .frames_mut()
-                    .frame_mut(new_pfn)
-                    .flags_mut()
-                    .remove(PageFlags::DEMOTED);
-                ctx.memory.record(TraceEvent::PromoteSuccess {
-                    page,
-                    from: node,
-                    to: target,
-                    page_type,
-                });
-                let unit = ctx
-                    .latency
-                    .migrate_cost_ns(ctx.memory.migrate_hops(node, target));
-                if is_head {
-                    unit * COMPOUND_MIGRATE_FACTOR
-                } else {
-                    unit
-                }
-            }
-            Err(tiered_mem::MigrateError::DstNoMemory { .. }) => {
-                ctx.memory.record(TraceEvent::PromoteFail {
-                    page,
-                    reason: PromoteFailReason::LowMem,
-                });
-                0
-            }
-            Err(_) => {
-                ctx.memory.record(TraceEvent::PromoteFail {
-                    page,
-                    reason: PromoteFailReason::Busy,
-                });
-                0
-            }
-        }
+        promote(ctx, pfn, target).unwrap_or(0)
     }
 
     fn tick(&mut self, ctx: &mut PolicyCtx<'_>) {
@@ -488,22 +261,8 @@ impl PlacementPolicy for Tpp {
         }
         // Default reclaim on CXL nodes (allocation there is not
         // performance-critical, §5.1).
-        self.kswapd_active.resize(ctx.memory.node_count(), false);
-        for node in ctx.memory.cxl_nodes() {
-            let mut active = self.kswapd_active[node.index()];
-            kswapd_pass(
-                ctx.memory,
-                ctx.latency,
-                node,
-                self.config.kswapd_budget,
-                &mut active,
-            );
-            self.kswapd_active[node.index()] = active;
-        }
-        run_huge_daemons(ctx, &self.config.huge, &mut self.huge_state);
-        if self.scan_timer.fire(ctx.now_ns) > 0 {
-            self.sampler.scan(ctx.memory);
-        }
+        let cxl = ctx.memory.cxl_nodes();
+        self.daemons.run(ctx, cxl);
     }
 
     fn tick_period_ns(&self) -> u64 {
@@ -716,49 +475,6 @@ mod tests {
     }
 
     #[test]
-    fn promotion_rate_limit_caps_migrations() {
-        let (mut m, lat, mut rng) = setup(256, 256);
-        let mut p = Tpp::with_config(TppConfig {
-            promote_rate_limit: Some(3),
-            ..TppConfig::default()
-        });
-        // Eight hot anon pages on CXL, all hint-faulting within the same
-        // simulated second.
-        let pfns: Vec<Pfn> = (0..8)
-            .map(|i| {
-                m.alloc_and_map(NodeId(1), Pid(1), Vpn(i), PageType::Anon)
-                    .unwrap()
-            })
-            .collect();
-        let mut promoted = 0;
-        for pfn in pfns {
-            let mut ctx = PolicyCtx {
-                memory: &mut m,
-                latency: &lat,
-                now_ns: 100,
-                rng: &mut rng,
-            };
-            if p.on_hint_fault(&mut ctx, pfn) > 0 {
-                promoted += 1;
-            }
-        }
-        assert_eq!(promoted, 3, "only the budgeted pages may promote");
-        assert!(m.vmstat().get(VmEvent::PgPromoteFailSystem) >= 5);
-        // A second later the bucket refills.
-        let pfn = m
-            .alloc_and_map(NodeId(1), Pid(1), Vpn(100), PageType::Anon)
-            .unwrap();
-        let mut ctx = PolicyCtx {
-            memory: &mut m,
-            latency: &lat,
-            now_ns: 2 * tiered_sim::SEC,
-            rng: &mut rng,
-        };
-        assert!(p.on_hint_fault(&mut ctx, pfn) > 0);
-        m.validate();
-    }
-
-    #[test]
     fn demotion_skips_full_target_for_one_with_headroom() {
         // Local DRAM, a nearly-full direct CXL expander, and a roomy
         // switch-attached pool: demotions should skip the pressured CXL
@@ -797,37 +513,6 @@ mod tests {
     }
 
     #[test]
-    fn per_node_demote_budget_overrides_the_default() {
-        let (mut m, lat, mut rng) = setup(256, 1024);
-        let mut p = Tpp::new();
-        // A starvation budget on node 0's demoter: at most one page fits
-        // per wakeup before the time budget runs dry.
-        p.set_node_demote_budget(
-            NodeId(0),
-            DaemonBudget {
-                scan_pages: 64,
-                time_ns: 1,
-            },
-        );
-        for i in 0..250 {
-            m.alloc_and_map(NodeId(0), Pid(1), Vpn(i), PageType::File)
-                .unwrap();
-        }
-        for t in 0..10 {
-            tick(&mut p, &mut m, &lat, &mut rng, t * 50 * MS);
-        }
-        assert!(
-            m.vmstat().demoted_total() <= 10,
-            "a starved per-node budget must throttle that node's demoter"
-        );
-        assert!(
-            m.free_pages(NodeId(0)) < m.node(NodeId(0)).watermarks().demote_target,
-            "the default budget would have reached the demotion target"
-        );
-        m.validate();
-    }
-
-    #[test]
     fn coupled_ablation_behaves_like_late_reclaim() {
         let (mut m, lat, mut rng) = setup(256, 1024);
         let mut p = Tpp::with_config(TppConfig {
@@ -858,6 +543,7 @@ mod tests {
         m.validate();
     }
 
+    use crate::policy::COMPOUND_MIGRATE_FACTOR;
     use tiered_mem::{ThpMode, HUGE_PAGE_FRAMES};
 
     fn thp_setup(local: u64, cxl: u64) -> (Memory, LatencyModel, SimRng) {
@@ -888,7 +574,7 @@ mod tests {
         let cost = p.on_hint_fault(&mut ctx, head);
         assert_eq!(
             cost,
-            lat.migrate_page_ns * super::COMPOUND_MIGRATE_FACTOR,
+            lat.migrate_page_ns * COMPOUND_MIGRATE_FACTOR,
             "a compound promotion is one decision at compound cost"
         );
         for i in 0..HUGE_PAGE_FRAMES {

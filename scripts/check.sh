@@ -47,6 +47,9 @@ determinism_gate topology topology
 # exercising the compound-page paths the base-page targets never touch.
 determinism_gate thp thp
 
+# Code size, for information only (not a gate).
+scripts/loc.sh || true
+
 # If this change regenerated the checked-in bench report, surface the
 # throughput delta for review.
 if ! git diff --quiet HEAD -- BENCH_repro.json 2>/dev/null; then
