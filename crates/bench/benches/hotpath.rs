@@ -1,8 +1,11 @@
 //! Micro-benchmarks for the per-access hot path: the three layers an
 //! access flows through millions of times per simulated second —
 //! workload rank sampling, region geometry + offset resolution, and the
-//! system's access-resolution fast path. Runs with `harness = false` on
-//! the in-tree [`tpp_bench::microbench`] harness (no external deps).
+//! system's access-resolution fast path — plus the two per-op layers
+//! above them: one workload op's generation, and one whole op of a
+//! warmed `System::run` (generation, resolution and daemon ticks). Runs
+//! with `harness = false` on the in-tree [`tpp_bench::microbench`]
+//! harness (no external deps).
 
 use tpp_bench::microbench::bench;
 
@@ -75,8 +78,44 @@ fn bench_execute_access_hot() {
     });
 }
 
+/// Working-set size of the per-op benches, in pages: the perfbench
+/// `tpp_expand` scale.
+const CACHE1_PAGES: u64 = 24_000;
+
+fn bench_next_op_cache1() {
+    // Steady-state op generation: past warm-up, with simulated time
+    // advancing by each op's CPU time (the run loop adds memory stalls on
+    // top, which only stretches the same schedule).
+    let mut workload = tiered_workloads::cache1(CACHE1_PAGES).build();
+    let mut rng = SimRng::seed(45);
+    let mut now = 0u64;
+    while workload.in_warmup() || now < 10 * SEC {
+        now += workload.next_op(now, &mut rng).cpu_ns;
+    }
+    bench("hotpath/next_op_cache1", || {
+        let op = workload.next_op(now, &mut rng);
+        now += op.cpu_ns;
+        std::hint::black_box(op);
+    });
+}
+
+fn bench_system_run_op() {
+    // `tpp_expand`'s configuration (cache1 on the 1:4 machine under TPP),
+    // warmed past cache1's warm-up. Every op advances the clock by at
+    // least 1 ns, so `run(1)` executes exactly one op, plus whatever
+    // daemon ticks and metric samples fall due after it.
+    let profile = tiered_workloads::cache1(CACHE1_PAGES);
+    let memory = configs::one_to_four(profile.working_set_pages());
+    let mut system =
+        System::new(memory, Box::new(Tpp::new()), Box::new(profile.build()), 46).unwrap();
+    system.run(30 * SEC);
+    bench("hotpath/system_run_op", || system.run(1));
+}
+
 fn main() {
     bench_zipf_sample();
     bench_region_sample();
     bench_execute_access_hot();
+    bench_next_op_cache1();
+    bench_system_run_op();
 }

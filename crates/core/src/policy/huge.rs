@@ -12,10 +12,9 @@
 //! mapping. [`ThpMode::Always`] adds fault-time allocation on top (see
 //! `fault_with_fallback`).
 
-use std::collections::HashMap;
-
 use tiered_mem::{
-    Memory, NodeId, PageFlags, Pfn, Pid, ThpMode, TraceEvent, Vpn, HUGE_PAGE_FRAMES, MAX_PAGE_ORDER,
+    Memory, NodeId, PageFlags, Pfn, PidTable, ThpMode, TraceEvent, Vpn, HUGE_PAGE_FRAMES,
+    MAX_PAGE_ORDER,
 };
 use tiered_sim::LatencyModel;
 
@@ -74,7 +73,7 @@ pub struct HugeState {
     /// analogue): successive wakeups resume where the last stopped. It is
     /// the rank of the next window among the process's occupied windows,
     /// not an address.
-    khugepaged_cursor: HashMap<Pid, u64>,
+    khugepaged_cursor: PidTable<u64>,
     /// Per-node migration-scanner position, as a node-relative PFN.
     compact_cursor: Vec<u32>,
     /// Reused buffer for the windows one wakeup visits in a process.
@@ -126,7 +125,7 @@ pub fn khugepaged_pass(
         if windows == 0 {
             continue;
         }
-        let start = (*state.khugepaged_cursor.get(&pid).unwrap_or(&0) as usize) % windows;
+        let start = (*state.khugepaged_cursor.get(pid).unwrap_or(&0) as usize) % windows;
         // Gather the windows in scan order, from the cursor rank and
         // wrapping once; collapses below need `memory` mutably.
         state.window_scratch.clear();
@@ -273,7 +272,7 @@ pub fn kcompactd_pass(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tiered_mem::{NodeKind, PageLocation, PageType, VmEvent};
+    use tiered_mem::{NodeKind, PageLocation, PageType, Pid, VmEvent};
 
     fn thp_machine(mode: ThpMode, pages: u64) -> Memory {
         let mut m = Memory::builder()

@@ -11,7 +11,7 @@
 //! TPP restricts the scanner to CPU-less nodes. Default NUMA balancing
 //! samples everything.
 
-use tiered_mem::{Memory, PageFlags, PageLocation, VmEvent};
+use tiered_mem::{Memory, PageFlags, PageLocation, PidTable, VmEvent};
 
 /// Which nodes the scanner installs hint PTEs on.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -53,7 +53,7 @@ impl SamplerConfig {
 #[derive(Clone, Debug)]
 pub struct HintSampler {
     config: SamplerConfig,
-    cursors: std::collections::HashMap<tiered_mem::Pid, u64>,
+    cursors: PidTable<u64>,
     /// Reused per-scan buffer for the VPNs one scan visits in a process.
     visit: Vec<tiered_mem::Vpn>,
 }
@@ -63,7 +63,7 @@ impl HintSampler {
     pub fn new(config: SamplerConfig) -> HintSampler {
         HintSampler {
             config,
-            cursors: std::collections::HashMap::new(),
+            cursors: PidTable::new(),
             visit: Vec::new(),
         }
     }
@@ -90,7 +90,7 @@ impl HintSampler {
             if len == 0 {
                 continue;
             }
-            let start = *self.cursors.get(&pid).unwrap_or(&0) as usize % len;
+            let start = *self.cursors.get(pid).unwrap_or(&0) as usize % len;
             // Gather the VPNs this scan may visit, from the cursor rank and
             // wrapping once; marking below needs `memory` mutably.
             self.visit.clear();

@@ -60,6 +60,7 @@ mod lru;
 mod memory;
 mod node;
 mod page_table;
+mod pid_table;
 mod swap;
 pub mod telemetry;
 mod topology;
@@ -74,6 +75,7 @@ pub use lru::{LruKind, NodeLru};
 pub use memory::{Memory, MemoryBuilder};
 pub use node::{MemoryNode, NodeKind};
 pub use page_table::{AddressSpace, PageLocation};
+pub use pid_table::PidTable;
 pub use swap::{SwapDevice, SwapSlot};
 pub use telemetry::{
     EventSink, NullSink, PromoteFailReason, PromoteSkipReason, RingSink, TeeSink, TraceEvent,

@@ -16,6 +16,7 @@ use crate::frame::{FrameTable, HUGE_PAGE_FRAMES, MAX_PAGE_ORDER};
 use crate::lru::LruKind;
 use crate::node::{MemoryNode, NodeKind};
 use crate::page_table::{AddressSpace, PageLocation};
+use crate::pid_table::PidTable;
 use crate::swap::{SwapDevice, SwapSlot};
 use crate::telemetry::{EventSink, NullSink, TraceEvent, TraceRecord};
 use crate::topology::Topology;
@@ -160,8 +161,8 @@ impl MemoryBuilder {
             nodes,
             topology: topo.clone(),
             fallback,
-            spaces: HashMap::new(),
-            home_nodes: HashMap::new(),
+            spaces: PidTable::new(),
+            home_nodes: PidTable::new(),
             swap,
             vmstat: VmStat::new(),
             migration_matrix: vec![0; node_count * node_count],
@@ -185,10 +186,10 @@ pub struct Memory {
     /// Per-node allocation fallback order, indexed by source node
     /// (precomputed from the topology; the fault path reads it hot).
     fallback: Vec<NodeList>,
-    spaces: HashMap<Pid, AddressSpace>,
+    spaces: PidTable<AddressSpace>,
     /// Home (socket) node per process; faults and promotions prefer it.
     /// Processes without an entry default to the first CPU-attached node.
-    home_nodes: HashMap<Pid, NodeId>,
+    home_nodes: PidTable<NodeId>,
     swap: SwapDevice,
     vmstat: VmStat,
     /// Flattened src→dst page-migration counts (`from * n + to`), bumped
@@ -341,7 +342,7 @@ impl Memory {
     /// Panics if `pid` has no binding and the machine has no CPU-attached
     /// node.
     pub fn home_node(&self, pid: Pid) -> NodeId {
-        self.home_nodes.get(&pid).copied().unwrap_or_else(|| {
+        self.home_nodes.get(pid).copied().unwrap_or_else(|| {
             self.topology
                 .first_local()
                 .expect("machine has no CPU-attached node")
@@ -549,7 +550,7 @@ impl Memory {
 
     /// Whether `pid` is registered.
     pub fn has_process(&self, pid: Pid) -> bool {
-        self.spaces.contains_key(&pid)
+        self.spaces.contains_key(pid)
     }
 
     /// Shared access to a process' address space.
@@ -559,15 +560,13 @@ impl Memory {
     /// Panics if the pid is unknown.
     pub fn space(&self, pid: Pid) -> &AddressSpace {
         self.spaces
-            .get(&pid)
+            .get(pid)
             .unwrap_or_else(|| panic!("unknown {pid}"))
     }
 
-    /// All registered pids, sorted (deterministic iteration).
+    /// All registered pids, in ascending order.
     pub fn pids(&self) -> Vec<Pid> {
-        let mut v: Vec<Pid> = self.spaces.keys().copied().collect();
-        v.sort();
-        v
+        self.spaces.iter().map(|(pid, _)| pid).collect()
     }
 
     /// Destroys a process, releasing every resident page and swap slot.
@@ -578,9 +577,9 @@ impl Memory {
     pub fn destroy_process(&mut self, pid: Pid) {
         let space = self
             .spaces
-            .remove(&pid)
+            .remove(pid)
             .unwrap_or_else(|| panic!("unknown {pid}"));
-        self.home_nodes.remove(&pid);
+        self.home_nodes.remove(pid);
         self.shadows.retain(|key, _| key.pid != pid);
         for (_, loc) in space.iter() {
             match loc {
@@ -622,7 +621,7 @@ impl Memory {
     ) -> Result<Pfn, AllocError> {
         let space = self
             .spaces
-            .get_mut(&pid)
+            .get_mut(pid)
             .unwrap_or_else(|| panic!("unknown {pid}"));
         assert!(
             space.translate(vpn).is_none(),
@@ -671,8 +670,7 @@ impl Memory {
         // A member of a compound page cannot be carved out individually:
         // split the compound back to base pages first (the kernel's
         // split-on-partial-unmap), then release the one page.
-        if let Some(PageLocation::Mapped(pfn)) =
-            self.spaces.get(&pid).and_then(|s| s.translate(vpn))
+        if let Some(PageLocation::Mapped(pfn)) = self.spaces.get(pid).and_then(|s| s.translate(vpn))
         {
             if self
                 .frames
@@ -686,7 +684,7 @@ impl Memory {
         }
         let space = self
             .spaces
-            .get_mut(&pid)
+            .get_mut(pid)
             .unwrap_or_else(|| panic!("unknown {pid}"));
         match space.unmap(vpn) {
             Some(PageLocation::Mapped(pfn)) => {
@@ -773,7 +771,7 @@ impl Memory {
         }
         let space = self
             .spaces
-            .get_mut(&owner.pid)
+            .get_mut(owner.pid)
             .unwrap_or_else(|| panic!("owner {} vanished", owner.pid));
         space.map(owner.vpn, new_pfn);
         self.record(TraceEvent::Migrate {
@@ -835,7 +833,7 @@ impl Memory {
         {
             let space = self
                 .spaces
-                .get(&pid)
+                .get(pid)
                 .unwrap_or_else(|| panic!("unknown {pid}"));
             for i in 0..HUGE_PAGE_FRAMES {
                 let vpn = Vpn(base_vpn.0 + i);
@@ -860,7 +858,7 @@ impl Memory {
             });
         }
         self.frames.frame_mut(head).order = MAX_PAGE_ORDER;
-        let space = self.spaces.get_mut(&pid).expect("space vanished");
+        let space = self.spaces.get_mut(pid).expect("space vanished");
         for i in 0..HUGE_PAGE_FRAMES {
             space.map(Vpn(base_vpn.0 + i), Pfn(head.0 + i as u32));
         }
@@ -932,7 +930,7 @@ impl Memory {
     /// (referenced or with hotness history). Returns that common node.
     pub fn collapse_candidate(&self, pid: Pid, base_vpn: Vpn) -> Option<NodeId> {
         debug_assert_eq!(base_vpn.0 % HUGE_PAGE_FRAMES, 0);
-        let space = self.spaces.get(&pid)?;
+        let space = self.spaces.get(pid)?;
         let mut node = None;
         let mut warm = false;
         for i in 0..HUGE_PAGE_FRAMES {
@@ -1000,7 +998,7 @@ impl Memory {
             .ok_or(AllocError::NoMemory { node })?;
         for i in 0..HUGE_PAGE_FRAMES {
             let vpn = Vpn(base_vpn.0 + i);
-            let old = match self.spaces.get(&pid).and_then(|s| s.translate(vpn)) {
+            let old = match self.spaces.get(pid).and_then(|s| s.translate(vpn)) {
                 Some(PageLocation::Mapped(pfn)) => pfn,
                 other => panic!("{pid}:{vpn} not resident during collapse (found {other:?})"),
             };
@@ -1030,7 +1028,7 @@ impl Memory {
             f.set_hotness(hotness);
             f.set_last_access_ns(last);
             self.spaces
-                .get_mut(&pid)
+                .get_mut(pid)
                 .expect("space vanished")
                 .map(vpn, new);
         }
@@ -1124,7 +1122,7 @@ impl Memory {
             f.set_hotness(hotness);
             f.set_last_access_ns(last);
             self.spaces
-                .get_mut(&o_owner.pid)
+                .get_mut(o_owner.pid)
                 .unwrap_or_else(|| panic!("owner {} vanished", o_owner.pid))
                 .map(o_owner.vpn, new);
         }
@@ -1184,7 +1182,7 @@ impl Memory {
         f.set_hotness(hotness);
         f.set_last_access_ns(last);
         self.spaces
-            .get_mut(&owner.pid)
+            .get_mut(owner.pid)
             .unwrap_or_else(|| panic!("owner {} vanished", owner.pid))
             .map(owner.vpn, dst);
         self.nodes[node.index()]
@@ -1225,7 +1223,7 @@ impl Memory {
         self.frames.free(pfn);
         let space = self
             .spaces
-            .get_mut(&owner.pid)
+            .get_mut(owner.pid)
             .unwrap_or_else(|| panic!("owner {} vanished", owner.pid));
         space.set_swapped(owner.vpn, slot);
         self.record(TraceEvent::SwapOut {
@@ -1254,7 +1252,7 @@ impl Memory {
         node: NodeId,
         page_type: PageType,
     ) -> Result<Pfn, AllocError> {
-        let slot = match self.spaces.get(&pid).and_then(|s| s.translate(vpn)) {
+        let slot = match self.spaces.get(pid).and_then(|s| s.translate(vpn)) {
             Some(PageLocation::Swapped(slot)) => slot,
             other => panic!("{pid}:{vpn} is not swapped out (found {other:?})"),
         };
@@ -1263,7 +1261,7 @@ impl Memory {
             .swap_in(slot)
             .expect("swap slot vanished while mapped");
         self.spaces
-            .get_mut(&pid)
+            .get_mut(pid)
             .expect("space vanished")
             .map(vpn, pfn);
         let kind = LruKind::for_page(page_type, false);
@@ -1296,7 +1294,7 @@ impl Memory {
         self.nodes[nid.index()].lru.remove(&mut self.frames, pfn);
         self.frames.free(pfn);
         self.spaces
-            .get_mut(&owner.pid)
+            .get_mut(owner.pid)
             .unwrap_or_else(|| panic!("owner {} vanished", owner.pid))
             .unmap(owner.vpn);
         self.eviction_clocks[nid.index()] += 1;
@@ -1440,7 +1438,7 @@ impl Memory {
         // 4. Page-table ↔ frame-owner bijection, and each space's
         //    occupancy index ↔ its page-table keys.
         let mut mapped = 0u64;
-        for (pid, space) in &self.spaces {
+        for (pid, space) in self.spaces.iter() {
             space.validate_index();
             for (vpn, loc) in space.iter() {
                 match loc {
@@ -1449,14 +1447,14 @@ impl Memory {
                         let frame = self.frames.frame(pfn);
                         assert_eq!(
                             frame.owner(),
-                            Some(PageKey::new(*pid, vpn)),
+                            Some(PageKey::new(pid, vpn)),
                             "rmap mismatch at {pfn}"
                         );
                     }
                     PageLocation::Swapped(slot) => {
                         assert_eq!(
                             self.swap.peek(slot),
-                            Some(PageKey::new(*pid, vpn)),
+                            Some(PageKey::new(pid, vpn)),
                             "swap slot mismatch at {slot:?}"
                         );
                     }
@@ -1564,6 +1562,40 @@ mod tests {
         m.set_home_node(Pid(1), NodeId(2));
         assert_eq!(m.home_node(Pid(1)), NodeId(2));
         assert_eq!(m.home_node(Pid(9)), NodeId(1), "unbound pids default");
+    }
+
+    #[test]
+    fn sparse_pids_map_release_and_destroy() {
+        let mut m = two_node();
+        let pids = [Pid(u32::MAX), Pid(0), Pid(2)];
+        for pid in pids {
+            m.create_process(pid);
+            m.validate();
+        }
+        assert_eq!(m.pids(), [Pid(0), Pid(2), Pid(u32::MAX)]);
+        for pid in pids {
+            for vpn in [Vpn(0), Vpn(1)] {
+                m.alloc_and_map(NodeId(0), pid, vpn, PageType::Anon)
+                    .unwrap();
+                m.validate();
+            }
+        }
+        for pid in pids {
+            assert!(m.release(pid, Vpn(0)));
+            m.validate();
+            assert_eq!(m.space(pid).resident_pages(), 1);
+        }
+        assert_eq!(m.free_pages(NodeId(0)), 64 - 3);
+        m.destroy_process(Pid(2));
+        m.validate();
+        assert_eq!(m.pids(), [Pid(0), Pid(u32::MAX)]);
+        assert!(!m.has_process(Pid(2)));
+        m.destroy_process(Pid(u32::MAX));
+        m.validate();
+        m.destroy_process(Pid(0));
+        m.validate();
+        assert!(m.pids().is_empty());
+        assert_eq!(m.free_pages(NodeId(0)), 64);
     }
 
     #[test]

@@ -146,14 +146,24 @@ impl SyntheticWorkload {
     }
 
     fn warmup_op(&mut self) -> Op {
+        // Moved out and back rather than cloned: the spec owns a Vec, and
+        // the warm-up helpers need `self` mutably.
         let warmup = self
             .profile
             .warmup
-            .clone()
+            .take()
             .expect("in warm-up without a spec");
-        if warmup.interleave {
-            return self.warmup_op_interleaved(&warmup);
-        }
+        let op = if warmup.interleave {
+            self.warmup_op_interleaved(&warmup)
+        } else {
+            self.warmup_op_sequential(&warmup)
+        };
+        self.profile.warmup = Some(warmup);
+        op
+    }
+
+    /// Warms the regions strictly in list order.
+    fn warmup_op_sequential(&mut self, warmup: &WarmupSpec) -> Op {
         let (mut list_pos, mut offset) = self.warmup_pos.expect("warm-up cursor missing");
         let mut events = Vec::with_capacity(warmup.pages_per_op as usize);
         for _ in 0..warmup.pages_per_op {
@@ -314,9 +324,7 @@ impl Workload for SyntheticWorkload {
     }
 
     fn working_set_pages(&self) -> u64 {
-        let regions: u64 = self.profile.regions.iter().map(|r| r.pages).sum();
-        let transient = self.profile.transient.map_or(0, |t| t.range_pages);
-        regions + transient
+        self.profile.working_set_pages()
     }
 }
 

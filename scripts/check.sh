@@ -14,6 +14,10 @@ cargo test --release -q -p tpp-bench --lib microbench
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q --workspace
 # Benches must at least compile (running them is bench.sh's job).
 cargo bench --no-run -q -p tpp-bench
+# The benchmark package lives outside the workspace and implements the
+# public `Workload` and `PlacementPolicy` traits, so a public-API change
+# that breaks it must fail here too.
+cargo build --release -q --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 
 # Executor determinism gates: a reduced-scale repro target must produce
 # byte-identical tables and stdout with and without the parallel
