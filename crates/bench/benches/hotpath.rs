@@ -2,8 +2,9 @@
 //! access flows through millions of times per simulated second —
 //! workload rank sampling, region geometry + offset resolution, and the
 //! system's access-resolution fast path — plus the two per-op layers
-//! above them: one workload op's generation, and one whole op of a
-//! warmed `System::run` (generation, resolution and daemon ticks). Runs
+//! above them: one workload op's generation (into a fresh `Op`, and into
+//! the reused buffer the run loop passes), and one whole op of a warmed
+//! `System::run` (generation, resolution and daemon ticks). Runs
 //! with `harness = false` on the in-tree [`tpp_bench::microbench`]
 //! harness (no external deps).
 
@@ -99,6 +100,24 @@ fn bench_next_op_cache1() {
     });
 }
 
+fn bench_next_op_into_cache1() {
+    // The same steady-state generation, the way the run loop drives it:
+    // one event buffer, cleared and refilled for every op.
+    let mut workload = tiered_workloads::cache1(CACHE1_PAGES).build();
+    let mut rng = SimRng::seed(45);
+    let mut now = 0u64;
+    let mut events = Vec::new();
+    while workload.in_warmup() || now < 10 * SEC {
+        events.clear();
+        now += workload.next_op_into(now, &mut rng, &mut events);
+    }
+    bench("hotpath/next_op_into_cache1", || {
+        events.clear();
+        now += workload.next_op_into(now, &mut rng, &mut events);
+        std::hint::black_box(&events);
+    });
+}
+
 fn bench_system_run_op() {
     // `tpp_expand`'s configuration (cache1 on the 1:4 machine under TPP),
     // warmed past cache1's warm-up. Every op advances the clock by at
@@ -117,5 +136,6 @@ fn main() {
     bench_region_sample();
     bench_execute_access_hot();
     bench_next_op_cache1();
+    bench_next_op_into_cache1();
     bench_system_run_op();
 }

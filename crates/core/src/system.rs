@@ -68,6 +68,9 @@ pub struct System {
     node_latency_ns: Vec<u64>,
     /// Whether each node is CPU-attached, indexed by `NodeId`.
     node_is_local: Vec<bool>,
+    /// The event buffer every op is generated into, cleared between ops
+    /// and kept across runs, so steady-state ops allocate nothing.
+    op_events: Vec<WorkloadEvent>,
 }
 
 impl System {
@@ -135,6 +138,7 @@ impl System {
             sample_timer: Periodic::new(RunMetrics::sample_period_ns()),
             node_latency_ns,
             node_is_local,
+            op_events: Vec::new(),
         })
     }
 
@@ -214,6 +218,9 @@ impl System {
             .iter()
             .map(|l| l.clock_ns + duration_ns)
             .collect();
+        // Taken out of `self` for the loop: resolving an event needs
+        // `self` mutably while the buffer is borrowed.
+        let mut events = std::mem::take(&mut self.op_events);
         // Progress the lane that is furthest behind; stop when every lane
         // reached its end.
         while let Some(i) = self
@@ -226,9 +233,12 @@ impl System {
         {
             let now = self.lanes[i].clock_ns;
             self.memory.set_trace_now(now);
-            let op = self.lanes[i].workload.next_op(now, &mut self.rng);
+            events.clear();
+            let cpu_ns = self.lanes[i]
+                .workload
+                .next_op_into(now, &mut self.rng, &mut events);
             let mut mem_ns = 0u64;
-            for event in &op.events {
+            for event in &events {
                 match *event {
                     WorkloadEvent::Access(access) => {
                         mem_ns += self.execute_access(i, now, &access, obs);
@@ -240,7 +250,7 @@ impl System {
             }
             // A zero-cost op still moves its lane forward by 1 ns; the
             // metrics record its true cost.
-            let op_ns = op.cpu_ns + mem_ns;
+            let op_ns = cpu_ns + mem_ns;
             let lane = &mut self.lanes[i];
             lane.clock_ns += op_ns.max(1);
             lane.metrics.note_op(op_ns, mem_ns);
@@ -264,6 +274,7 @@ impl System {
                 }
             }
         }
+        self.op_events = events;
     }
 
     /// Resolves one access of the first lane exactly as the run loop

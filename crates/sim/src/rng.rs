@@ -64,6 +64,7 @@ impl SimRng {
     }
 
     /// The core xoshiro256** step: full-period 64-bit output.
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         let s = &mut self.state;
         let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
@@ -81,6 +82,7 @@ impl SimRng {
     ///
     /// Uses rejection sampling (Lemire-style threshold) so the result is
     /// exactly uniform over the span, not merely modulo-reduced.
+    #[inline]
     pub fn range(&mut self, range: std::ops::Range<u64>) -> u64 {
         assert!(range.start < range.end, "cannot sample an empty range");
         let span = range.end - range.start;
@@ -98,12 +100,14 @@ impl SimRng {
     }
 
     /// Uniform `f64` in `[0, 1)`.
+    #[inline]
     pub fn f64(&mut self) -> f64 {
         // 53 high bits → the maximum precision an f64 mantissa can hold.
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Bernoulli trial with probability `p` (clamped to `[0, 1]`).
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         self.f64() < p
     }
@@ -126,7 +130,19 @@ impl SimRng {
     ///
     /// Panics if `weights` is empty or sums to zero.
     pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
+        self.weighted_index_summed(weights, weights.iter().sum())
+    }
+
+    /// [`SimRng::weighted_index`] with the weights' sum precomputed by
+    /// the caller, for callers that draw from the same weights many
+    /// times. `total` must be `weights.iter().sum()` exactly for the
+    /// draws to match `weighted_index`'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights` is empty or `total` is not positive.
+    #[inline]
+    pub fn weighted_index_summed(&mut self, weights: &[f64], total: f64) -> usize {
         assert!(total > 0.0, "weights must sum to a positive value");
         let mut x = self.f64() * total;
         for (i, &w) in weights.iter().enumerate() {

@@ -90,6 +90,26 @@ pub trait Workload {
     /// Produces the next operation.
     fn next_op(&mut self, now_ns: u64, rng: &mut SimRng) -> Op;
 
+    /// Appends the next operation's events to `events` and returns its
+    /// CPU time: the same op, and the same RNG draws, as
+    /// [`Workload::next_op`].
+    ///
+    /// The run loop calls this with one buffer it clears between ops, so
+    /// a generator that implements it natively allocates nothing per op.
+    /// Implementations only append; events already in the buffer stay
+    /// untouched. The default delegates to `next_op` and moves its
+    /// events over.
+    fn next_op_into(
+        &mut self,
+        now_ns: u64,
+        rng: &mut SimRng,
+        events: &mut Vec<WorkloadEvent>,
+    ) -> u64 {
+        let mut op = self.next_op(now_ns, rng);
+        events.append(&mut op.events);
+        op.cpu_ns
+    }
+
     /// Approximate total working-set size in pages (used to size
     /// machines for ratio configurations such as 2:1 and 1:4).
     fn working_set_pages(&self) -> u64;

@@ -87,23 +87,26 @@ impl RegionSpec {
     }
 }
 
-/// Snapshot of the window geometry for one epoch.
+/// Snapshot of the window geometry, together with the span of time
+/// `[valid_from, valid_from + valid_len)` it holds for.
 ///
 /// The geometry only changes when the dwell step advances or the growth
 /// formula adds a page — at most a handful of times per simulated second,
-/// versus millions of accesses. Caching the derived values keyed on
-/// `(step, grown)` keeps the float math off the per-access path while
-/// producing bit-identical results: the cached values come from exactly
-/// the arithmetic the accessors used to run per call.
-#[derive(Clone, Copy, Debug)]
+/// versus millions of accesses. Caching the derived values with their
+/// validity window keeps every division and float operation off the
+/// per-access path (a steady access does one compare) while producing
+/// bit-identical results: the cached values come from exactly the
+/// arithmetic the accessors used to run per call.
+#[derive(Clone, Copy, Debug, Default)]
 struct Geometry {
-    /// Dwell step (`now_ns / dwell_ns`) this snapshot was computed for.
-    step: u64,
-    /// Growth tick (pages added so far) this snapshot was computed for.
-    grown: u64,
+    valid_from: u64,
+    /// Zero (the default) for a snapshot that holds at no instant.
+    valid_len: u64,
     allocated: u64,
     window: u64,
     start: u64,
+    /// Size of the allocation frontier, in pages.
+    frontier: u64,
 }
 
 /// Runtime sampler for one region.
@@ -113,7 +116,7 @@ pub struct WindowedRegion {
     zipf: ZipfSampler,
     /// `(pages * initial_frac) as u64`, hoisted out of the growth formula.
     initial_pages: u64,
-    geo: Cell<Option<Geometry>>,
+    geo: Cell<Geometry>,
 }
 
 impl WindowedRegion {
@@ -139,38 +142,61 @@ impl WindowedRegion {
             spec,
             zipf,
             initial_pages,
-            geo: Cell::new(None),
+            geo: Cell::new(Geometry::default()),
         }
     }
 
-    /// The window geometry at `now_ns`, recomputed only when the dwell
-    /// step or growth tick changes since the last call.
+    /// The window geometry at `now_ns`, recomputed only when `now_ns`
+    /// falls outside the cached snapshot's validity window.
+    #[inline]
     fn geometry(&self, now_ns: u64) -> Geometry {
-        let step = now_ns / self.spec.dwell_ns;
-        let grown = match self.spec.growth {
-            None => 0,
-            Some(g) => (now_ns as f64 / SEC as f64 * g.pages_per_sec) as u64,
-        };
-        if let Some(geo) = self.geo.get() {
-            if geo.step == step && geo.grown == grown {
-                return geo;
-            }
+        let geo = self.geo.get();
+        // One unsigned compare tests both bounds of the window.
+        if now_ns.wrapping_sub(geo.valid_from) < geo.valid_len {
+            return geo;
         }
+        let geo = self.compute_geometry(now_ns);
+        self.geo.set(geo);
+        geo
+    }
+
+    /// The geometry at `now_ns` from scratch, and how long it holds.
+    ///
+    /// Without growth it holds for the whole dwell step. A growing region
+    /// changes whenever the float growth formula adds a page, so its
+    /// snapshot holds only at `now_ns` itself (every access of one op
+    /// shares it) until the region is full. Growth is monotone in time,
+    /// so a region full at `now_ns` stays full, and the snapshot holds
+    /// from `now_ns` to the end of the step.
+    #[cold]
+    fn compute_geometry(&self, now_ns: u64) -> Geometry {
+        let step = now_ns / self.spec.dwell_ns;
         let allocated = match self.spec.growth {
             None => self.spec.pages,
-            Some(_) => (self.initial_pages + grown).min(self.spec.pages).max(1),
+            Some(g) => {
+                let grown = (now_ns as f64 / SEC as f64 * g.pages_per_sec) as u64;
+                (self.initial_pages + grown).min(self.spec.pages).max(1)
+            }
         };
         let window = ((allocated as f64 * self.spec.window_frac) as u64).max(1);
         let start = (self.spec.pages / 2 + step.wrapping_mul(self.spec.step_pages)) % allocated;
-        let geo = Geometry {
-            step,
-            grown,
+        let frontier = ((allocated as f64 * self.spec.frontier_frac) as u64).max(1);
+        // `step * dwell_ns <= now_ns`, so only the end can overflow.
+        let step_start = step * self.spec.dwell_ns;
+        let step_end = step_start.saturating_add(self.spec.dwell_ns);
+        let (valid_from, valid_until) = match self.spec.growth {
+            None => (step_start, step_end),
+            Some(_) if allocated == self.spec.pages => (now_ns, step_end),
+            Some(_) => (now_ns, now_ns.saturating_add(1)),
+        };
+        Geometry {
+            valid_from,
+            valid_len: valid_until - valid_from,
             allocated,
             window,
             start,
-        };
-        self.geo.set(Some(geo));
-        geo
+            frontier,
+        }
     }
 
     /// The region's static description.
@@ -218,11 +244,9 @@ impl WindowedRegion {
             rng.range(0..allocated)
         } else if self.spec.frontier_weight > 0.0 && rng.chance(self.spec.frontier_weight) {
             // Hot allocation frontier: the newest pages.
-            let frontier = ((allocated as f64 * self.spec.frontier_frac) as u64).max(1);
-            allocated - 1 - rng.range(0..frontier)
+            allocated - 1 - rng.range(0..geo.frontier)
         } else {
-            let rank = self.zipf.sample(rng) % geo.window;
-            (geo.start + rank) % allocated
+            window_offset(self.zipf.sample(rng), geo.window, geo.start, allocated)
         };
         let vpn = Vpn(self.spec.base_vpn + offset);
         let kind = if rng.chance(self.spec.store_frac) {
@@ -231,6 +255,25 @@ impl WindowedRegion {
             AccessKind::Load
         };
         (vpn, kind)
+    }
+}
+
+/// The region offset of window rank `rank`: `(start + rank % window) %
+/// allocated`, without the divisions.
+///
+/// The sampler spans the full-size window, so `rank < window` whenever
+/// the region is fully allocated and only a growing region folds the
+/// rank (a branch steady state never takes). Then `start < allocated` and
+/// `rank < window <= allocated` bound the sum below `2 * allocated`, so
+/// one conditional subtract wraps it.
+#[inline]
+fn window_offset(rank: u64, window: u64, start: u64, allocated: u64) -> u64 {
+    let rank = if rank < window { rank } else { rank % window };
+    let pos = start + rank;
+    if pos >= allocated {
+        pos - allocated
+    } else {
+        pos
     }
 }
 
@@ -295,15 +338,67 @@ mod tests {
         assert_eq!(dist, r.spec().step_pages % allocated);
     }
 
-    #[test]
-    fn cached_geometry_matches_fresh_computation() {
-        // A long-lived region (warm cache, hits and misses interleaved)
-        // must report exactly what a cold region reports at every instant.
+    /// `(allocated, window, start)` at `now_ns`, straight from the spec
+    /// with the per-call arithmetic the geometry cache must reproduce.
+    fn reference_geometry(spec: &RegionSpec, now_ns: u64) -> (u64, u64, u64) {
+        let step = now_ns / spec.dwell_ns;
+        let allocated = match spec.growth {
+            None => spec.pages,
+            Some(g) => {
+                let initial = (spec.pages as f64 * g.initial_frac) as u64;
+                let grown = (now_ns as f64 / SEC as f64 * g.pages_per_sec) as u64;
+                (initial + grown).min(spec.pages).max(1)
+            }
+        };
+        let window = ((allocated as f64 * spec.window_frac) as u64).max(1);
+        let start = (spec.pages / 2 + step.wrapping_mul(spec.step_pages)) % allocated;
+        (allocated, window, start)
+    }
+
+    /// The draw `sample` made with the `%`-based offset formula.
+    fn reference_sample(r: &WindowedRegion, now_ns: u64, rng: &mut SimRng) -> (Vpn, AccessKind) {
+        let spec = r.spec();
+        let (allocated, window, start) = reference_geometry(spec, now_ns);
+        let offset = if spec.tail_weight > 0.0 && rng.chance(spec.tail_weight) {
+            rng.range(0..allocated)
+        } else if spec.frontier_weight > 0.0 && rng.chance(spec.frontier_weight) {
+            let frontier = ((allocated as f64 * spec.frontier_frac) as u64).max(1);
+            allocated - 1 - rng.range(0..frontier)
+        } else {
+            let rank = r.zipf.sample(rng) % window;
+            (start + rank) % allocated
+        };
+        let kind = if rng.chance(spec.store_frac) {
+            AccessKind::Store
+        } else {
+            AccessKind::Load
+        };
+        (Vpn(spec.base_vpn + offset), kind)
+    }
+
+    fn growing_spec() -> RegionSpec {
         let mut spec = RegionSpec::steady(0, 10_000, PageType::Anon, 0.3);
         spec.growth = Some(Growth {
             initial_frac: 0.2,
             pages_per_sec: 37.5,
         });
+        spec
+    }
+
+    /// Asserts that `cached` (warm) reports what the reference arithmetic
+    /// gives at `t`.
+    fn assert_geometry_at(cached: &WindowedRegion, t: u64) {
+        let (allocated, window, start) = reference_geometry(cached.spec(), t);
+        assert_eq!(cached.allocated_pages(t), allocated, "t={t}");
+        assert_eq!(cached.window_pages(t), window, "t={t}");
+        assert_eq!(cached.window_start(t), start, "t={t}");
+    }
+
+    #[test]
+    fn cached_geometry_matches_fresh_computation() {
+        // A long-lived region (warm cache, hits and misses interleaved)
+        // must report exactly what a cold region reports at every instant.
+        let spec = growing_spec();
         let cached = WindowedRegion::new(spec.clone());
         for i in 0..2_000u64 {
             // Sub-dwell strides so most queries hit the cache, with
@@ -313,7 +408,113 @@ mod tests {
             assert_eq!(cached.allocated_pages(t), fresh.allocated_pages(t), "t={t}");
             assert_eq!(cached.window_pages(t), fresh.window_pages(t), "t={t}");
             assert_eq!(cached.window_start(t), fresh.window_start(t), "t={t}");
+            assert_geometry_at(&cached, t);
         }
+    }
+
+    #[test]
+    fn cached_geometry_is_exact_at_dwell_boundaries() {
+        // The last instant of each step and the first of the next, in
+        // both orders, on a steady and a (by then full) growing region.
+        let steady = RegionSpec::steady(0, 10_000, PageType::File, 0.2);
+        for spec in [steady, growing_spec()] {
+            let cached = WindowedRegion::new(spec.clone());
+            let dwell = spec.dwell_ns;
+            for k in 1..40u64 {
+                for t in [k * dwell - 1, k * dwell, k * dwell - 1, k * dwell + 1] {
+                    assert_geometry_at(&cached, t);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cached_geometry_is_exact_across_the_instant_growth_completes() {
+        let spec = growing_spec();
+        let fresh = |t| WindowedRegion::new(spec.clone()).allocated_pages(t);
+        // First instant the region is full (growth is monotone).
+        let (mut lo, mut hi) = (0u64, 10_000 * SEC);
+        assert!(fresh(lo) < spec.pages && fresh(hi) == spec.pages);
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if fresh(mid) == spec.pages {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        let full_at = hi;
+        let cached = WindowedRegion::new(spec.clone());
+        // Opening the window at the full instant, then querying backwards
+        // across it, must not serve the full geometry to the growing past.
+        for t in [
+            full_at,
+            full_at - 1,
+            full_at,
+            full_at + SEC,
+            full_at - 1,
+            full_at - SEC,
+            full_at + 1,
+        ] {
+            assert_geometry_at(&cached, t);
+        }
+        assert_eq!(cached.allocated_pages(full_at - 1), spec.pages - 1);
+    }
+
+    #[test]
+    fn frozen_window_caches_for_all_time() {
+        let mut spec = RegionSpec::steady(0, 5_000, PageType::Anon, 0.4);
+        spec.dwell_ns = u64::MAX;
+        let cached = WindowedRegion::new(spec);
+        for t in [0, 1, SEC, u64::MAX / 2, u64::MAX - 1, u64::MAX, 3, u64::MAX] {
+            assert_geometry_at(&cached, t);
+        }
+        let mut grow = growing_spec();
+        grow.dwell_ns = u64::MAX;
+        let cached = WindowedRegion::new(grow);
+        for t in [0, 1, 300 * SEC, u64::MAX - 1, u64::MAX, 5 * SEC, u64::MAX] {
+            assert_geometry_at(&cached, t);
+        }
+    }
+
+    #[test]
+    fn division_free_offset_matches_modulo_formula() {
+        let mut rng = SimRng::seed(0x0FF5E7);
+        for _ in 0..200_000 {
+            let allocated = rng.range(1..1 << 40);
+            let window = rng.range(1..allocated + 1);
+            let start = rng.range(0..allocated);
+            // Ranks span the full-size window, which a growing region's
+            // current window may be smaller than.
+            let rank = rng.range(0..window * 4);
+            assert_eq!(
+                window_offset(rank, window, start, allocated),
+                (start + rank % window) % allocated,
+                "rank={rank} window={window} start={start} allocated={allocated}"
+            );
+        }
+    }
+
+    #[test]
+    fn samples_match_the_modulo_reference_stream() {
+        // Growth, frontier and tail modes all on, over times spanning the
+        // growth phase, its completion and several dwell steps.
+        let mut spec = growing_spec();
+        spec.dwell_ns = 7 * SEC;
+        spec.frontier_weight = 0.3;
+        spec.tail_weight = 0.01;
+        let region = WindowedRegion::new(spec);
+        let mut a = SimRng::seed(0x5A3);
+        let mut b = a.clone();
+        for i in 0..100_000u64 {
+            let t = i * 4 * SEC / 1_000;
+            assert_eq!(
+                region.sample(t, &mut a),
+                reference_sample(&region, t, &mut b),
+                "draw {i} t={t}"
+            );
+        }
+        assert_eq!(a.u64(), b.u64());
     }
 
     #[test]

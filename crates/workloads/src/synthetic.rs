@@ -96,10 +96,12 @@ impl WorkloadProfile {
         let materialize_cursors = vec![0u64; regions.len()];
         SyntheticWorkload {
             profile: self.clone(),
+            weight_total: self.region_weights.iter().sum(),
             regions,
             pool,
             warmup_pos: self.warmup.as_ref().map(|_| (0, 0)),
             materialize_cursors,
+            materialized: false,
             alloc_carry: 0.0,
             op_seq: 0,
         }
@@ -113,6 +115,8 @@ pub const TRANSIENT_BASE_VPN: u64 = 3 << 32;
 #[derive(Clone, Debug)]
 pub struct SyntheticWorkload {
     profile: WorkloadProfile,
+    /// `profile.region_weights.iter().sum()`, hoisted out of every draw.
+    weight_total: f64,
     regions: Vec<WindowedRegion>,
     pool: Option<TransientPool>,
     /// `(warm-up list position, page offset within that region)`;
@@ -124,6 +128,9 @@ pub struct SyntheticWorkload {
     /// 95–98% of system capacity). Growth regions materialise
     /// progressively as they grow.
     materialize_cursors: Vec<u64>,
+    /// Whether every cursor reached its region's full size: nothing is
+    /// left to materialise, so steady ops skip the per-region check.
+    materialized: bool,
     /// Fractional-allocation accumulator for `allocs_per_op`.
     alloc_carry: f64,
     op_seq: u64,
@@ -145,7 +152,8 @@ impl SyntheticWorkload {
         self.pool.as_ref().map_or(0, |p| p.live_count())
     }
 
-    fn warmup_op(&mut self) -> Op {
+    /// One warm-up op: appends its events, returns its CPU time.
+    fn warmup_op(&mut self, events: &mut Vec<WorkloadEvent>) -> u64 {
         // Moved out and back rather than cloned: the spec owns a Vec, and
         // the warm-up helpers need `self` mutably.
         let warmup = self
@@ -153,19 +161,19 @@ impl SyntheticWorkload {
             .warmup
             .take()
             .expect("in warm-up without a spec");
-        let op = if warmup.interleave {
-            self.warmup_op_interleaved(&warmup)
+        if warmup.interleave {
+            self.warmup_op_interleaved(&warmup, events);
         } else {
-            self.warmup_op_sequential(&warmup)
-        };
+            self.warmup_op_sequential(&warmup, events);
+        }
+        let cpu_ns = warmup.cpu_ns_per_op;
         self.profile.warmup = Some(warmup);
-        op
+        cpu_ns
     }
 
     /// Warms the regions strictly in list order.
-    fn warmup_op_sequential(&mut self, warmup: &WarmupSpec) -> Op {
+    fn warmup_op_sequential(&mut self, warmup: &WarmupSpec, events: &mut Vec<WorkloadEvent>) {
         let (mut list_pos, mut offset) = self.warmup_pos.expect("warm-up cursor missing");
-        let mut events = Vec::with_capacity(warmup.pages_per_op as usize);
         for _ in 0..warmup.pages_per_op {
             let region_idx = warmup.region_indices[list_pos];
             let spec = self.regions[region_idx].spec();
@@ -184,25 +192,17 @@ impl SyntheticWorkload {
                     for &r in &warmup.region_indices {
                         self.materialize_cursors[r] = self.regions[r].spec().pages;
                     }
-                    return Op {
-                        cpu_ns: warmup.cpu_ns_per_op,
-                        events,
-                    };
+                    return;
                 }
             }
         }
         self.warmup_pos = Some((list_pos, offset));
-        Op {
-            cpu_ns: warmup.cpu_ns_per_op,
-            events,
-        }
     }
 
     /// Proportional warm-up: each page goes to the least-complete region,
     /// so all warmed regions finish together. Uses the materialisation
     /// cursors directly as progress markers.
-    fn warmup_op_interleaved(&mut self, warmup: &WarmupSpec) -> Op {
-        let mut events = Vec::with_capacity(warmup.pages_per_op as usize);
+    fn warmup_op_interleaved(&mut self, warmup: &WarmupSpec, events: &mut Vec<WorkloadEvent>) {
         for _ in 0..warmup.pages_per_op {
             // Pick the least-complete region by progress fraction.
             let mut best: Option<(usize, f64)> = None;
@@ -219,10 +219,7 @@ impl SyntheticWorkload {
             }
             let Some((r, _)) = best else {
                 self.warmup_pos = None;
-                return Op {
-                    cpu_ns: warmup.cpu_ns_per_op,
-                    events,
-                };
+                return;
             };
             let spec = self.regions[r].spec();
             events.push(WorkloadEvent::Access(Access {
@@ -233,10 +230,29 @@ impl SyntheticWorkload {
             }));
             self.materialize_cursors[r] += 1;
         }
-        Op {
-            cpu_ns: warmup.cpu_ns_per_op,
-            events,
+    }
+
+    /// Materialises newly allocated region pages (first-touch faults):
+    /// allocated memory is touched at least once, so working sets occupy
+    /// real capacity even where the hot window rarely visits.
+    fn materialize(&mut self, now_ns: u64, events: &mut Vec<WorkloadEvent>) {
+        let mut done = true;
+        for (region, cursor) in self.regions.iter().zip(&mut self.materialize_cursors) {
+            let allocated = region.allocated_pages(now_ns);
+            let mut burst = 0;
+            while *cursor < allocated && burst < 16 {
+                events.push(WorkloadEvent::Access(Access {
+                    pid: self.profile.pid,
+                    vpn: Vpn(region.spec().base_vpn + *cursor),
+                    kind: AccessKind::Store,
+                    page_type: region.spec().page_type,
+                }));
+                *cursor += 1;
+                burst += 1;
+            }
+            done &= *cursor >= region.spec().pages;
         }
+        self.materialized = done;
     }
 }
 
@@ -250,48 +266,44 @@ impl Workload for SyntheticWorkload {
     }
 
     fn next_op(&mut self, now_ns: u64, rng: &mut SimRng) -> Op {
+        let capacity = match &self.profile.warmup {
+            Some(w) if self.in_warmup() => w.pages_per_op as usize,
+            _ => self.profile.accesses_per_op as usize + 4,
+        };
+        let mut events = Vec::with_capacity(capacity);
+        let cpu_ns = self.next_op_into(now_ns, rng, &mut events);
+        Op { cpu_ns, events }
+    }
+
+    fn next_op_into(
+        &mut self,
+        now_ns: u64,
+        rng: &mut SimRng,
+        events: &mut Vec<WorkloadEvent>,
+    ) -> u64 {
         if self.warmup_pos.is_some() {
-            return self.warmup_op();
+            return self.warmup_op(events);
         }
         self.op_seq += 1;
-        let mut events = Vec::with_capacity(self.profile.accesses_per_op as usize + 4);
-        // Materialise newly allocated region pages (first-touch faults):
-        // allocated memory is touched at least once, so working sets
-        // occupy real capacity even where the hot window rarely visits.
-        for (i, region) in self.regions.iter().enumerate() {
-            let allocated = region.allocated_pages(now_ns);
-            let cursor = &mut self.materialize_cursors[i];
-            let mut burst = 0;
-            while *cursor < allocated && burst < 16 {
-                events.push(WorkloadEvent::Access(Access {
-                    pid: self.profile.pid,
-                    vpn: Vpn(region.spec().base_vpn + *cursor),
-                    kind: AccessKind::Store,
-                    page_type: region.spec().page_type,
-                }));
-                *cursor += 1;
-                burst += 1;
-            }
+        if !self.materialized {
+            self.materialize(now_ns, events);
         }
+        let pid = self.profile.pid;
         // Steady-state region traffic.
         for _ in 0..self.profile.accesses_per_op {
-            let i = rng.weighted_index(&self.profile.region_weights);
-            let (vpn, kind) = self.regions[i].sample(now_ns, rng);
+            let i = rng.weighted_index_summed(&self.profile.region_weights, self.weight_total);
+            let region = &self.regions[i];
+            let (vpn, kind) = region.sample(now_ns, rng);
             events.push(WorkloadEvent::Access(Access {
-                pid: self.profile.pid,
+                pid,
                 vpn,
                 kind,
-                page_type: self.regions[i].spec().page_type,
+                page_type: region.spec().page_type,
             }));
         }
         // Short-lived churn: expire old pages, allocate fresh ones.
         if let (Some(pool), Some(spec)) = (self.pool.as_mut(), self.profile.transient) {
-            for vpn in pool.take_expired(now_ns) {
-                events.push(WorkloadEvent::Free {
-                    pid: self.profile.pid,
-                    vpn,
-                });
-            }
+            pool.drain_expired_into(now_ns, pid, events);
             self.alloc_carry += spec.allocs_per_op;
             while self.alloc_carry >= 1.0 {
                 self.alloc_carry -= 1.0;
@@ -300,7 +312,7 @@ impl Workload for SyntheticWorkload {
                 };
                 for _ in 0..spec.touches_per_page {
                     events.push(WorkloadEvent::Access(Access {
-                        pid: self.profile.pid,
+                        pid,
                         vpn,
                         kind: AccessKind::Store,
                         page_type: PageType::Anon,
@@ -310,17 +322,14 @@ impl Workload for SyntheticWorkload {
             // Occasionally re-touch a live transient page (they are hot).
             if let Some(vpn) = pool.peek_live(self.op_seq) {
                 events.push(WorkloadEvent::Access(Access {
-                    pid: self.profile.pid,
+                    pid,
                     vpn,
                     kind: AccessKind::Load,
                     page_type: PageType::Anon,
                 }));
             }
         }
-        Op {
-            cpu_ns: self.profile.cpu_ns_per_op,
-            events,
-        }
+        self.profile.cpu_ns_per_op
     }
 
     fn working_set_pages(&self) -> u64 {

@@ -9,20 +9,24 @@
 
 use std::collections::VecDeque;
 
-use tiered_mem::Vpn;
+use tiered_mem::{Pid, Vpn};
+use tiered_sim::WorkloadEvent;
 
 /// A pool of short-lived pages cycling through a dedicated VPN range.
 ///
 /// # Examples
 ///
 /// ```
+/// use tiered_mem::Pid;
+/// use tiered_sim::WorkloadEvent;
 /// use tiered_workloads::TransientPool;
 ///
 /// let mut pool = TransientPool::new(1 << 32, 1024, 1_000_000);
 /// let vpn = pool.allocate(0).expect("pool has room");
 /// assert_eq!(pool.live_count(), 1);
-/// let expired = pool.take_expired(2_000_000);
-/// assert_eq!(expired, vec![vpn]);
+/// let mut events = Vec::new();
+/// pool.drain_expired_into(2_000_000, Pid(1), &mut events);
+/// assert_eq!(events, vec![WorkloadEvent::Free { pid: Pid(1), vpn }]);
 /// assert_eq!(pool.live_count(), 0);
 /// ```
 #[derive(Clone, Debug)]
@@ -30,6 +34,7 @@ pub struct TransientPool {
     base_vpn: u64,
     range: u64,
     lifetime_ns: u64,
+    /// Offset of the next VPN to hand out, cycling through `[0, range)`.
     next: u64,
     live: VecDeque<(Vpn, u64)>,
 }
@@ -76,8 +81,11 @@ impl TransientPool {
         if self.live_count() >= self.range {
             return None;
         }
-        let vpn = Vpn(self.base_vpn + self.next % self.range);
+        let vpn = Vpn(self.base_vpn + self.next);
         self.next += 1;
+        if self.next == self.range {
+            self.next = 0;
+        }
         self.live.push_back((vpn, now_ns + self.lifetime_ns));
         Some(vpn)
     }
@@ -91,23 +99,39 @@ impl TransientPool {
         Some(self.live[i].0)
     }
 
-    /// Removes and returns every page whose lifetime expired by `now_ns`.
-    pub fn take_expired(&mut self, now_ns: u64) -> Vec<Vpn> {
-        let mut out = Vec::new();
+    /// Removes every page whose lifetime expired by `now_ns`, appending a
+    /// [`WorkloadEvent::Free`] for each (owned by `pid`) to `events`, in
+    /// expiry order.
+    pub fn drain_expired_into(&mut self, now_ns: u64, pid: Pid, events: &mut Vec<WorkloadEvent>) {
         while let Some(&(vpn, deadline)) = self.live.front() {
             if deadline > now_ns {
                 break;
             }
             self.live.pop_front();
-            out.push(vpn);
+            events.push(WorkloadEvent::Free { pid, vpn });
         }
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The pages `drain_expired_into` frees at `now_ns`.
+    fn expired(pool: &mut TransientPool, now_ns: u64) -> Vec<Vpn> {
+        let mut events = Vec::new();
+        pool.drain_expired_into(now_ns, Pid(1), &mut events);
+        events
+            .into_iter()
+            .map(|e| match e {
+                WorkloadEvent::Free { pid, vpn } => {
+                    assert_eq!(pid, Pid(1));
+                    vpn
+                }
+                WorkloadEvent::Access(a) => panic!("expiry produced an access: {a:?}"),
+            })
+            .collect()
+    }
 
     #[test]
     fn allocations_are_distinct_while_live() {
@@ -123,9 +147,9 @@ mod tests {
         let mut pool = TransientPool::new(0, 100, 1000);
         let a = pool.allocate(0).unwrap(); // expires at 1000
         let b = pool.allocate(500).unwrap(); // expires at 1500
-        assert!(pool.take_expired(999).is_empty());
-        assert_eq!(pool.take_expired(1000), vec![a]);
-        assert_eq!(pool.take_expired(10_000), vec![b]);
+        assert!(expired(&mut pool, 999).is_empty());
+        assert_eq!(expired(&mut pool, 1000), vec![a]);
+        assert_eq!(expired(&mut pool, 10_000), vec![b]);
         assert_eq!(pool.live_count(), 0);
     }
 
@@ -134,7 +158,7 @@ mod tests {
         let mut pool = TransientPool::new(50, 2, 10);
         let a = pool.allocate(0).unwrap();
         let b = pool.allocate(0).unwrap();
-        pool.take_expired(100);
+        expired(&mut pool, 100);
         let c = pool.allocate(100).unwrap();
         assert_eq!(c, a); // wrapped around
         assert_ne!(c, b);
@@ -146,8 +170,35 @@ mod tests {
         assert!(pool.allocate(0).is_some());
         assert!(pool.allocate(0).is_some());
         assert_eq!(pool.allocate(0), None);
-        pool.take_expired(100);
+        expired(&mut pool, 100);
         assert!(pool.allocate(100).is_some());
+    }
+
+    #[test]
+    fn drain_appends_after_existing_events() {
+        let mut pool = TransientPool::new(0, 8, 10);
+        let a = pool.allocate(0).unwrap();
+        let b = pool.allocate(5).unwrap();
+        let first = WorkloadEvent::Free {
+            pid: Pid(9),
+            vpn: Vpn(77),
+        };
+        let mut events = vec![first];
+        pool.drain_expired_into(20, Pid(2), &mut events);
+        assert_eq!(
+            events,
+            vec![
+                first,
+                WorkloadEvent::Free {
+                    pid: Pid(2),
+                    vpn: a
+                },
+                WorkloadEvent::Free {
+                    pid: Pid(2),
+                    vpn: b
+                },
+            ]
+        );
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Property-style tests for the workload generators, driven by seeded
 //! [`SimRng`] loops (no external proptest dependency).
 
-use tiered_mem::PageType;
-use tiered_sim::{SimRng, Workload, WorkloadEvent, SEC};
-use tiered_workloads::{RegionSpec, TransientPool, WindowedRegion, ZipfSampler};
+use tiered_mem::{PageType, Pid, Vpn};
+use tiered_sim::{AccessKind, SimRng, Workload, WorkloadEvent, SEC};
+use tiered_workloads::{RegionSpec, TransientPool, WindowedRegion, WorkloadProfile, ZipfSampler};
 
 /// Region samples never escape the region bounds, at any time, for
 /// arbitrary window geometry (including frontier and tail modes).
@@ -57,10 +57,16 @@ fn transient_pool_is_always_consistent() {
         let mut pool = TransientPool::new(0, range, lifetime);
         let mut now = 0u64;
         let mut live = std::collections::HashSet::new();
+        let mut events = Vec::new();
         for _ in 0..steps {
             now += meta.range(0..100);
             let try_alloc = meta.chance(0.5);
-            for vpn in pool.take_expired(now) {
+            events.clear();
+            pool.drain_expired_into(now, Pid(1), &mut events);
+            for e in &events {
+                let WorkloadEvent::Free { vpn, .. } = *e else {
+                    panic!("case {case}: expiry produced {e:?}");
+                };
                 assert!(live.remove(&vpn), "case {case}: expired {vpn} was not live");
             }
             if try_alloc {
@@ -136,5 +142,151 @@ fn profiles_generate_bounded_ops() {
                 }
             }
         }
+    }
+}
+
+/// 64-bit FNV-1a over little-endian words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn add(&mut self, v: u64) {
+        for b in v.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn add_event(&mut self, e: &WorkloadEvent) {
+        match *e {
+            WorkloadEvent::Access(a) => {
+                self.add(0);
+                self.add(u64::from(a.pid.0));
+                self.add(a.vpn.0);
+                self.add(matches!(a.kind, AccessKind::Store) as u64);
+                self.add(match a.page_type {
+                    PageType::Anon => 0,
+                    PageType::File => 1,
+                    PageType::Tmpfs => 2,
+                });
+            }
+            WorkloadEvent::Free { pid, vpn } => {
+                self.add(1);
+                self.add(u64::from(pid.0));
+                self.add(vpn.0);
+            }
+        }
+    }
+}
+
+/// Every profile in `profiles.rs`, by name.
+fn all_profiles(ws_pages: u64) -> Vec<WorkloadProfile> {
+    vec![
+        tiered_workloads::web(ws_pages),
+        tiered_workloads::cache1(ws_pages),
+        tiered_workloads::cache2(ws_pages),
+        tiered_workloads::data_warehouse(ws_pages),
+        tiered_workloads::kv_store(ws_pages),
+        tiered_workloads::batch_analytics(ws_pages),
+        tiered_workloads::thp_friendly(ws_pages),
+        tiered_workloads::fragmenter(ws_pages),
+        tiered_workloads::uniform(ws_pages),
+    ]
+}
+
+/// Simulated time between consecutive ops on top of each op's own CPU
+/// time, standing in for memory stalls: 20k ops then span ~60 s, which
+/// covers warm-up, Web's 12 s growth surge, two dwell steps and several
+/// transient lifetimes.
+const PINNED_STALL_NS: u64 = 3_000_000;
+
+/// FNV digest of `ops` ops of `profile` (events and `cpu_ns`) plus the
+/// RNG's next draw afterwards, generated the way the run loop generates
+/// them: `next_op_into` on one reused buffer.
+fn event_stream_digest(profile: &WorkloadProfile, ops: u32) -> u64 {
+    let mut w = profile.build();
+    let mut rng = SimRng::seed(0xD16E57);
+    let mut fnv = Fnv::new();
+    let mut now = 0u64;
+    let mut events = Vec::new();
+    for _ in 0..ops {
+        events.clear();
+        let cpu_ns = w.next_op_into(now, &mut rng, &mut events);
+        fnv.add(cpu_ns);
+        fnv.add(events.len() as u64);
+        for e in &events {
+            fnv.add_event(e);
+        }
+        now += cpu_ns + PINNED_STALL_NS;
+    }
+    fnv.add(rng.u64());
+    fnv.0
+}
+
+/// The exact event stream of every profile is pinned: a generator
+/// optimisation must not move a single event or RNG draw.
+#[test]
+fn profile_event_streams_are_pinned() {
+    const PINNED: [(&str, u64); 9] = [
+        ("web", 0x668e6763305eb419),
+        ("cache1", 0xf01a77c4c83d61f2),
+        ("cache2", 0x6aa489fc22744b5e),
+        ("data_warehouse", 0x6b36c2ee6575c64e),
+        ("kv_store", 0xf59c328abe0d904a),
+        ("batch_analytics", 0x964072cd0e3d4e86),
+        ("thp_friendly", 0xe6d91a76c6a52457),
+        ("fragmenter", 0xc88785eb049863eb),
+        ("uniform", 0x2fdd9a5c6de93f09),
+    ];
+    let actual: Vec<(String, u64)> = all_profiles(3_000)
+        .iter()
+        .map(|p| (p.name.clone(), event_stream_digest(p, 20_000)))
+        .collect();
+    let expected: Vec<(String, u64)> = PINNED.iter().map(|&(n, d)| (n.to_string(), d)).collect();
+    assert_eq!(
+        actual,
+        expected,
+        "event streams moved; actual digests:\n{}",
+        actual
+            .iter()
+            .map(|(n, d)| format!("        (\"{n}\", {d:#018x}),"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
+}
+
+/// `next_op_into` appends exactly `next_op`'s events after whatever the
+/// buffer already holds, returns the same CPU time and leaves the RNG at
+/// the same stream position.
+#[test]
+fn next_op_into_appends_what_next_op_returns() {
+    let sentinel = WorkloadEvent::Free {
+        pid: Pid(99),
+        vpn: Vpn(0xDEAD),
+    };
+    for profile in all_profiles(3_000) {
+        let mut by_op = profile.build();
+        let mut by_into = profile.build();
+        let mut rng_op = SimRng::seed(0x1A70);
+        let mut rng_into = SimRng::seed(0x1A70);
+        // Carried over from op to op: earlier ops' events must survive.
+        let mut events = vec![sentinel];
+        let mut now = 0u64;
+        for i in 0..5_000 {
+            let op = by_op.next_op(now, &mut rng_op);
+            let before = events.len();
+            let cpu_ns = by_into.next_op_into(now, &mut rng_into, &mut events);
+            assert_eq!(cpu_ns, op.cpu_ns, "{} op {i}", profile.name);
+            assert_eq!(&events[before..], &op.events[..], "{} op {i}", profile.name);
+            assert_eq!(events[0], sentinel, "{} op {i}", profile.name);
+            if events.len() > 4_096 {
+                events.truncate(1);
+            }
+            now += cpu_ns + PINNED_STALL_NS;
+        }
+        assert_eq!(rng_op.u64(), rng_into.u64(), "{}", profile.name);
     }
 }

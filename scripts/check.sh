@@ -21,8 +21,9 @@ cargo build --release -q --offline --manifest-path perfbench/Cargo.toml --target
 
 # Executor determinism gates: a reduced-scale repro target must produce
 # byte-identical tables and stdout with and without the parallel
-# executor. (The checked-in expected/ snapshots are standard-scale, so
-# each quick run is gated against itself: --jobs 1 vs --jobs 2.)
+# executor. (The checked-in expected/ CSV snapshots are standard-scale,
+# so each quick run is gated against itself: --jobs 1 vs --jobs 2; the
+# `all` run is also gated against expected/quick.sha256 below.)
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 cargo build --release -q -p tpp-bench --bin repro
@@ -44,6 +45,16 @@ determinism_gate() {
 }
 
 determinism_gate all executor
+# Byte-identity gate: the quick run's tables and stdout must match the
+# checked-in digests (reusing the --jobs 1 output above, no extra run).
+# A change that means to move output regenerates the file in the same
+# diff; see scripts/quick_digests.sh.
+scripts/quick_digests.sh "$tmp/all/j1" "$tmp/all.j1.out" >"$tmp/quick.sha256"
+diff crates/bench/expected/quick.sha256 "$tmp/quick.sha256" >&2 || {
+  echo "byte-identity gate FAILED: repro all --quick output differs from crates/bench/expected/quick.sha256" >&2
+  exit 1
+}
+echo "byte-identity gate: repro all --quick output matches crates/bench/expected/quick.sha256"
 # The multi-preset grid spans several machine shapes, so it exercises
 # scheduling paths `all --quick` with two nodes does not.
 determinism_gate topology topology
