@@ -4,7 +4,10 @@
 
 use tpp_bench::microbench::{bench, bench_with_setup};
 
-use tiered_mem::{AddressSpace, LruKind, Memory, NodeId, NodeKind, PageType, Pfn, Pid, Vpn};
+use tiered_mem::{
+    AddressSpace, LruKind, Memory, NodeId, NodeKind, PageType, Pfn, Pid, ThpMode, Vpn,
+    HUGE_PAGE_FRAMES,
+};
 
 fn machine(local: u64, cxl: u64) -> Memory {
     Memory::builder()
@@ -76,6 +79,46 @@ fn bench_migration() {
         let back = m.migrate_page(moved, NodeId(0)).unwrap();
         std::hint::black_box(back);
         i += 1;
+    });
+}
+
+fn thp_machine() -> Memory {
+    Memory::builder()
+        .node(NodeKind::LocalDram, 4 * HUGE_PAGE_FRAMES)
+        .node(NodeKind::Cxl, 4 * HUGE_PAGE_FRAMES)
+        .thp_mode(ThpMode::Always)
+        .build()
+}
+
+/// A 512-page compound moved whole to the other node and back.
+fn bench_compound_migration() {
+    let mut m = thp_machine();
+    m.create_process(Pid(1));
+    let mut head = m
+        .alloc_huge_and_map(NodeId(0), Pid(1), Vpn(0), PageType::Anon)
+        .unwrap();
+    bench("substrate/migrate_compound_round_trip", || {
+        let moved = m.migrate_huge(head, NodeId(1)).unwrap();
+        head = m.migrate_huge(moved, NodeId(0)).unwrap();
+        std::hint::black_box(head);
+    });
+}
+
+/// One compaction step: reserve a free frame, then relocate a base page
+/// into it. The page alternates between two frames of a half-full
+/// THP node.
+fn bench_compact_relocate() {
+    let mut m = thp_machine();
+    m.create_process(Pid(1));
+    for i in 0..2 * HUGE_PAGE_FRAMES {
+        m.alloc_and_map(NodeId(0), Pid(1), Vpn(i), PageType::Anon)
+            .unwrap();
+    }
+    let (mut at, mut spare) = (Pfn(100), Pfn(1500));
+    bench("substrate/compact_relocate", || {
+        assert!(m.frames_mut().reserve_page(spare));
+        m.compact_relocate(at, spare);
+        std::mem::swap(&mut at, &mut spare);
     });
 }
 
@@ -190,6 +233,8 @@ fn main() {
     bench_alloc_free();
     bench_lru_rotate();
     bench_migration();
+    bench_compound_migration();
+    bench_compact_relocate();
     bench_swap();
     bench_tail_window();
     bench_translate();

@@ -5,7 +5,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo fmt --check
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q --workspace
 # The microbench harness's own tests must finish under optimisation too
 # (a closure the optimiser folds away makes its calibration loop spin).

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Code-line counts for crates/core/src/policy and each crates/*/src.
+# Code-line counts for crates/core/src/policy, crates/mem/src/memory.rs
+# and each crates/*/src.
 #
 # A file's code lines are the lines above its first `#[cfg(test)]`,
 # excluding blank lines and comment lines (`//`, `///`, `//!`).
@@ -8,7 +9,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# count <dir>: code lines over every .rs file under <dir>
+# count <path>: code lines over every .rs file at or under <path>
 count() {
   find "$1" -name '*.rs' -print0 | sort -z | xargs -0 awk '
     FNR == 1 { in_code = 1 }
@@ -18,6 +19,6 @@ count() {
 }
 
 printf '%-28s %6s\n' "path" "code"
-for dir in crates/core/src/policy crates/*/src; do
+for dir in crates/core/src/policy crates/mem/src/memory.rs crates/*/src; do
   printf '%-28s %6s\n' "$dir" "$(count "$dir")"
 done

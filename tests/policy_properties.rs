@@ -53,7 +53,7 @@ fn workload_ws(which: u8, ws: u64) -> u64 {
 /// all memory invariants intact.
 #[test]
 fn any_cell_preserves_invariants() {
-    let mut rng = SimRng::seed(0xA11C_E11);
+    let mut rng = SimRng::seed(0x0A11_CE11);
     for case in 0..12u64 {
         let choice = pick_policy(&mut rng);
         let which = rng.range(0..5) as u8;
@@ -80,7 +80,7 @@ fn any_cell_preserves_invariants() {
 /// Bit-level determinism holds for every policy and seed.
 #[test]
 fn any_cell_is_deterministic() {
-    let mut rng = SimRng::seed(0xD37E_12);
+    let mut rng = SimRng::seed(0x00D3_7E12);
     for case in 0..6u64 {
         let choice = pick_policy(&mut rng);
         let which = rng.range(0..5) as u8;
