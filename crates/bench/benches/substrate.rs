@@ -98,8 +98,8 @@ fn bench_compound_migration() {
         .alloc_huge_and_map(NodeId(0), Pid(1), Vpn(0), PageType::Anon)
         .unwrap();
     bench("substrate/migrate_compound_round_trip", || {
-        let moved = m.migrate_huge(head, NodeId(1)).unwrap();
-        head = m.migrate_huge(moved, NodeId(0)).unwrap();
+        let moved = m.migrate_page(head, NodeId(1)).unwrap();
+        head = m.migrate_page(moved, NodeId(0)).unwrap();
         std::hint::black_box(head);
     });
 }

@@ -57,7 +57,7 @@ pub(crate) fn promote(ctx: &mut PolicyCtx<'_>, pfn: Pfn, target: NodeId) -> Opti
         from,
         to: target,
     });
-    match migrate(ctx.memory, pfn, target, compound) {
+    match ctx.memory.migrate_page(pfn, target) {
         Ok(new_pfn) => {
             let flags = ctx.memory.frames_mut().frame_mut(new_pfn).flags_mut();
             flags.remove(PageFlags::DEMOTED);
@@ -121,7 +121,7 @@ pub(crate) fn demote(ctx: &mut PolicyCtx<'_>, pfn: Pfn, target: NodeId) -> Victi
     let (from, page_type) = (frame.node(), frame.page_type());
     let page = frame.owner().expect("demotion victim is allocated");
     let compound = frame.flags().contains(PageFlags::HEAD);
-    match migrate(ctx.memory, pfn, target, compound) {
+    match ctx.memory.migrate_page(pfn, target) {
         Ok(new_pfn) => {
             let flags = ctx.memory.frames_mut().frame_mut(new_pfn).flags_mut();
             flags.insert(PageFlags::DEMOTED);
@@ -147,14 +147,6 @@ pub(crate) fn demote(ctx: &mut PolicyCtx<'_>, pfn: Pfn, target: NodeId) -> Victi
 pub(crate) fn split(ctx: &mut PolicyCtx<'_>, pfn: Pfn) -> Victim {
     ctx.memory.split_huge_page(pfn);
     Victim::Moved(ctx.latency.migrate_page_ns)
-}
-
-fn migrate(memory: &mut Memory, pfn: Pfn, to: NodeId, compound: bool) -> Result<Pfn, MigrateError> {
-    if compound {
-        memory.migrate_huge(pfn, to)
-    } else {
-        memory.migrate_page(pfn, to)
-    }
 }
 
 /// Hop-priced cost of one migration, ×[`COMPOUND_MIGRATE_FACTOR`] for a

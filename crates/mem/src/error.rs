@@ -64,9 +64,9 @@ pub enum MigrateError {
         /// The frame in question.
         pfn: Pfn,
     },
-    /// The frame belongs to a compound (huge) page; callers must migrate
-    /// the whole compound via [`crate::Memory::migrate_huge`] or split it
-    /// first.
+    /// The frame is a compound (huge) page's tail; callers must migrate
+    /// the whole compound through its head with
+    /// [`crate::Memory::migrate_page`] or split it first.
     CompoundPage {
         /// The frame in question.
         pfn: Pfn,

@@ -511,31 +511,10 @@ impl FrameTable {
         if !self.has_node(node) {
             return Err(AllocError::InvalidNode { node });
         }
-        let ni = node.index();
-        let pfn = match self.pop_front(ni, 0) {
-            Some(pfn) => pfn,
-            None => {
-                // Split on demand: take the smallest non-empty higher
-                // order. In flat mode higher orders are never populated,
-                // so this finds nothing and the node is simply full.
-                let order = (1..NR_ORDERS)
-                    .find(|&o| self.free_areas[ni][o].count > 0)
-                    .ok_or(AllocError::NoMemory { node })?;
-                let head = self.pop_front(ni, order).expect("non-empty free area");
-                self.split_to(ni, head, order, 0);
-                head
-            }
-        };
-        self.free_totals[ni] -= 1;
-        let frame = &mut self.frames[pfn.index()];
-        debug_assert!(matches!(frame.state, FrameState::Free));
-        frame.state = FrameState::Allocated { owner };
-        frame.page_type = page_type;
-        frame.flags = PageFlags::empty();
-        frame.order = 0;
-        frame.hotness = 0;
-        frame.last_access_ns = 0;
-        debug_assert!(frame.lru.is_none());
+        let pfn = self
+            .reserve_block(node, 0)
+            .ok_or(AllocError::NoMemory { node })?;
+        self.claim(pfn, owner, page_type);
         Ok(pfn)
     }
 
@@ -553,9 +532,18 @@ impl FrameTable {
     ///
     /// Panics if `node` does not exist or `order` exceeds
     /// [`MAX_PAGE_ORDER`].
+    #[inline(always)]
     pub fn reserve_block(&mut self, node: NodeId, order: u8) -> Option<Pfn> {
         let ni = node.index();
         let want = order as usize;
+        // Single pages (every fault and base-page migration) come straight
+        // off the order-0 list.
+        if order == 0 {
+            if let Some(pfn) = self.pop_front(ni, 0) {
+                self.free_totals[ni] -= 1;
+                return Some(pfn);
+            }
+        }
         let found = (want..NR_ORDERS).find(|&o| self.free_areas[ni][o].count > 0)?;
         let head = self.pop_front(ni, found).expect("non-empty free area");
         self.split_to(ni, head, found, want);
@@ -614,6 +602,7 @@ impl FrameTable {
     /// # Panics
     ///
     /// Panics if the frame is already allocated.
+    #[inline(always)]
     pub fn claim(&mut self, pfn: Pfn, owner: PageKey, page_type: PageType) {
         let frame = &mut self.frames[pfn.index()];
         assert!(

@@ -225,6 +225,7 @@ impl NodeLru {
     /// Unlinks `pfn` from whatever list it is on (page isolation).
     ///
     /// Returns the list it was on, or `None` if it was not linked.
+    #[inline]
     pub fn remove(&mut self, ft: &mut FrameTable, pfn: Pfn) -> Option<LruKind> {
         let kind = ft.frame(pfn).lru_kind()?;
         debug_assert_eq!(ft.frame(pfn).node(), self.node);

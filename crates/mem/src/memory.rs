@@ -279,16 +279,6 @@ impl Memory {
         &self.nodes[id.index()]
     }
 
-    /// Mutable access to a node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node does not exist.
-    #[inline]
-    pub fn node_mut(&mut self, id: NodeId) -> &mut MemoryNode {
-        &mut self.nodes[id.index()]
-    }
-
     /// Iterates all nodes in id order.
     pub fn nodes(&self) -> impl Iterator<Item = &MemoryNode> {
         self.nodes.iter()
@@ -362,17 +352,6 @@ impl Memory {
             "{node} is CPU-less and cannot be a home node"
         );
         self.home_nodes.insert(pid, node);
-    }
-
-    /// Aggregate free pages across a node set (per-socket watermark-style
-    /// queries on multi-node machines).
-    pub fn free_pages_in(&self, nodes: &[NodeId]) -> u64 {
-        nodes.iter().map(|&n| self.free_pages(n)).sum()
-    }
-
-    /// Aggregate capacity across a node set.
-    pub fn capacity_in(&self, nodes: &[NodeId]) -> u64 {
-        nodes.iter().map(|&n| self.capacity(n)).sum()
     }
 
     /// Successful page migrations from `from` to `to` so far (the src→dst
@@ -501,12 +480,6 @@ impl Memory {
         self.trace_now_ns = now_ns;
     }
 
-    /// Current trace timestamp.
-    #[inline]
-    pub fn trace_now(&self) -> u64 {
-        self.trace_now_ns
-    }
-
     /// Records one structured event: bumps every vmstat counter the event
     /// implies ([`TraceEvent::count_into`]) and, if a sink is attached,
     /// emits the record stamped with the current trace time.
@@ -548,11 +521,6 @@ impl Memory {
         assert!(prev.is_none(), "{pid} already exists");
     }
 
-    /// Whether `pid` is registered.
-    pub fn has_process(&self, pid: Pid) -> bool {
-        self.spaces.contains_key(pid)
-    }
-
     /// Shared access to a process' address space.
     ///
     /// # Panics
@@ -561,6 +529,18 @@ impl Memory {
     pub fn space(&self, pid: Pid) -> &AddressSpace {
         self.spaces
             .get(pid)
+            .unwrap_or_else(|| panic!("unknown {pid}"))
+    }
+
+    /// Mutable access to a process' address space.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pid is unknown.
+    #[inline]
+    fn owner_space(&mut self, pid: Pid) -> &mut AddressSpace {
+        self.spaces
+            .get_mut(pid)
             .unwrap_or_else(|| panic!("unknown {pid}"))
     }
 
@@ -584,9 +564,7 @@ impl Memory {
         for (_, loc) in space.iter() {
             match loc {
                 PageLocation::Mapped(pfn) => {
-                    let nid = self.frames.frame(pfn).node();
-                    self.nodes[nid.index()].lru.remove(&mut self.frames, pfn);
-                    self.frames.free(pfn);
+                    self.unlink_frame(pfn);
                 }
                 PageLocation::Swapped(slot) => {
                     let _ = self.swap.discard(slot);
@@ -652,12 +630,17 @@ impl Memory {
         self.nodes[node.index()]
             .lru
             .push_front(&mut self.frames, kind, pfn);
-        if self.nodes[node.index()].is_cpu_less() {
-            self.record(TraceEvent::AllocRemote { page: key, node });
-        } else {
-            self.record(TraceEvent::AllocLocal { page: key, node });
-        }
+        self.record_alloc(key, node);
         Ok(pfn)
+    }
+
+    /// Records a fresh allocation of `page` on `node`, local or remote.
+    fn record_alloc(&mut self, page: PageKey, node: NodeId) {
+        if self.nodes[node.index()].is_cpu_less() {
+            self.record(TraceEvent::AllocRemote { page, node });
+        } else {
+            self.record(TraceEvent::AllocLocal { page, node });
+        }
     }
 
     /// Unmaps `(pid, vpn)` and releases whatever backed it (frame or swap
@@ -667,30 +650,12 @@ impl Memory {
     ///
     /// Panics if the pid is unknown.
     pub fn release(&mut self, pid: Pid, vpn: Vpn) -> bool {
-        // A member of a compound page cannot be carved out individually:
-        // split the compound back to base pages first (the kernel's
-        // split-on-partial-unmap), then release the one page.
-        if let Some(PageLocation::Mapped(pfn)) = self.spaces.get(pid).and_then(|s| s.translate(vpn))
-        {
-            if self
-                .frames
-                .frame(pfn)
-                .flags()
-                .intersects(PageFlags::HEAD | PageFlags::TAIL)
-            {
-                let head = self.compound_head(pfn);
-                self.split_huge_page(head);
-            }
+        if let Some(PageLocation::Mapped(pfn)) = self.space(pid).translate(vpn) {
+            self.split_if_compound(pfn);
         }
-        let space = self
-            .spaces
-            .get_mut(pid)
-            .unwrap_or_else(|| panic!("unknown {pid}"));
-        match space.unmap(vpn) {
+        match self.owner_space(pid).unmap(vpn) {
             Some(PageLocation::Mapped(pfn)) => {
-                let nid = self.frames.frame(pfn).node();
-                self.nodes[nid.index()].lru.remove(&mut self.frames, pfn);
-                self.frames.free(pfn);
+                self.unlink_frame(pfn);
                 true
             }
             Some(PageLocation::Swapped(slot)) => {
@@ -701,85 +666,106 @@ impl Memory {
         }
     }
 
-    /// Migrates `pfn` to `dst`, preserving owner mapping, page type, flags,
-    /// hotness, and LRU position class (a page on an active list lands on
-    /// the head of `dst`'s matching active list, etc.).
+    /// Migrates the page at `pfn` to `dst`, preserving owner mapping, page
+    /// type, flags, hotness, and LRU position class (a page on an active
+    /// list lands on the head of `dst`'s matching active list, etc.).
     ///
-    /// Returns the new frame on success.
+    /// A compound head moves as one unit: a block of the head's order is
+    /// reserved on `dst` and every member is moved into it, under one
+    /// [`TraceEvent::Migrate`] (the src→dst matrix counts compounds once,
+    /// like base pages).
+    ///
+    /// Returns the new frame (the new head for a compound) on success.
     ///
     /// # Errors
     ///
     /// * [`MigrateError::NotAllocated`] — the frame is free.
+    /// * [`MigrateError::CompoundPage`] — the frame is a compound tail.
     /// * [`MigrateError::SameNode`] — `dst` already holds the page.
     /// * [`MigrateError::Unevictable`] — the page is pinned.
     /// * [`MigrateError::Busy`] — the page is isolated by another path.
-    /// * [`MigrateError::DstNoMemory`] — `dst` has no free frame; the
-    ///   source page is left untouched.
+    /// * [`MigrateError::DstNoMemory`] — `dst` has no free block of the
+    ///   page's order (callers typically split a compound and retry
+    ///   page-by-page); the source is left untouched.
     pub fn migrate_page(&mut self, pfn: Pfn, dst: NodeId) -> Result<Pfn, MigrateError> {
-        let (owner, page_type, flags, hotness, last_access, src, lru_kind) = {
-            let frame = self.frames.frame(pfn);
-            let owner = frame.owner().ok_or(MigrateError::NotAllocated { pfn })?;
-            if frame.flags().intersects(PageFlags::HEAD | PageFlags::TAIL) {
-                return Err(MigrateError::CompoundPage { pfn });
-            }
-            if frame.node() == dst {
-                return Err(MigrateError::SameNode { node: dst });
-            }
-            if frame.flags().contains(PageFlags::UNEVICTABLE) {
-                return Err(MigrateError::Unevictable { pfn });
-            }
-            if frame.flags().contains(PageFlags::ISOLATED) {
-                return Err(MigrateError::Busy { pfn });
-            }
-            (
-                owner,
-                frame.page_type(),
-                frame.flags(),
-                frame.hotness(),
-                frame.last_access_ns(),
-                frame.node(),
-                frame.lru_kind(),
-            )
+        let frame = self.frames.frame(pfn);
+        let owner = frame.owner().ok_or(MigrateError::NotAllocated { pfn })?;
+        let (src, flags, kind) = (frame.node(), frame.flags(), frame.lru_kind());
+        // Only a head moves a whole block. Deciding that on the flags
+        // keeps base pages on the allocator's order-0 fast path instead of
+        // indexing it with a loaded order.
+        let order = if flags.contains(PageFlags::HEAD) {
+            frame.order()
+        } else {
+            0
         };
-        let new_pfn = match self.frames.alloc(dst, owner, page_type) {
-            Ok(p) => p,
-            Err(AllocError::NoMemory { .. }) | Err(AllocError::InvalidNode { .. }) => {
-                self.record(TraceEvent::MigrateFail {
-                    page: owner,
-                    to: dst,
-                });
-                return Err(MigrateError::DstNoMemory { node: dst });
-            }
+        if flags.contains(PageFlags::TAIL) {
+            return Err(MigrateError::CompoundPage { pfn });
+        }
+        if src == dst {
+            return Err(MigrateError::SameNode { node: dst });
+        }
+        if flags.contains(PageFlags::UNEVICTABLE) {
+            return Err(MigrateError::Unevictable { pfn });
+        }
+        if flags.contains(PageFlags::ISOLATED) {
+            return Err(MigrateError::Busy { pfn });
+        }
+        let reserved = if self.frames.has_node(dst) {
+            self.frames.reserve_block(dst, order)
+        } else {
+            None
         };
-        // Tear down the source.
-        if lru_kind.is_some() {
-            self.nodes[src.index()].lru.remove(&mut self.frames, pfn);
+        let Some(new) = reserved else {
+            self.record(TraceEvent::MigrateFail {
+                page: owner,
+                to: dst,
+            });
+            return Err(MigrateError::DstNoMemory { node: dst });
+        };
+        for i in 0..1u32 << order {
+            self.move_frame(Pfn(pfn.0 + i), Pfn(new.0 + i), !PageFlags::ACTIVE);
         }
-        self.frames.free(pfn);
-        // Dress up the destination.
-        {
-            let frame = self.frames.frame_mut(new_pfn);
-            *frame.flags_mut() = flags;
-            frame.flags_mut().remove(PageFlags::ACTIVE); // resynced by LRU link
-            frame.set_hotness(hotness);
-            frame.set_last_access_ns(last_access);
-        }
-        if let Some(kind) = lru_kind {
+        self.frames.frame_mut(new).order = order;
+        if let Some(kind) = kind {
             self.nodes[dst.index()]
                 .lru
-                .push_front(&mut self.frames, kind, new_pfn);
+                .push_front(&mut self.frames, kind, new);
         }
-        let space = self
-            .spaces
-            .get_mut(owner.pid)
-            .unwrap_or_else(|| panic!("owner {} vanished", owner.pid));
-        space.map(owner.vpn, new_pfn);
         self.record(TraceEvent::Migrate {
             page: owner,
             from: src,
             to: dst,
         });
-        Ok(new_pfn)
+        Ok(new)
+    }
+
+    /// Moves the page in `src` into the reserved frame `dst`: unlinks and
+    /// frees `src`, claims `dst` for the same owner and type, carries
+    /// `flags & keep`, hotness and last access over, and remaps the PTE.
+    /// Returns the LRU list `src` was on; relinking `dst` is the caller's.
+    #[inline(always)]
+    fn move_frame(&mut self, src: Pfn, dst: Pfn, keep: PageFlags) -> Option<LruKind> {
+        let f = self.frames.frame(src);
+        let (page_type, flags, kind) = (f.page_type(), f.flags(), f.lru_kind());
+        let (hotness, last_access) = (f.hotness(), f.last_access_ns());
+        let (owner, _) = self.unlink_frame(src);
+        self.frames.claim(dst, owner, page_type);
+        let f = self.frames.frame_mut(dst);
+        *f.flags_mut() = flags & keep;
+        f.set_hotness(hotness);
+        f.set_last_access_ns(last_access);
+        self.owner_space(owner.pid).map(owner.vpn, dst);
+        kind
+    }
+
+    /// Unlinks `pfn` from its LRU list (if on one) and frees it, returning
+    /// its former owner and node. Rewriting the PTE is the caller's.
+    #[inline(always)]
+    fn unlink_frame(&mut self, pfn: Pfn) -> (PageKey, NodeId) {
+        let node = self.frames.frame(pfn).node();
+        self.nodes[node.index()].lru.remove(&mut self.frames, pfn);
+        (self.frames.free(pfn), node)
     }
 
     // ----- compound (huge) pages -------------------------------------------
@@ -791,6 +777,37 @@ impl Memory {
         let start = self.frames.pfn_range(self.frames.frame(pfn).node()).start;
         let rel = pfn.0 - start;
         Pfn(start + (rel & !(HUGE_PAGE_FRAMES as u32 - 1)))
+    }
+
+    /// Splits the compound page containing `pfn`, if any, so that one
+    /// base page can be handled alone (the kernel's split-on-partial-unmap).
+    fn split_if_compound(&mut self, pfn: Pfn) {
+        if self
+            .frames
+            .frame(pfn)
+            .flags()
+            .intersects(PageFlags::HEAD | PageFlags::TAIL)
+        {
+            let head = self.compound_head(pfn);
+            self.split_huge_page(head);
+        }
+    }
+
+    /// Marks the claimed block at `head` as one compound page: `HEAD` and
+    /// the order on the head frame, `TAIL` on the rest.
+    fn make_compound(&mut self, head: Pfn) {
+        for i in 0..HUGE_PAGE_FRAMES as u32 {
+            let flag = if i == 0 {
+                PageFlags::HEAD
+            } else {
+                PageFlags::TAIL
+            };
+            self.frames
+                .frame_mut(Pfn(head.0 + i))
+                .flags_mut()
+                .insert(flag);
+        }
+        self.frames.frame_mut(head).order = MAX_PAGE_ORDER;
     }
 
     /// Allocates one 2 MiB compound page (an order-[`MAX_PAGE_ORDER`]
@@ -830,35 +847,24 @@ impl Memory {
         if !self.frames.has_node(node) {
             return Err(AllocError::InvalidNode { node });
         }
-        {
-            let space = self
-                .spaces
-                .get(pid)
-                .unwrap_or_else(|| panic!("unknown {pid}"));
-            for i in 0..HUGE_PAGE_FRAMES {
-                let vpn = Vpn(base_vpn.0 + i);
-                assert!(
-                    space.translate(vpn).is_none(),
-                    "{pid}:{vpn} is already backed"
-                );
-            }
+        let space = self.space(pid);
+        for i in 0..HUGE_PAGE_FRAMES {
+            let vpn = Vpn(base_vpn.0 + i);
+            assert!(
+                space.translate(vpn).is_none(),
+                "{pid}:{vpn} is already backed"
+            );
         }
         let head = self
             .frames
             .reserve_block(node, MAX_PAGE_ORDER)
             .ok_or(AllocError::NoMemory { node })?;
         for i in 0..HUGE_PAGE_FRAMES {
-            let pfn = Pfn(head.0 + i as u32);
-            self.frames
-                .claim(pfn, PageKey::new(pid, Vpn(base_vpn.0 + i)), page_type);
-            self.frames.frame_mut(pfn).flags_mut().insert(if i == 0 {
-                PageFlags::HEAD
-            } else {
-                PageFlags::TAIL
-            });
+            let key = PageKey::new(pid, Vpn(base_vpn.0 + i));
+            self.frames.claim(Pfn(head.0 + i as u32), key, page_type);
         }
-        self.frames.frame_mut(head).order = MAX_PAGE_ORDER;
-        let space = self.spaces.get_mut(pid).expect("space vanished");
+        self.make_compound(head);
+        let space = self.owner_space(pid);
         for i in 0..HUGE_PAGE_FRAMES {
             space.map(Vpn(base_vpn.0 + i), Pfn(head.0 + i as u32));
         }
@@ -866,12 +872,7 @@ impl Memory {
             .lru
             .push_front(&mut self.frames, LruKind::AnonActive, head);
         self.vmstat.count(VmEvent::ThpFaultAlloc);
-        let key = PageKey::new(pid, base_vpn);
-        if self.nodes[node.index()].is_cpu_less() {
-            self.record(TraceEvent::AllocRemote { page: key, node });
-        } else {
-            self.record(TraceEvent::AllocLocal { page: key, node });
-        }
+        self.record_alloc(PageKey::new(pid, base_vpn), node);
         Ok(head)
     }
 
@@ -998,41 +999,14 @@ impl Memory {
             .ok_or(AllocError::NoMemory { node })?;
         for i in 0..HUGE_PAGE_FRAMES {
             let vpn = Vpn(base_vpn.0 + i);
-            let old = match self.spaces.get(pid).and_then(|s| s.translate(vpn)) {
+            let old = match self.space(pid).translate(vpn) {
                 Some(PageLocation::Mapped(pfn)) => pfn,
                 other => panic!("{pid}:{vpn} not resident during collapse (found {other:?})"),
             };
-            let (hotness, last, keep, page_type, old_node) = {
-                let f = self.frames.frame(old);
-                (
-                    f.hotness(),
-                    f.last_access_ns(),
-                    f.flags() & (PageFlags::REFERENCED | PageFlags::DIRTY),
-                    f.page_type(),
-                    f.node(),
-                )
-            };
-            self.nodes[old_node.index()]
-                .lru
-                .remove(&mut self.frames, old);
-            self.frames.free(old);
             let new = Pfn(new_head.0 + i as u32);
-            self.frames.claim(new, PageKey::new(pid, vpn), page_type);
-            let f = self.frames.frame_mut(new);
-            *f.flags_mut() = keep;
-            f.flags_mut().insert(if i == 0 {
-                PageFlags::HEAD
-            } else {
-                PageFlags::TAIL
-            });
-            f.set_hotness(hotness);
-            f.set_last_access_ns(last);
-            self.spaces
-                .get_mut(pid)
-                .expect("space vanished")
-                .map(vpn, new);
+            self.move_frame(old, new, PageFlags::REFERENCED | PageFlags::DIRTY);
         }
-        self.frames.frame_mut(new_head).order = MAX_PAGE_ORDER;
+        self.make_compound(new_head);
         self.nodes[node.index()]
             .lru
             .push_front(&mut self.frames, LruKind::AnonActive, new_head);
@@ -1040,100 +1014,6 @@ impl Memory {
             page: PageKey::new(pid, base_vpn),
             node,
             pages: HUGE_PAGE_FRAMES,
-        });
-        Ok(new_head)
-    }
-
-    /// Migrates the whole compound page headed by `head` to `dst` as one
-    /// unit — promotion and demotion of THPs move 512 pages under a
-    /// single decision. Exactly one [`TraceEvent::Migrate`] is recorded
-    /// (the src→dst matrix counts compounds once, like base pages).
-    ///
-    /// # Errors
-    ///
-    /// * [`MigrateError::NotAllocated`] — the head frame is free.
-    /// * [`MigrateError::SameNode`] — `dst` already holds the compound.
-    /// * [`MigrateError::Busy`] — the head is isolated by another path.
-    /// * [`MigrateError::DstNoMemory`] — `dst` has no free aligned block
-    ///   (callers typically split and retry page-by-page); the source is
-    ///   left untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `head` is allocated but not a compound head.
-    pub fn migrate_huge(&mut self, head: Pfn, dst: NodeId) -> Result<Pfn, MigrateError> {
-        let (owner, src, order, kind) = {
-            let frame = self.frames.frame(head);
-            let owner = frame
-                .owner()
-                .ok_or(MigrateError::NotAllocated { pfn: head })?;
-            assert!(
-                frame.flags().contains(PageFlags::HEAD),
-                "{head} is not a compound head"
-            );
-            if frame.node() == dst {
-                return Err(MigrateError::SameNode { node: dst });
-            }
-            if frame.flags().contains(PageFlags::ISOLATED) {
-                return Err(MigrateError::Busy { pfn: head });
-            }
-            (
-                owner,
-                frame.node(),
-                frame.order(),
-                frame.lru_kind().expect("compound head must be LRU-linked"),
-            )
-        };
-        let new_head = match self
-            .frames
-            .has_node(dst)
-            .then(|| self.frames.reserve_block(dst, order))
-            .flatten()
-        {
-            Some(p) => p,
-            None => {
-                self.record(TraceEvent::MigrateFail {
-                    page: owner,
-                    to: dst,
-                });
-                return Err(MigrateError::DstNoMemory { node: dst });
-            }
-        };
-        let pages = 1u64 << order;
-        self.nodes[src.index()].lru.remove(&mut self.frames, head);
-        for i in 0..pages {
-            let old = Pfn(head.0 + i as u32);
-            let (o_owner, flags, hotness, last, page_type) = {
-                let f = self.frames.frame(old);
-                (
-                    f.owner().expect("compound member must be allocated"),
-                    f.flags(),
-                    f.hotness(),
-                    f.last_access_ns(),
-                    f.page_type(),
-                )
-            };
-            self.frames.free(old);
-            let new = Pfn(new_head.0 + i as u32);
-            self.frames.claim(new, o_owner, page_type);
-            let f = self.frames.frame_mut(new);
-            *f.flags_mut() = flags;
-            f.flags_mut().remove(PageFlags::ACTIVE); // resynced by LRU link
-            f.set_hotness(hotness);
-            f.set_last_access_ns(last);
-            self.spaces
-                .get_mut(o_owner.pid)
-                .unwrap_or_else(|| panic!("owner {} vanished", o_owner.pid))
-                .map(o_owner.vpn, new);
-        }
-        self.frames.frame_mut(new_head).order = order;
-        self.nodes[dst.index()]
-            .lru
-            .push_front(&mut self.frames, kind, new_head);
-        self.record(TraceEvent::Migrate {
-            page: owner,
-            from: src,
-            to: dst,
         });
         Ok(new_head)
     }
@@ -1149,42 +1029,22 @@ impl Memory {
     /// Panics if `src` is free or off-LRU, `dst` is on a different node,
     /// or `src` is pinned/compound (not movable).
     pub fn compact_relocate(&mut self, src: Pfn, dst: Pfn) {
-        let (owner, node, flags, hotness, last, page_type, kind) = {
-            let f = self.frames.frame(src);
-            let owner = f.owner().unwrap_or_else(|| panic!("compacting free {src}"));
-            (
-                owner,
-                f.node(),
-                f.flags(),
-                f.hotness(),
-                f.last_access_ns(),
-                f.page_type(),
-                f.lru_kind().expect("compaction moves LRU-resident pages"),
-            )
-        };
+        let f = self.frames.frame(src);
+        let node = f.node();
         assert_eq!(
             self.frames.frame(dst).node(),
             node,
             "compaction is intra-node"
         );
         assert!(
-            !flags.intersects(
+            !f.flags().intersects(
                 PageFlags::HEAD | PageFlags::TAIL | PageFlags::ISOLATED | PageFlags::UNEVICTABLE
             ),
             "{src} is not movable"
         );
-        self.nodes[node.index()].lru.remove(&mut self.frames, src);
-        self.frames.free(src);
-        self.frames.claim(dst, owner, page_type);
-        let f = self.frames.frame_mut(dst);
-        *f.flags_mut() = flags;
-        f.flags_mut().remove(PageFlags::ACTIVE);
-        f.set_hotness(hotness);
-        f.set_last_access_ns(last);
-        self.spaces
-            .get_mut(owner.pid)
-            .unwrap_or_else(|| panic!("owner {} vanished", owner.pid))
-            .map(owner.vpn, dst);
+        let kind = self
+            .move_frame(src, dst, !PageFlags::ACTIVE)
+            .expect("compaction moves LRU-resident pages");
         self.nodes[node.index()]
             .lru
             .push_back(&mut self.frames, kind, dst);
@@ -1203,33 +1063,16 @@ impl Memory {
     pub fn swap_out(&mut self, pfn: Pfn) -> Result<SwapSlot, SwapError> {
         // Compound pages are not swapped as a unit; split first, then the
         // caller's chosen member pages out alone.
-        if self
-            .frames
-            .frame(pfn)
-            .flags()
-            .intersects(PageFlags::HEAD | PageFlags::TAIL)
-        {
-            let head = self.compound_head(pfn);
-            self.split_huge_page(head);
-        }
+        self.split_if_compound(pfn);
         let owner = self
             .frames
             .frame(pfn)
             .owner()
             .unwrap_or_else(|| panic!("swap_out of free {pfn}"));
         let slot = self.swap.swap_out(owner)?;
-        let nid = self.frames.frame(pfn).node();
-        self.nodes[nid.index()].lru.remove(&mut self.frames, pfn);
-        self.frames.free(pfn);
-        let space = self
-            .spaces
-            .get_mut(owner.pid)
-            .unwrap_or_else(|| panic!("owner {} vanished", owner.pid));
-        space.set_swapped(owner.vpn, slot);
-        self.record(TraceEvent::SwapOut {
-            page: owner,
-            node: nid,
-        });
+        let (_, node) = self.unlink_frame(pfn);
+        self.owner_space(owner.pid).set_swapped(owner.vpn, slot);
+        self.record(TraceEvent::SwapOut { page: owner, node });
         Ok(slot)
     }
 
@@ -1260,10 +1103,7 @@ impl Memory {
         self.swap
             .swap_in(slot)
             .expect("swap slot vanished while mapped");
-        self.spaces
-            .get_mut(pid)
-            .expect("space vanished")
-            .map(vpn, pfn);
+        self.owner_space(pid).map(vpn, pfn);
         let kind = LruKind::for_page(page_type, false);
         self.nodes[node.index()]
             .lru
@@ -1282,33 +1122,21 @@ impl Memory {
     ///
     /// Panics if the frame is free or not file-backed.
     pub fn drop_file_page(&mut self, pfn: Pfn) {
-        let frame = self.frames.frame(pfn);
-        let owner = frame
-            .owner()
-            .unwrap_or_else(|| panic!("drop of free {pfn}"));
         assert!(
-            frame.page_type().is_file_backed(),
+            self.frames.frame(pfn).page_type().is_file_backed(),
             "{pfn} is anon; anon pages must be swapped, not dropped"
         );
-        let nid = frame.node();
-        self.nodes[nid.index()].lru.remove(&mut self.frames, pfn);
-        self.frames.free(pfn);
-        self.spaces
-            .get_mut(owner.pid)
-            .unwrap_or_else(|| panic!("owner {} vanished", owner.pid))
-            .unmap(owner.vpn);
-        self.eviction_clocks[nid.index()] += 1;
+        let (owner, node) = self.unlink_frame(pfn);
+        self.owner_space(owner.pid).unmap(owner.vpn);
+        self.eviction_clocks[node.index()] += 1;
         self.shadows.insert(
             owner,
             Shadow {
-                node: nid,
-                eviction_clock: self.eviction_clocks[nid.index()],
+                node,
+                eviction_clock: self.eviction_clocks[node.index()],
             },
         );
-        self.record(TraceEvent::FileDrop {
-            page: owner,
-            node: nid,
-        });
+        self.record(TraceEvent::FileDrop { page: owner, node });
     }
 
     // ----- LRU convenience (counted) ---------------------------------------
@@ -1350,22 +1178,6 @@ impl Memory {
     pub fn node_usage(&self, node: NodeId) -> (u64, u64) {
         let lru = &self.nodes[node.index()].lru;
         (lru.anon_total(), lru.file_total())
-    }
-
-    /// Per-process residency: how many of `pid`'s pages live on each node
-    /// (indexed by node), for co-location reports.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pid is unknown.
-    pub fn usage_by_pid(&self, pid: Pid) -> Vec<u64> {
-        let mut out = vec![0u64; self.node_count()];
-        for (_, loc) in self.space(pid).iter() {
-            if let PageLocation::Mapped(pfn) = loc {
-                out[self.frames.frame(pfn).node().index()] += 1;
-            }
-        }
-        out
     }
 
     /// Exhaustive cross-structure invariant check, used by tests and
@@ -1589,7 +1401,6 @@ mod tests {
         m.destroy_process(Pid(2));
         m.validate();
         assert_eq!(m.pids(), [Pid(0), Pid(u32::MAX)]);
-        assert!(!m.has_process(Pid(2)));
         m.destroy_process(Pid(u32::MAX));
         m.validate();
         m.destroy_process(Pid(0));
@@ -1603,18 +1414,6 @@ mod tests {
     fn cpu_less_home_node_rejected() {
         let mut m = two_node();
         m.set_home_node(Pid(1), NodeId(1));
-    }
-
-    #[test]
-    fn node_set_aggregates_sum_over_members() {
-        let m = Memory::builder()
-            .node(NodeKind::LocalDram, 16)
-            .node(NodeKind::Cxl, 32)
-            .node(NodeKind::Cxl, 64)
-            .build();
-        assert_eq!(m.capacity_in(&m.cxl_nodes()), 96);
-        assert_eq!(m.capacity_in(&m.local_nodes()), 16);
-        assert_eq!(m.free_pages_in(&m.cxl_nodes()), 96);
     }
 
     #[test]
@@ -1783,7 +1582,7 @@ mod tests {
         assert_eq!(m.free_pages(NodeId(0)), 64);
         assert_eq!(m.free_pages(NodeId(1)), 128);
         assert_eq!(m.swap().used_slots(), 0);
-        assert!(!m.has_process(Pid(1)));
+        assert!(m.pids().is_empty());
     }
 
     #[test]
@@ -1851,21 +1650,6 @@ mod tests {
         );
         assert_eq!(m.vmstat().get(VmEvent::WorkingsetActivate), 0);
         assert!(m.vmstat().get(VmEvent::WorkingsetRefault) >= 1);
-    }
-
-    #[test]
-    fn usage_by_pid_counts_per_node() {
-        let mut m = two_node();
-        m.create_process(Pid(1));
-        m.create_process(Pid(2));
-        m.alloc_and_map(NodeId(0), Pid(1), Vpn(0), PageType::Anon)
-            .unwrap();
-        m.alloc_and_map(NodeId(1), Pid(1), Vpn(1), PageType::Anon)
-            .unwrap();
-        m.alloc_and_map(NodeId(1), Pid(2), Vpn(0), PageType::File)
-            .unwrap();
-        assert_eq!(m.usage_by_pid(Pid(1)), vec![1, 1]);
-        assert_eq!(m.usage_by_pid(Pid(2)), vec![0, 1]);
     }
 
     #[test]
@@ -1964,7 +1748,7 @@ mod tests {
     }
 
     #[test]
-    fn compound_members_reject_base_page_migration() {
+    fn compound_head_migrates_whole_and_tail_is_rejected() {
         let mut m = thp_two_node();
         m.create_process(Pid(1));
         let head = m
@@ -1972,24 +1756,58 @@ mod tests {
             .unwrap();
         let tail = Pfn(head.0 + 9);
         assert_eq!(
-            m.migrate_page(head, NodeId(1)),
-            Err(MigrateError::CompoundPage { pfn: head })
-        );
-        assert_eq!(
             m.migrate_page(tail, NodeId(1)),
             Err(MigrateError::CompoundPage { pfn: tail })
         );
+        let new_head = m.migrate_page(head, NodeId(1)).unwrap();
+        assert!(m.frames().frame(new_head).flags().contains(PageFlags::HEAD));
+        let new_tail = Pfn(new_head.0 + 9);
+        assert!(m.frames().frame(new_tail).flags().contains(PageFlags::TAIL));
+        assert_eq!(
+            m.migrate_page(new_tail, NodeId(0)),
+            Err(MigrateError::CompoundPage { pfn: new_tail })
+        );
+        m.validate();
     }
 
     #[test]
-    fn migrate_huge_moves_the_compound_as_one_unit() {
+    fn compound_head_same_node_busy_and_unevictable_rejected() {
+        let mut m = thp_two_node();
+        m.create_process(Pid(1));
+        let head = m
+            .alloc_huge_and_map(NodeId(0), Pid(1), Vpn(0), PageType::Anon)
+            .unwrap();
+        assert_eq!(
+            m.migrate_page(head, NodeId(0)),
+            Err(MigrateError::SameNode { node: NodeId(0) })
+        );
+        for (flag, err) in [
+            (PageFlags::ISOLATED, MigrateError::Busy { pfn: head }),
+            (
+                PageFlags::UNEVICTABLE,
+                MigrateError::Unevictable { pfn: head },
+            ),
+        ] {
+            m.frames_mut().frame_mut(head).flags_mut().insert(flag);
+            assert_eq!(m.migrate_page(head, NodeId(1)), Err(err));
+            m.frames_mut().frame_mut(head).flags_mut().remove(flag);
+        }
+        // Rejections leave the compound in place and count no migration.
+        assert_eq!(m.free_pages(NodeId(1)), 2048);
+        assert_eq!(m.vmstat().get(VmEvent::PgMigrateSuccess), 0);
+        assert_eq!(m.vmstat().get(VmEvent::PgMigrateFail), 0);
+        m.validate();
+    }
+
+    #[test]
+    fn migrate_page_moves_a_compound_as_one_unit() {
         let mut m = thp_two_node();
         m.create_process(Pid(1));
         let head = m
             .alloc_huge_and_map(NodeId(0), Pid(1), Vpn(0), PageType::Anon)
             .unwrap();
         m.frames_mut().frame_mut(head).set_hotness(5);
-        let new_head = m.migrate_huge(head, NodeId(1)).unwrap();
+        let new_head = m.migrate_page(head, NodeId(1)).unwrap();
         assert_eq!(m.frames().frame(new_head).node(), NodeId(1));
         assert!(m.frames().frame(new_head).flags().contains(PageFlags::HEAD));
         assert_eq!(m.frames().frame(new_head).order(), MAX_PAGE_ORDER);
@@ -2012,7 +1830,7 @@ mod tests {
     }
 
     #[test]
-    fn migrate_huge_fails_cleanly_without_an_aligned_block() {
+    fn compound_migration_fails_cleanly_without_an_aligned_block() {
         let mut m = Memory::builder()
             .node(NodeKind::LocalDram, 1024)
             // 511 pages: free memory exists but no aligned order-9 block
@@ -2024,7 +1842,7 @@ mod tests {
         let head = m
             .alloc_huge_and_map(NodeId(0), Pid(1), Vpn(0), PageType::Anon)
             .unwrap();
-        let err = m.migrate_huge(head, NodeId(1)).unwrap_err();
+        let err = m.migrate_page(head, NodeId(1)).unwrap_err();
         assert_eq!(err, MigrateError::DstNoMemory { node: NodeId(1) });
         assert_eq!(m.vmstat().get(VmEvent::PgMigrateFail), 1);
         // Source untouched.

@@ -271,6 +271,7 @@ impl AddressSpace {
     /// Installs a resident mapping, replacing any previous entry.
     ///
     /// Returns the previous location, if any.
+    #[inline]
     pub fn map(&mut self, vpn: Vpn, pfn: Pfn) -> Option<PageLocation> {
         let loc = PageLocation::Mapped(pfn);
         let prev = self.map.insert(vpn.0, loc);

@@ -10,8 +10,8 @@
 use std::collections::BTreeSet;
 
 use tiered_mem::{
-    AddressSpace, LruKind, Memory, MigrateError, NodeId, NodeKind, PageFlags, PageLocation,
-    PageType, Pfn, Pid, SwapSlot, ThpMode, Vpn, HUGE_PAGE_FRAMES,
+    AddressSpace, LruKind, Memory, NodeId, NodeKind, PageFlags, PageLocation, PageType, Pfn, Pid,
+    SwapSlot, ThpMode, Vpn, HUGE_PAGE_FRAMES,
 };
 
 /// Minimal deterministic generator for test sequences (SplitMix64).
@@ -396,15 +396,6 @@ fn state_digest(m: &Memory, h: &mut Fnv) {
     h.word(m.swap().used_slots());
 }
 
-/// Migrates a compound head whole and anything else as a base page.
-fn fuzz_migrate(m: &mut Memory, pfn: Pfn, dst: NodeId) -> Result<Pfn, MigrateError> {
-    if m.frames().frame(pfn).flags().contains(PageFlags::HEAD) {
-        m.migrate_huge(pfn, dst)
-    } else {
-        m.migrate_page(pfn, dst)
-    }
-}
-
 /// One random operation against the compound-page API; the outcome
 /// (success value or error) is folded into `h`. Only calls that respect
 /// each entry point's documented preconditions are issued.
@@ -468,7 +459,7 @@ fn fuzz_step(m: &mut Memory, rng: &mut TestRng, step: u64, h: &mut Fnv) {
                 pfn
             };
             let dst = if rng.below(8) == 0 { NodeId(2) } else { node };
-            h.text(&format!("{:?}", fuzz_migrate(m, pfn, dst)));
+            h.text(&format!("{:?}", m.migrate_page(pfn, dst)));
         }
         (16..=18, Some(src)) => {
             let f = m.frames().frame(src);
