@@ -31,7 +31,7 @@ pub struct Comparison {
 }
 
 /// The spec for the all-local baseline every comparison is relative to.
-fn baseline_spec(profile: &WorkloadProfile, scale: &Scale) -> CellSpec {
+pub(crate) fn baseline_spec(profile: &WorkloadProfile, scale: &Scale) -> CellSpec {
     let ws = profile.working_set_pages();
     CellSpec::new(
         profile.clone(),

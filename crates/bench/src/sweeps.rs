@@ -18,23 +18,12 @@
 //! results in spec order, so the tables are identical at any job count.
 
 use tiered_mem::{Memory, NodeKind};
-use tiered_workloads::WorkloadProfile;
 use tpp::experiment::{CellSpec, ExperimentResult, PolicyChoice};
 use tpp::{configs, System};
 
+use crate::evalfig::baseline_spec;
 use crate::executor::{parallel_map, run_cells};
 use crate::scale::{pct, print_table, Scale};
-
-fn baseline_spec(profile: &WorkloadProfile, scale: &Scale) -> CellSpec {
-    let ws = profile.working_set_pages();
-    CellSpec::new(
-        profile.clone(),
-        move || configs::all_local(ws),
-        PolicyChoice::Linux,
-        scale.duration_ns,
-        scale.seed,
-    )
-}
 
 /// Runs `specs` on the executor and unwraps every cell (sweep grids only
 /// contain supported machine/policy pairs).

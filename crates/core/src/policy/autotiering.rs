@@ -20,45 +20,21 @@ use tiered_sim::{Periodic, SEC};
 use super::engine::{
     demote, demotion_target, hinted_cxl_page, promote, reclaim_pass, split, Daemons, Victim,
 };
-use super::linux_default::{fault_with_fallback, LinuxDefaultConfig};
+use super::linux_default::fault_with_fallback;
 use super::reclaim::DaemonBudget;
-use super::sampler::{SampleScope, SamplerConfig};
+use super::sampler::SampleScope;
 use super::{preferred_local_node, FaultOutcome, PlacementPolicy, PolicyCtx, UnsupportedConfig};
 
-/// Configuration for [`AutoTiering`].
-#[derive(Clone, Copy, Debug)]
-pub struct AutoTieringConfig {
-    /// Base daemon knobs.
-    pub linux: LinuxDefaultConfig,
-    /// Hint-PTE scanner (CXL-only, the "optimised" NUMA balancing).
-    pub sampler: SamplerConfig,
-    /// Demotion daemon budget (migration-based, so demoter-class).
-    pub demote_budget: DaemonBudget,
-    /// Minimum hotness counter for a page to be promotion-worthy.
-    pub hotness_threshold: u8,
-    /// Period of the hotness-decay timer.
-    pub decay_period_ns: u64,
-    /// Reserved promotion buffer, as a fraction of local-node capacity.
-    pub promo_buffer_frac: f64,
-}
-
-impl Default for AutoTieringConfig {
-    fn default() -> AutoTieringConfig {
-        AutoTieringConfig {
-            linux: LinuxDefaultConfig::default(),
-            sampler: SamplerConfig::scaled(SampleScope::CxlOnly),
-            demote_budget: DaemonBudget::demoter(),
-            hotness_threshold: 2,
-            decay_period_ns: 2 * SEC,
-            promo_buffer_frac: 0.02,
-        }
-    }
-}
+/// Minimum hotness counter for a page to be promotion-worthy.
+const HOTNESS_THRESHOLD: u8 = 2;
+/// Period of the hotness-decay timer.
+const DECAY_PERIOD_NS: u64 = 2 * SEC;
+/// Reserved promotion buffer, as a fraction of local-node capacity.
+const PROMO_BUFFER_FRAC: f64 = 0.02;
 
 /// AutoTiering page placement.
 #[derive(Clone, Debug)]
 pub struct AutoTiering {
-    config: AutoTieringConfig,
     decay_timer: Periodic,
     /// Remaining promotion-buffer tokens; refilled by demotions.
     buffer_tokens: u64,
@@ -68,21 +44,15 @@ pub struct AutoTiering {
 }
 
 impl AutoTiering {
-    /// Creates the policy with default knobs.
+    /// Creates the policy. Its hint sampler is CXL-only (the "optimised"
+    /// NUMA balancing).
     pub fn new() -> AutoTiering {
-        AutoTiering::with_config(AutoTieringConfig::default())
-    }
-
-    /// Creates the policy with explicit knobs.
-    pub fn with_config(config: AutoTieringConfig) -> AutoTiering {
-        let linux = config.linux;
         AutoTiering {
-            config,
-            decay_timer: Periodic::new(config.decay_period_ns),
+            decay_timer: Periodic::new(DECAY_PERIOD_NS),
             buffer_tokens: 0,
             buffer_capacity: 0,
             initialised: false,
-            daemons: Daemons::new(linux.kswapd_budget, linux.huge, Some(config.sampler)),
+            daemons: Daemons::new(Some(SampleScope::CxlOnly)),
         }
     }
 
@@ -94,8 +64,7 @@ impl AutoTiering {
     fn ensure_buffer(&mut self, memory: &Memory) {
         if !self.initialised {
             let local = preferred_local_node(memory);
-            self.buffer_capacity =
-                (memory.capacity(local) as f64 * self.config.promo_buffer_frac) as u64;
+            self.buffer_capacity = (memory.capacity(local) as f64 * PROMO_BUFFER_FRAC) as u64;
             self.buffer_tokens = self.buffer_capacity;
             self.initialised = true;
         }
@@ -115,7 +84,7 @@ impl AutoTiering {
             return;
         };
         let before = ctx.memory.vmstat().demoted_total();
-        reclaim_pass(ctx, node, wm.high, self.config.demote_budget, |ctx, pfn| {
+        reclaim_pass(ctx, node, wm.high, DaemonBudget::demoter(), |ctx, pfn| {
             let frame = ctx.memory.frames().frame(pfn);
             // Timer-based criterion: only cold-by-counter pages move.
             if frame.hotness() > 1 {
@@ -185,7 +154,7 @@ impl PlacementPolicy for AutoTiering {
         };
         // Frequency criterion: only pages hot by counter are candidates.
         // Previously a silent return — the trace makes the skip visible.
-        if ctx.memory.frames().frame(pfn).hotness() < self.config.hotness_threshold {
+        if ctx.memory.frames().frame(pfn).hotness() < HOTNESS_THRESHOLD {
             if ctx.memory.trace_enabled() {
                 ctx.memory.record(TraceEvent::PromoteSkip {
                     page,
@@ -248,10 +217,6 @@ impl PlacementPolicy for AutoTiering {
         // CXL nodes reclaim the default way if ever pressured.
         let cxl = ctx.memory.cxl_nodes();
         self.daemons.run(ctx, cxl);
-    }
-
-    fn tick_period_ns(&self) -> u64 {
-        self.config.linux.tick_period_ns
     }
 }
 

@@ -17,13 +17,16 @@
 
 use tiered_mem::telemetry::PromoteFailReason;
 use tiered_mem::{Memory, MigrateError, NodeId, NodeList, PageFlags, PageKey, Pfn, TraceEvent};
-use tiered_sim::Periodic;
+use tiered_sim::{Periodic, MS};
 
 use super::huge::{run_huge_daemons, HugeConfig, HugeState, COMPOUND_MIGRATE_FACTOR};
 use super::linux_default::{evict_page, kswapd_pass};
-use super::reclaim::{select_victims_into, DaemonBudget, ReclaimScratch, VictimClass};
-use super::sampler::{HintSampler, SamplerConfig};
+use super::reclaim::{select_victims_into, DaemonBudget, ReclaimScratch};
+use super::sampler::{HintSampler, SampleScope, SamplerConfig};
 use super::PolicyCtx;
+
+/// The daemon wakeup period every policy ticks at (50 ms).
+pub(crate) const TICK_PERIOD_NS: u64 = 50 * MS;
 
 /// The owner of the hinted page at `pfn` when it sits on a CPU-less node.
 /// A hint fault on a CPU-attached node is pure sampling overhead: it is
@@ -183,7 +186,6 @@ pub(crate) fn reclaim_pass(
             node,
             want,
             budget.scan_pages as usize,
-            VictimClass::AnonAndFile,
             &mut scratch,
         );
         let mut progressed = false;
@@ -224,14 +226,7 @@ pub(crate) fn direct_reclaim(
     let mut cost = 0;
     let mut scratch = ReclaimScratch::from_pool(memory);
     loop {
-        select_victims_into(
-            memory,
-            node,
-            want,
-            scan,
-            VictimClass::AnonAndFile,
-            &mut scratch,
-        );
+        select_victims_into(memory, node, want, scan, &mut scratch);
         let mut freed = false;
         for &pfn in &scratch.victims {
             if let Some(c) = evict(memory, pfn) {
@@ -249,29 +244,29 @@ pub(crate) fn direct_reclaim(
 }
 
 /// One policy's daemon schedule: per-node kswapd with its wake/sleep
-/// hysteresis, the huge-page daemons (inert under `ThpMode::Never`), and
-/// the hint sampler with its timer where the policy samples.
+/// hysteresis and [`DaemonBudget::kswapd`], the huge-page daemons with
+/// [`HugeConfig::default`] (inert under `ThpMode::Never`), and the hint
+/// sampler with [`SamplerConfig::scaled`] and its timer where the policy
+/// samples.
 #[derive(Clone, Debug)]
 pub(crate) struct Daemons {
-    kswapd_budget: DaemonBudget,
     kswapd_active: Vec<bool>,
-    huge: HugeConfig,
     huge_state: HugeState,
     sampler: Option<(HintSampler, Periodic)>,
 }
 
 impl Daemons {
-    pub(crate) fn new(
-        kswapd_budget: DaemonBudget,
-        huge: HugeConfig,
-        sampler: Option<SamplerConfig>,
-    ) -> Daemons {
+    /// The schedule of a policy that samples hint PTEs in `sampler`'s
+    /// scope, or not at all.
+    pub(crate) fn new(sampler: Option<SampleScope>) -> Daemons {
+        let sampler = sampler.map(|scope| {
+            let config = SamplerConfig::scaled(scope);
+            (HintSampler::new(config), Periodic::new(config.period_ns))
+        });
         Daemons {
-            kswapd_budget,
             kswapd_active: Vec::new(),
-            huge,
             huge_state: HugeState::default(),
-            sampler: sampler.map(|c| (HintSampler::new(c), Periodic::new(c.period_ns))),
+            sampler,
         }
     }
 
@@ -279,7 +274,13 @@ impl Daemons {
     pub(crate) fn kswapd(&mut self, ctx: &mut PolicyCtx<'_>, node: NodeId) {
         self.kswapd_active.resize(ctx.memory.node_count(), false);
         let active = &mut self.kswapd_active[node.index()];
-        kswapd_pass(ctx.memory, ctx.latency, node, self.kswapd_budget, active);
+        kswapd_pass(
+            ctx.memory,
+            ctx.latency,
+            node,
+            DaemonBudget::kswapd(),
+            active,
+        );
     }
 
     /// The shared end of every tick: kswapd on `nodes`, then the huge-page
@@ -288,7 +289,7 @@ impl Daemons {
         for node in nodes {
             self.kswapd(ctx, node);
         }
-        run_huge_daemons(ctx, &self.huge, &mut self.huge_state);
+        run_huge_daemons(ctx, &HugeConfig::default(), &mut self.huge_state);
         if let Some((sampler, timer)) = &mut self.sampler {
             if timer.fire(ctx.now_ns) > 0 {
                 sampler.scan(ctx.memory);

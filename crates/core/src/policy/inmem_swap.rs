@@ -13,62 +13,36 @@
 //! that touch pages at varied frequencies.
 
 use tiered_mem::{Memory, NodeList, PageKey, PageLocation, PageType, Pfn, Pid, TraceEvent, Vpn};
-use tiered_sim::MS;
 
 use super::engine::{all_nodes, direct_reclaim, reclaim_pass, Daemons, Victim};
-use super::huge::HugeConfig;
 use super::linux_default::{materialise_cost_ns, try_place};
 use super::reclaim::DaemonBudget;
 use super::{FaultOutcome, PlacementPolicy, PolicyCtx};
 
-/// Configuration for [`InMemorySwap`].
-#[derive(Clone, Copy, Debug)]
-pub struct InMemorySwapConfig {
-    /// Cost of compressing/copying one page out to the in-memory pool.
-    pub swap_out_ns: u64,
-    /// Cost of bringing one page back (fault handling + copy).
-    pub swap_in_ns: u64,
-    /// Reclaim daemon budget (generous: in-memory swap is cheap).
-    pub budget: DaemonBudget,
-    /// Daemon wakeup period.
-    pub tick_period_ns: u64,
-}
-
-impl Default for InMemorySwapConfig {
-    fn default() -> InMemorySwapConfig {
-        InMemorySwapConfig {
-            swap_out_ns: 4_000,
-            swap_in_ns: 6_000,
-            budget: DaemonBudget {
-                scan_pages: 512,
-                time_ns: 5_000_000,
-            },
-            tick_period_ns: 50 * MS,
-        }
-    }
-}
+/// Cost of compressing/copying one page out to the in-memory pool.
+const SWAP_OUT_NS: u64 = 4_000;
+/// Cost of bringing one page back (fault handling + copy).
+const SWAP_IN_NS: u64 = 6_000;
+/// Pool reclaim daemon budget (generous: in-memory swap is cheap).
+const POOL_BUDGET: DaemonBudget = DaemonBudget {
+    scan_pages: 512,
+    time_ns: 5_000_000,
+};
 
 /// zswap-style placement: reclaim to a fast in-memory pool, fault pages
 /// back on access, no migration and no NUMA awareness.
 #[derive(Clone, Debug)]
 pub struct InMemorySwap {
-    config: InMemorySwapConfig,
     /// No kswapd (the pool reclaimer replaces it); the huge-page daemons
     /// run with default knobs.
     daemons: Daemons,
 }
 
 impl InMemorySwap {
-    /// Creates the policy with default knobs.
+    /// Creates the policy.
     pub fn new() -> InMemorySwap {
-        InMemorySwap::with_config(InMemorySwapConfig::default())
-    }
-
-    /// Creates the policy with explicit knobs.
-    pub fn with_config(config: InMemorySwapConfig) -> InMemorySwap {
         InMemorySwap {
-            config,
-            daemons: Daemons::new(DaemonBudget::kswapd(), HugeConfig::default(), None),
+            daemons: Daemons::new(None),
         }
     }
 }
@@ -111,7 +85,7 @@ impl PlacementPolicy for InMemorySwap {
         // Swap-ins come back fast (in-memory pool), everything else costs
         // what it normally costs.
         let base_cost = if was_swapped {
-            ctx.latency.hint_fault_ns + self.config.swap_in_ns
+            ctx.latency.hint_fault_ns + SWAP_IN_NS
         } else {
             materialise_cost_ns(ctx.latency, page_type, false)
         };
@@ -137,7 +111,7 @@ impl PlacementPolicy for InMemorySwap {
         });
         let cost = base_cost
             + direct_reclaim(ctx.memory, prefer, 32, 512, |memory, pfn| {
-                swap_to_pool(memory, pfn).then_some(self.config.swap_out_ns)
+                swap_to_pool(memory, pfn).then_some(SWAP_OUT_NS)
             });
         for node in ctx.memory.fallback_order(prefer) {
             if let Some(pfn) = try_place(ctx.memory, node, pid, vpn, page_type, was_swapped) {
@@ -157,19 +131,15 @@ impl PlacementPolicy for InMemorySwap {
                 daemon: "pool_reclaim",
                 node: Some(node),
             });
-            reclaim_pass(ctx, node, wm.high, self.config.budget, |ctx, pfn| {
+            reclaim_pass(ctx, node, wm.high, POOL_BUDGET, |ctx, pfn| {
                 if swap_to_pool(ctx.memory, pfn) {
-                    Victim::Moved(self.config.swap_out_ns)
+                    Victim::Moved(SWAP_OUT_NS)
                 } else {
                     Victim::Exhausted
                 }
             });
         }
         self.daemons.run(ctx, NodeList::new());
-    }
-
-    fn tick_period_ns(&self) -> u64 {
-        self.config.tick_period_ns
     }
 }
 
@@ -243,7 +213,7 @@ mod tests {
         let back = p.handle_fault(&mut ctx, Pid(1), Vpn(7), PageType::Anon);
         // Much cheaper than a disk swap-in, costlier than a plain touch.
         assert!(back.cost_ns < lat.swap_in_total_ns() / 2);
-        assert!(back.cost_ns >= p.config.swap_in_ns);
+        assert!(back.cost_ns >= SWAP_IN_NS);
         m.validate();
     }
 

@@ -8,53 +8,23 @@ use tiered_mem::{
     Memory, NodeId, PageFlags, PageKey, PageLocation, PageType, Pfn, Pid, ThpMode, TraceEvent, Vpn,
     HUGE_PAGE_FRAMES,
 };
-use tiered_sim::{LatencyModel, MS};
+use tiered_sim::LatencyModel;
 
 use super::engine::{all_nodes, direct_reclaim, Daemons};
-use super::huge::HugeConfig;
-use super::reclaim::{select_victims_into, DaemonBudget, ReclaimScratch, VictimClass};
+use super::reclaim::{select_victims_into, DaemonBudget, ReclaimScratch};
 use super::{FaultOutcome, PlacementPolicy, PolicyCtx};
-
-/// Configuration for [`LinuxDefault`].
-#[derive(Clone, Copy, Debug)]
-pub struct LinuxDefaultConfig {
-    /// kswapd's per-wakeup budget.
-    pub kswapd_budget: DaemonBudget,
-    /// Daemon wakeup period.
-    pub tick_period_ns: u64,
-    /// Huge-page daemon knobs (khugepaged/kcompactd); inert unless the
-    /// machine runs with a [`ThpMode`] other than `Never`.
-    pub huge: HugeConfig,
-}
-
-impl Default for LinuxDefaultConfig {
-    fn default() -> LinuxDefaultConfig {
-        LinuxDefaultConfig {
-            kswapd_budget: DaemonBudget::kswapd(),
-            tick_period_ns: 50 * MS,
-            huge: HugeConfig::default(),
-        }
-    }
-}
 
 /// Default Linux page placement.
 #[derive(Clone, Debug)]
 pub struct LinuxDefault {
-    config: LinuxDefaultConfig,
     daemons: Daemons,
 }
 
 impl LinuxDefault {
-    /// Creates the policy with default knobs.
+    /// Creates the policy.
     pub fn new() -> LinuxDefault {
-        LinuxDefault::with_config(LinuxDefaultConfig::default())
-    }
-
-    /// Creates the policy with explicit knobs.
-    pub fn with_config(config: LinuxDefaultConfig) -> LinuxDefault {
         LinuxDefault {
-            config,
-            daemons: Daemons::new(config.kswapd_budget, config.huge, None),
+            daemons: Daemons::new(None),
         }
     }
 }
@@ -85,10 +55,6 @@ impl PlacementPolicy for LinuxDefault {
         // kswapd: one pass per node whose reclaimer is (or becomes) awake.
         let nodes = all_nodes(ctx.memory);
         self.daemons.run(ctx, nodes);
-    }
-
-    fn tick_period_ns(&self) -> u64 {
-        self.config.tick_period_ns
     }
 }
 
@@ -327,14 +293,7 @@ pub(crate) fn kswapd_pass(
     let mut reclaimed = 0u64;
     let want = (boost_target.saturating_sub(free)).min(32) as usize;
     let mut scratch = ReclaimScratch::from_pool(memory);
-    select_victims_into(
-        memory,
-        node,
-        want,
-        budget.scan_pages as usize,
-        VictimClass::AnonAndFile,
-        &mut scratch,
-    );
+    select_victims_into(memory, node, want, budget.scan_pages as usize, &mut scratch);
     for i in 0..scratch.victims.len() {
         let pfn = scratch.victims[i];
         match evict_page(memory, latency, pfn) {

@@ -34,16 +34,16 @@ mod reclaim;
 mod sampler;
 mod tpp_policy;
 
-pub use autotiering::{AutoTiering, AutoTieringConfig};
+pub use autotiering::AutoTiering;
 pub use huge::{
     kcompactd_pass, khugepaged_pass, run_huge_daemons, HugeConfig, HugeState,
     COMPOUND_MIGRATE_FACTOR,
 };
-pub use inmem_swap::{InMemorySwap, InMemorySwapConfig};
-pub use linux_default::{LinuxDefault, LinuxDefaultConfig};
-pub use numa_balancing::{NumaBalancing, NumaBalancingConfig};
+pub use inmem_swap::InMemorySwap;
+pub use linux_default::LinuxDefault;
+pub use numa_balancing::NumaBalancing;
 pub use reclaim::{
-    age_active_list, select_victims, select_victims_into, DaemonBudget, ReclaimScratch, VictimClass,
+    age_active_list, select_victims, select_victims_into, DaemonBudget, ReclaimScratch,
 };
 pub use sampler::{HintSampler, SampleScope, SamplerConfig};
 pub use tpp_policy::{Tpp, TppConfig};
@@ -151,8 +151,11 @@ pub trait PlacementPolicy {
     /// Runs background work (kswapd/kdemoted wakeup, hint-PTE sampling).
     fn tick(&mut self, ctx: &mut PolicyCtx<'_>);
 
-    /// How often [`PlacementPolicy::tick`] should run.
-    fn tick_period_ns(&self) -> u64;
+    /// How often [`PlacementPolicy::tick`] should run: every policy here
+    /// wakes its daemons every 50 ms (`engine::TICK_PERIOD_NS`).
+    fn tick_period_ns(&self) -> u64 {
+        engine::TICK_PERIOD_NS
+    }
 }
 
 /// The local node a task's allocations prefer: the first CPU-attached

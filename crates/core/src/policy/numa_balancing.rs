@@ -10,50 +10,22 @@ use tiered_mem::telemetry::PromoteFailReason;
 use tiered_mem::{PageType, Pid, TraceEvent, Vpn};
 
 use super::engine::{all_nodes, hinted_cxl_page, promote, Daemons};
-use super::linux_default::{fault_with_fallback, LinuxDefaultConfig};
-use super::sampler::{SampleScope, SamplerConfig};
+use super::linux_default::fault_with_fallback;
+use super::sampler::SampleScope;
 use super::{FaultOutcome, PlacementPolicy, PolicyCtx};
-
-/// Configuration for [`NumaBalancing`].
-#[derive(Clone, Copy, Debug)]
-pub struct NumaBalancingConfig {
-    /// The underlying default-kernel knobs (reclaim stays unchanged).
-    pub linux: LinuxDefaultConfig,
-    /// Hint-PTE scanner settings (scope is forced to all nodes).
-    pub sampler: SamplerConfig,
-}
-
-impl Default for NumaBalancingConfig {
-    fn default() -> NumaBalancingConfig {
-        NumaBalancingConfig {
-            linux: LinuxDefaultConfig::default(),
-            sampler: SamplerConfig::scaled(SampleScope::AllNodes),
-        }
-    }
-}
 
 /// NUMA balancing page placement.
 #[derive(Clone, Debug)]
 pub struct NumaBalancing {
-    config: NumaBalancingConfig,
     daemons: Daemons,
 }
 
 impl NumaBalancing {
-    /// Creates the policy with default knobs.
+    /// Creates the policy. Default NUMA balancing has no notion of tiers:
+    /// it samples all nodes.
     pub fn new() -> NumaBalancing {
-        NumaBalancing::with_config(NumaBalancingConfig::default())
-    }
-
-    /// Creates the policy with explicit knobs.
-    pub fn with_config(mut config: NumaBalancingConfig) -> NumaBalancing {
-        // Default NUMA balancing has no notion of tiers: it samples all
-        // nodes no matter what the caller asked for.
-        config.sampler.scope = SampleScope::AllNodes;
-        let linux = config.linux;
         NumaBalancing {
-            config,
-            daemons: Daemons::new(linux.kswapd_budget, linux.huge, Some(config.sampler)),
+            daemons: Daemons::new(Some(SampleScope::AllNodes)),
         }
     }
 }
@@ -113,10 +85,6 @@ impl PlacementPolicy for NumaBalancing {
     fn tick(&mut self, ctx: &mut PolicyCtx<'_>) {
         let nodes = all_nodes(ctx.memory);
         self.daemons.run(ctx, nodes);
-    }
-
-    fn tick_period_ns(&self) -> u64 {
-        self.config.linux.tick_period_ns
     }
 }
 

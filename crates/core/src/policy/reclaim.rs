@@ -40,16 +40,6 @@ impl DaemonBudget {
     }
 }
 
-/// Which LRU classes a reclaim scan may take victims from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum VictimClass {
-    /// Only file-backed pages (the reclaim fast path).
-    FileOnly,
-    /// File pages first, then anonymous pages (full reclaim; TPP always
-    /// scans both since demotion keeps pages in memory, §5.1).
-    AnonAndFile,
-}
-
 /// Reusable buffers for [`select_victims_into`].
 ///
 /// Background daemons scan every tick; holding the victim and rotation
@@ -78,7 +68,8 @@ impl ReclaimScratch {
 }
 
 /// Scans up to `scan_budget` pages from `node`'s inactive tails and
-/// returns up to `want` reclaim victims, coldest first.
+/// returns up to `want` reclaim victims, coldest first (file pages
+/// before anon pages).
 ///
 /// Allocating convenience wrapper around [`select_victims_into`]; per-tick
 /// callers should hold a [`ReclaimScratch`] and use the `_into` form.
@@ -87,16 +78,16 @@ pub fn select_victims(
     node: NodeId,
     want: usize,
     scan_budget: usize,
-    class: VictimClass,
 ) -> Vec<Pfn> {
     let mut scratch = ReclaimScratch::default();
-    select_victims_into(memory, node, want, scan_budget, class, &mut scratch);
+    select_victims_into(memory, node, want, scan_budget, &mut scratch);
     scratch.victims
 }
 
 /// Scans up to `scan_budget` pages from `node`'s inactive tails and
 /// leaves up to `want` reclaim victims in `scratch.victims`, coldest
-/// first.
+/// first. The file inactive list is scanned before the anon one; every
+/// policy scans both (TPP's demotion keeps pages in memory, §5.1).
 ///
 /// Second-chance semantics mirror `shrink_inactive_list`:
 /// * `REFERENCED` pages get their bit cleared and rotate away from the
@@ -112,7 +103,6 @@ pub fn select_victims_into(
     node: NodeId,
     want: usize,
     scan_budget: usize,
-    class: VictimClass,
     scratch: &mut ReclaimScratch,
 ) {
     let ReclaimScratch {
@@ -121,11 +111,7 @@ pub fn select_victims_into(
     } = scratch;
     victims.clear();
     let mut scanned = 0usize;
-    let kinds: &[LruKind] = match class {
-        VictimClass::FileOnly => &[LruKind::FileInactive],
-        VictimClass::AnonAndFile => &[LruKind::FileInactive, LruKind::AnonInactive],
-    };
-    for &kind in kinds {
+    for kind in [LruKind::FileInactive, LruKind::AnonInactive] {
         // Age the matching active list first if inactive has run dry, so
         // reclaim always has something to look at (inactive/active
         // rebalancing, `inactive_is_low` analogue).
@@ -258,7 +244,7 @@ mod tests {
     #[test]
     fn coldest_file_pages_selected_first() {
         let (mut m, files, _) = setup(8, 0);
-        let victims = select_victims(&mut m, NodeId(0), 3, 64, VictimClass::FileOnly);
+        let victims = select_victims(&mut m, NodeId(0), 3, 64);
         // Files were pushed to the front in order, so the coldest (tail)
         // is the first allocated.
         assert_eq!(victims, files[..3].to_vec());
@@ -279,7 +265,7 @@ mod tests {
                 .flags_mut()
                 .insert(PageFlags::REFERENCED);
         }
-        let victims = select_victims(&mut m, NodeId(0), 2, 64, VictimClass::FileOnly);
+        let victims = select_victims(&mut m, NodeId(0), 2, 64);
         assert_eq!(victims, vec![files[2], files[3]]);
         // Referenced bits were consumed.
         for &pfn in &files[..2] {
@@ -303,7 +289,7 @@ mod tests {
             .frame_mut(anons[0])
             .flags_mut()
             .insert(PageFlags::REFERENCED);
-        let victims = select_victims(&mut m, NodeId(0), 1, 64, VictimClass::AnonAndFile);
+        let victims = select_victims(&mut m, NodeId(0), 1, 64);
         assert_eq!(victims, vec![anons[1]]);
         assert_eq!(
             m.frames().frame(anons[0]).lru_kind(),
@@ -319,7 +305,7 @@ mod tests {
             .frame_mut(files[0])
             .flags_mut()
             .insert(PageFlags::UNEVICTABLE);
-        let victims = select_victims(&mut m, NodeId(0), 3, 64, VictimClass::FileOnly);
+        let victims = select_victims(&mut m, NodeId(0), 3, 64);
         assert_eq!(victims, vec![files[1], files[2]]);
         m.validate();
     }
@@ -336,7 +322,7 @@ mod tests {
                 .insert(PageFlags::REFERENCED);
         }
         let before = m.vmstat().get(VmEvent::PgScan);
-        let victims = select_victims(&mut m, NodeId(0), 8, 4, VictimClass::FileOnly);
+        let victims = select_victims(&mut m, NodeId(0), 8, 4);
         assert!(victims.is_empty());
         assert_eq!(m.vmstat().get(VmEvent::PgScan) - before, 4);
         m.validate();
@@ -345,21 +331,11 @@ mod tests {
     #[test]
     fn file_victims_preferred_over_anon() {
         let (mut m, files, anons) = setup(2, 4);
-        let victims = select_victims(&mut m, NodeId(0), 3, 64, VictimClass::AnonAndFile);
+        let victims = select_victims(&mut m, NodeId(0), 3, 64);
         assert_eq!(victims.len(), 3);
         assert_eq!(&victims[..2], &files[..2]);
         assert_eq!(victims[2], anons[0]);
         m.validate();
-    }
-
-    #[test]
-    fn file_only_never_touches_anon() {
-        let (mut m, _, anons) = setup(0, 4);
-        let victims = select_victims(&mut m, NodeId(0), 4, 64, VictimClass::FileOnly);
-        assert!(victims.is_empty());
-        for &pfn in &anons {
-            assert!(m.frames().frame(pfn).lru_kind().is_some());
-        }
     }
 
     #[test]
@@ -374,7 +350,7 @@ mod tests {
         assert_eq!(m.node(NodeId(0)).lru.len(LruKind::AnonInactive), 0);
         // select_victims internally rebalances, so victims appear even
         // though everything started active.
-        let victims = select_victims(&mut m, NodeId(0), 2, 64, VictimClass::AnonAndFile);
+        let victims = select_victims(&mut m, NodeId(0), 2, 64);
         assert_eq!(victims.len(), 2);
         assert!(m.node(NodeId(0)).lru.len(LruKind::AnonInactive) > 0);
         m.validate();

@@ -23,31 +23,25 @@
 //!    are preferentially allocated on the CXL node from the start, while
 //!    anon pages keep local preference.
 //!
-//! The `decouple` and `active_lru_filter` switches exist to reproduce the
-//! paper's component ablations (Figures 17 and 18).
+//! [`TppConfig`] holds the three switches the paper's evaluation varies:
+//! `decouple` (mechanism 2, the Figure 17 ablation), `active_lru_filter`
+//! (mechanism 3, the Figure 18 ablation) and `cache_to_cxl` (mechanism
+//! 4, Table 1). Everything else runs at fixed values: the demotion daemon
+//! with [`DaemonBudget::demoter`], and kswapd on CXL nodes, the huge-page
+//! daemons and the hint sampler with the schedule every policy shares.
 
 use tiered_mem::telemetry::{PromoteFailReason, PromoteSkipReason};
 use tiered_mem::{NodeId, PageFlags, PageType, Pfn, Pid, TraceEvent, Vpn, HUGE_PAGE_FRAMES};
-use tiered_sim::MS;
 
 use super::engine::{demote, demotion_target, hinted_cxl_page, promote, reclaim_pass, Daemons};
-use super::huge::HugeConfig;
 use super::linux_default::{fault_with_fallback, materialise_cost_ns, try_place};
 use super::reclaim::DaemonBudget;
-use super::sampler::{SampleScope, SamplerConfig};
+use super::sampler::SampleScope;
 use super::{FaultOutcome, PlacementPolicy, PolicyCtx};
 
-/// Configuration for [`Tpp`].
+/// The three switches of [`Tpp`] the paper's evaluation varies.
 #[derive(Clone, Copy, Debug)]
 pub struct TppConfig {
-    /// Budget of the demotion daemon (migration-class).
-    pub demote_budget: DaemonBudget,
-    /// Budget of the default reclaimer used on CXL nodes.
-    pub kswapd_budget: DaemonBudget,
-    /// Daemon wakeup period.
-    pub tick_period_ns: u64,
-    /// Hint-PTE scanner (CXL-only).
-    pub sampler: SamplerConfig,
     /// Decoupled allocation/demotion watermarks (§5.2). Disable to
     /// reproduce the Figure 17 ablation.
     pub decouple: bool,
@@ -56,22 +50,14 @@ pub struct TppConfig {
     pub active_lru_filter: bool,
     /// Page-type-aware allocation (§5.4): prefer caches on CXL.
     pub cache_to_cxl: bool,
-    /// Huge-page daemon knobs (khugepaged/kcompactd); inert unless the
-    /// machine runs with a `ThpMode` other than `Never`.
-    pub huge: HugeConfig,
 }
 
 impl Default for TppConfig {
     fn default() -> TppConfig {
         TppConfig {
-            demote_budget: DaemonBudget::demoter(),
-            kswapd_budget: DaemonBudget::kswapd(),
-            tick_period_ns: 50 * MS,
-            sampler: SamplerConfig::scaled(SampleScope::CxlOnly),
             decouple: true,
             active_lru_filter: true,
             cache_to_cxl: false,
-            huge: HugeConfig::default(),
         }
     }
 }
@@ -89,20 +75,14 @@ impl Tpp {
         Tpp::with_config(TppConfig::default())
     }
 
-    /// Creates TPP with explicit knobs (ablations, page-type-aware
-    /// allocation).
-    pub fn with_config(mut config: TppConfig) -> Tpp {
-        // NUMA_BALANCING_TIERED: sampling is CXL-only by construction.
-        config.sampler.scope = SampleScope::CxlOnly;
+    /// Creates TPP with explicit switches (ablations, page-type-aware
+    /// allocation). Hint sampling is CXL-only by construction
+    /// (`NUMA_BALANCING_TIERED`).
+    pub fn with_config(config: TppConfig) -> Tpp {
         Tpp {
             config,
-            daemons: Daemons::new(config.kswapd_budget, config.huge, Some(config.sampler)),
+            daemons: Daemons::new(Some(SampleScope::CxlOnly)),
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &TppConfig {
-        &self.config
     }
 
     /// The demotion daemon: one pass over `node`.
@@ -153,7 +133,7 @@ impl Tpp {
             ctx,
             node,
             target_free,
-            self.config.demote_budget,
+            DaemonBudget::demoter(),
             |ctx, pfn| demote(ctx, pfn, target),
         );
     }
@@ -264,10 +244,6 @@ impl PlacementPolicy for Tpp {
         let cxl = ctx.memory.cxl_nodes();
         self.daemons.run(ctx, cxl);
     }
-
-    fn tick_period_ns(&self) -> u64 {
-        self.config.tick_period_ns
-    }
 }
 
 #[cfg(test)]
@@ -275,7 +251,7 @@ mod tests {
     use super::*;
     use tiered_mem::VmEvent;
     use tiered_mem::{LruKind, Memory, NodeKind};
-    use tiered_sim::{LatencyModel, SimRng};
+    use tiered_sim::{LatencyModel, SimRng, MS};
 
     fn setup(local: u64, cxl: u64) -> (Memory, LatencyModel, SimRng) {
         let mut m = Memory::builder()

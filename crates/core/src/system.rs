@@ -142,11 +142,6 @@ impl System {
         })
     }
 
-    /// Overrides the operation-cost model.
-    pub fn set_latency_model(&mut self, latency: LatencyModel) {
-        self.latency = latency;
-    }
-
     /// Attaches a telemetry sink to the machine: every counted memory
     /// event is also emitted as a timestamped trace record. Disabled by
     /// default (`NullSink`), in which case runs are bit-identical to
@@ -192,11 +187,6 @@ impl System {
     /// Panics if `i` is out of range.
     pub fn lane_name(&self, i: usize) -> &str {
         self.lanes[i].workload.name()
-    }
-
-    /// The policy's name.
-    pub fn policy_name(&self) -> &str {
-        self.policy.name()
     }
 
     /// Current simulated time: the furthest-behind lane's clock (every

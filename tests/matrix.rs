@@ -120,6 +120,18 @@ fn run_cell(choice: &PolicyChoice, name: &str, mode: ThpMode, lanes: usize) -> b
         0,
         "{cell}: busy promotion"
     );
+    // Sampler wiring: linux and inmem_swap install no hint PTEs; TPP and
+    // AutoTiering sample CXL nodes only, so no hint fault lands locally.
+    let unsampled = match choice {
+        PolicyChoice::Linux | PolicyChoice::InMemorySwap => Some(VmEvent::NumaHintFaults),
+        PolicyChoice::Tpp | PolicyChoice::TppCustom(_) | PolicyChoice::AutoTiering => {
+            Some(VmEvent::NumaHintFaultsLocal)
+        }
+        PolicyChoice::NumaBalancing => None,
+    };
+    if let Some(event) = unsampled {
+        assert_eq!(vm.get(event), 0, "{cell}: {} is not zero", event.name());
+    }
     for (&total, &event) in replayed.iter().zip(TRACED_COUNTERS) {
         assert_eq!(
             vm.get(event),

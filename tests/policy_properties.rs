@@ -23,7 +23,6 @@ fn pick_policy(rng: &mut SimRng) -> PolicyChoice {
             decouple: rng.chance(0.5),
             active_lru_filter: rng.chance(0.5),
             cache_to_cxl: rng.chance(0.5),
-            ..TppConfig::default()
         }),
     }
 }
