@@ -317,7 +317,7 @@ fn main() {
                 if let Some(path) = &args.trace {
                     eprintln!(
                         "trace: {} events written to {}",
-                        outcome.jsonl_lines,
+                        outcome.records.len(),
                         path.display()
                     );
                 }

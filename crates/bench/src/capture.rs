@@ -2,16 +2,16 @@
 //! event stream is recorded, checked for counter parity, diagnosed for
 //! ping-pong churn, and exported in machine-readable form.
 //!
-//! The figure targets themselves always run with tracing disabled
-//! (`NullSink`), so their numbers are bit-identical whether or not a
-//! capture is requested; the capture is a separate, dedicated run.
+//! The figure targets themselves always run untraced, so their numbers
+//! are bit-identical whether or not a capture is requested; the capture
+//! is a separate, dedicated run.
 
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 use chameleon::TraceSection;
-use tiered_mem::telemetry::{
-    replay_counters, RingSink, TeeSink, TraceRecord, WriterSink, TRACED_COUNTERS,
-};
+use tiered_mem::telemetry::{replay_counters, write_jsonl, TraceRecord, TRACED_COUNTERS};
 use tiered_mem::VmStat;
 use tiered_sim::SEC;
 use tpp::configs;
@@ -22,12 +22,10 @@ use crate::scale::{print_table, Scale};
 
 /// Everything the capture run produced.
 pub struct CaptureOutcome {
-    /// The full event stream (from the in-process ring).
+    /// The full event stream, one JSONL line each in the `--trace` file.
     pub records: Vec<TraceRecord>,
     /// Final vmstat counters of the captured run.
     pub vmstat: VmStat,
-    /// JSONL lines written to the `--trace` file (0 when not requested).
-    pub jsonl_lines: u64,
     /// Counters where the replayed trace disagrees with vmstat (must be
     /// empty: `Memory::record` bumps both from one call).
     pub parity_mismatches: Vec<String>,
@@ -36,8 +34,8 @@ pub struct CaptureOutcome {
 }
 
 /// Runs the dedicated capture workload (cache1 on the 1:4 machine under
-/// TPP), streaming events to `trace_path` (JSONL, when given) and an
-/// in-process ring, then prints the parity table, the decision summary,
+/// TPP) with tracing on, writes its records to `trace_path` (JSONL, when
+/// given), then prints the parity table, the decision summary,
 /// the ping-pong report and the Chameleon trace section. Exports the
 /// run's metrics into `metrics_dir` when given.
 ///
@@ -51,10 +49,8 @@ pub fn capture_run(
 ) -> std::io::Result<CaptureOutcome> {
     let profile = tiered_workloads::cache1(scale.ws_pages);
     let ws = profile.working_set_pages();
-    // The capture cell is the same descriptor the figures would use; the
-    // ring/tee sinks are `Rc`-based (not `Send`), so the system is built
-    // from the spec here and instrumented inline instead of going through
-    // the parallel executor.
+    // The capture cell is the same descriptor the figures would use,
+    // built here so tracing can be enabled before it runs.
     let spec = CellSpec::new(
         profile.clone(),
         move || configs::one_to_four(ws),
@@ -63,20 +59,21 @@ pub fn capture_run(
         scale.seed,
     );
     let mut system = spec.build_system().expect("tpp supports the 1:4 machine");
+    // Open the trace file first so a bad path fails before the run.
+    let trace_file = trace_path.map(File::create).transpose()?;
 
-    let ring = RingSink::unbounded();
-    let mut tee = TeeSink::new().with(Box::new(ring.clone()));
-    if let Some(path) = trace_path {
-        tee = tee.with(Box::new(WriterSink::to_file(path)?));
-    }
-    system.set_event_sink(Box::new(tee));
+    system.enable_trace();
     // The capture run is a diagnosis run, not a figure run: a bounded
-    // duration keeps the unbounded ring small while still exercising
+    // duration keeps the in-memory trace small while still exercising
     // every event class (faults, promotion, demotion, reclaim).
     system.run(scale.duration_ns.min(30 * SEC));
-    system.flush_trace();
+    let records = system.take_trace();
+    if let Some(file) = trace_file {
+        let mut out = BufWriter::new(file);
+        write_jsonl(&records, &mut out)?;
+        out.flush()?;
+    }
 
-    let records = ring.snapshot();
     let vmstat = system.memory().vmstat().clone();
     let replayed = replay_counters(&records);
     let mut parity_mismatches = Vec::new();
@@ -154,18 +151,9 @@ pub fn capture_run(
         eprintln!("metrics exported to {}", dir.display());
     }
 
-    // One JSONL line per record: the writer and the ring are fed from the
-    // same tee, so the file holds exactly the ring's contents.
-    let jsonl_lines = if trace_path.is_some() {
-        records.len() as u64
-    } else {
-        0
-    };
-
     Ok(CaptureOutcome {
         records,
         vmstat,
-        jsonl_lines,
         parity_mismatches,
         ping_pong,
     })

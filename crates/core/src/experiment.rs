@@ -9,7 +9,6 @@
 //! state, which is what makes parallel execution bit-identical to
 //! sequential execution.
 
-use tiered_mem::telemetry::EventSink;
 use tiered_mem::{Memory, NodeId, VmEvent, VmStat};
 use tiered_workloads::WorkloadProfile;
 
@@ -66,11 +65,10 @@ impl PolicyChoice {
 
 /// A self-contained description of one experiment cell.
 ///
-/// `Memory` holds a boxed event sink and is therefore not `Send`; the
-/// spec carries a machine *factory* instead, and each worker thread
-/// constructs the machine (and optional sink) locally. Everything else is
-/// plain data, so a `CellSpec` is `Send + Sync` and a batch of specs can
-/// be shared across a thread scope.
+/// The spec carries a machine *factory*, so every run builds a fresh
+/// machine on the thread that runs it. Everything else is plain data, so
+/// a `CellSpec` is `Send + Sync` and a batch of specs can be shared
+/// across a thread scope.
 pub struct CellSpec {
     /// Workload to run.
     pub profile: WorkloadProfile,
@@ -81,7 +79,6 @@ pub struct CellSpec {
     /// RNG seed.
     pub seed: u64,
     machine: Box<dyn Fn() -> Memory + Send + Sync>,
-    sink: Option<Box<dyn Fn() -> Box<dyn EventSink> + Send + Sync>>,
 }
 
 impl std::fmt::Debug for CellSpec {
@@ -91,7 +88,6 @@ impl std::fmt::Debug for CellSpec {
             .field("choice", &self.choice)
             .field("duration_ns", &self.duration_ns)
             .field("seed", &self.seed)
-            .field("sink", &self.sink.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -112,22 +108,10 @@ impl CellSpec {
             duration_ns,
             seed,
             machine: Box::new(machine),
-            sink: None,
         }
     }
 
-    /// Attaches an event-sink factory; [`CellSpec::run`] installs a fresh
-    /// sink from it before running and flushes it afterwards.
-    #[must_use]
-    pub fn with_sink(
-        mut self,
-        sink: impl Fn() -> Box<dyn EventSink> + Send + Sync + 'static,
-    ) -> CellSpec {
-        self.sink = Some(Box::new(sink));
-        self
-    }
-
-    /// Builds the ready-to-run system for this cell (no sink attached).
+    /// Builds the ready-to-run, untraced system for this cell.
     ///
     /// # Errors
     ///
@@ -148,11 +132,7 @@ impl CellSpec {
     /// [`UnsupportedConfig`] if the policy rejects the machine.
     pub fn run(&self) -> Result<ExperimentResult, UnsupportedConfig> {
         let mut system = self.build_system()?;
-        if let Some(make_sink) = &self.sink {
-            system.set_event_sink(make_sink());
-        }
         system.run(self.duration_ns);
-        system.flush_trace();
         Ok(reduce(
             system,
             self.choice.label(),

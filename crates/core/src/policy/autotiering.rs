@@ -155,12 +155,10 @@ impl PlacementPolicy for AutoTiering {
         // Frequency criterion: only pages hot by counter are candidates.
         // Previously a silent return — the trace makes the skip visible.
         if ctx.memory.frames().frame(pfn).hotness() < HOTNESS_THRESHOLD {
-            if ctx.memory.trace_enabled() {
-                ctx.memory.record(TraceEvent::PromoteSkip {
-                    page,
-                    reason: PromoteSkipReason::Cold,
-                });
-            }
+            ctx.memory.record(TraceEvent::PromoteSkip {
+                page,
+                reason: PromoteSkipReason::Cold,
+            });
             return 0;
         }
         ctx.memory.record(TraceEvent::PromoteCandidate {

@@ -194,12 +194,10 @@ pub fn kcompactd_pass(
     if !triggered {
         return 0;
     }
-    if memory.trace_enabled() {
-        memory.record(TraceEvent::DaemonWake {
-            daemon: "kcompactd",
-            node: Some(node),
-        });
-    }
+    memory.record(TraceEvent::DaemonWake {
+        daemon: "kcompactd",
+        node: Some(node),
+    });
     let range = memory.frames().pfn_range(node);
     let start = range.start;
     let cap = range.end - range.start;

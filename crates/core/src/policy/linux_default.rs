@@ -121,7 +121,7 @@ pub(crate) fn fault_with_fallback(
                         page: PageKey::new(pid, vpn),
                         major: false,
                     });
-                    if *node != prefer && ctx.memory.trace_enabled() {
+                    if *node != prefer {
                         ctx.memory.record(TraceEvent::Decision {
                             policy,
                             reason: "alloc_spill_below_watermark",
@@ -142,7 +142,7 @@ pub(crate) fn fault_with_fallback(
             continue;
         }
         if let Some(pfn) = try_place(ctx.memory, *node, pid, vpn, page_type, was_swapped) {
-            if *node != prefer && ctx.memory.trace_enabled() {
+            if *node != prefer {
                 // Allocation spilled past the preferred node's watermark —
                 // the §4.1 failure mode TPP's headroom exists to avoid.
                 ctx.memory.record(TraceEvent::Decision {
@@ -265,28 +265,24 @@ pub(crate) fn kswapd_pass(
             return 0;
         }
         *active = true;
-        if memory.trace_enabled() {
-            memory.record(TraceEvent::WatermarkCross {
-                node,
-                level: "low",
-                free,
-                below: true,
-            });
-            memory.record(TraceEvent::DaemonWake {
-                daemon: "kswapd",
-                node: Some(node),
-            });
-        }
+        memory.record(TraceEvent::WatermarkCross {
+            node,
+            level: "low",
+            free,
+            below: true,
+        });
+        memory.record(TraceEvent::DaemonWake {
+            daemon: "kswapd",
+            node: Some(node),
+        });
     } else if free >= boost_target {
         *active = false;
-        if memory.trace_enabled() {
-            memory.record(TraceEvent::WatermarkCross {
-                node,
-                level: "high_boost",
-                free,
-                below: false,
-            });
-        }
+        memory.record(TraceEvent::WatermarkCross {
+            node,
+            level: "high_boost",
+            free,
+            below: false,
+        });
         return 0;
     }
     let mut time_left = budget.time_ns;

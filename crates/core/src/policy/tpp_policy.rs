@@ -99,24 +99,22 @@ impl Tpp {
         if !trigger_hit {
             return;
         }
-        if ctx.memory.trace_enabled() {
-            // Which watermark fired distinguishes §5.2 decoupled demotion
-            // from the coupled (Figure 17 ablation) trigger.
-            ctx.memory.record(TraceEvent::WatermarkCross {
-                node,
-                level: if self.config.decouple {
-                    "demote_trigger"
-                } else {
-                    "low"
-                },
-                free,
-                below: true,
-            });
-            ctx.memory.record(TraceEvent::DaemonWake {
-                daemon: "demoter",
-                node: Some(node),
-            });
-        }
+        // Which watermark fired distinguishes §5.2 decoupled demotion
+        // from the coupled (Figure 17 ablation) trigger.
+        ctx.memory.record(TraceEvent::WatermarkCross {
+            node,
+            level: if self.config.decouple {
+                "demote_trigger"
+            } else {
+                "low"
+            },
+            free,
+            below: true,
+        });
+        ctx.memory.record(TraceEvent::DaemonWake {
+            daemon: "demoter",
+            node: Some(node),
+        });
         let Some(target) = demotion_target(ctx.memory, node) else {
             // Terminal tier: fall back to default reclaim.
             ctx.memory.record(TraceEvent::Decision {

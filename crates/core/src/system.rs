@@ -13,7 +13,7 @@
 
 use std::ops::{Deref, DerefMut};
 
-use tiered_mem::{EventSink, Memory, PageFlags, PageKey, PageLocation, Pfn, TraceEvent};
+use tiered_mem::{Memory, PageFlags, PageKey, PageLocation, Pfn, TraceEvent, TraceRecord};
 use tiered_sim::{
     Access, AccessKind, AccessObserver, LatencyModel, NullObserver, Periodic, SimRng, Workload,
     WorkloadEvent,
@@ -142,17 +142,16 @@ impl System {
         })
     }
 
-    /// Attaches a telemetry sink to the machine: every counted memory
-    /// event is also emitted as a timestamped trace record. Disabled by
-    /// default (`NullSink`), in which case runs are bit-identical to
-    /// untraced ones.
-    pub fn set_event_sink(&mut self, sink: Box<dyn EventSink>) {
-        self.memory.set_event_sink(sink);
+    /// Turns tracing on: every counted memory event is also kept as a
+    /// timestamped trace record ([`Memory::enable_trace`]). Traced runs
+    /// are bit-identical to untraced ones.
+    pub fn enable_trace(&mut self) {
+        self.memory.enable_trace();
     }
 
-    /// Flushes the attached telemetry sink (for file-backed sinks).
-    pub fn flush_trace(&mut self) {
-        self.memory.flush_trace();
+    /// Hands out the trace records kept so far ([`Memory::take_trace`]).
+    pub fn take_trace(&mut self) -> Vec<TraceRecord> {
+        self.memory.take_trace()
     }
 
     /// The machine state.

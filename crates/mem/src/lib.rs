@@ -24,9 +24,9 @@
 //!   ([`Memory::migrate_page`], [`SwapDevice`]),
 //! * `/proc/vmstat`-style **event counters** including all of TPP's new
 //!   observability counters ([`VmStat`], [`VmEvent`]),
-//! * structured **event tracing** beneath the counters: every counted
-//!   mutation can also emit a timestamped [`TraceEvent`] through a
-//!   pluggable [`EventSink`] ([`telemetry`]).
+//! * structured **event tracing** beneath the counters: a traced
+//!   [`Memory`] also keeps every counted mutation as a timestamped
+//!   [`TraceEvent`] ([`Memory::enable_trace`], [`telemetry`]).
 //!
 //! Everything is *mechanism*; placement *policy* (when to demote, what to
 //! promote) lives in the `tpp` crate.
@@ -77,10 +77,7 @@ pub use node::{MemoryNode, NodeKind};
 pub use page_table::{AddressSpace, PageLocation};
 pub use pid_table::PidTable;
 pub use swap::{SwapDevice, SwapSlot};
-pub use telemetry::{
-    EventSink, NullSink, PromoteFailReason, PromoteSkipReason, RingSink, TeeSink, TraceEvent,
-    TraceRecord, WriterSink,
-};
+pub use telemetry::{PromoteFailReason, PromoteSkipReason, TraceEvent, TraceRecord};
 pub use topology::{Link, Topology, LOCAL_DISTANCE};
 pub use types::{
     mib_from_pages, pages_from_mib, NodeId, NodeList, PageKey, PageType, Pfn, Pid, ThpMode, Vpn,

@@ -18,7 +18,7 @@ use crate::node::{MemoryNode, NodeKind};
 use crate::page_table::{AddressSpace, PageLocation};
 use crate::pid_table::PidTable;
 use crate::swap::{SwapDevice, SwapSlot};
-use crate::telemetry::{EventSink, NullSink, TraceEvent, TraceRecord};
+use crate::telemetry::{TraceEvent, TraceRecord};
 use crate::topology::Topology;
 use crate::types::{NodeId, NodeList, PageKey, PageType, Pfn, Pid, ThpMode, Vpn};
 use crate::vmstat::{VmEvent, VmStat};
@@ -168,8 +168,7 @@ impl MemoryBuilder {
             migration_matrix: vec![0; node_count * node_count],
             shadows: HashMap::new(),
             eviction_clocks: vec![0; node_count],
-            sink: Box::new(NullSink),
-            trace_enabled: false,
+            trace: None,
             trace_now_ns: 0,
             scratch_pfn_bufs: Vec::new(),
             thp_mode: self.thp_mode,
@@ -199,11 +198,9 @@ pub struct Memory {
     shadows: HashMap<PageKey, Shadow>,
     /// Per-node eviction clocks (file pages dropped so far).
     eviction_clocks: Vec<u64>,
-    /// Trace destination; [`NullSink`] by default.
-    sink: Box<dyn EventSink>,
-    /// Cached `sink.enabled()` so the disabled path is one branch.
-    trace_enabled: bool,
-    /// Simulation time stamped onto emitted records.
+    /// Records kept since [`Memory::enable_trace`]; `None` when untraced.
+    trace: Option<Vec<TraceRecord>>,
+    /// Simulation time stamped onto kept records.
     trace_now_ns: u64,
     /// Pool of reusable `Pfn` buffers for per-tick scans (reclaim,
     /// demotion). Pure capacity reuse — never observable state.
@@ -212,9 +209,16 @@ pub struct Memory {
     thp_mode: ThpMode,
 }
 
+// Each worker of a parallel run builds and owns its machine, so `Memory`
+// must stay `Send`.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<Memory>();
+};
+
 impl Clone for Memory {
-    /// Clones the full memory state. The event sink is *not* cloned —
-    /// sinks are attached per run, so the clone starts on [`NullSink`].
+    /// Clones the full memory state. The trace is *not* cloned — tracing
+    /// is enabled per run, so the clone starts untraced.
     fn clone(&self) -> Memory {
         Memory {
             frames: self.frames.clone(),
@@ -228,8 +232,7 @@ impl Clone for Memory {
             migration_matrix: self.migration_matrix.clone(),
             shadows: self.shadows.clone(),
             eviction_clocks: self.eviction_clocks.clone(),
-            sink: Box::new(NullSink),
-            trace_enabled: false,
+            trace: None,
             trace_now_ns: self.trace_now_ns,
             scratch_pfn_bufs: Vec::new(),
             thp_mode: self.thp_mode,
@@ -248,7 +251,7 @@ impl fmt::Debug for Memory {
             .field("vmstat", &self.vmstat)
             .field("shadows", &self.shadows)
             .field("eviction_clocks", &self.eviction_clocks)
-            .field("trace_enabled", &self.trace_enabled)
+            .field("traced", &self.trace.is_some())
             .field("trace_now_ns", &self.trace_now_ns)
             .field("thp_mode", &self.thp_mode)
             .finish_non_exhaustive()
@@ -459,18 +462,17 @@ impl Memory {
 
     // ----- telemetry ------------------------------------------------------
 
-    /// Attaches a trace sink. All subsequent [`Memory::record`] calls
-    /// emit timestamped records into it; pass [`NullSink`] to disable
-    /// tracing again. Counters are bumped either way.
-    pub fn set_event_sink(&mut self, sink: Box<dyn EventSink>) {
-        self.trace_enabled = sink.enabled();
-        self.sink = sink;
+    /// Turns tracing on: every subsequent [`Memory::record`] call also
+    /// keeps a timestamped record until [`Memory::take_trace`]. Counters
+    /// are bumped either way.
+    pub fn enable_trace(&mut self) {
+        self.trace.get_or_insert_with(Vec::new);
     }
 
-    /// Whether a real (non-null) sink is attached.
-    #[inline]
-    pub fn trace_enabled(&self) -> bool {
-        self.trace_enabled
+    /// Hands out the records kept so far, oldest first; tracing stays on.
+    /// Empty when tracing was never enabled.
+    pub fn take_trace(&mut self) -> Vec<TraceRecord> {
+        self.trace.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     /// Sets the simulation time stamped onto subsequently emitted trace
@@ -481,8 +483,8 @@ impl Memory {
     }
 
     /// Records one structured event: bumps every vmstat counter the event
-    /// implies ([`TraceEvent::count_into`]) and, if a sink is attached,
-    /// emits the record stamped with the current trace time.
+    /// implies ([`TraceEvent::count_into`]) and, if tracing is on, keeps
+    /// the record stamped with the current trace time.
     ///
     /// This is the single entry point for counted mutations, so the trace
     /// and the counters agree by construction.
@@ -496,17 +498,12 @@ impl Memory {
             // src→dst matrix.
             self.migration_matrix[from.index() * self.nodes.len() + to.index()] += 1;
         }
-        if self.trace_enabled {
-            self.sink.emit(&TraceRecord {
+        if let Some(trace) = &mut self.trace {
+            trace.push(TraceRecord {
                 ts_ns: self.trace_now_ns,
                 event,
             });
         }
-    }
-
-    /// Flushes the attached sink (meaningful for file-backed sinks).
-    pub fn flush_trace(&mut self) {
-        self.sink.flush();
     }
 
     // ----- processes ------------------------------------------------------
@@ -1361,6 +1358,24 @@ mod tests {
         // Clones carry the matrix (it is counter state, like vmstat).
         let c = m.clone();
         assert_eq!(c.migrations_between(NodeId(0), NodeId(1)), 2);
+    }
+
+    #[test]
+    fn clone_starts_untraced_and_take_trace_drains() {
+        let mut m = two_node();
+        m.enable_trace();
+        m.create_process(Pid(1));
+        m.alloc_and_map(NodeId(0), Pid(1), Vpn(0), PageType::Anon)
+            .unwrap();
+        let mut c = m.clone();
+        c.alloc_and_map(NodeId(0), Pid(1), Vpn(1), PageType::Anon)
+            .unwrap();
+        assert!(c.take_trace().is_empty(), "a clone starts untraced");
+        assert_eq!(m.take_trace().len(), 1);
+        assert!(m.take_trace().is_empty(), "take_trace drains");
+        m.alloc_and_map(NodeId(0), Pid(1), Vpn(2), PageType::Anon)
+            .unwrap();
+        assert_eq!(m.take_trace().len(), 1, "tracing stays on");
     }
 
     #[test]

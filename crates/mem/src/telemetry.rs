@@ -3,30 +3,20 @@
 //! The TPP paper's observability story (§5.5) is counter-based: vmstat
 //! tells you *how many* pages were demoted or ping-ponged, but not *which*
 //! pages, *when*, or *why*. This module adds the event layer underneath
-//! the counters: every mutation path emits a [`TraceEvent`] through an
-//! [`EventSink`], and each event knows which vmstat counters it implies
+//! the counters: every mutation path records a [`TraceEvent`], and each
+//! event knows which vmstat counters it implies
 //! ([`TraceEvent::count_into`]), so the trace and the counters can never
 //! disagree — [`crate::Memory::record`] bumps both from a single call.
 //!
-//! Three sinks are provided:
-//!
-//! * [`NullSink`] — the default; reports `enabled() == false` so the
-//!   tracing fast path is a single branch and disabled runs are
-//!   numerically and temporally identical to untraced ones,
-//! * [`RingSink`] — a bounded in-memory ring with a shared handle, for
-//!   tests and in-process diagnostics (ping-pong reports),
-//! * [`WriterSink`] — JSONL output to any `io::Write`. The JSON writer is
-//!   hand-rolled: the build environment cannot reach the crates registry,
-//!   so no `serde`/`tracing` dependency is allowed.
-//!
-//! Combine sinks with [`TeeSink`] to e.g. keep a ring for diagnostics
-//! while streaming JSONL to disk.
+//! A traced `Memory` ([`crate::Memory::enable_trace`]) keeps every
+//! record in memory until [`crate::Memory::take_trace`] hands them out;
+//! an untraced one keeps nothing, so its fast path is a single branch.
+//! [`write_jsonl`] writes records as JSONL. The JSON writer is
+//! hand-rolled: the build environment cannot reach the crates registry,
+//! so no `serde`/`tracing` dependency is allowed.
 
-use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::io::Write;
-use std::rc::Rc;
+use std::io::{self, Write};
 
 use crate::types::{NodeId, PageKey, PageType};
 use crate::vmstat::{VmEvent, VmStat};
@@ -632,225 +622,17 @@ pub fn replay_counters(records: &[TraceRecord]) -> VmStat {
     vm
 }
 
-/// Destination for trace events.
+/// Writes `records` to `out` as JSONL: one [`TraceRecord::to_json`]
+/// object per line.
 ///
-/// Implementations must be cheap when disabled: `Memory::record` checks
-/// [`EventSink::enabled`] once at attach time and skips event
-/// construction entirely on the null path.
-pub trait EventSink {
-    /// Consumes one record.
-    fn emit(&mut self, record: &TraceRecord);
-
-    /// Whether this sink wants events at all. The default is `true`;
-    /// [`NullSink`] overrides to `false` so tracing can be compiled down
-    /// to a single cached branch.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Flushes buffered output (no-op for in-memory sinks).
-    fn flush(&mut self) {}
-}
-
-/// The zero-cost default sink: drops everything, reports disabled.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn emit(&mut self, _record: &TraceRecord) {}
-
-    fn enabled(&self) -> bool {
-        false
-    }
-}
-
-/// A bounded in-memory ring of recent records with a cloneable shared
-/// handle: attach one clone to `Memory`, keep the other to inspect the
-/// events afterwards.
+/// # Errors
 ///
-/// When full, the oldest record is dropped (`dropped()` reports how
-/// many). Use [`RingSink::unbounded`] for parity tests that must see
-/// every event.
-///
-/// # Examples
-///
-/// ```
-/// use tiered_mem::{Memory, NodeKind, PageType, Pid, RingSink, Vpn};
-///
-/// let ring = RingSink::unbounded();
-/// let mut m = Memory::builder().node(NodeKind::LocalDram, 8).build();
-/// m.set_event_sink(Box::new(ring.clone()));
-/// m.create_process(Pid(1));
-/// m.alloc_and_map(tiered_mem::NodeId::LOCAL, Pid(1), Vpn(0), PageType::Anon).unwrap();
-/// assert_eq!(ring.snapshot().len(), 1);
-/// ```
-#[derive(Clone, Debug)]
-pub struct RingSink {
-    inner: Rc<RefCell<RingInner>>,
-}
-
-#[derive(Debug)]
-struct RingInner {
-    records: VecDeque<TraceRecord>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl RingSink {
-    /// Creates a ring holding at most `capacity` records.
-    pub fn new(capacity: usize) -> RingSink {
-        assert!(capacity > 0, "ring capacity must be positive");
-        RingSink {
-            inner: Rc::new(RefCell::new(RingInner {
-                records: VecDeque::with_capacity(capacity.min(4096)),
-                capacity,
-                dropped: 0,
-            })),
-        }
+/// Propagates the first write error of `out`.
+pub fn write_jsonl(records: &[TraceRecord], out: &mut impl Write) -> io::Result<()> {
+    for r in records {
+        writeln!(out, "{}", r.to_json())?;
     }
-
-    /// Creates a ring that never drops (for parity tests).
-    pub fn unbounded() -> RingSink {
-        RingSink::new(usize::MAX)
-    }
-
-    /// Copies out the buffered records, oldest first.
-    pub fn snapshot(&self) -> Vec<TraceRecord> {
-        self.inner.borrow().records.iter().copied().collect()
-    }
-
-    /// Number of records currently buffered.
-    pub fn len(&self) -> usize {
-        self.inner.borrow().records.len()
-    }
-
-    /// Whether the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.borrow().records.is_empty()
-    }
-
-    /// Records dropped because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.inner.borrow().dropped
-    }
-
-    /// Counts buffered events whose [`TraceEvent::name`] equals `name`.
-    pub fn count_named(&self, name: &str) -> u64 {
-        self.inner
-            .borrow()
-            .records
-            .iter()
-            .filter(|r| r.event.name() == name)
-            .count() as u64
-    }
-}
-
-impl EventSink for RingSink {
-    fn emit(&mut self, record: &TraceRecord) {
-        let mut inner = self.inner.borrow_mut();
-        if inner.records.len() >= inner.capacity {
-            inner.records.pop_front();
-            inner.dropped += 1;
-        }
-        inner.records.push_back(*record);
-    }
-}
-
-/// JSONL sink: one JSON object per line to any writer.
-pub struct WriterSink {
-    out: Box<dyn Write>,
-    lines: u64,
-}
-
-impl std::fmt::Debug for WriterSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WriterSink")
-            .field("lines", &self.lines)
-            .finish()
-    }
-}
-
-impl WriterSink {
-    /// Wraps an arbitrary writer.
-    pub fn new(out: Box<dyn Write>) -> WriterSink {
-        WriterSink { out, lines: 0 }
-    }
-
-    /// Opens (truncates) `path` and writes buffered JSONL to it.
-    pub fn to_file(path: &std::path::Path) -> std::io::Result<WriterSink> {
-        let file = std::fs::File::create(path)?;
-        Ok(WriterSink::new(Box::new(std::io::BufWriter::new(file))))
-    }
-
-    /// Lines written so far.
-    pub fn lines(&self) -> u64 {
-        self.lines
-    }
-}
-
-impl EventSink for WriterSink {
-    fn emit(&mut self, record: &TraceRecord) {
-        // I/O errors are reported once on flush; the sim cannot unwind
-        // mid-operation.
-        let _ = writeln!(self.out, "{}", record.to_json());
-        self.lines += 1;
-    }
-
-    fn flush(&mut self) {
-        if let Err(e) = self.out.flush() {
-            eprintln!("telemetry: flush failed: {e}");
-        }
-    }
-}
-
-impl Drop for WriterSink {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
-/// Fans every record out to several sinks (e.g. a ring for diagnostics
-/// plus a JSONL file).
-#[derive(Debug, Default)]
-pub struct TeeSink {
-    sinks: Vec<Box<dyn EventSink>>,
-}
-
-impl std::fmt::Debug for Box<dyn EventSink> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "EventSink(enabled={})", self.enabled())
-    }
-}
-
-impl TeeSink {
-    /// Creates an empty tee (disabled until a sink is added).
-    pub fn new() -> TeeSink {
-        TeeSink::default()
-    }
-
-    /// Adds a sink, builder-style.
-    pub fn with(mut self, sink: Box<dyn EventSink>) -> TeeSink {
-        self.sinks.push(sink);
-        self
-    }
-}
-
-impl EventSink for TeeSink {
-    fn emit(&mut self, record: &TraceRecord) {
-        for sink in &mut self.sinks {
-            sink.emit(record);
-        }
-    }
-
-    fn enabled(&self) -> bool {
-        self.sinks.iter().any(|s| s.enabled())
-    }
-
-    fn flush(&mut self) {
-        for sink in &mut self.sinks {
-            sink.flush();
-        }
-    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1074,73 +856,27 @@ mod tests {
     }
 
     #[test]
-    fn ring_sink_bounds_and_counts() {
-        let ring = RingSink::new(2);
-        let mut sink = ring.clone();
-        for i in 0..3u64 {
-            sink.emit(&TraceRecord {
-                ts_ns: i,
-                event: TraceEvent::AllocStall { node: NodeId(0) },
-            });
-        }
-        assert_eq!(ring.len(), 2);
-        assert_eq!(ring.dropped(), 1);
-        assert_eq!(ring.count_named("alloc_stall"), 2);
-        let snap = ring.snapshot();
-        assert_eq!(snap[0].ts_ns, 1); // oldest was dropped
-    }
-
-    #[test]
-    fn writer_sink_emits_one_line_per_record() {
-        struct Shared(Rc<RefCell<Vec<u8>>>);
-        impl Write for Shared {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.borrow_mut().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let buf = Rc::new(RefCell::new(Vec::new()));
-        {
-            let mut sink = WriterSink::new(Box::new(Shared(buf.clone())));
-            sink.emit(&TraceRecord {
+    fn write_jsonl_emits_one_line_per_record() {
+        let records = [
+            TraceRecord {
                 ts_ns: 7,
                 event: TraceEvent::SwapOut {
                     page: key(3, 9),
                     node: NodeId(1),
                 },
-            });
-            assert_eq!(sink.lines(), 1);
-        }
-        let text = String::from_utf8(buf.borrow().clone()).unwrap();
+            },
+            TraceRecord {
+                ts_ns: 8,
+                event: TraceEvent::AllocStall { node: NodeId(0) },
+            },
+        ];
+        let mut out = Vec::new();
+        write_jsonl(&records, &mut out).unwrap();
         assert_eq!(
-            text,
-            "{\"ts\":7,\"event\":\"swap_out\",\"pid\":3,\"vpn\":9,\"node\":1}\n"
+            String::from_utf8(out).unwrap(),
+            "{\"ts\":7,\"event\":\"swap_out\",\"pid\":3,\"vpn\":9,\"node\":1}\n\
+             {\"ts\":8,\"event\":\"alloc_stall\",\"node\":0}\n"
         );
-    }
-
-    #[test]
-    fn tee_fans_out_and_reports_enabled() {
-        let a = RingSink::new(8);
-        let b = RingSink::new(8);
-        let mut tee = TeeSink::new()
-            .with(Box::new(a.clone()))
-            .with(Box::new(b.clone()));
-        assert!(tee.enabled());
-        tee.emit(&TraceRecord {
-            ts_ns: 0,
-            event: TraceEvent::AllocStall { node: NodeId(0) },
-        });
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
-        assert!(!TeeSink::new().with(Box::new(NullSink)).enabled());
-    }
-
-    #[test]
-    fn null_sink_is_disabled() {
-        assert!(!NullSink.enabled());
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub use trace::{Access, AccessKind, AccessObserver, NullObserver, Op, Workload, 
 
 /// Structured event telemetry for simulation runs, re-exported from
 /// [`tiered_mem::telemetry`]: kernel-style trace events ↔ vmstat counter
-/// parity, plus the null/ring/JSONL-writer sinks. Namespaced because the
+/// parity, plus the JSONL writer. Namespaced because the
 /// telemetry `TraceRecord` is distinct from the access-replay
 /// [`TraceRecord`] exported above.
 pub use tiered_mem::telemetry;

@@ -18,6 +18,8 @@ cargo bench --no-run -q -p tpp-bench
 # public `Workload` and `PlacementPolicy` traits, so a public-API change
 # that breaks it must fail here too.
 cargo build --release -q --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+# Every workload's run digest must match the checked-in pin (~15 s).
+scripts/perfbench_digests.sh target/perfbench/release/perfbench
 
 # Executor determinism gates: a reduced-scale repro target must produce
 # byte-identical tables and stdout with and without the parallel
@@ -55,6 +57,19 @@ diff crates/bench/expected/quick.sha256 "$tmp/quick.sha256" >&2 || {
   exit 1
 }
 echo "byte-identity gate: repro all --quick output matches crates/bench/expected/quick.sha256"
+# Trace byte-identity gate: the `--trace` capture run's JSONL and stdout
+# must match crates/bench/expected/trace.sha256. A change that means to
+# move the trace copies "$tmp/trace.sha256" over the file, and says why.
+./target/release/repro --quick --trace "$tmp/trace.jsonl" >"$tmp/trace.out" 2>/dev/null
+{
+  (cd "$tmp" && sha256sum trace.jsonl)
+  sha256sum <"$tmp/trace.out" | sed 's/-$/stdout/'
+} >"$tmp/trace.sha256"
+diff crates/bench/expected/trace.sha256 "$tmp/trace.sha256" >&2 || {
+  echo "trace gate FAILED: repro --quick --trace output differs from crates/bench/expected/trace.sha256" >&2
+  exit 1
+}
+echo "trace gate: repro --quick --trace output matches crates/bench/expected/trace.sha256"
 # The multi-preset grid spans several machine shapes, so it exercises
 # scheduling paths `all --quick` with two nodes does not.
 determinism_gate topology topology

@@ -1,13 +1,9 @@
 //! Reproducibility: every experiment is a pure function of its seed.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use tiered_mem::telemetry::WriterSink;
+use tiered_mem::telemetry::write_jsonl;
 use tiered_sim::SEC;
 use tpp::configs;
-use tpp::experiment::{run_cell, PolicyChoice};
-use tpp::System;
+use tpp::experiment::{reduce, run_cell, CellSpec, ExperimentResult, PolicyChoice};
 
 fn fingerprint(seed: u64) -> (u64, u64, String) {
     let profile = tiered_workloads::cache1(3_000);
@@ -43,38 +39,33 @@ fn different_seeds_diverge() {
     assert!(a != b, "different seeds produced identical runs");
 }
 
-/// An `io::Write` that appends into a shared buffer, so the JSONL bytes a
-/// `WriterSink` produced can be inspected after the run.
-#[derive(Clone, Default)]
-struct SharedBuf(Rc<RefCell<Vec<u8>>>);
+/// The Cache1 1:4 TPP cell of `seed`.
+fn cache1_cell(seed: u64) -> CellSpec {
+    let profile = tiered_workloads::cache1(3_000);
+    let ws = profile.working_set_pages();
+    CellSpec::new(
+        profile,
+        move || configs::one_to_four(ws),
+        PolicyChoice::Tpp,
+        10 * SEC,
+        seed,
+    )
+}
 
-impl std::io::Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.borrow_mut().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
+/// Runs `spec` traced; returns its JSONL trace and its reduced result.
+fn run_traced(spec: &CellSpec) -> (Vec<u8>, ExperimentResult) {
+    let mut system = spec.build_system().unwrap();
+    system.enable_trace();
+    system.run(spec.duration_ns);
+    let mut jsonl = Vec::new();
+    write_jsonl(&system.take_trace(), &mut jsonl).unwrap();
+    let label = spec.choice.label();
+    let result = reduce(system, label, &spec.profile.name, spec.duration_ns);
+    (jsonl, result)
 }
 
 fn jsonl_trace(seed: u64) -> Vec<u8> {
-    let profile = tiered_workloads::cache1(3_000);
-    let machine = configs::one_to_four(profile.working_set_pages());
-    let mut system = System::new(
-        machine,
-        PolicyChoice::Tpp.build(),
-        Box::new(profile.build()),
-        seed,
-    )
-    .unwrap();
-    let buf = SharedBuf::default();
-    system.set_event_sink(Box::new(WriterSink::new(Box::new(buf.clone()))));
-    system.run(10 * SEC);
-    system.flush_trace();
-    let bytes = buf.0.borrow().clone();
-    bytes
+    run_traced(&cache1_cell(seed)).0
 }
 
 #[test]
@@ -87,66 +78,29 @@ fn identical_seeds_produce_byte_identical_jsonl_traces() {
     assert_ne!(a, jsonl_trace(78));
 }
 
-/// The Cache1 1:4 TPP cell as a [`CellSpec`], streaming its JSONL trace
-/// to `trace_path` (the sink factory must be `Send + Sync`, so it writes
-/// to a file rather than a shared in-process buffer).
-fn traced_spec(seed: u64, trace_path: std::path::PathBuf) -> tpp::experiment::CellSpec {
-    use tiered_mem::telemetry::EventSink;
-    let profile = tiered_workloads::cache1(3_000);
-    let ws = profile.working_set_pages();
-    tpp::experiment::CellSpec::new(
-        profile,
-        move || configs::one_to_four(ws),
-        PolicyChoice::Tpp,
-        10 * SEC,
-        seed,
-    )
-    .with_sink(move || {
-        Box::new(WriterSink::to_file(&trace_path).expect("trace file opens")) as Box<dyn EventSink>
-    })
-}
-
 #[test]
 fn executor_at_four_jobs_matches_sequential_byte_for_byte() {
-    // Four Cache1 1:4 cells under TPP (distinct seeds), each streaming
-    // its full JSONL trace: run the batch sequentially and on the
-    // 4-worker executor, then require byte-identical traces and
-    // identical reduced results.
-    let dir = std::env::temp_dir().join(format!("tpp_exec_det_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    // Four Cache1 1:4 cells under TPP (distinct seeds), each traced: run
+    // the batch sequentially and on 4 executor workers, then require
+    // byte-identical JSONL traces and identical reduced results.
     let seeds = [101u64, 102, 103, 104];
-    let path = |tag: &str, seed: u64| dir.join(format!("{tag}_{seed}.jsonl"));
-
-    let seq_specs: Vec<_> = seeds
-        .iter()
-        .map(|&s| traced_spec(s, path("seq", s)))
-        .collect();
-    let seq: Vec<_> = seq_specs.iter().map(|s| s.run().unwrap()).collect();
-
-    let par_specs: Vec<_> = seeds
-        .iter()
-        .map(|&s| traced_spec(s, path("par", s)))
-        .collect();
-    let par: Vec<_> = tpp_bench::executor::run_cells(4, &par_specs)
-        .into_iter()
-        .map(|r| r.unwrap())
-        .collect();
+    let specs: Vec<_> = seeds.iter().map(|&s| cache1_cell(s)).collect();
+    let seq: Vec<_> = specs.iter().map(run_traced).collect();
+    let par = tpp_bench::executor::parallel_map(4, specs.len(), |i| run_traced(&specs[i]));
 
     for (i, &seed) in seeds.iter().enumerate() {
-        let a = std::fs::read(path("seq", seed)).unwrap();
-        let b = std::fs::read(path("par", seed)).unwrap();
+        let ((a, seq), (b, par)) = (&seq[i], &par[i]);
         assert!(!a.is_empty(), "trace for seed {seed} must not be empty");
         assert_eq!(a, b, "seed {seed}: executor trace diverged from sequential");
-        assert_eq!(seq[i].policy, par[i].policy);
-        assert_eq!(seq[i].throughput, par[i].throughput);
-        assert_eq!(seq[i].local_traffic, par[i].local_traffic);
-        assert_eq!(seq[i].avg_latency_ns, par[i].avg_latency_ns);
+        assert_eq!(seq.policy, par.policy);
+        assert_eq!(seq.throughput, par.throughput);
+        assert_eq!(seq.local_traffic, par.local_traffic);
+        assert_eq!(seq.avg_latency_ns, par.avg_latency_ns);
         assert_eq!(
-            seq[i].vmstat, par[i].vmstat,
+            seq.vmstat, par.vmstat,
             "seed {seed}: vmstat counters diverged under the executor"
         );
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -17,10 +17,7 @@
 //! counted. The working set and duration are small so the whole matrix
 //! fits a debug `cargo test`; the cross-product itself is never reduced.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use tiered_mem::telemetry::{replay_counters, EventSink, TraceRecord, TRACED_COUNTERS};
+use tiered_mem::telemetry::{replay_counters, TraceRecord, TRACED_COUNTERS};
 use tiered_mem::{Memory, ThpMode, TraceEvent, VmEvent};
 use tiered_sim::{Workload, MS};
 use tpp::experiment::PolicyChoice;
@@ -34,16 +31,6 @@ const DURATION_NS: u64 = 6_000 * MS;
 const CHUNK_NS: u64 = 50 * MS;
 const MODES: [ThpMode; 3] = [ThpMode::Never, ThpMode::Madvise, ThpMode::Always];
 const MACHINES: [&str; 4] = ["two_to_one", "2s2c", "pooled", "3tier"];
-
-/// Buffers trace records between chunks.
-#[derive(Clone, Default)]
-struct Collect(Rc<RefCell<Vec<TraceRecord>>>);
-
-impl EventSink for Collect {
-    fn emit(&mut self, record: &TraceRecord) {
-        self.0.borrow_mut().push(*record);
-    }
-}
 
 /// The named machine, rebuilt from its preset's topology with `mode`.
 fn machine(name: &str, mode: ThpMode) -> Memory {
@@ -93,15 +80,14 @@ fn run_cell(choice: &PolicyChoice, name: &str, mode: ThpMode, lanes: usize) -> b
     else {
         return false;
     };
-    let sink = Collect::default();
-    system.set_event_sink(Box::new(sink.clone()));
+    system.enable_trace();
     let mut replayed = vec![0u64; TRACED_COUNTERS.len()];
     let mut elapsed = 0;
     while elapsed < DURATION_NS {
         system.run(CHUNK_NS);
         elapsed += CHUNK_NS;
         system.memory().validate();
-        let records = std::mem::take(&mut *sink.0.borrow_mut());
+        let records = system.take_trace();
         check_pairing(&records, &cell);
         let vm = replay_counters(&records);
         for (total, &event) in replayed.iter_mut().zip(TRACED_COUNTERS) {

@@ -1,24 +1,23 @@
 //! Telemetry integration: counter↔trace parity across every policy,
-//! mid-run sink attachment, decision-reason coverage, and the §5.5
+//! mid-run trace enabling, decision-reason coverage, and the §5.5
 //! ping-pong diagnosis on a thrashing configuration.
 
-use tiered_mem::telemetry::{replay_counters, RingSink, TRACED_COUNTERS};
+use tiered_mem::telemetry::{replay_counters, TraceRecord, TRACED_COUNTERS};
 use tiered_mem::{TraceEvent, VmEvent};
 use tiered_sim::SEC;
 use tpp::experiment::PolicyChoice;
 use tpp::metrics::{decision_summary, ping_pong_report};
 use tpp::{configs, System};
 
-/// Runs `choice` on a pressured 2:1 machine with an unbounded ring
-/// attached from the start; returns the ring and the finished system.
-fn traced_run(choice: &PolicyChoice, duration_ns: u64) -> (RingSink, System) {
+/// Runs `choice` on a pressured 2:1 machine traced from the start;
+/// returns the trace and the finished system.
+fn traced_run(choice: &PolicyChoice, duration_ns: u64) -> (Vec<TraceRecord>, System) {
     let profile = tiered_workloads::cache1(4_000);
     let machine = configs::two_to_one(profile.working_set_pages());
     let mut system = System::new(machine, choice.build(), Box::new(profile.build()), 11).unwrap();
-    let ring = RingSink::unbounded();
-    system.set_event_sink(Box::new(ring.clone()));
+    system.enable_trace();
     system.run(duration_ns);
-    (ring, system)
+    (system.take_trace(), system)
 }
 
 const ALL_POLICIES: [PolicyChoice; 5] = [
@@ -32,8 +31,7 @@ const ALL_POLICIES: [PolicyChoice; 5] = [
 #[test]
 fn counters_equal_trace_event_counts_for_every_policy() {
     for choice in &ALL_POLICIES {
-        let (ring, system) = traced_run(choice, 8 * SEC);
-        let records = ring.snapshot();
+        let (records, system) = traced_run(choice, 8 * SEC);
         assert!(!records.is_empty(), "{}: empty trace", choice.label());
         let replayed = replay_counters(&records);
         let vm = system.memory().vmstat();
@@ -64,10 +62,9 @@ fn counters_equal_trace_event_counts_for_colocated_lanes() {
             11,
         )
         .unwrap();
-        let ring = RingSink::unbounded();
-        system.set_event_sink(Box::new(ring.clone()));
+        system.enable_trace();
         system.run(4 * SEC);
-        let replayed = replay_counters(&ring.snapshot());
+        let replayed = replay_counters(&system.take_trace());
         let vm = system.memory().vmstat();
         for &event in TRACED_COUNTERS {
             assert_eq!(
@@ -83,9 +80,9 @@ fn counters_equal_trace_event_counts_for_colocated_lanes() {
 
 #[test]
 fn counter_deltas_equal_event_counts_after_midrun_attach() {
-    // Attaching the sink mid-run must make the *delta* of every traced
-    // counter equal the ring's event counts: record() bumps both from
-    // one call, so the trace covers exactly the attached window.
+    // Enabling the trace mid-run must make the *delta* of every traced
+    // counter equal the trace's event counts: record() bumps both from
+    // one call, so the trace covers exactly the traced window.
     let profile = tiered_workloads::cache1(4_000);
     let machine = configs::two_to_one(profile.working_set_pages());
     let mut system = System::new(
@@ -97,16 +94,15 @@ fn counter_deltas_equal_event_counts_after_midrun_attach() {
     .unwrap();
     system.run(4 * SEC);
     let before = system.memory().vmstat().clone();
-    let ring = RingSink::unbounded();
-    system.set_event_sink(Box::new(ring.clone()));
+    system.enable_trace();
     system.run(4 * SEC);
     let delta = system.memory().vmstat().delta_since(&before);
-    let replayed = replay_counters(&ring.snapshot());
+    let replayed = replay_counters(&system.take_trace());
     for &event in TRACED_COUNTERS {
         assert_eq!(
             delta.get(event),
             replayed.get(event),
-            "delta of {} disagrees with the attached-window trace",
+            "delta of {} disagrees with the traced-window trace",
             event.name()
         );
     }
@@ -118,19 +114,17 @@ fn every_policy_emits_a_decision_reason_event() {
         // In-memory swap only reasons on allocation stalls (its tick
         // reclaims silently into the pool), so give it a machine smaller
         // than the working set to force the stall path.
-        let (ring, _) = if matches!(choice, PolicyChoice::InMemorySwap) {
+        let (records, _) = if matches!(choice, PolicyChoice::InMemorySwap) {
             let profile = tiered_workloads::cache1(4_000);
             let machine = configs::two_to_one(2_500);
             let mut system =
                 System::new(machine, choice.build(), Box::new(profile.build()), 11).unwrap();
-            let ring = RingSink::unbounded();
-            system.set_event_sink(Box::new(ring.clone()));
+            system.enable_trace();
             system.run(8 * SEC);
-            (ring, system)
+            (system.take_trace(), system)
         } else {
             traced_run(choice, 8 * SEC)
         };
-        let records = ring.snapshot();
         let reasons = records
             .iter()
             .filter(|r| {
@@ -159,8 +153,8 @@ fn fallback_policies_attribute_decisions_to_themselves() {
         PolicyChoice::Tpp,
         PolicyChoice::NumaBalancing,
     ] {
-        let (ring, _) = traced_run(&choice, 8 * SEC);
-        let summary = decision_summary(&ring.snapshot());
+        let (records, _) = traced_run(&choice, 8 * SEC);
+        let summary = decision_summary(&records);
         assert!(
             summary
                 .iter()
@@ -187,10 +181,9 @@ fn ping_pong_report_reproduces_the_candidate_demoted_diagnosis() {
         11,
     )
     .unwrap();
-    let ring = RingSink::unbounded();
-    system.set_event_sink(Box::new(ring.clone()));
+    system.enable_trace();
     system.run(20 * SEC);
-    let report = ping_pong_report(&ring.snapshot());
+    let report = ping_pong_report(&system.take_trace());
     let vm = system.memory().vmstat();
     // The trace-derived report agrees with the kernel-style counter...
     assert_eq!(
@@ -227,7 +220,7 @@ fn untraced_runs_are_numerically_identical_to_traced_ones() {
         )
         .unwrap();
         if traced {
-            system.set_event_sink(Box::new(RingSink::unbounded()));
+            system.enable_trace();
         }
         system.run(6 * SEC);
         (
