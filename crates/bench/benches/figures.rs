@@ -49,7 +49,7 @@ fn bench_characterization() {
             interval_ns: 5 * SEC,
             max_gap_intervals: 16,
         });
-        system.run_observed(10 * SEC, &mut profiler);
+        system.run_observed(10 * SEC, |now, a| profiler.observe(now, a));
         std::hint::black_box(profiler.worker().tracked_pages());
     });
 }

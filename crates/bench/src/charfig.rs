@@ -66,7 +66,7 @@ pub fn characterize_all(scale: &Scale) -> Vec<Characterization> {
                 interval_ns: scale.profile_interval_ns,
                 max_gap_intervals: 16,
             });
-            system.run_observed(scale.profile_duration_ns, &mut profiler);
+            system.run_observed(scale.profile_duration_ns, |now, a| profiler.observe(now, a));
             profiler.flush_interval(system.now_ns());
             let (resident_anon, resident_file) = system.memory().node_usage(tiered_mem::NodeId(0));
             Characterization {

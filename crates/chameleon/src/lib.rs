@@ -5,7 +5,8 @@
 //! Placement for CXL-Enabled Tiered Memory* (ASPLOS 2023, §3).
 //!
 //! Chameleon consists of a [`Collector`] that samples memory-access
-//! "hardware events" (here: the simulator's resolved access stream) at a
+//! "hardware events" (here: the simulator's access stream, which a run
+//! feeds to [`Chameleon::observe`] after each access resolves) at a
 //! configurable 1-in-N rate with core-group duty cycling, and a
 //! [`Worker`] that folds each interval's samples into 64-bit per-page
 //! activeness bitmaps. From those histories the crate computes the
@@ -17,8 +18,8 @@
 //!
 //! ```
 //! use chameleon::{Chameleon, ChameleonConfig};
-//! use tiered_mem::{NodeId, PageType, Pid, Vpn};
-//! use tiered_sim::{Access, AccessKind, AccessObserver};
+//! use tiered_mem::{PageType, Pid, Vpn};
+//! use tiered_sim::{Access, AccessKind};
 //!
 //! let mut profiler = Chameleon::with_defaults();
 //! let access = Access {
@@ -27,7 +28,7 @@
 //!     kind: AccessKind::Load,
 //!     page_type: PageType::Anon,
 //! };
-//! profiler.on_access(0, &access, NodeId(0));
+//! profiler.observe(0, &access);
 //! assert!(profiler.collector().events_seen() > 0);
 //! ```
 

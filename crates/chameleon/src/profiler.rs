@@ -1,13 +1,12 @@
-//! The Chameleon façade: Collector + Worker wired to the simulated access
-//! stream through [`AccessObserver`].
+//! The Chameleon façade: Collector + Worker fed the simulated access
+//! stream through [`Chameleon::observe`].
 //!
 //! Attach a [`Chameleon`] to a system run and it produces the paper's
 //! characterization artefacts: per-interval hotness (Fig 7), per-type
 //! hotness (Fig 8), usage over time (Fig 9), and the re-access-interval
 //! CDF (Fig 11).
 
-use tiered_mem::NodeId;
-use tiered_sim::{Access, AccessObserver, Periodic, MINUTE};
+use tiered_sim::{Access, Periodic, MINUTE};
 
 use crate::collector::{Collector, CollectorConfig};
 use crate::report::{reaccess_cdf, Heatmap, UsageSeries};
@@ -117,10 +116,10 @@ impl Chameleon {
         }
         self.series.sample(now_ns, &self.worker);
     }
-}
 
-impl AccessObserver for Chameleon {
-    fn on_access(&mut self, now_ns: u64, access: &Access, _node: NodeId) {
+    /// Feeds the profiler one access issued at `now_ns`. A run feeds it
+    /// every access with `system.run_observed(d, |now, a| profiler.observe(now, a))`.
+    pub fn observe(&mut self, now_ns: u64, access: &Access) {
         // Close out any elapsed interval first: an access at the boundary
         // belongs to the new interval.
         if self.interval.fire(now_ns) > 0 {
@@ -156,7 +155,7 @@ mod tests {
             kind: AccessKind::Load,
             page_type: t,
         };
-        c.on_access(now, &a, NodeId(0));
+        c.observe(now, &a);
     }
 
     #[test]

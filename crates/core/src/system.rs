@@ -14,10 +14,7 @@
 use std::ops::{Deref, DerefMut};
 
 use tiered_mem::{Memory, PageFlags, PageKey, PageLocation, Pfn, TraceEvent, TraceRecord};
-use tiered_sim::{
-    Access, AccessKind, AccessObserver, LatencyModel, NullObserver, Periodic, SimRng, Workload,
-    WorkloadEvent,
-};
+use tiered_sim::{Access, AccessKind, LatencyModel, Periodic, SimRng, Workload, WorkloadEvent};
 
 use crate::metrics::RunMetrics;
 use crate::policy::{PlacementPolicy, PolicyCtx, UnsupportedConfig};
@@ -196,12 +193,13 @@ impl System {
 
     /// Runs every lane for `duration_ns` of simulated time.
     pub fn run(&mut self, duration_ns: u64) {
-        self.run_observed(duration_ns, &mut NullObserver);
+        self.run_observed(duration_ns, |_, _| {});
     }
 
-    /// Runs every lane for `duration_ns`, reporting every resolved access
-    /// to `obs` (e.g. a Chameleon profiler).
-    pub fn run_observed(&mut self, duration_ns: u64, obs: &mut dyn AccessObserver) {
+    /// Runs every lane for `duration_ns`, calling `observe(now, access)`
+    /// after each access resolves, with the start time of the op that
+    /// issued it (e.g. to feed a Chameleon profiler).
+    pub fn run_observed(&mut self, duration_ns: u64, mut observe: impl FnMut(u64, &Access)) {
         let end: Vec<u64> = self
             .lanes
             .iter()
@@ -230,7 +228,8 @@ impl System {
             for event in &events {
                 match *event {
                     WorkloadEvent::Access(access) => {
-                        mem_ns += self.execute_access(i, now, &access, obs);
+                        mem_ns += self.execute_access(i, now, &access);
+                        observe(now, &access);
                     }
                     WorkloadEvent::Free { pid, vpn } => {
                         self.memory.release(pid, vpn);
@@ -270,7 +269,7 @@ impl System {
     /// would (for benchmarking the resolution hot path in isolation).
     /// Returns the latency charged to the op.
     pub fn resolve_access(&mut self, now_ns: u64, access: &Access) -> u64 {
-        self.execute_access(0, now_ns, access, &mut NullObserver)
+        self.execute_access(0, now_ns, access)
     }
 
     /// Resolves one access of lane `lane`: fault if unmapped/swapped,
@@ -281,32 +280,20 @@ impl System {
     /// branch-light fast path straight to [`System::touch_and_charge`].
     /// Everything else (faults, hint faults) falls through to
     /// [`System::execute_access_slow`].
-    fn execute_access(
-        &mut self,
-        lane: usize,
-        now: u64,
-        access: &Access,
-        obs: &mut dyn AccessObserver,
-    ) -> u64 {
+    fn execute_access(&mut self, lane: usize, now: u64, access: &Access) -> u64 {
         if let Some(PageLocation::Mapped(pfn)) = self.memory.space(access.pid).translate(access.vpn)
         {
             let flags = self.memory.frames().frame(pfn).flags();
             if !flags.contains(PageFlags::HINTED) {
-                return self.touch_and_charge(lane, now, access, pfn, obs);
+                return self.touch_and_charge(lane, now, access, pfn);
             }
         }
-        self.execute_access_slow(lane, now, access, obs)
+        self.execute_access_slow(lane, now, access)
     }
 
     /// The uncommon cases: page fault (first touch or swap-in) and NUMA
     /// hint faults, both of which need a [`PolicyCtx`].
-    fn execute_access_slow(
-        &mut self,
-        lane: usize,
-        now: u64,
-        access: &Access,
-        obs: &mut dyn AccessObserver,
-    ) -> u64 {
+    fn execute_access_slow(&mut self, lane: usize, now: u64, access: &Access) -> u64 {
         let mut cost = 0u64;
         let mut pfn = match self.memory.space(access.pid).translate(access.vpn) {
             Some(PageLocation::Mapped(pfn)) => pfn,
@@ -346,24 +333,17 @@ impl System {
                 other => panic!("page vanished during hint fault: {other:?}"),
             };
         }
-        cost + self.touch_and_charge(lane, now, access, pfn, obs)
+        cost + self.touch_and_charge(lane, now, access, pfn)
     }
 
     /// Records an access to the resident page `pfn`: marks it referenced
-    /// (and dirty for a store), charges `lane`'s metrics and reports it to
-    /// `obs`. Returns the stall charged to the op.
+    /// (and dirty for a store) and charges `lane`'s metrics. Returns the
+    /// stall charged to the op.
     ///
     /// Always inlined, so the fast path's frame lookup is shared with its
     /// `HINTED` check instead of being repeated behind a call.
     #[inline(always)]
-    fn touch_and_charge(
-        &mut self,
-        lane: usize,
-        now: u64,
-        access: &Access,
-        pfn: Pfn,
-        obs: &mut dyn AccessObserver,
-    ) -> u64 {
+    fn touch_and_charge(&mut self, lane: usize, now: u64, access: &Access, pfn: Pfn) -> u64 {
         let mark = if access.kind == AccessKind::Store {
             PageFlags::REFERENCED | PageFlags::DIRTY
         } else {
@@ -391,7 +371,6 @@ impl System {
             access.page_type.is_anon(),
             node_latency,
         );
-        obs.on_access(now, access, node);
         // One workload access stands for a bundle of LLC misses (see
         // `LatencyModel::access_bundle`); metrics record the per-miss
         // latency, the op is charged the whole stall.
@@ -490,16 +469,10 @@ mod tests {
 
     #[test]
     fn observer_sees_every_access() {
-        struct Counter(u64);
-        impl AccessObserver for Counter {
-            fn on_access(&mut self, _: u64, _: &Access, _: NodeId) {
-                self.0 += 1;
-            }
-        }
         let mut s = quick_system(Box::new(LinuxDefault::new()));
-        let mut counter = Counter(0);
-        s.run_observed(SEC, &mut counter);
-        assert_eq!(counter.0, s.metrics().accesses);
+        let mut seen = 0u64;
+        s.run_observed(SEC, |_, _| seen += 1);
+        assert_eq!(seen, s.metrics().accesses);
     }
 
     fn two_lane_system(policy: Box<dyn PlacementPolicy>) -> System {
@@ -555,6 +528,39 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn observing_a_colocated_run_sees_every_lane_in_order_and_changes_nothing() {
+        let mut observed = two_lane_system(Box::new(Tpp::new()));
+        let mut seen = 0u64;
+        let mut last_ns = std::collections::BTreeMap::new();
+        observed.run_observed(SEC, |now, access| {
+            seen += 1;
+            let last = last_ns.entry(access.pid).or_insert(0);
+            assert!(now >= *last, "{} went back in time", access.pid);
+            *last = now;
+        });
+        let lanes = 0..observed.lane_count();
+        let accesses: u64 = lanes
+            .clone()
+            .map(|i| observed.lane_metrics(i).accesses)
+            .sum();
+        assert_eq!(seen, accesses);
+        assert_eq!(last_ns.len(), 2, "a lane went unobserved");
+
+        let mut plain = two_lane_system(Box::new(Tpp::new()));
+        plain.run(SEC);
+        assert_eq!(
+            observed.memory().vmstat().to_string(),
+            plain.memory().vmstat().to_string()
+        );
+        for i in lanes {
+            assert_eq!(
+                format!("{:?}", observed.lane_metrics(i)),
+                format!("{:?}", plain.lane_metrics(i))
+            );
+        }
     }
 
     #[test]

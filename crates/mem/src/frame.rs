@@ -325,12 +325,6 @@ impl FrameTable {
         table
     }
 
-    /// Whether this table manages multi-order buddy blocks (huge mode).
-    #[inline]
-    pub fn thp_enabled(&self) -> bool {
-        self.huge
-    }
-
     /// Number of memory nodes.
     #[inline]
     pub fn node_count(&self) -> usize {

@@ -132,12 +132,6 @@ impl TppWatermarks {
         free < self.demote_trigger
     }
 
-    /// Whether demotion has restored the free-page headroom.
-    #[inline]
-    pub fn demotion_satisfied(&self, free: u64) -> bool {
-        free >= self.demote_target
-    }
-
     /// Whether a promotion into this node may proceed with `free` pages
     /// left. Promotions bypass the allocation watermark (paper §5.3) and
     /// only respect the hard `min` floor.

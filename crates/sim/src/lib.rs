@@ -2,7 +2,7 @@
 //!
 //! Deterministic simulation engine for tiered-memory experiments:
 //! nanosecond time units and periodic timers, the operation-cost latency
-//! model, access-trace types, seeded randomness, and statistics
+//! model, workload and access types, seeded randomness, and statistics
 //! collection.
 //!
 //! This crate sits between the mechanical substrate
@@ -30,21 +30,12 @@
 
 mod clock;
 mod latency;
-mod replay;
 mod rng;
 mod stats;
 mod trace;
 
 pub use clock::{Periodic, MINUTE, MS, SEC, US};
 pub use latency::{access_latency_ns, LatencyModel};
-pub use replay::{ParseTraceError, Trace, TraceRecord, TraceRecorder, TraceWorkload};
 pub use rng::SimRng;
 pub use stats::{fraction, percentile, rate_per_sec, LogHistogram, TimeSeries};
-pub use trace::{Access, AccessKind, AccessObserver, NullObserver, Op, Workload, WorkloadEvent};
-
-/// Structured event telemetry for simulation runs, re-exported from
-/// [`tiered_mem::telemetry`]: kernel-style trace events ↔ vmstat counter
-/// parity, plus the JSONL writer. Namespaced because the
-/// telemetry `TraceRecord` is distinct from the access-replay
-/// [`TraceRecord`] exported above.
-pub use tiered_mem::telemetry;
+pub use trace::{Access, AccessKind, Op, Workload, WorkloadEvent};

@@ -1,7 +1,7 @@
-//! Access traces: the interface between workload generators, the system
-//! runner, and observers such as the Chameleon profiler.
+//! Access streams: the interface between workload generators and the
+//! system runner.
 
-use tiered_mem::{NodeId, PageType, Pid, Vpn};
+use tiered_mem::{PageType, Pid, Vpn};
 
 use crate::rng::SimRng;
 
@@ -115,24 +115,6 @@ pub trait Workload {
     fn working_set_pages(&self) -> u64;
 }
 
-/// Observer of the resolved access stream (after placement): each access
-/// is reported with the node that actually served it.
-///
-/// The Chameleon profiler implements this; so do the traffic recorders
-/// behind the paper's figures.
-pub trait AccessObserver {
-    /// Called once per access with the serving node.
-    fn on_access(&mut self, now_ns: u64, access: &Access, node: NodeId);
-}
-
-/// A no-op observer.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullObserver;
-
-impl AccessObserver for NullObserver {
-    fn on_access(&mut self, _now_ns: u64, _access: &Access, _node: NodeId) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,17 +147,5 @@ mod tests {
         assert_eq!(op.cpu_ns, 500);
         assert_eq!(op.access_count(), 0);
         assert!(op.events.is_empty());
-    }
-
-    #[test]
-    fn null_observer_is_callable() {
-        let mut obs = NullObserver;
-        let a = Access {
-            pid: Pid(1),
-            vpn: Vpn(9),
-            kind: AccessKind::Store,
-            page_type: PageType::File,
-        };
-        obs.on_access(0, &a, NodeId(0));
     }
 }

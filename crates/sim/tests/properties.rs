@@ -76,47 +76,3 @@ fn time_series_aggregates_match_naive() {
         assert_eq!(ts.percentile(0.0).unwrap(), naive_min);
     }
 }
-
-/// Trace text serialisation round-trips for arbitrary records.
-#[test]
-fn trace_text_round_trips() {
-    use tiered_mem::{PageType, Pid, Vpn};
-    use tiered_sim::{Access, AccessKind, AccessObserver, Trace, TraceRecorder};
-    let mut rng = SimRng::seed(0x7247);
-    for case in 0..32u64 {
-        let len = rng.range(0..50);
-        let mut records: Vec<(u64, u32, u64, bool, u8)> = (0..len)
-            .map(|_| {
-                (
-                    rng.range(0..u64::MAX / 2),
-                    rng.range(0..1_000) as u32,
-                    rng.range(0..u64::MAX / 2),
-                    rng.chance(0.5),
-                    rng.range(0..3) as u8,
-                )
-            })
-            .collect();
-        records.sort_by_key(|r| r.0);
-        let mut rec = TraceRecorder::new();
-        for (t, pid, vpn, store, ty) in records {
-            let access = Access {
-                pid: Pid(pid),
-                vpn: Vpn(vpn),
-                kind: if store {
-                    AccessKind::Store
-                } else {
-                    AccessKind::Load
-                },
-                page_type: match ty {
-                    0 => PageType::Anon,
-                    1 => PageType::File,
-                    _ => PageType::Tmpfs,
-                },
-            };
-            rec.on_access(t, &access, tiered_mem::NodeId(0));
-        }
-        let trace = rec.into_trace();
-        let parsed: Trace = trace.to_text().parse().unwrap();
-        assert_eq!(parsed, trace, "case {case}");
-    }
-}

@@ -51,7 +51,7 @@ fn main() {
         3,
     )
     .expect("all-local always runs");
-    system.run_observed(3 * MINUTE, &mut profiler);
+    system.run_observed(3 * MINUTE, |now, a| profiler.observe(now, a));
     profiler.flush_interval(system.now_ns());
 
     println!("{}", TextReport::from_profiler(&which, &profiler));

@@ -14,6 +14,16 @@ cargo test --release -q -p tpp-bench --lib microbench
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q --workspace
 # Benches must at least compile (running them is bench.sh's job).
 cargo bench --no-run -q -p tpp-bench
+# Every example must run to completion, not only compile (~9 s).
+cargo build --release -q --examples
+for example in examples/*.rs; do
+  name="$(basename "$example" .rs)"
+  ./target/release/examples/"$name" >/dev/null || {
+    echo "example $name FAILED" >&2
+    exit 1
+  }
+done
+echo "examples: every example ran to completion"
 # The benchmark package lives outside the workspace and implements the
 # public `Workload` and `PlacementPolicy` traits, so a public-API change
 # that breaks it must fail here too.

@@ -33,7 +33,7 @@ fn profile_workload(profile: &tiered_workloads::WorkloadProfile) -> Chameleon {
         9,
     )
     .unwrap();
-    system.run_observed(6 * INTERVAL, &mut profiler);
+    system.run_observed(6 * INTERVAL, |now, a| profiler.observe(now, a));
     profiler.flush_interval(system.now_ns());
     profiler
 }
@@ -114,7 +114,7 @@ fn collector_samples_at_configured_rate() {
         9,
     )
     .unwrap();
-    system.run_observed(2 * INTERVAL, &mut profiler);
+    system.run_observed(2 * INTERVAL, |now, a| profiler.observe(now, a));
     let seen = profiler.collector().events_seen() as f64;
     let sampled = profiler.collector().events_sampled() as f64;
     let rate = sampled / seen;
