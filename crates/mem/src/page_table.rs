@@ -322,9 +322,12 @@ impl AddressSpace {
         }
     }
 
-    /// Iterates all entries in unspecified (but deterministic) order.
+    /// Iterates all entries (mapped and swapped) in ascending VPN order.
     pub fn iter(&self) -> impl Iterator<Item = (Vpn, PageLocation)> + '_ {
-        self.map.iter().map(|(v, l)| (Vpn(v), l))
+        self.vpns_from_rank(0).map(|vpn| {
+            let loc = self.map.get(vpn.0);
+            (vpn, loc.expect("occupancy index names a key the table lacks"))
+        })
     }
 
     fn index_insert(&mut self, vpn: u64) {
