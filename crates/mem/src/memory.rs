@@ -1244,11 +1244,11 @@ impl Memory {
                 used - tails - on_lists
             );
         }
-        // 4. Page-table ↔ frame-owner bijection, and each space's
-        //    occupancy index ↔ its page-table keys.
+        // 4. Page-table ↔ frame-owner bijection, and each space's leaf
+        //    live counts ↔ its entries.
         let mut mapped = 0u64;
         for (pid, space) in self.spaces.iter() {
-            space.validate_index();
+            space.validate();
             for (vpn, loc) in space.iter() {
                 match loc {
                     PageLocation::Mapped(pfn) => {

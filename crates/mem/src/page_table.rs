@@ -1,30 +1,25 @@
 //! Per-process address spaces: the virtual→physical mapping plus swap
-//! entries, and the registry of processes.
+//! entries.
 //!
-//! The mapping is a hand-rolled open-addressed hash table ([`VpnMap`])
-//! rather than `std::collections::HashMap`: every simulated access funnels
-//! through [`AddressSpace::translate`], so the lookup path is the hottest
-//! code in the simulator. The table uses power-of-two capacities,
-//! fibonacci (multiply-shift) hashing, linear probing, and tombstone-free
-//! backshift deletion, and the fault path keeps a one-entry
-//! last-translation cache in front of it.
+//! Each space is a radix page table, like the kernel's. A VPN splits into
+//! a span key (`vpn >> 21`: one 8 GiB span of 4 KiB pages), a leaf index
+//! within the span (4,096 leaves) and an entry index within the leaf (512
+//! entries, so a leaf is exactly one huge-page-aligned window). A space
+//! keeps its spans in a short list sorted by key and searched linearly:
+//! anon regions start at VPN 0 and file regions at `1 << 32`, so a
+//! process has two or three spans. A leaf packs its entries as `u64`s (a
+//! PFN as is, a swap slot with the top bit set, `u64::MAX` for no entry)
+//! and counts its live ones.
 //!
-//! Beside the hash table each space keeps an ordered occupancy index: one
-//! bitmap per huge-page-aligned window, in address order. The background
-//! scanners (khugepaged, the hint sampler) walk it instead of collecting
-//! and sorting every VPN on each wakeup.
-
-use std::cell::Cell;
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+//! Every simulated access funnels through [`AddressSpace::translate`],
+//! which indexes the table directly, and neighbouring VPNs share a leaf.
+//! The background scanners (khugepaged, the hint sampler) walk the same
+//! leaves in address order; a rank walk skips whole leaves by their live
+//! counts, so reaching a rank costs O(leaves), not O(entries).
 
 use crate::frame::HUGE_PAGE_FRAMES;
 use crate::swap::SwapSlot;
 use crate::types::{Pfn, Pid, Vpn};
-
-/// Occupancy bitmap of one aligned window: bit `i` is set when
-/// `base + i` has an entry.
-type WindowBits = [u64; (HUGE_PAGE_FRAMES / 64) as usize];
 
 /// Where a virtual page currently lives.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -43,151 +38,70 @@ impl PageLocation {
             PageLocation::Swapped(_) => None,
         }
     }
+
+    fn encode(self) -> u64 {
+        match self {
+            PageLocation::Mapped(pfn) => pfn.0 as u64,
+            PageLocation::Swapped(slot) => {
+                debug_assert!(slot.0 < !SWAPPED, "{slot:?} collides with the empty entry");
+                slot.0 | SWAPPED
+            }
+        }
+    }
+
+    #[inline]
+    fn decode(entry: u64) -> Option<PageLocation> {
+        if entry == EMPTY {
+            None
+        } else if entry & SWAPPED == 0 {
+            Some(PageLocation::Mapped(Pfn(entry as u32)))
+        } else {
+            Some(PageLocation::Swapped(SwapSlot(entry & !SWAPPED)))
+        }
+    }
 }
 
-/// Sentinel marking an empty slot. Valid VPNs never reach `u64::MAX`:
-/// anon regions start at 0 and file regions at `1 << 32`, both far below.
+/// An entry with no mapping.
 const EMPTY: u64 = u64::MAX;
+/// Tag bit of an entry holding a swap slot.
+const SWAPPED: u64 = 1 << 63;
 
-/// 2^64 / phi, the fibonacci hashing multiplier.
-const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
+/// log2 of the entries per leaf: one leaf per huge-page window.
+const LEAF_SHIFT: u32 = HUGE_PAGE_FRAMES.trailing_zeros();
+const LEAF_ENTRIES: usize = HUGE_PAGE_FRAMES as usize;
+/// log2 of the VPNs per span (8 GiB of 4 KiB pages).
+const SPAN_SHIFT: u32 = 21;
+const SPAN_LEAVES: usize = 1 << (SPAN_SHIFT - LEAF_SHIFT);
 
-const MIN_CAP: usize = 8;
-
-/// Open-addressed `Vpn -> PageLocation` table.
-///
-/// Layout: two parallel vectors (keys and values) of power-of-two length.
-/// The home slot of a key is the top `log2(capacity)` bits of
-/// `key * FIB` (multiply-shift), collisions probe linearly, and deletion
-/// backshifts the following probe chain instead of leaving tombstones, so
-/// lookup cost never degrades with churn. Iteration order is slot order —
-/// a pure function of the insertion history, never of a randomized hash
-/// seed, which keeps whole-table walks deterministic across runs.
-#[derive(Clone, Debug)]
-struct VpnMap {
-    keys: Vec<u64>,
-    vals: Vec<PageLocation>,
-    len: usize,
-    /// `64 - log2(capacity)`; multiply-shift uses the top bits.
-    shift: u32,
+/// The leaf slot of `vpn` within its span.
+#[inline]
+fn leaf_index(vpn: u64) -> usize {
+    (vpn >> LEAF_SHIFT) as usize & (SPAN_LEAVES - 1)
 }
 
-impl VpnMap {
-    fn new() -> VpnMap {
-        VpnMap {
-            keys: vec![EMPTY; MIN_CAP],
-            vals: vec![PageLocation::Mapped(Pfn(0)); MIN_CAP],
-            len: 0,
-            shift: 64 - MIN_CAP.trailing_zeros(),
-        }
-    }
+/// One window's entries and how many of them are live.
+#[derive(Clone, Debug)]
+struct Leaf {
+    live: u32,
+    entries: [u64; LEAF_ENTRIES],
+}
 
-    #[inline]
-    fn home(&self, key: u64) -> usize {
-        (key.wrapping_mul(FIB) >> self.shift) as usize
-    }
-
-    #[inline]
-    fn mask(&self) -> usize {
-        self.keys.len() - 1
-    }
-
-    #[inline]
-    fn get(&self, key: u64) -> Option<PageLocation> {
-        let mask = self.mask();
-        let mut i = self.home(key);
-        loop {
-            let k = self.keys[i];
-            if k == key {
-                return Some(self.vals[i]);
-            }
-            if k == EMPTY {
-                return None;
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    fn insert(&mut self, key: u64, val: PageLocation) -> Option<PageLocation> {
-        debug_assert_ne!(key, EMPTY, "Vpn(u64::MAX) collides with the empty sentinel");
-        // Grow before the load factor exceeds 3/4 so probe chains stay short.
-        if (self.len + 1) * 4 > self.keys.len() * 3 {
-            self.grow();
-        }
-        let mask = self.mask();
-        let mut i = self.home(key);
-        loop {
-            let k = self.keys[i];
-            if k == EMPTY {
-                self.keys[i] = key;
-                self.vals[i] = val;
-                self.len += 1;
-                return None;
-            }
-            if k == key {
-                return Some(std::mem::replace(&mut self.vals[i], val));
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    fn remove(&mut self, key: u64) -> Option<PageLocation> {
-        let mask = self.mask();
-        let mut i = self.home(key);
-        loop {
-            let k = self.keys[i];
-            if k == EMPTY {
-                return None;
-            }
-            if k == key {
-                break;
-            }
-            i = (i + 1) & mask;
-        }
-        let old = self.vals[i];
-        self.len -= 1;
-        // Backshift deletion: slide each following chain member into the
-        // hole unless that would move it before its home slot.
-        let mut hole = i;
-        let mut j = (i + 1) & mask;
-        loop {
-            let k = self.keys[j];
-            if k == EMPTY {
-                break;
-            }
-            let home = self.home(k);
-            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
-                self.keys[hole] = k;
-                self.vals[hole] = self.vals[j];
-                hole = j;
-            }
-            j = (j + 1) & mask;
-        }
-        self.keys[hole] = EMPTY;
-        Some(old)
-    }
-
-    fn grow(&mut self) {
-        let new_cap = self.keys.len() * 2;
-        let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY; new_cap]);
-        let old_vals =
-            std::mem::replace(&mut self.vals, vec![PageLocation::Mapped(Pfn(0)); new_cap]);
-        self.shift -= 1;
-        self.len = 0;
-        for (k, v) in old_keys.into_iter().zip(old_vals) {
-            if k != EMPTY {
-                self.insert(k, v);
-            }
-        }
-    }
-
-    fn iter(&self) -> impl Iterator<Item = (u64, PageLocation)> + '_ {
-        self.keys
+impl Leaf {
+    /// The live entries of the leaf based at `base`, in ascending order.
+    fn entries(&self, base: u64) -> impl Iterator<Item = (Vpn, PageLocation)> + '_ {
+        self.entries
             .iter()
-            .zip(&self.vals)
-            .filter(|(&k, _)| k != EMPTY)
-            .map(|(&k, &v)| (k, v))
+            .enumerate()
+            .filter_map(move |(i, &e)| Some((Vpn(base + i as u64), PageLocation::decode(e)?)))
     }
+}
+
+/// The leaves of one 8 GiB span; a slot is `None` while its window has no
+/// entry.
+#[derive(Clone, Debug)]
+struct Span {
+    key: u64,
+    leaves: Box<[Option<Box<Leaf>>]>,
 }
 
 /// One process' page table.
@@ -206,16 +120,14 @@ impl VpnMap {
 #[derive(Clone, Debug)]
 pub struct AddressSpace {
     pid: Pid,
-    map: VpnMap,
+    /// Sorted by key.
+    spans: Vec<Span>,
+    /// Emptied leaves (all entries `EMPTY`), reused before allocating.
+    free: Vec<Box<Leaf>>,
+    /// Leaves holding at least one entry.
+    windows: usize,
     resident: u64,
     swapped: u64,
-    /// One-entry last-translation cache: workloads re-touch the same page
-    /// in bursts, and the sampler walks pages it just translated.
-    last: Cell<Option<(Vpn, PageLocation)>>,
-    /// Ordered occupancy index over exactly the keys of `map` (mapped and
-    /// swapped alike), keyed by window base. Windows with no entry are
-    /// absent. Updated only when a key enters or leaves `map`.
-    windows: BTreeMap<u64, WindowBits>,
 }
 
 impl AddressSpace {
@@ -223,11 +135,11 @@ impl AddressSpace {
     pub fn new(pid: Pid) -> AddressSpace {
         AddressSpace {
             pid,
-            map: VpnMap::new(),
+            spans: Vec::new(),
+            free: Vec::new(),
+            windows: 0,
             resident: 0,
             swapped: 0,
-            last: Cell::new(None),
-            windows: BTreeMap::new(),
         }
     }
 
@@ -237,17 +149,17 @@ impl AddressSpace {
         self.pid
     }
 
+    #[inline]
+    fn span(&self, vpn: u64) -> Option<&Span> {
+        let key = vpn >> SPAN_SHIFT;
+        self.spans.iter().find(|s| s.key == key)
+    }
+
     /// Looks up where `vpn` lives, if anywhere.
     #[inline]
     pub fn translate(&self, vpn: Vpn) -> Option<PageLocation> {
-        if let Some((v, loc)) = self.last.get() {
-            if v == vpn {
-                return Some(loc);
-            }
-        }
-        let loc = self.map.get(vpn.0)?;
-        self.last.set(Some((vpn, loc)));
-        Some(loc)
+        let leaf = self.span(vpn.0)?.leaves[leaf_index(vpn.0)].as_deref()?;
+        PageLocation::decode(leaf.entries[vpn.0 as usize % LEAF_ENTRIES])
     }
 
     /// Number of resident (mapped) pages.
@@ -273,14 +185,8 @@ impl AddressSpace {
     /// Returns the previous location, if any.
     #[inline]
     pub fn map(&mut self, vpn: Vpn, pfn: Pfn) -> Option<PageLocation> {
-        let loc = PageLocation::Mapped(pfn);
-        let prev = self.map.insert(vpn.0, loc);
-        self.account_remove(prev);
-        if prev.is_none() {
-            self.index_insert(vpn.0);
-        }
+        let prev = self.insert(vpn.0, PageLocation::Mapped(pfn));
         self.resident += 1;
-        self.last.set(Some((vpn, loc)));
         prev
     }
 
@@ -288,33 +194,63 @@ impl AddressSpace {
     ///
     /// Returns the previous location, if any.
     pub fn set_swapped(&mut self, vpn: Vpn, slot: SwapSlot) -> Option<PageLocation> {
-        let loc = PageLocation::Swapped(slot);
-        let prev = self.map.insert(vpn.0, loc);
-        self.account_remove(prev);
-        if prev.is_none() {
-            self.index_insert(vpn.0);
-        }
+        let prev = self.insert(vpn.0, PageLocation::Swapped(slot));
         self.swapped += 1;
-        self.last.set(Some((vpn, loc)));
         prev
     }
 
-    /// Removes the entry for `vpn`, returning where it was.
-    pub fn unmap(&mut self, vpn: Vpn) -> Option<PageLocation> {
-        let prev = self.map.remove(vpn.0);
-        self.account_remove(prev);
-        if prev.is_some() {
-            self.index_remove(vpn.0);
-        }
-        if let Some((v, _)) = self.last.get() {
-            if v == vpn {
-                self.last.set(None);
+    /// Stores `loc` at `vpn`, creating its span and leaf on demand, and
+    /// uncounts the entry it replaces.
+    #[inline]
+    fn insert(&mut self, vpn: u64, loc: PageLocation) -> Option<PageLocation> {
+        let key = vpn >> SPAN_SHIFT;
+        let at = match self.spans.iter().position(|s| s.key == key) {
+            Some(at) => at,
+            None => {
+                let at = self.spans.partition_point(|s| s.key < key);
+                let leaves = vec![None; SPAN_LEAVES].into_boxed_slice();
+                self.spans.insert(at, Span { key, leaves });
+                at
             }
+        };
+        let slot = &mut self.spans[at].leaves[leaf_index(vpn)];
+        let leaf = slot.get_or_insert_with(|| {
+            self.windows += 1;
+            self.free.pop().unwrap_or_else(|| {
+                Box::new(Leaf {
+                    live: 0,
+                    entries: [EMPTY; LEAF_ENTRIES],
+                })
+            })
+        });
+        let entry = &mut leaf.entries[vpn as usize % LEAF_ENTRIES];
+        let prev = PageLocation::decode(std::mem::replace(entry, loc.encode()));
+        if prev.is_none() {
+            leaf.live += 1;
         }
+        self.uncount(prev);
         prev
     }
 
-    fn account_remove(&mut self, prev: Option<PageLocation>) {
+    /// Removes the entry for `vpn`, returning where it was. A leaf left
+    /// empty goes to the free list.
+    pub fn unmap(&mut self, vpn: Vpn) -> Option<PageLocation> {
+        let key = vpn.0 >> SPAN_SHIFT;
+        let span = self.spans.iter_mut().find(|s| s.key == key)?;
+        let slot = &mut span.leaves[leaf_index(vpn.0)];
+        let leaf = slot.as_mut()?;
+        let entry = &mut leaf.entries[vpn.0 as usize % LEAF_ENTRIES];
+        let prev = PageLocation::decode(std::mem::replace(entry, EMPTY))?;
+        leaf.live -= 1;
+        if leaf.live == 0 {
+            self.free.extend(slot.take());
+            self.windows -= 1;
+        }
+        self.uncount(Some(prev));
+        Some(prev)
+    }
+
+    fn uncount(&mut self, prev: Option<PageLocation>) {
         match prev {
             Some(PageLocation::Mapped(_)) => self.resident -= 1,
             Some(PageLocation::Swapped(_)) => self.swapped -= 1,
@@ -322,104 +258,89 @@ impl AddressSpace {
         }
     }
 
-    /// Iterates all entries (mapped and swapped) in ascending VPN order.
-    pub fn iter(&self) -> impl Iterator<Item = (Vpn, PageLocation)> + '_ {
-        self.vpns_from_rank(0).map(|vpn| {
-            let loc = self.map.get(vpn.0);
-            (vpn, loc.expect("occupancy index names a key the table lacks"))
+    /// The non-empty leaves with their base VPNs, in ascending order.
+    fn leaves(&self) -> impl Iterator<Item = (u64, &Leaf)> + '_ {
+        self.spans.iter().flat_map(|span| {
+            let span_base = span.key << SPAN_SHIFT;
+            span.leaves.iter().enumerate().filter_map(move |(i, leaf)| {
+                Some((span_base + ((i as u64) << LEAF_SHIFT), leaf.as_deref()?))
+            })
         })
     }
 
-    fn index_insert(&mut self, vpn: u64) {
-        let (base, word, bit) = window_slot(vpn);
-        self.windows.entry(base).or_default()[word] |= bit;
-    }
-
-    fn index_remove(&mut self, vpn: u64) {
-        let (base, word, bit) = window_slot(vpn);
-        let Entry::Occupied(mut window) = self.windows.entry(base) else {
-            unreachable!("{}: unmapped VPN {vpn} was never indexed", self.pid);
-        };
-        window.get_mut()[word] &= !bit;
-        if window.get().iter().all(|&w| w == 0) {
-            window.remove();
-        }
+    /// Iterates all entries (mapped and swapped) in ascending VPN order.
+    pub fn iter(&self) -> impl Iterator<Item = (Vpn, PageLocation)> + '_ {
+        self.leaves().flat_map(|(base, leaf)| leaf.entries(base))
     }
 
     /// Number of aligned windows holding at least one entry.
     pub fn window_count(&self) -> usize {
-        self.windows.len()
+        self.windows
     }
 
     /// Base VPNs of the huge-page-aligned windows holding at least one
     /// entry (mapped or swapped), in ascending order.
     pub fn window_bases(&self) -> impl Iterator<Item = Vpn> + '_ {
-        self.windows.keys().map(|&base| Vpn(base))
+        self.leaves().map(|(base, _)| Vpn(base))
     }
 
     /// The VPNs with an entry (mapped or swapped) in ascending order,
     /// starting at the `rank`-th smallest: `vpns_from_rank(r)` yields what
-    /// a sorted key list would hold at `[r..]`. Whole windows below the
-    /// rank are skipped by popcount, so reaching the start costs
-    /// O(windows), not O(entries).
+    /// a sorted key list would hold at `[r..]`. Whole leaves below the
+    /// rank are skipped by their live counts.
     pub fn vpns_from_rank(&self, rank: usize) -> impl Iterator<Item = Vpn> + '_ {
-        let mut skip = rank as u64;
-        self.windows.iter().flat_map(move |(&base, bits)| {
-            let count: u64 = bits.iter().map(|w| w.count_ones() as u64).sum();
-            let here = skip.min(count);
-            skip -= here;
-            window_vpns(base, bits).skip(here as usize)
-        })
-    }
-
-    /// Asserts that the occupancy index holds exactly the table's keys and
-    /// that its popcounts sum to `resident + swapped`.
-    pub(crate) fn validate_index(&self) {
-        let mut expected: BTreeMap<u64, WindowBits> = BTreeMap::new();
-        for (vpn, _) in self.map.iter() {
-            let (base, word, bit) = window_slot(vpn);
-            expected.entry(base).or_default()[word] |= bit;
-        }
-        assert!(
-            expected == self.windows,
-            "{}: occupancy index diverges from the page table",
-            self.pid
-        );
-        let indexed: u64 = self
-            .windows
-            .values()
+        let mut skip = rank;
+        self.leaves()
+            .filter_map(move |(base, leaf)| {
+                let live = leaf.live as usize;
+                if skip >= live {
+                    skip -= live;
+                    return None;
+                }
+                Some(leaf.entries(base).skip(std::mem::take(&mut skip)))
+            })
             .flatten()
-            .map(|w| w.count_ones() as u64)
-            .sum();
-        assert_eq!(
-            indexed,
-            self.total_pages(),
-            "{}: occupancy index popcount != resident + swapped",
+            .map(|(vpn, _)| vpn)
+    }
+
+    /// Asserts that the spans are sorted, that every leaf's live count
+    /// matches its entries and is non-zero, and that the window, resident
+    /// and swapped counts match the entries.
+    pub(crate) fn validate(&self) {
+        assert!(
+            self.spans.windows(2).all(|w| w[0].key < w[1].key),
+            "{}: spans out of order",
+            self.pid
+        );
+        let (mut windows, mut resident, mut swapped) = (0, 0, 0);
+        for (base, leaf) in self.leaves() {
+            let mut live = 0;
+            for (_, loc) in leaf.entries(base) {
+                live += 1;
+                match loc {
+                    PageLocation::Mapped(_) => resident += 1,
+                    PageLocation::Swapped(_) => swapped += 1,
+                }
+            }
+            assert!(
+                live > 0,
+                "{}: empty leaf at {base} left in the table",
+                self.pid
+            );
+            assert_eq!(leaf.live, live, "{}: leaf at {base} miscounted", self.pid);
+            windows += 1;
+        }
+        assert_eq!(windows, self.windows, "{}: window count", self.pid);
+        assert_eq!(resident, self.resident, "{}: resident count", self.pid);
+        assert_eq!(swapped, self.swapped, "{}: swapped count", self.pid);
+        assert!(
+            self.free
+                .iter()
+                .all(|l| l.live == 0 && l.entries.iter().all(|&e| e == EMPTY)),
+            "{}: free leaf not empty",
             self.pid
         );
     }
-}
-
-/// The window base of `vpn`, and the word and bit that mark `vpn` in that
-/// window's bitmap.
-fn window_slot(vpn: u64) -> (u64, usize, u64) {
-    let off = vpn % HUGE_PAGE_FRAMES;
-    (vpn - off, (off / 64) as usize, 1 << (off % 64))
-}
-
-/// The VPNs set in one window's bitmap, in ascending order.
-fn window_vpns(base: u64, bits: &WindowBits) -> impl Iterator<Item = Vpn> + '_ {
-    bits.iter().enumerate().flat_map(move |(i, &word)| {
-        let mut word = word;
-        std::iter::from_fn(move || {
-            if word == 0 {
-                return None;
-            }
-            let bit = word.trailing_zeros() as u64;
-            word &= word - 1;
-            Some(Vpn(base + i as u64 * 64 + bit))
-        })
-    })
 }
 
 #[cfg(test)]
@@ -468,7 +389,11 @@ mod tests {
     fn unmap_missing_is_none() {
         let mut s = AddressSpace::new(Pid(1));
         assert_eq!(s.unmap(Vpn(77)), None);
-        assert_eq!(s.total_pages(), 0);
+        s.map(Vpn(1), Pfn(1));
+        assert_eq!(s.unmap(Vpn(2)), None);
+        assert_eq!(s.unmap(Vpn(1 << 40)), None);
+        assert_eq!(s.total_pages(), 1);
+        s.validate();
     }
 
     #[test]
@@ -490,7 +415,7 @@ mod tests {
         s.unmap(Vpn(600));
         s.unmap(Vpn(700));
         assert_eq!(s.window_count(), 2);
-        s.validate_index();
+        s.validate();
     }
 
     #[test]
@@ -500,11 +425,22 @@ mod tests {
     }
 
     #[test]
-    fn translate_cache_tracks_remap_swap_and_unmap() {
+    fn entries_round_trip_through_the_packed_encoding() {
+        for loc in [
+            PageLocation::Mapped(Pfn(0)),
+            PageLocation::Mapped(Pfn(u32::MAX)),
+            PageLocation::Swapped(SwapSlot(0)),
+            PageLocation::Swapped(SwapSlot(u32::MAX as u64 + 1)),
+        ] {
+            assert_eq!(PageLocation::decode(loc.encode()), Some(loc));
+        }
+        assert_eq!(PageLocation::decode(EMPTY), None);
+    }
+
+    #[test]
+    fn translate_tracks_remap_swap_and_unmap() {
         let mut s = AddressSpace::new(Pid(1));
         s.map(Vpn(5), Pfn(7));
-        // Prime the one-entry cache, then mutate through every path and
-        // check translate never serves a stale location.
         assert_eq!(s.translate(Vpn(5)), Some(PageLocation::Mapped(Pfn(7))));
         s.map(Vpn(5), Pfn(8));
         assert_eq!(s.translate(Vpn(5)), Some(PageLocation::Mapped(Pfn(8))));
@@ -518,6 +454,27 @@ mod tests {
     }
 
     #[test]
+    fn spans_stay_sorted_and_emptied_leaves_are_reused() {
+        let mut s = AddressSpace::new(Pid(1));
+        // Higher span first: the span list must still walk in order.
+        s.map(Vpn(3 << 32), Pfn(3));
+        s.map(Vpn(1 << 32), Pfn(2));
+        s.map(Vpn(7), Pfn(1));
+        assert_eq!(
+            s.iter().map(|(v, _)| v).collect::<Vec<_>>(),
+            [Vpn(7), Vpn(1 << 32), Vpn(3 << 32)]
+        );
+        s.unmap(Vpn(1 << 32));
+        assert_eq!(s.free.len(), 1);
+        // The next new window takes the freed leaf, already all-empty.
+        s.map(Vpn(1 << 20), Pfn(4));
+        assert!(s.free.is_empty());
+        assert_eq!(s.window_count(), 3);
+        assert_eq!(s.translate(Vpn((1 << 20) + 1)), None);
+        s.validate();
+    }
+
+    #[test]
     fn clone_is_independent() {
         let mut a = AddressSpace::new(Pid(1));
         a.map(Vpn(1), Pfn(10));
@@ -525,73 +482,5 @@ mod tests {
         a.unmap(Vpn(1));
         assert_eq!(b.translate(Vpn(1)), Some(PageLocation::Mapped(Pfn(10))));
         assert_eq!(a.translate(Vpn(1)), None);
-    }
-
-    /// Churn the open-addressed table against a `HashMap` reference model
-    /// with a deterministic LCG driving inserts, overwrites, removals, and
-    /// lookups across several growth boundaries.
-    #[test]
-    fn vpn_map_matches_reference_model_under_churn() {
-        use std::collections::HashMap;
-
-        let mut lcg: u64 = 0x1234_5678_9abc_def0;
-        let mut step = move || {
-            lcg = lcg
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            lcg >> 16
-        };
-        let mut ours = VpnMap::new();
-        let mut model: HashMap<u64, PageLocation> = HashMap::new();
-        for _ in 0..20_000 {
-            let r = step();
-            // Small key domain forces heavy collision/overwrite/remove mix;
-            // include keys offset by 1 << 32 to mimic file-region VPNs.
-            let key = (r % 512) + if r & 1 == 0 { 1 << 32 } else { 0 };
-            match (r >> 9) % 4 {
-                0 | 1 => {
-                    let val = PageLocation::Mapped(Pfn((r >> 20) as u32));
-                    assert_eq!(ours.insert(key, val), model.insert(key, val));
-                }
-                2 => {
-                    assert_eq!(ours.remove(key), model.remove(&key));
-                }
-                _ => {
-                    assert_eq!(ours.get(key), model.get(&key).copied());
-                }
-            }
-            assert_eq!(ours.len, model.len());
-        }
-        // Full-table walk agrees with the model.
-        let mut walked: Vec<(u64, PageLocation)> = ours.iter().collect();
-        walked.sort_by_key(|&(k, _)| k);
-        let mut expected: Vec<(u64, PageLocation)> = model.iter().map(|(&k, &v)| (k, v)).collect();
-        expected.sort_by_key(|&(k, _)| k);
-        assert_eq!(walked, expected);
-    }
-
-    #[test]
-    fn vpn_map_survives_growth_with_dense_keys() {
-        let mut m = VpnMap::new();
-        for i in 0..10_000u64 {
-            assert_eq!(m.insert(i, PageLocation::Mapped(Pfn(i as u32))), None);
-        }
-        assert_eq!(m.len, 10_000);
-        for i in 0..10_000u64 {
-            assert_eq!(m.get(i), Some(PageLocation::Mapped(Pfn(i as u32))));
-        }
-        // Delete every other key, then verify the survivors still resolve
-        // (backshift must not break probe chains).
-        for i in (0..10_000u64).step_by(2) {
-            assert!(m.remove(i).is_some());
-        }
-        for i in 0..10_000u64 {
-            let want = if i % 2 == 1 {
-                Some(PageLocation::Mapped(Pfn(i as u32)))
-            } else {
-                None
-            };
-            assert_eq!(m.get(i), want);
-        }
     }
 }

@@ -7,7 +7,7 @@
 //! local SplitMix64 generator instead of proptest; every case is a pure
 //! function of its seed.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use tiered_mem::{
     AddressSpace, LruKind, Memory, NodeId, NodeKind, PageFlags, PageLocation, PageType, Pfn, Pid,
@@ -249,12 +249,12 @@ fn lru_is_a_partition() {
     }
 }
 
-/// The ordered occupancy index holds exactly the page-table keys through
-/// any mix of map, re-map, swap-out and unmap, and both of its walks agree
-/// with the sorted key list: the window walk with the distinct aligned
-/// bases, the rank walk from `r` with `sorted[r..]`. VPNs sit on window
-/// edges (511/512) around the anon (0) and file (`1 << 32`) bases and a
-/// far base (`3 << 32`).
+/// The page table agrees with a `BTreeMap` model through any mix of map,
+/// re-map, swap-out and unmap: `translate` on every VPN the run touches,
+/// `iter` entry by entry in ascending order, and both ordered walks, the
+/// window walk with the distinct aligned bases and the rank walk from `r`
+/// with `sorted[r..]`. VPNs sit on window edges (511/512) around the anon
+/// (0) and file (`1 << 32`) bases and a far base (`3 << 32`).
 #[test]
 fn occupancy_index_walks_match_sorted_keys() {
     const BASES: [u64; 3] = [0, 1 << 32, 3 << 32];
@@ -262,32 +262,54 @@ fn occupancy_index_walks_match_sorted_keys() {
     for seed in 4000..4048u64 {
         let mut rng = TestRng(seed);
         let mut space = AddressSpace::new(Pid(1));
-        let mut keys: BTreeSet<u64> = BTreeSet::new();
+        let mut model: BTreeMap<u64, PageLocation> = BTreeMap::new();
+        let mut touched: BTreeSet<u64> = BTreeSet::new();
         for step in 0..300u64 {
             let vpn = BASES[rng.below(3) as usize] + OFFSETS[rng.below(9) as usize];
+            touched.insert(vpn);
             match rng.below(4) {
                 0 => {
-                    space.map(Vpn(vpn), Pfn(step as u32));
-                    keys.insert(vpn);
+                    let loc = PageLocation::Mapped(Pfn(step as u32));
+                    assert_eq!(
+                        space.map(Vpn(vpn), Pfn(step as u32)),
+                        model.insert(vpn, loc)
+                    );
                 }
                 1 => {
-                    // Re-map a key that is already present: the index must
-                    // not change.
-                    if !keys.is_empty() {
-                        let nth = rng.below(keys.len() as u64) as usize;
-                        let vpn = *keys.iter().nth(nth).unwrap();
-                        assert!(space.map(Vpn(vpn), Pfn(step as u32)).is_some());
+                    // Re-map a key that is already present: the walks
+                    // must not change.
+                    if !model.is_empty() {
+                        let nth = rng.below(model.len() as u64) as usize;
+                        let vpn = *model.keys().nth(nth).unwrap();
+                        let loc = PageLocation::Mapped(Pfn(step as u32));
+                        let prev = space.map(Vpn(vpn), Pfn(step as u32));
+                        assert_eq!(prev, model.insert(vpn, loc));
+                        assert!(prev.is_some());
                     }
                 }
                 2 => {
-                    space.set_swapped(Vpn(vpn), SwapSlot(step));
-                    keys.insert(vpn);
+                    let loc = PageLocation::Swapped(SwapSlot(step));
+                    assert_eq!(
+                        space.set_swapped(Vpn(vpn), SwapSlot(step)),
+                        model.insert(vpn, loc)
+                    );
                 }
                 _ => {
-                    assert_eq!(space.unmap(Vpn(vpn)).is_some(), keys.remove(&vpn));
+                    assert_eq!(space.unmap(Vpn(vpn)), model.remove(&vpn));
                 }
             }
-            let sorted: Vec<Vpn> = keys.iter().map(|&v| Vpn(v)).collect();
+            for &v in &touched {
+                assert_eq!(
+                    space.translate(Vpn(v)),
+                    model.get(&v).copied(),
+                    "seed {seed} vpn {v}"
+                );
+            }
+            assert!(
+                space.iter().eq(model.iter().map(|(&v, &l)| (Vpn(v), l))),
+                "seed {seed}: iter diverges from the model"
+            );
+            let sorted: Vec<Vpn> = model.keys().map(|&v| Vpn(v)).collect();
             let mut windows: Vec<Vpn> = sorted
                 .iter()
                 .map(|v| Vpn(v.0 - v.0 % HUGE_PAGE_FRAMES))
