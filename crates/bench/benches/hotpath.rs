@@ -4,11 +4,12 @@
 //! system's access-resolution fast path — plus the two per-op layers
 //! above them: one workload op's generation (into a fresh `Op`, and into
 //! the reused buffer the run loop passes), and one whole op of a warmed
-//! `System::run` (generation, resolution and daemon ticks). Runs
+//! `System::run` (generation, resolution and daemon ticks) and the
+//! once-per-second metrics sample that run takes. Runs
 //! with `harness = false` on the in-tree [`tpp_bench::microbench`]
 //! harness (no external deps).
 
-use tpp_bench::microbench::bench;
+use tpp_bench::microbench::{bench, bench_with_setup};
 
 use tiered_mem::{PageLocation, PageType, Vpn};
 use tiered_sim::{Access, AccessKind, SimRng, Workload, SEC};
@@ -131,6 +132,27 @@ fn bench_system_run_op() {
     bench("hotpath/system_run_op", || system.run(1));
 }
 
+fn bench_run_metrics_sample() {
+    // One per-second metrics sample of the same warmed `tpp_expand`
+    // system, each into a copy of its metrics so far. The copies are
+    // dropped after the bench, off the clock.
+    let profile = tiered_workloads::cache1(CACHE1_PAGES);
+    let memory = configs::one_to_four(profile.working_set_pages());
+    let mut system =
+        System::new(memory, Box::new(Tpp::new()), Box::new(profile.build()), 46).unwrap();
+    system.run(30 * SEC);
+    let now = system.now_ns();
+    let mut used = Vec::new();
+    bench_with_setup(
+        "metrics/run_metrics_sample",
+        || system.metrics().clone(),
+        |mut metrics| {
+            metrics.sample(now, system.memory());
+            used.push(metrics);
+        },
+    );
+}
+
 fn main() {
     bench_zipf_sample();
     bench_region_sample();
@@ -138,4 +160,5 @@ fn main() {
     bench_next_op_cache1();
     bench_next_op_into_cache1();
     bench_system_run_op();
+    bench_run_metrics_sample();
 }

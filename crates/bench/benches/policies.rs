@@ -1,5 +1,5 @@
 //! Micro-benchmarks for the policy hot paths: fault handling, demotion
-//! passes, promotion via hint faults, hint-PTE scanning, and the
+//! and kswapd passes, promotion via hint faults, hint-PTE scanning, and the
 //! khugepaged collapse scan. Runs with `harness = false` on the in-tree
 //! [`tpp_bench::microbench`] harness.
 
@@ -86,6 +86,38 @@ fn bench_demotion_tick() {
             std::hint::black_box(m.vmstat().demoted_total());
         },
     );
+}
+
+fn bench_kswapd_pass() {
+    // Default Linux's tick on a local node filled to 4 free pages of
+    // 4,096, below its low watermark of 8, so kswapd wakes and reclaims
+    // one batch.
+    // The machines are dropped after the bench, off the clock.
+    let lat = LatencyModel::datacenter();
+    let mut used = Vec::new();
+    bench_with_setup(
+        "policy/kswapd_pass",
+        || {
+            let mut m = machine(4096, 16384);
+            for i in 0..4092u64 {
+                m.alloc_and_map(NodeId(0), Pid(1), Vpn(i), PageType::File)
+                    .unwrap();
+            }
+            (m, LinuxDefault::new(), SimRng::seed(2))
+        },
+        |(mut m, mut policy, mut rng)| {
+            let mut ctx = PolicyCtx {
+                memory: &mut m,
+                latency: &lat,
+                now_ns: 0,
+                rng: &mut rng,
+            };
+            policy.tick(&mut ctx);
+            std::hint::black_box(m.free_pages(NodeId(0)));
+            used.push(m);
+        },
+    );
+    assert!(used.iter().all(|m| m.free_pages(NodeId(0)) > 4));
 }
 
 fn bench_promotion_hint_fault() {
@@ -183,6 +215,7 @@ fn bench_khugepaged() {
 fn main() {
     bench_fault_path();
     bench_demotion_tick();
+    bench_kswapd_pass();
     bench_promotion_hint_fault();
     bench_sampler();
     bench_khugepaged();

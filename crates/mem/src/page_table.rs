@@ -149,16 +149,12 @@ impl AddressSpace {
         self.pid
     }
 
-    #[inline]
-    fn span(&self, vpn: u64) -> Option<&Span> {
-        let key = vpn >> SPAN_SHIFT;
-        self.spans.iter().find(|s| s.key == key)
-    }
-
     /// Looks up where `vpn` lives, if anywhere.
     #[inline]
     pub fn translate(&self, vpn: Vpn) -> Option<PageLocation> {
-        let leaf = self.span(vpn.0)?.leaves[leaf_index(vpn.0)].as_deref()?;
+        let key = vpn.0 >> SPAN_SHIFT;
+        let span = self.spans.iter().find(|s| s.key == key)?;
+        let leaf = span.leaves[leaf_index(vpn.0)].as_deref()?;
         PageLocation::decode(leaf.entries[vpn.0 as usize % LEAF_ENTRIES])
     }
 
