@@ -62,6 +62,11 @@ values() {
   done
 }
 
+# failed <workload> <side>: failed repetitions summed over the pairs.
+failed() {
+  cat "$tmp/$1.$2".*.json | jq -s 'map(.failed) | add'
+}
+
 echo "parent ${parent:0:10}  change ${change:0:10}  pairs $pairs  seconds $run_seconds  seed $seed"
 for w in $workloads; do
   for ((i = 0; i < pairs; i++)); do
@@ -71,9 +76,8 @@ for w in $workloads; do
       run "$side" "$w" "$i"
     done
   done
-  failed() { cat "$tmp/$w.$1".*.json | jq -s 'map(.failed) | add'; }
   echo
-  echo "== $w (failed repetitions: parent $(failed parent), change $(failed change))"
+  echo "== $w (failed repetitions: parent $(failed "$w" parent), change $(failed "$w" change))"
   printf '%-22s %-40s %-40s %8s %6s\n' metric "parent median [q1, q3]" \
     "change median [q1, q3]" delta wins
   while read -r m better; do
@@ -93,10 +97,10 @@ for w in $workloads; do
       }
       END {
         sort(p, n); sort(c, n)
-        pm = q(p, 0.5); cm = q(c, 0.5)
+        pm = q(p, n, 0.5); cm = q(c, n, 0.5)
         printf "%-22s %-40s %-40s %+7.2f%% %3d/%d\n", m,
-          sprintf("%.6g [%.6g, %.6g]", pm, q(p, 0.25), q(p, 0.75)),
-          sprintf("%.6g [%.6g, %.6g]", cm, q(c, 0.25), q(c, 0.75)),
+          sprintf("%.6g [%.6g, %.6g]", pm, q(p, n, 0.25), q(p, n, 0.75)),
+          sprintf("%.6g [%.6g, %.6g]", cm, q(c, n, 0.25), q(c, n, 0.75)),
           pm != 0 ? (cm - pm) / pm * 100 : 0, wins, n
       }'
   done <<<"$metrics"
