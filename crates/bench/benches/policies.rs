@@ -1,7 +1,7 @@
 //! Micro-benchmarks for the policy hot paths: fault handling, demotion
-//! and kswapd passes, promotion via hint faults, hint-PTE scanning, and the
-//! khugepaged collapse scan. Runs with `harness = false` on the in-tree
-//! [`tpp_bench::microbench`] harness.
+//! and kswapd passes, promotion via hint faults, hint-PTE scanning, and
+//! the khugepaged collapse scan. Runs with `harness = false` on the
+//! in-tree [`tpp_bench::microbench`] harness.
 
 use tpp_bench::microbench::{bench, bench_with_setup};
 
@@ -91,8 +91,7 @@ fn bench_demotion_tick() {
 fn bench_kswapd_pass() {
     // Default Linux's tick on a local node filled to 4 free pages of
     // 4,096, below its low watermark of 8, so kswapd wakes and reclaims
-    // one batch.
-    // The machines are dropped after the bench, off the clock.
+    // one batch. The machines are dropped after the bench, off the clock.
     let lat = LatencyModel::datacenter();
     let mut used = Vec::new();
     bench_with_setup(
