@@ -6,7 +6,7 @@
 use tpp_bench::microbench::{bench, bench_with_setup};
 
 use tiered_mem::{Memory, NodeId, NodeKind, PageType, Pid, ThpMode, Vpn, HUGE_PAGE_FRAMES};
-use tiered_sim::{LatencyModel, SimRng};
+use tiered_sim::LatencyModel;
 use tpp::policy::{
     khugepaged_pass, HintSampler, HugeConfig, HugeState, LinuxDefault, PlacementPolicy, PolicyCtx,
     SampleScope, SamplerConfig, Tpp,
@@ -26,7 +26,6 @@ fn bench_fault_path() {
     let lat = LatencyModel::datacenter();
     {
         let mut m = machine(1 << 16, 1 << 16);
-        let mut rng = SimRng::seed(1);
         let mut policy = LinuxDefault::new();
         let mut vpn = 0u64;
         bench("policy/linux_fault_fastpath", || {
@@ -34,7 +33,6 @@ fn bench_fault_path() {
                 memory: &mut m,
                 latency: &lat,
                 now_ns: 0,
-                rng: &mut rng,
             };
             let out = policy.handle_fault(&mut ctx, Pid(1), Vpn(vpn), PageType::Anon);
             std::hint::black_box(out.pfn);
@@ -44,7 +42,6 @@ fn bench_fault_path() {
     }
     {
         let mut m = machine(1 << 16, 1 << 16);
-        let mut rng = SimRng::seed(1);
         let mut policy = Tpp::new();
         let mut vpn = 0u64;
         bench("policy/tpp_fault_fastpath", || {
@@ -52,7 +49,6 @@ fn bench_fault_path() {
                 memory: &mut m,
                 latency: &lat,
                 now_ns: 0,
-                rng: &mut rng,
             };
             let out = policy.handle_fault(&mut ctx, Pid(1), Vpn(vpn), PageType::Anon);
             std::hint::black_box(out.pfn);
@@ -63,29 +59,35 @@ fn bench_fault_path() {
 }
 
 fn bench_demotion_tick() {
+    // TPP's tick on a local node filled to 73 free pages of 4,096, 8
+    // below its demotion trigger of 81, so the demoter wakes and migrates
+    // one batch to CXL. The machines are dropped after the bench, off the
+    // clock.
     let lat = LatencyModel::datacenter();
+    let mut used = Vec::new();
     bench_with_setup(
         "policy/tpp_demotion_tick_under_pressure",
         || {
-            // Local node filled past the demotion trigger.
             let mut m = machine(4096, 16384);
-            for i in 0..4000u64 {
+            let trigger = m.node(NodeId(0)).watermarks().demote_trigger;
+            for i in 0..4096 - trigger + 8 {
                 m.alloc_and_map(NodeId(0), Pid(1), Vpn(i), PageType::File)
                     .unwrap();
             }
-            (m, Tpp::new(), SimRng::seed(2))
+            (m, Tpp::new())
         },
-        |(mut m, mut policy, mut rng)| {
+        |(mut m, mut policy)| {
             let mut ctx = PolicyCtx {
                 memory: &mut m,
                 latency: &lat,
                 now_ns: 0,
-                rng: &mut rng,
             };
             policy.tick(&mut ctx);
             std::hint::black_box(m.vmstat().demoted_total());
+            used.push(m);
         },
     );
+    assert!(used.iter().all(|m| m.vmstat().demoted_total() > 0));
 }
 
 fn bench_kswapd_pass() {
@@ -102,14 +104,13 @@ fn bench_kswapd_pass() {
                 m.alloc_and_map(NodeId(0), Pid(1), Vpn(i), PageType::File)
                     .unwrap();
             }
-            (m, LinuxDefault::new(), SimRng::seed(2))
+            (m, LinuxDefault::new())
         },
-        |(mut m, mut policy, mut rng)| {
+        |(mut m, mut policy)| {
             let mut ctx = PolicyCtx {
                 memory: &mut m,
                 latency: &lat,
                 now_ns: 0,
-                rng: &mut rng,
             };
             policy.tick(&mut ctx);
             std::hint::black_box(m.free_pages(NodeId(0)));
@@ -133,15 +134,14 @@ fn bench_promotion_hint_fault() {
                         .unwrap()
                 })
                 .collect();
-            (m, Tpp::new(), SimRng::seed(3), pfns)
+            (m, Tpp::new(), pfns)
         },
-        |(mut m, mut policy, mut rng, pfns)| {
+        |(mut m, mut policy, pfns)| {
             for pfn in pfns {
                 let mut ctx = PolicyCtx {
                     memory: &mut m,
                     latency: &lat,
                     now_ns: 0,
-                    rng: &mut rng,
                 };
                 std::hint::black_box(policy.on_hint_fault(&mut ctx, pfn));
             }

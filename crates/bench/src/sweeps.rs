@@ -503,7 +503,7 @@ pub fn colocation(scale: &Scale) -> Vec<Vec<String>> {
 /// model.
 pub fn reclaim_rate_comparison(_scale: &Scale) -> Vec<Vec<String>> {
     use tiered_mem::{NodeId, PageType, Pid, Vpn};
-    use tiered_sim::{LatencyModel, SimRng, MS};
+    use tiered_sim::{LatencyModel, MS};
     use tpp::policy::PolicyCtx;
 
     let build = || {
@@ -527,7 +527,6 @@ pub fn reclaim_rate_comparison(_scale: &Scale) -> Vec<Vec<String>> {
     for choice in [PolicyChoice::Linux, PolicyChoice::Tpp] {
         let mut m = build();
         let mut policy = choice.build();
-        let mut rng = SimRng::seed(1);
         // One simulated second of daemon wakeups (20 ticks at 50 ms),
         // with sustained allocation pressure: every page the daemon
         // frees is instantly consumed by a new cold allocation, so the
@@ -541,7 +540,6 @@ pub fn reclaim_rate_comparison(_scale: &Scale) -> Vec<Vec<String>> {
                 memory: &mut m,
                 latency: &lat,
                 now_ns: t * 50 * MS,
-                rng: &mut rng,
             };
             policy.tick(&mut ctx);
             evicted_total += before.saturating_sub(m.frames().used_pages(NodeId(0)));

@@ -107,6 +107,7 @@ impl RunMetrics {
     }
 
     /// Records one completed op.
+    #[inline]
     pub fn note_op(&mut self, op_ns: u64, mem_ns: u64) {
         self.ops_completed += 1;
         self.window_ops += 1;
@@ -115,23 +116,20 @@ impl RunMetrics {
         self.op_latency.record(op_ns);
     }
 
-    /// Records one access served by `node`.
+    /// Records one access served by a local (`is_local`) or CXL node.
+    ///
+    /// Branch-free: `is_anon` is a coin flip per access in mixed
+    /// workloads, so every counter adds its predicate as 0 or 1.
+    #[inline]
     pub fn note_access(&mut self, is_local: bool, is_anon: bool, latency_ns: u64) {
         self.accesses += 1;
         self.window_accesses += 1;
         self.access_latency_ns += latency_ns;
-        if is_local {
-            self.local_accesses += 1;
-            self.window_local += 1;
-        } else {
-            self.cxl_accesses += 1;
-        }
-        if is_anon {
-            self.anon_accesses += 1;
-            if is_local {
-                self.anon_local_accesses += 1;
-            }
-        }
+        self.local_accesses += is_local as u64;
+        self.window_local += is_local as u64;
+        self.cxl_accesses += !is_local as u64;
+        self.anon_accesses += is_anon as u64;
+        self.anon_local_accesses += (is_anon & is_local) as u64;
     }
 
     /// Takes a sample at `now_ns`: window rates plus memory-state gauges.
@@ -514,6 +512,25 @@ mod tests {
         assert!((m.local_traffic_fraction() - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(m.anon_local_fraction(), 0.5);
         assert!((m.avg_access_latency_ns() - 128.33).abs() < 0.01);
+    }
+
+    #[test]
+    fn note_access_counts_every_locality_and_type_combination() {
+        // Combination k is noted k + 1 times, so every counter's total
+        // names the combinations that reached it.
+        let mut m = RunMetrics::new();
+        let combos = [(true, true), (true, false), (false, true), (false, false)];
+        for (k, (is_local, is_anon)) in combos.into_iter().enumerate() {
+            for _ in 0..=k {
+                m.note_access(is_local, is_anon, 10);
+            }
+        }
+        assert_eq!((m.accesses, m.window_accesses), (10, 10));
+        assert_eq!(m.access_latency_ns, 100);
+        assert_eq!((m.local_accesses, m.window_local), (1 + 2, 1 + 2));
+        assert_eq!(m.cxl_accesses, 3 + 4);
+        assert_eq!(m.anon_accesses, 1 + 3);
+        assert_eq!(m.anon_local_accesses, 1);
     }
 
     #[test]

@@ -224,20 +224,15 @@ mod tests {
     use crate::policy::COMPOUND_MIGRATE_FACTOR;
     use tiered_mem::NodeKind;
     use tiered_mem::VmEvent;
-    use tiered_sim::{LatencyModel, SimRng};
+    use tiered_sim::LatencyModel;
 
-    fn setup(local: u64, cxl: u64) -> (Memory, LatencyModel, SimRng, AutoTiering) {
+    fn setup(local: u64, cxl: u64) -> (Memory, LatencyModel, AutoTiering) {
         let mut m = Memory::builder()
             .node(NodeKind::LocalDram, local)
             .node(NodeKind::Cxl, cxl)
             .build();
         m.create_process(Pid(1));
-        (
-            m,
-            LatencyModel::datacenter(),
-            SimRng::seed(1),
-            AutoTiering::new(),
-        )
+        (m, LatencyModel::datacenter(), AutoTiering::new())
     }
 
     #[test]
@@ -253,7 +248,7 @@ mod tests {
 
     #[test]
     fn promotion_requires_hotness_threshold() {
-        let (mut m, lat, mut rng, mut p) = setup(64, 64);
+        let (mut m, lat, mut p) = setup(64, 64);
         let pfn = m
             .alloc_and_map(NodeId(1), Pid(1), Vpn(0), PageType::Anon)
             .unwrap();
@@ -261,7 +256,6 @@ mod tests {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         };
         // Cold by counter: not promoted.
         assert_eq!(p.on_hint_fault(&mut ctx, pfn), 0);
@@ -276,7 +270,7 @@ mod tests {
 
     #[test]
     fn buffer_exhaustion_halts_promotion_under_pressure() {
-        let (mut m, lat, mut rng, mut p) = setup(64, 64);
+        let (mut m, lat, mut p) = setup(64, 64);
         // Local filled to its high watermark: only buffer tokens allow
         // promotion.
         let high = m.node(NodeId(0)).watermarks().base.high;
@@ -300,7 +294,6 @@ mod tests {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         };
         p.ensure_buffer(ctx.memory);
         p.buffer_tokens = 2; // nearly drained
@@ -316,7 +309,7 @@ mod tests {
 
     #[test]
     fn demotion_migrates_cold_pages_instead_of_swapping() {
-        let (mut m, lat, mut rng, mut p) = setup(64, 256);
+        let (mut m, lat, mut p) = setup(64, 256);
         let low = m.node(NodeId(0)).watermarks().base.low;
         for i in 0..(64 - low + 4).min(63) {
             m.alloc_and_map(NodeId(0), Pid(1), Vpn(i), PageType::Tmpfs)
@@ -327,7 +320,6 @@ mod tests {
                 memory: &mut m,
                 latency: &lat,
                 now_ns: 0,
-                rng: &mut rng,
             };
             p.tick(&mut ctx);
         }
@@ -341,7 +333,7 @@ mod tests {
 
     #[test]
     fn decay_halves_hotness_counters() {
-        let (mut m, lat, mut rng, mut p) = setup(64, 64);
+        let (mut m, lat, mut p) = setup(64, 64);
         let pfn = m
             .alloc_and_map(NodeId(0), Pid(1), Vpn(0), PageType::Anon)
             .unwrap();
@@ -352,7 +344,6 @@ mod tests {
             memory: &mut m,
             latency: &lat,
             now_ns: 3 * SEC,
-            rng: &mut rng,
         };
         p.tick(&mut ctx);
         assert_eq!(m.frames().frame(pfn).hotness(), 4);
@@ -366,7 +357,7 @@ mod tests {
             .thp_mode(tiered_mem::ThpMode::Always)
             .build();
         m.create_process(Pid(1));
-        let (lat, mut rng) = (LatencyModel::datacenter(), SimRng::seed(1));
+        let lat = LatencyModel::datacenter();
         let mut p = AutoTiering::new();
         m.alloc_huge_and_map(NodeId(0), Pid(1), Vpn(0), PageType::Anon)
             .unwrap();
@@ -389,7 +380,6 @@ mod tests {
                 memory: &mut m,
                 latency: &lat,
                 now_ns: 0,
-                rng: &mut rng,
             };
             p.tick(&mut ctx);
         }
@@ -412,7 +402,7 @@ mod tests {
             .thp_mode(tiered_mem::ThpMode::Always)
             .build();
         m.create_process(Pid(1));
-        let (lat, mut rng) = (LatencyModel::datacenter(), SimRng::seed(1));
+        let lat = LatencyModel::datacenter();
         let mut p = AutoTiering::new();
         let head = m
             .alloc_huge_and_map(NodeId(1), Pid(1), Vpn(0), PageType::Anon)
@@ -425,7 +415,6 @@ mod tests {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         };
         let cost = p.on_hint_fault(&mut ctx, head);
         assert_eq!(cost, lat.migrate_page_ns * COMPOUND_MIGRATE_FACTOR);

@@ -307,7 +307,7 @@ pub(crate) fn all_nodes(memory: &Memory) -> NodeList {
 mod tests {
     use super::*;
     use tiered_mem::{NodeKind, PageType, Pid, ThpMode, VmEvent, Vpn};
-    use tiered_sim::{LatencyModel, SimRng};
+    use tiered_sim::LatencyModel;
 
     fn machine(local: u64, cxl: u64, mode: ThpMode) -> Memory {
         let mut m = Memory::builder()
@@ -321,12 +321,11 @@ mod tests {
 
     /// Runs `f` with a policy context over `m`.
     fn with_ctx<R>(m: &mut Memory, f: impl FnOnce(&mut PolicyCtx<'_>) -> R) -> R {
-        let (lat, mut rng) = (LatencyModel::datacenter(), SimRng::seed(1));
+        let lat = LatencyModel::datacenter();
         f(&mut PolicyCtx {
             memory: m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         })
     }
 

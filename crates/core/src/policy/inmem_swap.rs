@@ -148,33 +148,27 @@ mod tests {
     use super::*;
     use tiered_mem::VmEvent;
     use tiered_mem::{Memory, NodeId, NodeKind};
-    use tiered_sim::{LatencyModel, SimRng};
+    use tiered_sim::LatencyModel;
 
-    fn setup() -> (Memory, LatencyModel, SimRng, InMemorySwap) {
+    fn setup() -> (Memory, LatencyModel, InMemorySwap) {
         let mut m = Memory::builder()
             .node(NodeKind::LocalDram, 64)
             .node(NodeKind::Cxl, 64)
             .swap_pages(1024)
             .build();
         m.create_process(Pid(1));
-        (
-            m,
-            LatencyModel::datacenter(),
-            SimRng::seed(1),
-            InMemorySwap::new(),
-        )
+        (m, LatencyModel::datacenter(), InMemorySwap::new())
     }
 
     #[test]
     fn reclaim_swaps_everything_including_files() {
-        let (mut m, lat, mut rng, mut p) = setup();
+        let (mut m, lat, mut p) = setup();
         let min = m.node(NodeId(0)).watermarks().base.min;
         for i in 0..(64 - min) {
             let mut ctx = PolicyCtx {
                 memory: &mut m,
                 latency: &lat,
                 now_ns: 0,
-                rng: &mut rng,
             };
             p.handle_fault(&mut ctx, Pid(1), Vpn(i), PageType::File);
         }
@@ -182,7 +176,6 @@ mod tests {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         };
         p.tick(&mut ctx);
         assert!(
@@ -195,12 +188,11 @@ mod tests {
 
     #[test]
     fn swapped_page_faults_back_cheaply() {
-        let (mut m, lat, mut rng, mut p) = setup();
+        let (mut m, lat, mut p) = setup();
         let mut ctx = PolicyCtx {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         };
         let out = p.handle_fault(&mut ctx, Pid(1), Vpn(7), PageType::Anon);
         m.swap_out(out.pfn).unwrap();
@@ -208,7 +200,6 @@ mod tests {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         };
         let back = p.handle_fault(&mut ctx, Pid(1), Vpn(7), PageType::Anon);
         // Much cheaper than a disk swap-in, costlier than a plain touch.
@@ -219,13 +210,12 @@ mod tests {
 
     #[test]
     fn no_migration_ever_happens() {
-        let (mut m, lat, mut rng, mut p) = setup();
+        let (mut m, lat, mut p) = setup();
         for i in 0..50 {
             let mut ctx = PolicyCtx {
                 memory: &mut m,
                 latency: &lat,
                 now_ns: 0,
-                rng: &mut rng,
             };
             p.handle_fault(&mut ctx, Pid(1), Vpn(i), PageType::Anon);
         }
@@ -234,7 +224,6 @@ mod tests {
                 memory: &mut m,
                 latency: &lat,
                 now_ns: 0,
-                rng: &mut rng,
             };
             p.tick(&mut ctx);
         }

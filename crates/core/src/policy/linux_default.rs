@@ -309,23 +309,21 @@ mod tests {
     use super::*;
     use tiered_mem::NodeKind;
     use tiered_mem::VmEvent;
-    use tiered_sim::SimRng;
 
-    fn ctx_parts() -> (Memory, LatencyModel, SimRng) {
+    fn ctx_parts() -> (Memory, LatencyModel) {
         let mut m = Memory::builder()
             .node(NodeKind::LocalDram, 64)
             .node(NodeKind::Cxl, 256)
             .swap_pages(1024)
             .build();
         m.create_process(Pid(1));
-        (m, LatencyModel::datacenter(), SimRng::seed(7))
+        (m, LatencyModel::datacenter())
     }
 
     fn fault(
         policy: &mut LinuxDefault,
         m: &mut Memory,
         lat: &LatencyModel,
-        rng: &mut SimRng,
         vpn: u64,
         t: PageType,
     ) -> FaultOutcome {
@@ -333,40 +331,39 @@ mod tests {
             memory: m,
             latency: lat,
             now_ns: 0,
-            rng,
         };
         policy.handle_fault(&mut ctx, Pid(1), Vpn(vpn), t)
     }
 
     #[test]
     fn faults_fill_local_node_first() {
-        let (mut m, lat, mut rng) = ctx_parts();
+        let (mut m, lat) = ctx_parts();
         let mut p = LinuxDefault::new();
-        let out = fault(&mut p, &mut m, &lat, &mut rng, 0, PageType::Anon);
+        let out = fault(&mut p, &mut m, &lat, 0, PageType::Anon);
         assert_eq!(m.frames().frame(out.pfn).node(), NodeId(0));
         assert_eq!(out.cost_ns, lat.minor_fault_ns);
     }
 
     #[test]
     fn file_faults_pay_a_disk_read() {
-        let (mut m, lat, mut rng) = ctx_parts();
+        let (mut m, lat) = ctx_parts();
         let mut p = LinuxDefault::new();
-        let out = fault(&mut p, &mut m, &lat, &mut rng, 0, PageType::File);
+        let out = fault(&mut p, &mut m, &lat, 0, PageType::File);
         assert_eq!(out.cost_ns, lat.major_fault_ns + lat.swap_in_page_ns);
     }
 
     #[test]
     fn allocation_spills_to_cxl_below_min_watermark() {
-        let (mut m, lat, mut rng) = ctx_parts();
+        let (mut m, lat) = ctx_parts();
         let mut p = LinuxDefault::new();
         let min = m.node(NodeId(0)).watermarks().base.min;
         // Fill the local node down to its min watermark.
         let fill = 64 - min;
         for i in 0..fill {
-            fault(&mut p, &mut m, &lat, &mut rng, i, PageType::Anon);
+            fault(&mut p, &mut m, &lat, i, PageType::Anon);
         }
         assert_eq!(m.free_pages(NodeId(0)), min);
-        let out = fault(&mut p, &mut m, &lat, &mut rng, 10_000, PageType::Anon);
+        let out = fault(&mut p, &mut m, &lat, 10_000, PageType::Anon);
         assert_eq!(m.frames().frame(out.pfn).node(), NodeId(1));
         assert!(m.vmstat().get(VmEvent::PgAllocRemote) >= 1);
         m.validate();
@@ -374,12 +371,12 @@ mod tests {
 
     #[test]
     fn kswapd_reclaims_to_high_watermark() {
-        let (mut m, lat, mut rng) = ctx_parts();
+        let (mut m, lat) = ctx_parts();
         let mut p = LinuxDefault::new();
         // Fill local with cold anon pages.
         let min = m.node(NodeId(0)).watermarks().base.min;
         for i in 0..(64 - min) {
-            fault(&mut p, &mut m, &lat, &mut rng, i, PageType::Anon);
+            fault(&mut p, &mut m, &lat, i, PageType::Anon);
         }
         let wm = m.node(NodeId(0)).watermarks().base;
         assert!(wm.needs_reclaim(m.free_pages(NodeId(0))));
@@ -389,7 +386,6 @@ mod tests {
                 memory: &mut m,
                 latency: &lat,
                 now_ns: 0,
-                rng: &mut rng,
             };
             p.tick(&mut ctx);
         }
@@ -401,18 +397,17 @@ mod tests {
 
     #[test]
     fn kswapd_budget_limits_swap_rate_per_tick() {
-        let (mut m, lat, mut rng) = ctx_parts();
+        let (mut m, lat) = ctx_parts();
         let mut p = LinuxDefault::new();
         let min = m.node(NodeId(0)).watermarks().base.min;
         for i in 0..(64 - min) {
-            fault(&mut p, &mut m, &lat, &mut rng, i, PageType::Anon);
+            fault(&mut p, &mut m, &lat, i, PageType::Anon);
         }
         let before = m.vmstat().get(VmEvent::PswpOut);
         let mut ctx = PolicyCtx {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         };
         p.tick(&mut ctx);
         let per_tick = m.vmstat().get(VmEvent::PswpOut) - before;
@@ -422,7 +417,7 @@ mod tests {
 
     #[test]
     fn clean_file_pages_drop_dirty_ones_pay_writeback() {
-        let (mut m, lat, _) = ctx_parts();
+        let (mut m, lat) = ctx_parts();
         m.create_process(Pid(2));
         let clean = m
             .alloc_and_map(NodeId(0), Pid(2), Vpn(1), PageType::File)
@@ -443,7 +438,7 @@ mod tests {
 
     #[test]
     fn tmpfs_pages_must_swap_not_drop() {
-        let (mut m, lat, _) = ctx_parts();
+        let (mut m, lat) = ctx_parts();
         m.create_process(Pid(2));
         let pfn = m
             .alloc_and_map(NodeId(0), Pid(2), Vpn(1), PageType::Tmpfs)
@@ -455,15 +450,15 @@ mod tests {
 
     #[test]
     fn swap_in_after_reclaim_round_trips() {
-        let (mut m, lat, mut rng) = ctx_parts();
+        let (mut m, lat) = ctx_parts();
         let mut p = LinuxDefault::new();
-        fault(&mut p, &mut m, &lat, &mut rng, 7, PageType::Anon);
+        fault(&mut p, &mut m, &lat, 7, PageType::Anon);
         let pfn = match m.space(Pid(1)).translate(Vpn(7)) {
             Some(PageLocation::Mapped(pfn)) => pfn,
             other => panic!("unexpected {other:?}"),
         };
         m.swap_out(pfn).unwrap();
-        let out = fault(&mut p, &mut m, &lat, &mut rng, 7, PageType::Anon);
+        let out = fault(&mut p, &mut m, &lat, 7, PageType::Anon);
         assert_eq!(out.cost_ns, lat.swap_in_total_ns());
         assert!(m.space(Pid(1)).translate(Vpn(7)).unwrap().pfn().is_some());
         let _ = out;
@@ -473,19 +468,18 @@ mod tests {
     #[test]
     fn no_promotion_mechanism_exists() {
         // Linux default never reacts to hint faults (it installs none).
-        let (mut m, lat, mut rng) = ctx_parts();
+        let (mut m, lat) = ctx_parts();
         let mut p = LinuxDefault::new();
-        let out = fault(&mut p, &mut m, &lat, &mut rng, 1, PageType::Anon);
+        let out = fault(&mut p, &mut m, &lat, 1, PageType::Anon);
         let mut ctx = PolicyCtx {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         };
         assert_eq!(p.on_hint_fault(&mut ctx, out.pfn), 0);
     }
 
-    fn thp_parts(mode: ThpMode) -> (Memory, LatencyModel, SimRng) {
+    fn thp_parts(mode: ThpMode) -> (Memory, LatencyModel) {
         let mut m = Memory::builder()
             .node(NodeKind::LocalDram, 2048)
             .node(NodeKind::Cxl, 2048)
@@ -493,14 +487,14 @@ mod tests {
             .thp_mode(mode)
             .build();
         m.create_process(Pid(1));
-        (m, LatencyModel::datacenter(), SimRng::seed(7))
+        (m, LatencyModel::datacenter())
     }
 
     #[test]
     fn always_mode_anon_faults_allocate_compound_pages() {
-        let (mut m, lat, mut rng) = thp_parts(ThpMode::Always);
+        let (mut m, lat) = thp_parts(ThpMode::Always);
         let mut p = LinuxDefault::new();
-        let out = fault(&mut p, &mut m, &lat, &mut rng, 700, PageType::Anon);
+        let out = fault(&mut p, &mut m, &lat, 700, PageType::Anon);
         assert_eq!(m.vmstat().get(VmEvent::ThpFaultAlloc), 1);
         let head = m.compound_head(out.pfn);
         assert!(m.frames().frame(head).flags().contains(PageFlags::HEAD));
@@ -516,9 +510,9 @@ mod tests {
 
     #[test]
     fn always_mode_file_faults_stay_base_pages() {
-        let (mut m, lat, mut rng) = thp_parts(ThpMode::Always);
+        let (mut m, lat) = thp_parts(ThpMode::Always);
         let mut p = LinuxDefault::new();
-        let out = fault(&mut p, &mut m, &lat, &mut rng, 0, PageType::File);
+        let out = fault(&mut p, &mut m, &lat, 0, PageType::File);
         assert!(!m
             .frames()
             .frame(out.pfn)
@@ -529,9 +523,9 @@ mod tests {
 
     #[test]
     fn madvise_mode_faults_stay_base_pages() {
-        let (mut m, lat, mut rng) = thp_parts(ThpMode::Madvise);
+        let (mut m, lat) = thp_parts(ThpMode::Madvise);
         let mut p = LinuxDefault::new();
-        let out = fault(&mut p, &mut m, &lat, &mut rng, 0, PageType::Anon);
+        let out = fault(&mut p, &mut m, &lat, 0, PageType::Anon);
         assert!(!m
             .frames()
             .frame(out.pfn)
@@ -542,12 +536,12 @@ mod tests {
 
     #[test]
     fn partially_mapped_windows_fall_back_to_base_pages() {
-        let (mut m, lat, mut rng) = thp_parts(ThpMode::Always);
+        let (mut m, lat) = thp_parts(ThpMode::Always);
         let mut p = LinuxDefault::new();
         // Pre-map one page of the target window as a base page.
         m.alloc_and_map(NodeId(1), Pid(1), Vpn(520), PageType::Anon)
             .unwrap();
-        let out = fault(&mut p, &mut m, &lat, &mut rng, 700, PageType::Anon);
+        let out = fault(&mut p, &mut m, &lat, 700, PageType::Anon);
         assert!(!m
             .frames()
             .frame(out.pfn)

@@ -52,7 +52,7 @@ use std::error::Error;
 use std::fmt;
 
 use tiered_mem::{Memory, NodeId, PageType, Pfn, Pid, Vpn};
-use tiered_sim::{LatencyModel, SimRng};
+use tiered_sim::LatencyModel;
 
 /// Everything a policy may touch while making a decision.
 pub struct PolicyCtx<'a> {
@@ -62,8 +62,6 @@ pub struct PolicyCtx<'a> {
     pub latency: &'a LatencyModel,
     /// Current simulated time.
     pub now_ns: u64,
-    /// Deterministic randomness.
-    pub rng: &'a mut SimRng,
 }
 
 /// A policy rejected the machine configuration (e.g. AutoTiering on a 1:4

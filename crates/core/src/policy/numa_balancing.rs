@@ -93,25 +93,20 @@ mod tests {
     use super::*;
     use tiered_mem::VmEvent;
     use tiered_mem::{Memory, NodeId, NodeKind, PageFlags, PageLocation};
-    use tiered_sim::{LatencyModel, SimRng};
+    use tiered_sim::LatencyModel;
 
-    fn setup() -> (Memory, LatencyModel, SimRng, NumaBalancing) {
+    fn setup() -> (Memory, LatencyModel, NumaBalancing) {
         let mut m = Memory::builder()
             .node(NodeKind::LocalDram, 64)
             .node(NodeKind::Cxl, 128)
             .build();
         m.create_process(Pid(1));
-        (
-            m,
-            LatencyModel::datacenter(),
-            SimRng::seed(1),
-            NumaBalancing::new(),
-        )
+        (m, LatencyModel::datacenter(), NumaBalancing::new())
     }
 
     #[test]
     fn promotes_cxl_page_when_local_has_headroom() {
-        let (mut m, lat, mut rng, mut p) = setup();
+        let (mut m, lat, mut p) = setup();
         let pfn = m
             .alloc_and_map(NodeId(1), Pid(1), Vpn(0), PageType::Anon)
             .unwrap();
@@ -119,7 +114,6 @@ mod tests {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         };
         let cost = p.on_hint_fault(&mut ctx, pfn);
         assert_eq!(cost, lat.migrate_page_ns);
@@ -131,7 +125,7 @@ mod tests {
 
     #[test]
     fn promotion_stops_when_local_is_under_pressure() {
-        let (mut m, lat, mut rng, mut p) = setup();
+        let (mut m, lat, mut p) = setup();
         // Fill local down to (high watermark) free pages.
         let high = m.node(NodeId(0)).watermarks().base.high;
         for i in 0..(64 - high) {
@@ -145,7 +139,6 @@ mod tests {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         };
         assert_eq!(p.on_hint_fault(&mut ctx, pfn), 0);
         // Page remains trapped on the CXL node.
@@ -156,7 +149,7 @@ mod tests {
 
     #[test]
     fn local_hint_faults_are_counted_as_overhead() {
-        let (mut m, lat, mut rng, mut p) = setup();
+        let (mut m, lat, mut p) = setup();
         let pfn = m
             .alloc_and_map(NodeId(0), Pid(1), Vpn(0), PageType::Anon)
             .unwrap();
@@ -164,7 +157,6 @@ mod tests {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         };
         assert_eq!(p.on_hint_fault(&mut ctx, pfn), 0);
         assert_eq!(m.vmstat().get(VmEvent::NumaHintFaultsLocal), 1);
@@ -173,7 +165,7 @@ mod tests {
 
     #[test]
     fn sampler_marks_local_pages_too() {
-        let (mut m, lat, mut rng, mut p) = setup();
+        let (mut m, lat, mut p) = setup();
         m.alloc_and_map(NodeId(0), Pid(1), Vpn(0), PageType::Anon)
             .unwrap();
         m.alloc_and_map(NodeId(1), Pid(1), Vpn(1), PageType::Anon)
@@ -182,7 +174,6 @@ mod tests {
             memory: &mut m,
             latency: &lat,
             now_ns: 2 * tiered_sim::SEC,
-            rng: &mut rng,
         };
         p.tick(&mut ctx);
         let hinted = |m: &Memory, node: NodeId| {
@@ -201,14 +192,13 @@ mod tests {
 
     #[test]
     fn reclaim_still_swaps_out() {
-        let (mut m, lat, mut rng, mut p) = setup();
+        let (mut m, lat, mut p) = setup();
         let min = m.node(NodeId(0)).watermarks().base.min;
         for i in 0..(64 - min) {
             let mut ctx = PolicyCtx {
                 memory: &mut m,
                 latency: &lat,
                 now_ns: 0,
-                rng: &mut rng,
             };
             p.handle_fault(&mut ctx, Pid(1), Vpn(i), PageType::Tmpfs);
         }
@@ -217,7 +207,6 @@ mod tests {
                 memory: &mut m,
                 latency: &lat,
                 now_ns: 0,
-                rng: &mut rng,
             };
             p.tick(&mut ctx);
         }

@@ -249,31 +249,30 @@ mod tests {
     use super::*;
     use tiered_mem::VmEvent;
     use tiered_mem::{LruKind, Memory, NodeKind};
-    use tiered_sim::{LatencyModel, SimRng, MS};
+    use tiered_sim::{LatencyModel, MS};
 
-    fn setup(local: u64, cxl: u64) -> (Memory, LatencyModel, SimRng) {
+    fn setup(local: u64, cxl: u64) -> (Memory, LatencyModel) {
         let mut m = Memory::builder()
             .node(NodeKind::LocalDram, local)
             .node(NodeKind::Cxl, cxl)
             .swap_pages(4096)
             .build();
         m.create_process(Pid(1));
-        (m, LatencyModel::datacenter(), SimRng::seed(1))
+        (m, LatencyModel::datacenter())
     }
 
-    fn tick(p: &mut Tpp, m: &mut Memory, lat: &LatencyModel, rng: &mut SimRng, now: u64) {
+    fn tick(p: &mut Tpp, m: &mut Memory, lat: &LatencyModel, now: u64) {
         let mut ctx = PolicyCtx {
             memory: m,
             latency: lat,
             now_ns: now,
-            rng,
         };
         p.tick(&mut ctx);
     }
 
     #[test]
     fn demotion_migrates_cold_pages_and_tags_them() {
-        let (mut m, lat, mut rng) = setup(256, 1024);
+        let (mut m, lat) = setup(256, 1024);
         let mut p = Tpp::new();
         // Fill local past the demotion trigger.
         let trigger = m.node(NodeId(0)).watermarks().demote_trigger;
@@ -286,7 +285,7 @@ mod tests {
             .watermarks()
             .needs_demotion(m.free_pages(NodeId(0))));
         for t in 0..10 {
-            tick(&mut p, &mut m, &lat, &mut rng, t * 50 * MS);
+            tick(&mut p, &mut m, &lat, t * 50 * MS);
         }
         let demoted = m.vmstat().demoted_total();
         assert!(demoted > 0, "nothing was demoted");
@@ -305,14 +304,14 @@ mod tests {
 
     #[test]
     fn demotion_scans_anon_pages_too() {
-        let (mut m, lat, mut rng) = setup(256, 1024);
+        let (mut m, lat) = setup(256, 1024);
         let mut p = Tpp::new();
         for i in 0..250 {
             m.alloc_and_map(NodeId(0), Pid(1), Vpn(i), PageType::Anon)
                 .unwrap();
         }
         for t in 0..20 {
-            tick(&mut p, &mut m, &lat, &mut rng, t * 50 * MS);
+            tick(&mut p, &mut m, &lat, t * 50 * MS);
         }
         assert!(m.vmstat().get(VmEvent::PgDemoteAnon) > 0);
         assert_eq!(m.swap().used_slots(), 0);
@@ -321,7 +320,7 @@ mod tests {
 
     #[test]
     fn inactive_page_is_activated_not_promoted_then_promoted_when_hot() {
-        let (mut m, lat, mut rng) = setup(64, 64);
+        let (mut m, lat) = setup(64, 64);
         let mut p = Tpp::new();
         // A file page on the CXL node starts on the inactive list.
         let pfn = m
@@ -335,7 +334,6 @@ mod tests {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         };
         // First hint fault: activated, not promoted.
         assert_eq!(p.on_hint_fault(&mut ctx, pfn), 0);
@@ -347,7 +345,6 @@ mod tests {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         };
         let cost = p.on_hint_fault(&mut ctx, pfn);
         assert_eq!(cost, lat.migrate_page_ns);
@@ -359,7 +356,7 @@ mod tests {
 
     #[test]
     fn disabling_the_filter_promotes_instantly() {
-        let (mut m, lat, mut rng) = setup(64, 64);
+        let (mut m, lat) = setup(64, 64);
         let mut p = Tpp::with_config(TppConfig {
             active_lru_filter: false,
             ..TppConfig::default()
@@ -371,7 +368,6 @@ mod tests {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         };
         assert!(p.on_hint_fault(&mut ctx, pfn) > 0);
         assert_eq!(m.vmstat().get(VmEvent::PgPromoteSuccessFile), 1);
@@ -379,7 +375,7 @@ mod tests {
 
     #[test]
     fn promotion_ignores_allocation_watermark() {
-        let (mut m, lat, mut rng) = setup(64, 64);
+        let (mut m, lat) = setup(64, 64);
         let mut p = Tpp::new();
         // Fill local down to just above min: ordinary NUMA balancing
         // would refuse (it checks high), TPP promotes.
@@ -396,7 +392,6 @@ mod tests {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         };
         let cost = p.on_hint_fault(&mut ctx, pfn);
         assert!(cost > 0, "promotion should bypass the allocation watermark");
@@ -406,7 +401,7 @@ mod tests {
 
     #[test]
     fn promotion_clears_demoted_flag_and_counts_pingpong() {
-        let (mut m, lat, mut rng) = setup(64, 64);
+        let (mut m, lat) = setup(64, 64);
         let mut p = Tpp::new();
         let pfn = m
             .alloc_and_map(NodeId(0), Pid(1), Vpn(0), PageType::Anon)
@@ -420,7 +415,6 @@ mod tests {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         };
         assert!(p.on_hint_fault(&mut ctx, demoted) > 0);
         assert_eq!(m.vmstat().get(VmEvent::PgPromoteCandidateDemoted), 1);
@@ -430,7 +424,7 @@ mod tests {
 
     #[test]
     fn cache_to_cxl_places_files_remotely_and_anons_locally() {
-        let (mut m, lat, mut rng) = setup(64, 64);
+        let (mut m, lat) = setup(64, 64);
         let mut p = Tpp::with_config(TppConfig {
             cache_to_cxl: true,
             ..TppConfig::default()
@@ -439,7 +433,6 @@ mod tests {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         };
         let f = p.handle_fault(&mut ctx, Pid(1), Vpn(0), PageType::Tmpfs);
         let a = p.handle_fault(&mut ctx, Pid(1), Vpn(1), PageType::Anon);
@@ -462,7 +455,7 @@ mod tests {
             .swap_pages(0)
             .build();
         m.create_process(Pid(1));
-        let (lat, mut rng) = (LatencyModel::datacenter(), SimRng::seed(1));
+        let lat = LatencyModel::datacenter();
         let mut p = Tpp::new();
         // Exhaust the direct expander's allocation headroom.
         let min = m.node(NodeId(1)).watermarks().base.min;
@@ -475,7 +468,7 @@ mod tests {
                 .unwrap();
         }
         for t in 0..10 {
-            tick(&mut p, &mut m, &lat, &mut rng, t * 50 * MS);
+            tick(&mut p, &mut m, &lat, t * 50 * MS);
         }
         assert!(m.vmstat().demoted_total() > 0);
         assert!(
@@ -488,7 +481,7 @@ mod tests {
 
     #[test]
     fn coupled_ablation_behaves_like_late_reclaim() {
-        let (mut m, lat, mut rng) = setup(256, 1024);
+        let (mut m, lat) = setup(256, 1024);
         let mut p = Tpp::with_config(TppConfig {
             decouple: false,
             ..TppConfig::default()
@@ -500,7 +493,7 @@ mod tests {
             m.alloc_and_map(NodeId(0), Pid(1), Vpn(i), PageType::File)
                 .unwrap();
         }
-        tick(&mut p, &mut m, &lat, &mut rng, 0);
+        tick(&mut p, &mut m, &lat, 0);
         assert_eq!(
             m.vmstat().demoted_total(),
             0,
@@ -512,7 +505,7 @@ mod tests {
             m.alloc_and_map(NodeId(0), Pid(1), Vpn(5000 + i), PageType::File)
                 .unwrap();
         }
-        tick(&mut p, &mut m, &lat, &mut rng, 50 * MS);
+        tick(&mut p, &mut m, &lat, 50 * MS);
         assert!(m.vmstat().demoted_total() > 0, "below low it must demote");
         m.validate();
     }
@@ -520,7 +513,7 @@ mod tests {
     use crate::policy::COMPOUND_MIGRATE_FACTOR;
     use tiered_mem::{ThpMode, HUGE_PAGE_FRAMES};
 
-    fn thp_setup(local: u64, cxl: u64) -> (Memory, LatencyModel, SimRng) {
+    fn thp_setup(local: u64, cxl: u64) -> (Memory, LatencyModel) {
         let mut m = Memory::builder()
             .node(NodeKind::LocalDram, local)
             .node(NodeKind::Cxl, cxl)
@@ -528,12 +521,12 @@ mod tests {
             .thp_mode(ThpMode::Always)
             .build();
         m.create_process(Pid(1));
-        (m, LatencyModel::datacenter(), SimRng::seed(1))
+        (m, LatencyModel::datacenter())
     }
 
     #[test]
     fn compound_promotion_moves_the_whole_unit() {
-        let (mut m, lat, mut rng) = thp_setup(2048, 2048);
+        let (mut m, lat) = thp_setup(2048, 2048);
         let mut p = Tpp::new();
         let head = m
             .alloc_huge_and_map(NodeId(1), Pid(1), Vpn(0), PageType::Anon)
@@ -542,7 +535,6 @@ mod tests {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         };
         // Heads start on the active LRU, so the §5.3 filter passes.
         let cost = p.on_hint_fault(&mut ctx, head);
@@ -562,7 +554,7 @@ mod tests {
 
     #[test]
     fn compound_demotion_migrates_whole_when_target_has_an_aligned_block() {
-        let (mut m, lat, mut rng) = thp_setup(2048, 4096);
+        let (mut m, lat) = thp_setup(2048, 4096);
         let mut p = Tpp::new();
         let head = m
             .alloc_huge_and_map(NodeId(0), Pid(1), Vpn(0), PageType::Anon)
@@ -582,7 +574,7 @@ mod tests {
             vpn += 1;
         }
         for t in 0..20 {
-            tick(&mut p, &mut m, &lat, &mut rng, t * 50 * MS);
+            tick(&mut p, &mut m, &lat, t * 50 * MS);
         }
         let new_head = m.space(Pid(1)).translate(Vpn(0)).unwrap().pfn().unwrap();
         let frame = m.frames().frame(new_head);
@@ -605,7 +597,7 @@ mod tests {
             .thp_mode(ThpMode::Always)
             .build();
         m.create_process(Pid(1));
-        let (lat, mut rng) = (LatencyModel::datacenter(), SimRng::seed(1));
+        let lat = LatencyModel::datacenter();
         let mut p = Tpp::new();
         m.alloc_huge_and_map(NodeId(0), Pid(1), Vpn(0), PageType::Anon)
             .unwrap();
@@ -622,7 +614,7 @@ mod tests {
             vpn += 1;
         }
         for t in 0..10 {
-            tick(&mut p, &mut m, &lat, &mut rng, t * 50 * MS);
+            tick(&mut p, &mut m, &lat, t * 50 * MS);
         }
         assert!(
             m.vmstat().get(VmEvent::ThpSplit) >= 1,

@@ -252,7 +252,6 @@ impl System {
                     memory: &mut self.memory,
                     latency: &self.latency,
                     now_ns: now,
-                    rng: &mut self.rng,
                 };
                 self.policy.tick(&mut ctx);
             }
@@ -279,7 +278,9 @@ impl System {
     /// The overwhelmingly common case — page mapped, no hint PTE — is a
     /// branch-light fast path straight to [`System::touch_and_charge`].
     /// Everything else (faults, hint faults) falls through to
-    /// [`System::execute_access_slow`].
+    /// [`System::execute_access_slow`], which stays out of line so the
+    /// run loop this is inlined into keeps only the fast path.
+    #[inline(always)]
     fn execute_access(&mut self, lane: usize, now: u64, access: &Access) -> u64 {
         if let Some(PageLocation::Mapped(pfn)) = self.memory.space(access.pid).translate(access.vpn)
         {
@@ -293,6 +294,7 @@ impl System {
 
     /// The uncommon cases: page fault (first touch or swap-in) and NUMA
     /// hint faults, both of which need a [`PolicyCtx`].
+    #[inline(never)]
     fn execute_access_slow(&mut self, lane: usize, now: u64, access: &Access) -> u64 {
         let mut cost = 0u64;
         let mut pfn = match self.memory.space(access.pid).translate(access.vpn) {
@@ -302,7 +304,6 @@ impl System {
                     memory: &mut self.memory,
                     latency: &self.latency,
                     now_ns: now,
-                    rng: &mut self.rng,
                 };
                 let out =
                     self.policy
@@ -324,7 +325,6 @@ impl System {
                 memory: &mut self.memory,
                 latency: &self.latency,
                 now_ns: now,
-                rng: &mut self.rng,
             };
             cost += self.policy.on_hint_fault(&mut ctx, pfn);
             // The policy may have migrated the page.
@@ -473,6 +473,24 @@ mod tests {
         let mut seen = 0u64;
         s.run_observed(SEC, |_, _| seen += 1);
         assert_eq!(seen, s.metrics().accesses);
+    }
+
+    #[test]
+    fn access_counters_partition_a_mixed_tpp_run() {
+        // cache1 mixes anon and tmpfs (file) pages at random per access,
+        // and on a 1:4 machine part of its traffic is served from CXL.
+        let workload = tiered_workloads::cache1(2_000).build();
+        let memory = configs::one_to_four(2_000);
+        let mut s = System::new(memory, Box::new(Tpp::new()), Box::new(workload), 7).unwrap();
+        s.run(2 * SEC);
+        let m = s.metrics();
+        assert!(m.cxl_accesses > 0, "no CXL traffic");
+        assert!(
+            m.anon_accesses > 0 && m.anon_accesses < m.accesses,
+            "no type mix"
+        );
+        assert_eq!(m.local_accesses + m.cxl_accesses, m.accesses);
+        assert!(m.anon_local_accesses <= m.anon_accesses.min(m.local_accesses));
     }
 
     fn two_lane_system(policy: Box<dyn PlacementPolicy>) -> System {

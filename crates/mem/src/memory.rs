@@ -523,6 +523,7 @@ impl Memory {
     /// # Panics
     ///
     /// Panics if the pid is unknown.
+    #[inline]
     pub fn space(&self, pid: Pid) -> &AddressSpace {
         self.spaces
             .get(pid)
@@ -770,6 +771,7 @@ impl Memory {
     /// The head frame of the compound page containing `pfn` — identity
     /// for frames that are heads already. Compound alignment is
     /// node-relative, like every buddy computation.
+    #[inline]
     pub fn compound_head(&self, pfn: Pfn) -> Pfn {
         let start = self.frames.pfn_range(self.frames.frame(pfn).node()).start;
         let rel = pfn.0 - start;

@@ -52,14 +52,9 @@ impl Periodic {
         self.period_ns
     }
 
-    /// The next deadline.
-    #[inline]
-    pub fn next_deadline_ns(&self) -> u64 {
-        self.next_ns
-    }
-
     /// Returns how many periods elapsed up to `now_ns` and advances the
     /// deadline past `now_ns`. Returns 0 if the deadline has not arrived.
+    #[inline]
     pub fn fire(&mut self, now_ns: u64) -> u32 {
         if now_ns < self.next_ns {
             return 0;
@@ -93,7 +88,6 @@ mod tests {
     fn periodic_catches_up_after_long_gap() {
         let mut p = Periodic::new(100);
         assert_eq!(p.fire(1000), 10);
-        assert_eq!(p.next_deadline_ns(), 1100);
         assert_eq!(p.fire(1000), 0);
     }
 

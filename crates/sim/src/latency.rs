@@ -67,12 +67,6 @@ impl LatencyModel {
         self.major_fault_ns + self.swap_in_page_ns
     }
 
-    /// How many pages a reclaimer can page out within `budget_ns`.
-    #[inline]
-    pub fn swap_out_budget_pages(&self, budget_ns: u64) -> u64 {
-        budget_ns / (self.swap_out_page_ns + self.scan_page_ns)
-    }
-
     /// How many pages a demotion daemon can migrate within `budget_ns`.
     #[inline]
     pub fn migrate_budget_pages(&self, budget_ns: u64) -> u64 {
@@ -119,8 +113,6 @@ mod tests {
     #[test]
     fn budget_helpers_scale_linearly() {
         let m = LatencyModel::datacenter();
-        let one_ms = 1_000_000;
-        assert!(m.migrate_budget_pages(one_ms) > m.swap_out_budget_pages(one_ms) * 20);
         assert_eq!(m.migrate_budget_pages(0), 0);
     }
 

@@ -47,12 +47,6 @@ impl SimRng {
         SimRng { state }
     }
 
-    /// Derives an independent child RNG (for per-component streams that
-    /// must not perturb each other's sequences).
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::seed(self.next_u64())
-    }
-
     /// Draws one raw 64-bit value from the stream.
     ///
     /// Consumes exactly one generator step — the same amount as one
@@ -112,17 +106,6 @@ impl SimRng {
         self.f64() < p
     }
 
-    /// Picks a uniformly random element of `items`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `items` is empty.
-    pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        assert!(!items.is_empty(), "cannot pick from an empty slice");
-        let i = self.range(0..items.len() as u64) as usize;
-        &items[i]
-    }
-
     /// Samples an index in `[0, weights.len())` proportionally to
     /// `weights`.
     ///
@@ -176,15 +159,6 @@ mod tests {
             .filter(|_| a.range(0..u64::MAX) == b.range(0..u64::MAX))
             .count();
         assert_eq!(same, 0);
-    }
-
-    #[test]
-    fn fork_is_deterministic_and_independent() {
-        let mut a = SimRng::seed(9);
-        let mut b = SimRng::seed(9);
-        let mut fa = a.fork();
-        let mut fb = b.fork();
-        assert_eq!(fa.range(0..1000), fb.range(0..1000));
     }
 
     #[test]
@@ -246,14 +220,5 @@ mod tests {
         }
         let frac = counts[1] as f64 / 10_000.0;
         assert!((0.70..0.80).contains(&frac), "frac={frac}");
-    }
-
-    #[test]
-    fn pick_returns_member() {
-        let mut rng = SimRng::seed(5);
-        let items = [10, 20, 30];
-        for _ in 0..20 {
-            assert!(items.contains(rng.pick(&items)));
-        }
     }
 }

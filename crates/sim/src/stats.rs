@@ -148,6 +148,7 @@ impl LogHistogram {
     }
 
     /// Records one value.
+    #[inline]
     pub fn record(&mut self, value: u64) {
         let bucket = 63 - value.max(1).leading_zeros() as usize;
         self.buckets[bucket] += 1;

@@ -236,6 +236,7 @@ impl WindowedRegion {
     }
 
     /// Draws one access at `now_ns`.
+    #[inline]
     pub fn sample(&self, now_ns: u64, rng: &mut SimRng) -> (Vpn, AccessKind) {
         let geo = self.geometry(now_ns);
         let allocated = geo.allocated;

@@ -77,6 +77,7 @@ impl TransientPool {
     /// old pages expire, so the steady-state churn rate is
     /// `range / lifetime` pages per unit time regardless of how fast the
     /// workload runs.
+    #[inline]
     pub fn allocate(&mut self, now_ns: u64) -> Option<Vpn> {
         if self.live_count() >= self.range {
             return None;
@@ -91,6 +92,7 @@ impl TransientPool {
     }
 
     /// A random live page, if any (re-touching in-flight request state).
+    #[inline]
     pub fn peek_live(&self, salt: u64) -> Option<Vpn> {
         if self.live.is_empty() {
             return None;
@@ -102,6 +104,7 @@ impl TransientPool {
     /// Removes every page whose lifetime expired by `now_ns`, appending a
     /// [`WorkloadEvent::Free`] for each (owned by `pid`) to `events`, in
     /// expiry order.
+    #[inline]
     pub fn drain_expired_into(&mut self, now_ns: u64, pid: Pid, events: &mut Vec<WorkloadEvent>) {
         while let Some(&(vpn, deadline)) = self.live.front() {
             if deadline > now_ns {

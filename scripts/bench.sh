@@ -1,18 +1,19 @@
 #!/usr/bin/env bash
 # Performance snapshot: the substrate, hotpath and policy microbench
-# suites plus a timed standard-scale `repro` run, merged into one JSON
-# report (default: BENCH_repro.json at the repo root, which is checked in).
+# suites plus two timed standard-scale `repro all` runs, merged into one
+# JSON report (default: BENCH_repro.json at the repo root, which is
+# checked in). The `repro` section runs at `--jobs 2`, the `repro_jobs1`
+# section at `--jobs 1` (the serial cost, free of scheduling effects).
 #
 # The microbench section carries its own baseline: the
 # `hashmap_*_baseline` entries measure a std::collections::HashMap page
 # table under the same load as the radix table's `translate_*` entries.
 #
-#   scripts/bench.sh [output.json]     # JOBS=4 scripts/bench.sh to pin jobs
+#   scripts/bench.sh [output.json]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT="${1:-BENCH_repro.json}"
-JOBS="${JOBS:-$(nproc)}"
 
 cargo build --release -q -p tpp-bench --benches --bin repro
 
@@ -26,13 +27,15 @@ cargo bench -q -p tpp-bench --bench hotpath 2>/dev/null | tee -a "$tmp/micro.txt
 echo "running policy microbenches..." >&2
 cargo bench -q -p tpp-bench --bench policies 2>/dev/null | tee -a "$tmp/micro.txt" >&2
 
-echo "running standard-scale repro (--jobs $JOBS)..." >&2
-./target/release/repro all --jobs "$JOBS" --csv "$tmp/results" \
-  --timings-json "$tmp/repro.json" >"$tmp/repro.out"
+for jobs in 2 1; do
+  echo "running standard-scale repro (--jobs $jobs)..." >&2
+  ./target/release/repro all --jobs "$jobs" --csv "$tmp/results$jobs" \
+    --timings-json "$tmp/repro$jobs.json" >"$tmp/repro$jobs.out"
+done
 
 # Assemble the report: host info (including the revision the numbers
-# were measured at), the microbench medians (ns/iter), and the repro
-# timing JSON verbatim.
+# were measured at), the microbench medians (ns/iter), and both repro
+# timing JSONs verbatim.
 GIT_REV="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 git diff --quiet HEAD 2>/dev/null || GIT_REV="$GIT_REV-dirty"
 {
@@ -48,7 +51,9 @@ git diff --quiet HEAD 2>/dev/null || GIT_REV="$GIT_REV-dirty"
        } END { print "" }' "$tmp/micro.txt"
   echo "  },"
   echo "  \"repro\":"
-  sed 's/^/  /' "$tmp/repro.json"
+  sed 's/^/  /; $s/$/,/' "$tmp/repro2.json"
+  echo "  \"repro_jobs1\":"
+  sed 's/^/  /' "$tmp/repro1.json"
   echo "}"
 } >"$OUT"
 

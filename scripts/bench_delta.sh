@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Prints the throughput delta between two bench.sh reports: the
-# end-to-end aggregate simulated accesses/s plus every microbench row
-# present in both files. Used by bench.sh (new run vs the checked-in
+# end-to-end aggregate simulated accesses/s of each repro section
+# (`repro` at --jobs 2, `repro_jobs1` at --jobs 1) plus every microbench
+# row present in both files. Used by bench.sh (new run vs the checked-in
 # baseline) and check.sh (working-tree BENCH_repro.json vs HEAD).
 #
 #   scripts/bench_delta.sh <baseline.json> <new.json>
@@ -13,9 +14,10 @@ if [ $# -ne 2 ]; then
 fi
 
 # Flattens a report into "key value" lines: one per microbench row
-# (ns/iter) plus the aggregate_ops_per_s figure.
+# (ns/iter) plus one <section>.aggregate_ops_per_s per repro section.
 extract() {
   awk '
+    /^  "repro[a-z0-9_]*":/ { section = $1; gsub(/[":]/, "", section) }
     /"microbench_median_ns_per_iter"/ { inmb = 1; next }
     inmb && /}/ { inmb = 0 }
     inmb {
@@ -28,13 +30,13 @@ extract() {
       line = $0
       gsub(/[",:]/, " ", line)
       split(line, f, " ")
-      printf "aggregate_ops_per_s %s\n", f[2]
+      printf "%s.aggregate_ops_per_s %s\n", section, f[2]
     }
   ' "$1"
 }
 
 join <(extract "$1" | sort -k1,1) <(extract "$2" | sort -k1,1) | awk '
-  $1 == "aggregate_ops_per_s" {
+  $1 ~ /aggregate_ops_per_s$/ {
     printf "%-52s %11.0f -> %11.0f /s  %+7.1f%%  (%.2fx)\n",
            $1, $2, $3, ($3 - $2) / $2 * 100, $3 / $2
     next

@@ -2,7 +2,7 @@
 //! and simulated OOM semantics.
 
 use tiered_mem::{Memory, NodeId, NodeKind, PageType, Pid, VmEvent, Vpn};
-use tiered_sim::{LatencyModel, SimRng, SEC};
+use tiered_sim::{LatencyModel, SEC};
 use tpp::experiment::PolicyChoice;
 use tpp::policy::{PlacementPolicy, PolicyCtx, Tpp};
 use tpp::{configs, System};
@@ -64,14 +64,12 @@ fn tpp_falls_back_to_legacy_reclaim_when_cxl_is_full() {
         .unwrap();
     }
     let lat = LatencyModel::datacenter();
-    let mut rng = SimRng::seed(2);
     let mut policy = Tpp::new();
     for t in 0..10u64 {
         let mut ctx = PolicyCtx {
             memory: &mut m,
             latency: &lat,
             now_ns: t * 50_000_000,
-            rng: &mut rng,
         };
         policy.tick(&mut ctx);
     }

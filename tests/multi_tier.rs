@@ -3,7 +3,7 @@
 //! based on the node distances") and behaviour with several tiers.
 
 use tiered_mem::{Memory, NodeId, NodeKind, PageType, Pid, Vpn};
-use tiered_sim::{LatencyModel, SimRng, SEC};
+use tiered_sim::{LatencyModel, SEC};
 use tpp::experiment::PolicyChoice;
 use tpp::policy::{PlacementPolicy, PolicyCtx, Tpp};
 use tpp::{configs, System};
@@ -37,14 +37,12 @@ fn tpp_demotes_to_the_nearest_cxl_node() {
             .unwrap();
     }
     let lat = LatencyModel::datacenter();
-    let mut rng = SimRng::seed(1);
     let mut policy = Tpp::new();
     for t in 0..20u64 {
         let mut ctx = PolicyCtx {
             memory: &mut m,
             latency: &lat,
             now_ns: t * 50_000_000,
-            rng: &mut rng,
         };
         policy.tick(&mut ctx);
     }

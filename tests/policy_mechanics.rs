@@ -7,7 +7,7 @@ use tiered_mem::{
     Memory, NodeId, NodeKind, PageFlags, PageLocation, PageType, Pid, ThpMode, VmEvent, Vpn,
     HUGE_PAGE_FRAMES,
 };
-use tiered_sim::{LatencyModel, SimRng};
+use tiered_sim::LatencyModel;
 use tpp::configs;
 use tpp::experiment::PolicyChoice;
 use tpp::policy::{
@@ -38,12 +38,11 @@ fn numa_balancing_promotes_a_hinted_compound_head_whole() {
     let head = m
         .alloc_huge_and_map(NodeId(1), Pid(1), Vpn(0), PageType::Anon)
         .unwrap();
-    let (lat, mut rng) = (LatencyModel::datacenter(), SimRng::seed(1));
+    let lat = LatencyModel::datacenter();
     let mut ctx = PolicyCtx {
         memory: &mut m,
         latency: &lat,
         now_ns: 0,
-        rng: &mut rng,
     };
     let cost = NumaBalancing::new().on_hint_fault(&mut ctx, head);
     assert_eq!(cost, lat.migrate_page_ns * COMPOUND_MIGRATE_FACTOR);
@@ -82,12 +81,11 @@ fn autotiering_reports_a_fragmented_target_as_low_memory() {
     for _ in 0..4 {
         m.frames_mut().frame_mut(head).touch_hotness();
     }
-    let (lat, mut rng) = (LatencyModel::datacenter(), SimRng::seed(1));
+    let lat = LatencyModel::datacenter();
     let mut ctx = PolicyCtx {
         memory: &mut m,
         latency: &lat,
         now_ns: 0,
-        rng: &mut rng,
     };
     assert_eq!(AutoTiering::new().on_hint_fault(&mut ctx, head), 0);
     assert_eq!(m.vmstat().get(VmEvent::PgPromoteAttempt), 1);
@@ -119,13 +117,12 @@ fn every_policy_collapses_a_populated_window_under_madvise() {
                     .insert(PageFlags::REFERENCED);
             }
         }
-        let (lat, mut rng) = (LatencyModel::datacenter(), SimRng::seed(1));
+        let lat = LatencyModel::datacenter();
         let mut policy = choice.build();
         policy.tick(&mut PolicyCtx {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         });
         assert!(
             m.vmstat().get(VmEvent::ThpCollapseAlloc) >= 1,
@@ -143,7 +140,7 @@ fn cache_to_cxl_places_files_on_the_home_sockets_expander() {
     let mut m = configs::two_socket_two_cxl(4_000);
     m.create_process(Pid(2));
     m.set_home_node(Pid(2), NodeId(1));
-    let (lat, mut rng) = (LatencyModel::datacenter(), SimRng::seed(1));
+    let lat = LatencyModel::datacenter();
     let mut tpp = Tpp::with_config(TppConfig {
         cache_to_cxl: true,
         ..TppConfig::default()
@@ -153,7 +150,6 @@ fn cache_to_cxl_places_files_on_the_home_sockets_expander() {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         },
         Pid(2),
         Vpn(0),

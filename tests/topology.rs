@@ -3,7 +3,7 @@
 //! and determinism of the topology experiment grid.
 
 use tiered_mem::{Memory, NodeId, NodeKind, PageType, Pfn, Pid, Vpn};
-use tiered_sim::{LatencyModel, SimRng, MS, SEC};
+use tiered_sim::{LatencyModel, MS, SEC};
 use tpp::configs;
 use tpp::experiment::{run_cell, PolicyChoice};
 use tpp::policy::{PlacementPolicy, PolicyCtx, Tpp};
@@ -69,13 +69,11 @@ fn promotion_targets_the_accessing_socket() {
         .alloc_and_map(NodeId(3), Pid(7), Vpn(0), PageType::Anon)
         .unwrap();
     let lat = LatencyModel::datacenter();
-    let mut rng = SimRng::seed(1);
     let mut p = Tpp::new();
     let mut ctx = PolicyCtx {
         memory: &mut m,
         latency: &lat,
         now_ns: 0,
-        rng: &mut rng,
     };
     // Anon pages start on the active LRU, so one hint fault promotes.
     let cost = p.on_hint_fault(&mut ctx, pfn);
@@ -131,7 +129,6 @@ fn zero_capacity_node_is_skipped_by_fallback_and_demotion() {
         .build();
     m.create_process(Pid(1));
     let lat = LatencyModel::datacenter();
-    let mut rng = SimRng::seed(1);
     let mut p = Tpp::new();
     // More pages than the local node holds: faults must fall through the
     // empty node to the pool without an OOM panic.
@@ -140,7 +137,6 @@ fn zero_capacity_node_is_skipped_by_fallback_and_demotion() {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         };
         p.handle_fault(&mut ctx, Pid(1), Vpn(i), PageType::Anon);
     }
@@ -152,7 +148,6 @@ fn zero_capacity_node_is_skipped_by_fallback_and_demotion() {
             memory: &mut m,
             latency: &lat,
             now_ns: t * 50 * MS,
-            rng: &mut rng,
         };
         p.tick(&mut ctx);
     }
@@ -174,7 +169,6 @@ fn swap_exhaustion_during_reclaim_does_not_panic() {
         .build();
     m.create_process(Pid(1));
     let lat = LatencyModel::datacenter();
-    let mut rng = SimRng::seed(1);
     let mut p = LinuxDefault::new();
     // Cold swap-backed pages on both nodes, well below the low watermark.
     for i in 0..60u64 {
@@ -190,7 +184,6 @@ fn swap_exhaustion_during_reclaim_does_not_panic() {
             memory: &mut m,
             latency: &lat,
             now_ns: t * 50 * MS,
-            rng: &mut rng,
         };
         p.tick(&mut ctx);
     }
@@ -208,7 +201,6 @@ fn multi_node_fallback_spreads_allocations_without_oom() {
         .build();
     m.create_process(Pid(1));
     let lat = LatencyModel::datacenter();
-    let mut rng = SimRng::seed(1);
     let mut p = Tpp::new();
     let mut placed: Vec<Pfn> = Vec::new();
     for i in 0..200u64 {
@@ -216,7 +208,6 @@ fn multi_node_fallback_spreads_allocations_without_oom() {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         };
         placed.push(p.handle_fault(&mut ctx, Pid(1), Vpn(i), PageType::Anon).pfn);
     }
