@@ -33,14 +33,16 @@ for jobs in 2 1; do
     --timings-json "$tmp/repro$jobs.json" >"$tmp/repro$jobs.out"
 done
 
-# Assemble the report: host info (including the revision the numbers
-# were measured at), the microbench medians (ns/iter), and both repro
-# timing JSONs verbatim.
+# Assemble the report: host info (including the CPU model, since
+# reports from different hosts differ by several times on every row,
+# and the revision the numbers were measured at), the microbench
+# medians (ns/iter), and both repro timing JSONs verbatim.
 GIT_REV="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 git diff --quiet HEAD 2>/dev/null || GIT_REV="$GIT_REV-dirty"
+CPU="$(sed -n 's/^model name[[:space:]]*: *//p' /proc/cpuinfo 2>/dev/null | head -n 1)"
 {
   echo "{"
-  echo "  \"host\": {\"cpus\": $(nproc), \"os\": \"$(uname -sr)\", \"git_rev\": \"$GIT_REV\"},"
+  echo "  \"host\": {\"cpus\": $(nproc), \"cpu\": \"${CPU:-unknown}\", \"os\": \"$(uname -sr)\", \"git_rev\": \"$GIT_REV\"},"
   echo "  \"microbench_median_ns_per_iter\": {"
   awk '/ns\/iter/ {
          v = $2                            # median, e.g. "35" or "55.8us"
