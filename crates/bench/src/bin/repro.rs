@@ -265,6 +265,13 @@ fn main() {
 
     let mut failed = false;
 
+    // Every target ran its cells through `scale`, so each distinct cell
+    // ran once; the rest were answered from its cache.
+    let (cells_run, cells_reused) = (scale.cells.cells_run(), scale.cells.cells_reused());
+    if cells_run > 0 {
+        eprintln!("cells: {cells_run} run, {cells_reused} reused");
+    }
+
     if let Some(path) = &args.timings_json {
         let total_wall_s = run_start.elapsed().as_secs_f64();
         let ops = tpp_bench::executor::ops_total();
@@ -274,7 +281,8 @@ fn main() {
             .collect();
         let json = format!(
             "{{\n  \"jobs\": {},\n  \"scale\": \"{}\",\n  \"total_wall_s\": {:.3},\n  \
-             \"simulated_accesses\": {},\n  \"aggregate_ops_per_s\": {:.0},\n  \"targets\": [\n{}\n  ]\n}}\n",
+             \"simulated_accesses\": {},\n  \"aggregate_ops_per_s\": {:.0},\n  \
+             \"cells_run\": {cells_run},\n  \"cells_reused\": {cells_reused},\n  \"targets\": [\n{}\n  ]\n}}\n",
             scale.jobs,
             if args.quick { "quick" } else { "standard" },
             total_wall_s,

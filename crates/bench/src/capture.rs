@@ -14,8 +14,8 @@ use chameleon::TraceSection;
 use tiered_mem::telemetry::{replay_counters, write_jsonl, TraceRecord, TRACED_COUNTERS};
 use tiered_mem::VmStat;
 use tiered_sim::SEC;
-use tpp::configs;
-use tpp::experiment::{CellSpec, PolicyChoice};
+use tpp::configs::Shape;
+use tpp::experiment::PolicyChoice;
 use tpp::metrics::{decision_summary, ping_pong_report, vmstat_csv, PingPongReport};
 
 use crate::scale::{print_table, Scale};
@@ -48,16 +48,9 @@ pub fn capture_run(
     metrics_dir: Option<&Path>,
 ) -> std::io::Result<CaptureOutcome> {
     let profile = tiered_workloads::cache1(scale.ws_pages);
-    let ws = profile.working_set_pages();
-    // The capture cell is the same descriptor the figures would use,
-    // built here so tracing can be enabled before it runs.
-    let spec = CellSpec::new(
-        profile.clone(),
-        move || configs::one_to_four(ws),
-        PolicyChoice::Tpp,
-        scale.duration_ns,
-        scale.seed,
-    );
+    // The capture cell is the same spec the figures use, built here so
+    // tracing can be enabled before it runs.
+    let spec = crate::evalfig::cell(&profile, Shape::Ratio(1, 4), PolicyChoice::Tpp, scale);
     let mut system = spec.build_system().expect("tpp supports the 1:4 machine");
     // Open the trace file first so a bad path fails before the run.
     let trace_file = trace_path.map(File::create).transpose()?;

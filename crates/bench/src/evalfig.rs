@@ -4,19 +4,20 @@
 //! the micro-benchmarks) and prints the paper-shaped table.
 //!
 //! Figures no longer run cells inline: they *enumerate* the full grid as
-//! [`CellSpec`] descriptors first and hand the batch to
-//! [`crate::executor::run_cells`], which fans it over `scale.jobs` worker
-//! threads. Results come back in spec order, so tables (and the CSV
-//! exports behind them) are byte-identical at any job count.
+//! [`CellSpec`] values first and hand the batch to
+//! [`crate::executor::run_cells`], which runs each distinct cell once,
+//! fanned over `scale.jobs` worker threads. Results come back in spec
+//! order, so tables (and the CSV exports behind them) are byte-identical
+//! at any job count.
 
-use tiered_mem::{Memory, VmEvent};
+use tiered_mem::VmEvent;
 use tiered_sim::SEC;
 use tiered_workloads::WorkloadProfile;
-use tpp::configs;
+use tpp::configs::{MachineSpec, Shape};
 use tpp::experiment::{CellSpec, ExperimentResult, PolicyChoice};
 use tpp::policy::TppConfig;
 
-use crate::executor::run_cells;
+use crate::executor::{run_cells, CellOutcome};
 use crate::scale::{pct, print_table, Scale};
 
 /// One workload's comparison: the all-local baseline plus one result per
@@ -32,33 +33,38 @@ pub struct Comparison {
 
 /// The spec for the all-local baseline every comparison is relative to.
 pub(crate) fn baseline_spec(profile: &WorkloadProfile, scale: &Scale) -> CellSpec {
-    let ws = profile.working_set_pages();
+    cell(profile, Shape::AllLocal, PolicyChoice::Linux, scale)
+}
+
+/// The spec of `profile` on the `shape` machine sized to its working set,
+/// under `choice`, at `scale`.
+pub(crate) fn cell(
+    profile: &WorkloadProfile,
+    shape: Shape,
+    choice: PolicyChoice,
+    scale: &Scale,
+) -> CellSpec {
+    let machine = MachineSpec::new(shape, profile.working_set_pages());
     CellSpec::new(
         profile.clone(),
-        move || configs::all_local(ws),
-        PolicyChoice::Linux,
+        machine,
+        choice,
         scale.duration_ns,
         scale.seed,
     )
 }
 
 /// Enumerates one comparison group: the baseline spec followed by one
-/// spec per policy on the machine built by `machine`.
+/// spec per policy on the `shape` machine.
 fn comparison_specs(
     profile: &WorkloadProfile,
-    machine: impl Fn() -> Memory + Send + Sync + Clone + 'static,
+    shape: Shape,
     policies: &[PolicyChoice],
     scale: &Scale,
 ) -> Vec<CellSpec> {
     let mut specs = vec![baseline_spec(profile, scale)];
     for choice in policies {
-        specs.push(CellSpec::new(
-            profile.clone(),
-            machine.clone(),
-            choice.clone(),
-            scale.duration_ns,
-            scale.seed,
-        ));
+        specs.push(cell(profile, shape, choice.clone(), scale));
     }
     specs
 }
@@ -72,7 +78,7 @@ fn run_comparisons(groups: Vec<Vec<CellSpec>>, scale: &Scale) -> Vec<Comparison>
         .map(|g| (g[0].profile.name.clone(), g.len()))
         .collect();
     let flat: Vec<CellSpec> = groups.into_iter().flatten().collect();
-    let mut results = run_cells(scale.jobs, &flat).into_iter();
+    let mut results = run_cells(scale, &flat).into_iter();
     shapes
         .into_iter()
         .map(|(workload, n)| {
@@ -135,10 +141,9 @@ pub fn fig15(scale: &Scale) -> Vec<Comparison> {
     let groups: Vec<Vec<CellSpec>> = tiered_workloads::all_production(scale.ws_pages)
         .iter()
         .map(|p| {
-            let ws = p.working_set_pages();
             comparison_specs(
                 p,
-                move || configs::two_to_one(ws),
+                Shape::Ratio(2, 1),
                 &[PolicyChoice::Linux, PolicyChoice::Tpp],
                 scale,
             )
@@ -162,10 +167,9 @@ pub fn fig16(scale: &Scale) -> Vec<Comparison> {
     let groups: Vec<Vec<CellSpec>> = profiles
         .iter()
         .map(|p| {
-            let ws = p.working_set_pages();
             comparison_specs(
                 p,
-                move || configs::one_to_four(ws),
+                Shape::Ratio(1, 4),
                 &[PolicyChoice::Linux, PolicyChoice::Tpp],
                 scale,
             )
@@ -184,14 +188,13 @@ pub fn fig16(scale: &Scale) -> Vec<Comparison> {
 /// 1:4).
 pub fn fig17(scale: &Scale) -> Vec<Comparison> {
     let profile = tiered_workloads::cache1(scale.ws_pages);
-    let ws = profile.working_set_pages();
     let coupled = TppConfig {
         decouple: false,
         ..TppConfig::default()
     };
     let groups = vec![comparison_specs(
         &profile,
-        move || configs::one_to_four(ws),
+        Shape::Ratio(1, 4),
         &[PolicyChoice::TppCustom(coupled), PolicyChoice::Tpp],
         scale,
     )];
@@ -231,14 +234,13 @@ pub fn fig17(scale: &Scale) -> Vec<Comparison> {
 /// Figure 18: ablation of the active-LRU promotion filter (Cache1, 1:4).
 pub fn fig18(scale: &Scale) -> Vec<Comparison> {
     let profile = tiered_workloads::cache1(scale.ws_pages);
-    let ws = profile.working_set_pages();
     let instant = TppConfig {
         active_lru_filter: false,
         ..TppConfig::default()
     };
     let groups = vec![comparison_specs(
         &profile,
-        move || configs::one_to_four(ws),
+        Shape::Ratio(1, 4),
         &[PolicyChoice::TppCustom(instant), PolicyChoice::Tpp],
         scale,
     )];
@@ -280,35 +282,28 @@ pub fn table1(scale: &Scale) -> Vec<Comparison> {
         cache_to_cxl: true,
         ..TppConfig::default()
     };
-    type Cell = (WorkloadProfile, &'static str, fn(u64) -> Memory);
-    let cells: Vec<Cell> = vec![
+    let cells = [
         (
             tiered_workloads::web(scale.ws_pages),
             "2:1",
-            configs::two_to_one,
+            Shape::Ratio(2, 1),
         ),
         (
             tiered_workloads::cache1(scale.ws_pages),
             "1:4",
-            configs::one_to_four,
+            Shape::Ratio(1, 4),
         ),
         (
             tiered_workloads::cache2(scale.ws_pages),
             "1:4",
-            configs::one_to_four,
+            Shape::Ratio(1, 4),
         ),
     ];
     let config_labels: Vec<&'static str> = cells.iter().map(|(_, l, _)| *l).collect();
     let groups: Vec<Vec<CellSpec>> = cells
         .iter()
-        .map(|(profile, _, machine)| {
-            let (ws, machine) = (profile.working_set_pages(), *machine);
-            comparison_specs(
-                profile,
-                move || machine(ws),
-                &[PolicyChoice::TppCustom(aware)],
-                scale,
-            )
+        .map(|(profile, _, shape)| {
+            comparison_specs(profile, *shape, &[PolicyChoice::TppCustom(aware)], scale)
         })
         .collect();
     let out = run_comparisons(groups, scale);
@@ -343,14 +338,13 @@ pub fn table1(scale: &Scale) -> Vec<Comparison> {
 pub fn fig19(scale: &Scale) -> Vec<Comparison> {
     let web = tiered_workloads::web(scale.ws_pages);
     let cache1 = tiered_workloads::cache1(scale.ws_pages);
-    let (web_ws, cache_ws) = (web.working_set_pages(), cache1.working_set_pages());
 
     // One flat batch: the web group, the cache1 group, the paper's
     // AutoTiering-on-1:4 probe (expected to refuse), and AutoTiering's
     // 2:1 fallback row. Spec order fixes result order.
     let mut specs = comparison_specs(
         &web,
-        move || configs::two_to_one(web_ws),
+        Shape::Ratio(2, 1),
         &[
             PolicyChoice::Linux,
             PolicyChoice::NumaBalancing,
@@ -362,30 +356,16 @@ pub fn fig19(scale: &Scale) -> Vec<Comparison> {
     let web_len = specs.len();
     specs.extend(comparison_specs(
         &cache1,
-        move || configs::one_to_four(cache_ws),
+        Shape::Ratio(1, 4),
         &[PolicyChoice::NumaBalancing, PolicyChoice::Tpp],
         scale,
     ));
-    specs.push(CellSpec::new(
-        cache1.clone(),
-        move || configs::one_to_four(cache_ws),
-        PolicyChoice::AutoTiering,
-        scale.duration_ns,
-        scale.seed,
-    ));
-    specs.push(CellSpec::new(
-        cache1.clone(),
-        move || configs::two_to_one(cache_ws),
-        PolicyChoice::AutoTiering,
-        scale.duration_ns,
-        scale.seed,
-    ));
+    for shape in [Shape::Ratio(1, 4), Shape::Ratio(2, 1)] {
+        specs.push(cell(&cache1, shape, PolicyChoice::AutoTiering, scale));
+    }
 
-    let mut results = run_cells(scale.jobs, &specs).into_iter();
-    fn take(
-        results: &mut impl Iterator<Item = Result<ExperimentResult, tpp::policy::UnsupportedConfig>>,
-        msg: &str,
-    ) -> ExperimentResult {
+    let mut results = run_cells(scale, &specs).into_iter();
+    fn take(results: &mut impl Iterator<Item = CellOutcome>, msg: &str) -> ExperimentResult {
         results.next().expect("one result per spec").expect(msg)
     }
     let mut web_cells: Vec<ExperimentResult> = (0..web_len)
@@ -466,10 +446,9 @@ mod tests {
             ..Scale::quick()
         };
         let profile = tiered_workloads::uniform(scale.ws_pages);
-        let ws = profile.working_set_pages();
         let groups = vec![comparison_specs(
             &profile,
-            move || configs::two_to_one(ws),
+            Shape::Ratio(2, 1),
             &[PolicyChoice::Tpp],
             &scale,
         )];
@@ -481,28 +460,30 @@ mod tests {
 
     #[test]
     fn comparison_groups_are_job_count_invariant() {
-        let scale_seq = Scale {
+        // Each side gets its own `Scale`, so each starts with an empty
+        // cell cache and really runs every cell.
+        let scale = |jobs| Scale {
             duration_ns: 2 * SEC,
             ws_pages: 1500,
-            jobs: 1,
+            jobs,
             ..Scale::quick()
         };
-        let scale_par = Scale {
-            jobs: 4,
-            ..scale_seq
-        };
+        let (scale_seq, scale_par) = (scale(1), scale(4));
         let groups = |scale: &Scale| {
             let profile = tiered_workloads::uniform(scale.ws_pages);
-            let ws = profile.working_set_pages();
             vec![comparison_specs(
                 &profile,
-                move || configs::two_to_one(ws),
+                Shape::Ratio(2, 1),
                 &[PolicyChoice::Linux, PolicyChoice::Tpp],
                 scale,
             )]
         };
         let seq = run_comparisons(groups(&scale_seq), &scale_seq);
         let par = run_comparisons(groups(&scale_par), &scale_par);
+        for scale in [&scale_seq, &scale_par] {
+            assert_eq!(scale.cells.cells_run(), 3);
+            assert_eq!(scale.cells.cells_reused(), 0);
+        }
         let flatten = |cs: &[Comparison]| {
             cs.iter()
                 .flat_map(|c| {

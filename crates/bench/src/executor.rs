@@ -2,8 +2,8 @@
 //! fixed pool of scoped worker threads with **zero third-party deps**.
 //!
 //! Experiment cells are embarrassingly parallel — each [`CellSpec`] owns
-//! its own machine factory, workload profile, RNG seed and clock, and a
-//! running cell touches no shared mutable state. The executor therefore
+//! its own machine description, workload profile, RNG seed and clock, and
+//! a running cell touches no shared mutable state. The executor therefore
 //! only has to solve scheduling and ordering:
 //!
 //! * **Scheduling** — workers claim item indices from a shared
@@ -16,12 +16,18 @@
 //!   to `--jobs 1`.
 //!
 //! [`parallel_map`] is the generic primitive; [`run_cells`] is the
-//! cell-batch convenience used by the figure drivers.
+//! cell-batch entry point of the figure drivers. Equal specs produce
+//! equal results, so [`run_cells`] runs each distinct cell once: it
+//! dedupes its batch and keeps every result in the [`CellCache`] that
+//! [`Scale`] carries, so the targets of one `repro` run share it.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use tpp::experiment::{CellSpec, ExperimentResult};
 use tpp::policy::UnsupportedConfig;
+
+use crate::scale::Scale;
 
 /// Total simulated accesses executed by finished cells in this process
 /// (all threads), for the aggregate ops/s line in timing reports.
@@ -91,28 +97,90 @@ where
         .collect()
 }
 
-/// Runs a batch of cells on `jobs` workers and returns their results in
-/// spec order (see [`parallel_map`] for the scheduling/ordering model).
+/// What running one cell yields.
+pub type CellOutcome = Result<ExperimentResult, UnsupportedConfig>;
+
+/// Every cell outcome computed so far, by spec, plus how many cells were
+/// served from it instead of running.
+#[derive(Debug, Default)]
+pub struct CellCache {
+    inner: Mutex<CacheState>,
+}
+
+#[derive(Debug, Default)]
+struct CacheState {
+    cells: Vec<(CellSpec, CellOutcome)>,
+    reused: usize,
+}
+
+impl CacheState {
+    fn get(&self, spec: &CellSpec) -> Option<&CellOutcome> {
+        self.cells.iter().find(|(s, _)| s == spec).map(|(_, o)| o)
+    }
+}
+
+impl CellCache {
+    fn state(&self) -> MutexGuard<'_, CacheState> {
+        self.inner
+            .lock()
+            .expect("no cell run panicked holding the cache")
+    }
+
+    /// Distinct cells run so far.
+    pub fn cells_run(&self) -> usize {
+        self.state().cells.len()
+    }
+
+    /// Requested cells answered by an earlier run of an equal spec.
+    pub fn cells_reused(&self) -> usize {
+        self.state().reused
+    }
+}
+
+/// Runs a batch of cells on `scale.jobs` workers and returns their
+/// outcomes in spec order (see [`parallel_map`] for the scheduling and
+/// ordering model).
 ///
-/// Each cell's simulated access count is credited to the process-wide
-/// [`ops_total`] counter as it finishes.
-pub fn run_cells(
-    jobs: usize,
-    specs: &[CellSpec],
-) -> Vec<Result<ExperimentResult, UnsupportedConfig>> {
-    parallel_map(jobs, specs.len(), |i| {
-        let outcome = specs[i].run();
+/// Each distinct cell runs once per `scale`: a spec equal to an earlier
+/// one in the batch, or to one in `scale.cells`, takes that outcome.
+/// Only the unseen cells go to the workers, and each one's simulated
+/// access count is credited to the process-wide [`ops_total`] counter as
+/// it finishes.
+pub fn run_cells(scale: &Scale, specs: &[CellSpec]) -> Vec<CellOutcome> {
+    let mut cache = scale.cells.state();
+    let mut fresh: Vec<&CellSpec> = Vec::new();
+    for spec in specs {
+        if cache.get(spec).is_none() && !fresh.contains(&spec) {
+            fresh.push(spec);
+        }
+    }
+    let outcomes = parallel_map(scale.jobs, fresh.len(), |i| {
+        let outcome = fresh[i].run();
         if let Ok(result) = &outcome {
             add_ops(result.metrics.accesses);
         }
         outcome
-    })
+    });
+    cache.reused += specs.len() - fresh.len();
+    for (spec, outcome) in fresh.into_iter().zip(outcomes) {
+        cache.cells.push((spec.clone(), outcome));
+    }
+    specs
+        .iter()
+        .map(|spec| {
+            cache
+                .get(spec)
+                .expect("every spec ran or was cached")
+                .clone()
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tiered_sim::SEC;
+    use tpp::configs::{MachineSpec, Shape};
     use tpp::experiment::PolicyChoice;
 
     #[test]
@@ -134,25 +202,28 @@ mod tests {
         assert_eq!(parallel_map(64, 3, |i| i), vec![0, 1, 2]);
     }
 
-    fn demo_specs() -> Vec<CellSpec> {
-        [PolicyChoice::Linux, PolicyChoice::Tpp]
-            .into_iter()
-            .map(|choice| {
-                CellSpec::new(
-                    tiered_workloads::uniform(1_500),
-                    || tpp::configs::two_to_one(2_000),
-                    choice,
-                    2 * SEC,
-                    7,
-                )
-            })
-            .collect()
+    fn demo_spec(choice: PolicyChoice) -> CellSpec {
+        CellSpec::new(
+            tiered_workloads::uniform(1_500),
+            MachineSpec::new(Shape::Ratio(2, 1), 2_000),
+            choice,
+            2 * SEC,
+            7,
+        )
+    }
+
+    fn scale(jobs: usize) -> Scale {
+        Scale {
+            jobs,
+            ..Scale::quick()
+        }
     }
 
     #[test]
     fn run_cells_matches_sequential_execution() {
-        let sequential: Vec<_> = demo_specs().iter().map(|s| s.run()).collect();
-        let parallel = run_cells(4, &demo_specs());
+        let specs = [demo_spec(PolicyChoice::Linux), demo_spec(PolicyChoice::Tpp)];
+        let sequential: Vec<_> = specs.iter().map(|s| s.run()).collect();
+        let parallel = run_cells(&scale(4), &specs);
         assert_eq!(sequential.len(), parallel.len());
         for (s, p) in sequential.iter().zip(&parallel) {
             let (s, p) = (s.as_ref().unwrap(), p.as_ref().unwrap());
@@ -161,6 +232,56 @@ mod tests {
             assert_eq!(s.local_traffic, p.local_traffic);
             assert_eq!(s.vmstat, p.vmstat);
         }
+    }
+
+    #[test]
+    fn each_distinct_cell_runs_once_per_scale() {
+        let scale = scale(2);
+        let (linux, tpp) = (demo_spec(PolicyChoice::Linux), demo_spec(PolicyChoice::Tpp));
+        let first = run_cells(&scale, &[tpp.clone(), linux, tpp.clone()]);
+        assert_eq!(
+            (scale.cells.cells_run(), scale.cells.cells_reused()),
+            (2, 1)
+        );
+        let second = run_cells(&scale, &[tpp]);
+        assert_eq!(
+            (scale.cells.cells_run(), scale.cells.cells_reused()),
+            (2, 2)
+        );
+
+        let vmstat = |outcome: &CellOutcome| outcome.as_ref().unwrap().vmstat.clone();
+        assert_eq!(first[1].as_ref().unwrap().policy, "linux");
+        assert_eq!(first[0].as_ref().unwrap().policy, "tpp");
+        assert_eq!(vmstat(&first[0]), vmstat(&first[2]));
+        assert_eq!(vmstat(&first[0]), vmstat(&second[0]));
+        assert_eq!(
+            first[0].as_ref().unwrap().throughput,
+            second[0].as_ref().unwrap().throughput
+        );
+        // A fresh scale starts with an empty cache.
+        assert_eq!(Scale::quick().cells.cells_run(), 0);
+    }
+
+    #[test]
+    fn unsupported_outcomes_are_cached_too() {
+        let scale = scale(1);
+        let spec = CellSpec::new(
+            tiered_workloads::uniform(1_500),
+            MachineSpec::new(Shape::Ratio(1, 4), 2_000),
+            PolicyChoice::AutoTiering,
+            SEC,
+            7,
+        );
+        let outcomes = run_cells(&scale, &[spec.clone(), spec]);
+        assert!(outcomes.iter().all(|o| o.is_err()));
+        assert_eq!(
+            outcomes[0].as_ref().unwrap_err(),
+            outcomes[1].as_ref().unwrap_err()
+        );
+        assert_eq!(
+            (scale.cells.cells_run(), scale.cells.cells_reused()),
+            (1, 1)
+        );
     }
 
     #[test]

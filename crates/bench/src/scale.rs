@@ -8,8 +8,12 @@
 
 use tiered_sim::{MINUTE, SEC};
 
-/// Scale configuration for experiment runs.
-#[derive(Clone, Copy, Debug)]
+use crate::executor::CellCache;
+
+/// Scale configuration for experiment runs, plus the cache of the cells
+/// already run at this scale (every target of one `repro` run takes the
+/// same `Scale`, so a cell two targets share runs once).
+#[derive(Debug)]
 pub struct Scale {
     /// Working-set size per workload, in pages.
     pub ws_pages: u64,
@@ -23,6 +27,8 @@ pub struct Scale {
     pub seed: u64,
     /// Worker threads for cell execution (1 = fully sequential).
     pub jobs: usize,
+    /// Outcomes of the cells run so far (empty in a new `Scale`).
+    pub cells: CellCache,
 }
 
 impl Scale {
@@ -36,6 +42,7 @@ impl Scale {
             profile_duration_ns: 5 * MINUTE,
             seed: 42,
             jobs: 1,
+            cells: CellCache::default(),
         }
     }
 
@@ -48,6 +55,7 @@ impl Scale {
             profile_duration_ns: 80 * SEC,
             seed: 42,
             jobs: 1,
+            cells: CellCache::default(),
         }
     }
 }

@@ -16,30 +16,27 @@
 //! [`CellSpec`]s (the shared all-local baseline is always spec 0) and run
 //! the batch on `scale.jobs` executor workers; rows are derived from the
 //! results in spec order, so the tables are identical at any job count.
+//! The Cache1 sweeps perturb the 1:4 machine one
+//! [`MachineSpec`](tpp::configs::MachineSpec) knob at a time, so each
+//! point at the knob's default is the Figure 16 cell and runs once per
+//! `repro` run.
 
 use tiered_mem::{Memory, NodeKind};
+use tpp::configs::Shape;
 use tpp::experiment::{CellSpec, ExperimentResult, PolicyChoice};
 use tpp::{configs, System};
 
-use crate::evalfig::baseline_spec;
+use crate::evalfig::{baseline_spec, cell};
 use crate::executor::{parallel_map, run_cells};
 use crate::scale::{pct, print_table, Scale};
 
 /// Runs `specs` on the executor and unwraps every cell (sweep grids only
 /// contain supported machine/policy pairs).
 fn run_all(specs: &[CellSpec], scale: &Scale) -> Vec<ExperimentResult> {
-    run_cells(scale.jobs, specs)
+    run_cells(scale, specs)
         .into_iter()
         .map(|r| r.expect("sweep cells use supported machine/policy pairs"))
         .collect()
-}
-
-/// The Cache1 1:4 machine the sweeps perturb: one knob at a time off
-/// this base shape.
-fn one_to_four_shape(ws: u64) -> (u64, u64) {
-    let total = ws * 105 / 100;
-    let local = total / 5;
-    (local, total - local)
 }
 
 /// Sweep `demote_scale_factor` (basis points) on Cache1 1:4 under TPP.
@@ -48,26 +45,12 @@ fn one_to_four_shape(ws: u64) -> (u64, u64) {
 /// promotions starve, too much and the local node wastes capacity.
 pub fn sweep_demote_scale(scale: &Scale) -> Vec<Vec<String>> {
     let profile = tiered_workloads::cache1(scale.ws_pages);
-    let ws = profile.working_set_pages();
     let points = [25u32, 100, 200, 400, 800];
     let mut specs = vec![baseline_spec(&profile, scale)];
     for bp in points {
-        let (local, cxl) = one_to_four_shape(ws);
-        specs.push(CellSpec::new(
-            profile.clone(),
-            move || {
-                let mut builder = Memory::builder();
-                builder
-                    .node(NodeKind::LocalDram, local.max(64))
-                    .node(NodeKind::Cxl, cxl.max(64))
-                    .swap_pages(ws * 4)
-                    .demote_scale_bp(bp);
-                builder.build()
-            },
-            PolicyChoice::Tpp,
-            scale.duration_ns,
-            scale.seed,
-        ));
+        let mut spec = cell(&profile, Shape::Ratio(1, 4), PolicyChoice::Tpp, scale);
+        spec.machine.demote_scale_bp = bp;
+        specs.push(spec);
     }
     let results = run_all(&specs, scale);
     let base = &results[0];
@@ -101,7 +84,6 @@ pub fn sweep_demote_scale(scale: &Scale) -> Vec<Vec<String>> {
 /// the paper's FPGA prototype (+250 ns), and worse.
 pub fn sweep_cxl_latency(scale: &Scale) -> Vec<Vec<String>> {
     let profile = tiered_workloads::cache1(scale.ws_pages);
-    let ws = profile.working_set_pages();
     let points = [
         ("ASIC target (185 ns)", 185u64),
         ("FPGA prototype (350 ns)", 350),
@@ -111,21 +93,9 @@ pub fn sweep_cxl_latency(scale: &Scale) -> Vec<Vec<String>> {
     let mut labels = Vec::new();
     for (label, latency) in points {
         for choice in [PolicyChoice::Linux, PolicyChoice::Tpp] {
-            let (local, cxl) = one_to_four_shape(ws);
-            specs.push(CellSpec::new(
-                profile.clone(),
-                move || {
-                    let mut builder = Memory::builder();
-                    builder
-                        .node(NodeKind::LocalDram, local.max(64))
-                        .node_with_latency(NodeKind::Cxl, cxl.max(64), latency)
-                        .swap_pages(ws * 4);
-                    builder.build()
-                },
-                choice,
-                scale.duration_ns,
-                scale.seed,
-            ));
+            let mut spec = cell(&profile, Shape::Ratio(1, 4), choice, scale);
+            spec.machine.cxl_latency_ns = latency;
+            specs.push(spec);
             labels.push(label);
         }
     }
@@ -156,7 +126,6 @@ pub fn sweep_cxl_latency(scale: &Scale) -> Vec<Vec<String>> {
 /// Sweep the local:CXL capacity ratio from 2:1 down to 1:5.
 pub fn sweep_ratio(scale: &Scale) -> Vec<Vec<String>> {
     let profile = tiered_workloads::cache1(scale.ws_pages);
-    let ws = profile.working_set_pages();
     let points = [
         ("2:1", 2u64, 1u64),
         ("1:1", 1, 1),
@@ -168,13 +137,8 @@ pub fn sweep_ratio(scale: &Scale) -> Vec<Vec<String>> {
     let mut labels = Vec::new();
     for (label, local_parts, cxl_parts) in points {
         for choice in [PolicyChoice::Linux, PolicyChoice::Tpp] {
-            specs.push(CellSpec::new(
-                profile.clone(),
-                move || configs::ratio(ws, local_parts, cxl_parts),
-                choice,
-                scale.duration_ns,
-                scale.seed,
-            ));
+            let shape = Shape::Ratio(local_parts, cxl_parts);
+            specs.push(cell(&profile, shape, choice, scale));
             labels.push(label);
         }
     }
@@ -222,26 +186,23 @@ pub fn sweep_topology(scale: &Scale) -> Vec<Vec<String>> {
     let mut cells = Vec::new();
     for &preset in presets {
         for (pi, profile) in profiles.iter().enumerate() {
-            let ws = profile.working_set_pages();
             for choice in [PolicyChoice::Linux, PolicyChoice::Tpp] {
-                specs.push(CellSpec::new(
-                    profile.clone(),
-                    move || configs::topology_preset(preset, ws),
-                    choice,
-                    scale.duration_ns,
-                    scale.seed,
-                ));
+                specs.push(cell(profile, Shape::Preset(preset), choice, scale));
                 cells.push((preset, pi));
             }
         }
     }
     let results = run_all(&specs, scale);
     let mut rows = Vec::new();
-    for ((preset, pi), r) in cells.iter().zip(&results[profiles.len()..]) {
+    for (((preset, pi), spec), r) in cells
+        .iter()
+        .zip(&specs[profiles.len()..])
+        .zip(&results[profiles.len()..])
+    {
         let base = &results[*pi];
         // Re-derive each socket's nearest target from the preset machine
         // (results carry only the migration matrix).
-        let machine = configs::topology_preset(preset, profiles[*pi].working_set_pages());
+        let machine = spec.machine.build();
         let (mut near, mut out) = (0u64, 0u64);
         for &socket in machine.local_nodes().iter() {
             let nearest = machine
@@ -310,25 +271,11 @@ pub fn sweep_thp(scale: &Scale) -> Vec<Vec<String>> {
     let mut specs: Vec<CellSpec> = profiles.iter().map(|p| baseline_spec(p, scale)).collect();
     let mut cells = Vec::new();
     for (pi, profile) in profiles.iter().enumerate() {
-        let ws = profile.working_set_pages();
         for choice in [PolicyChoice::Linux, PolicyChoice::Tpp] {
             for mode in modes {
-                let (local, cxl) = one_to_four_shape(ws);
-                specs.push(CellSpec::new(
-                    profile.clone(),
-                    move || {
-                        let mut builder = Memory::builder();
-                        builder
-                            .node(NodeKind::LocalDram, local.max(64))
-                            .node(NodeKind::Cxl, cxl.max(64))
-                            .swap_pages(ws * 4)
-                            .thp_mode(mode);
-                        builder.build()
-                    },
-                    choice.clone(),
-                    scale.duration_ns,
-                    scale.seed,
-                ));
+                let mut spec = cell(profile, Shape::Ratio(1, 4), choice.clone(), scale);
+                spec.machine.thp = mode;
+                specs.push(spec);
                 cells.push((pi, mode));
             }
         }
@@ -382,32 +329,19 @@ pub fn sweep_thp(scale: &Scale) -> Vec<Vec<String>> {
 ///   CPU-less NUMA node; cold pages are directly addressable there.
 pub fn zswap_comparison(scale: &Scale) -> Vec<Vec<String>> {
     let profile = tiered_workloads::cache1(scale.ws_pages);
-    let ws = profile.working_set_pages();
-    let (local, cxl) = one_to_four_shape(ws);
-    let mut specs = vec![baseline_spec(&profile, scale)];
-    // CXL as an in-memory swap pool.
-    specs.push(CellSpec::new(
-        profile.clone(),
-        move || {
-            let mut builder = Memory::builder();
-            builder
-                .node(NodeKind::LocalDram, local.max(64))
-                .swap_pages(cxl + ws);
-            builder.build()
-        },
-        PolicyChoice::InMemorySwap,
-        scale.duration_ns,
-        scale.seed,
-    ));
+    let mut specs = vec![
+        baseline_spec(&profile, scale),
+        // CXL as an in-memory swap pool.
+        cell(
+            &profile,
+            Shape::SwapPool(1, 4),
+            PolicyChoice::InMemorySwap,
+            scale,
+        ),
+    ];
     // CXL as addressable memory under TPP (and default Linux for scale).
     for choice in [PolicyChoice::Linux, PolicyChoice::Tpp] {
-        specs.push(CellSpec::new(
-            profile.clone(),
-            move || configs::one_to_four(ws),
-            choice,
-            scale.duration_ns,
-            scale.seed,
-        ));
+        specs.push(cell(&profile, Shape::Ratio(1, 4), choice, scale));
     }
     let results = run_all(&specs, scale);
     let base = &results[0];
@@ -574,4 +508,30 @@ pub fn reclaim_rate_comparison(_scale: &Scale) -> Vec<Vec<String>> {
         &rows,
     );
     rows
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tiered_sim::SEC;
+
+    #[test]
+    fn sweep_points_at_knob_defaults_reuse_one_cell() {
+        let scale = Scale {
+            ws_pages: 1_500,
+            duration_ns: 2 * SEC,
+            ..Scale::quick()
+        };
+        let counts = |s: &Scale| (s.cells.cells_run(), s.cells.cells_reused());
+        sweep_demote_scale(&scale);
+        assert_eq!(counts(&scale), (6, 0));
+        // The all-local baseline and the 185 ns TPP point (the 200 bp
+        // point above) are already in the cache.
+        sweep_cxl_latency(&scale);
+        assert_eq!(counts(&scale), (11, 2));
+        // So are Cache1's baseline and its `never` Linux and TPP points
+        // (the 185 ns points).
+        sweep_thp(&scale);
+        assert_eq!(counts(&scale), (22, 5));
+    }
 }

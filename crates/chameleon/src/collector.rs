@@ -151,11 +151,6 @@ impl Collector {
         self.active ^= 1;
         std::mem::take(&mut self.tables[finished])
     }
-
-    /// Pages with samples in the currently filling table.
-    pub fn pending_pages(&self) -> usize {
-        self.tables[self.active].len()
-    }
 }
 
 #[cfg(test)]
@@ -255,7 +250,6 @@ mod tests {
         c.observe(0, &access(1, AccessKind::Load));
         let first = c.take_interval();
         assert_eq!(first.len(), 1);
-        assert_eq!(c.pending_pages(), 0);
         c.observe(1, &access(2, AccessKind::Load));
         let second = c.take_interval();
         assert!(second.contains_key(&PageKey::new(Pid(1), Vpn(2))));

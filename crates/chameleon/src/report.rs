@@ -73,11 +73,6 @@ impl Heatmap {
             + self.warm_file
             + self.cold_file
     }
-
-    /// Total hot pages.
-    pub fn hot_total(&self) -> u64 {
-        self.hot_anon + self.hot_file
-    }
 }
 
 /// Rolling characterization series, sampled once per interval: the exact
@@ -384,7 +379,6 @@ mod tests {
         assert_eq!(map.hot_anon, 1);
         assert_eq!(map.warm_file, 1);
         assert_eq!(map.total(), 2);
-        assert_eq!(map.hot_total(), 1);
         // With a 1-interval warm window, page 2 would look cold... but
         // warm_k=1 equals the hot test, so it degrades to cold.
         let tight = Heatmap::from_worker(&w, 1);

@@ -40,11 +40,6 @@ impl PageHistory {
         self.bitmap & mask != 0
     }
 
-    /// Number of active intervals in the retained history.
-    pub fn active_intervals(&self) -> u32 {
-        self.bitmap.count_ones()
-    }
-
     /// If the page just became active (bit 0 set, bit 1 clear), how many
     /// intervals it had been cold — `None` if it is not a fresh
     /// re-activation or was never active before.
@@ -108,12 +103,6 @@ impl Worker {
         self.bits_per_interval
     }
 
-    /// Number of intervals the 64-bit history can hold at this
-    /// configuration.
-    pub fn history_depth(&self) -> u32 {
-        64 / self.bits_per_interval
-    }
-
     /// Recorded access frequency of `key` in the most recent interval
     /// (saturated at `2^bits - 1`).
     pub fn last_interval_frequency(&self, key: PageKey) -> u64 {
@@ -139,12 +128,6 @@ impl Worker {
     /// Iterates all `(page, history)` entries.
     pub fn iter(&self) -> impl Iterator<Item = (&PageKey, &PageHistory)> {
         self.pages.iter()
-    }
-
-    /// Forgets a page (e.g. freed by the workload) so stale entries don't
-    /// distort hot-fraction denominators.
-    pub fn forget(&mut self, key: PageKey) {
-        self.pages.remove(&key);
     }
 
     /// Processes one interval's samples: shift every history left by
@@ -289,7 +272,6 @@ mod tests {
         assert_eq!(h.bitmap, 0b100);
         assert!(!h.active_within(2));
         assert!(h.active_within(3));
-        assert_eq!(h.active_intervals(), 1);
     }
 
     #[test]
@@ -350,19 +332,8 @@ mod tests {
     }
 
     #[test]
-    fn forget_removes_page() {
-        let mut w = Worker::new();
-        w.process_interval(samples(&[(1, PageType::Anon)]));
-        assert_eq!(w.tracked_pages(), 1);
-        w.forget(key(1));
-        assert_eq!(w.tracked_pages(), 0);
-        assert_eq!(w.hot_fraction(1, None), 0.0);
-    }
-
-    #[test]
     fn frequency_mode_records_sample_counts() {
         let mut w = Worker::with_bits(4);
-        assert_eq!(w.history_depth(), 16);
         let mut s = HashMap::new();
         s.insert(
             key(1),

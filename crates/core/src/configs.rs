@@ -2,35 +2,152 @@
 //! an all-local baseline, the 2:1 production target, and the 1:4 memory
 //! expansion configuration — plus multi-socket/multi-CXL topology presets
 //! built on [`tiered_mem::Topology`].
+//!
+//! Every machine is described by a [`MachineSpec`], a plain value with
+//! one [`MachineSpec::build`]; the free functions below build the
+//! common specs directly.
 
-use tiered_mem::{Memory, NodeKind, Topology};
+use tiered_mem::{Memory, NodeKind, ThpMode, Topology, DEFAULT_DEMOTE_SCALE_BP};
 
 /// Headroom factor: the paper's workloads consume 95–98% of system
 /// capacity, so machines are sized ~5% above the working set.
 const CAPACITY_SLACK_PCT: u64 = 105;
 
-/// The "all from local" baseline: a single CPU-attached node large enough
-/// to hold the entire working set comfortably.
-pub fn all_local(ws_pages: u64) -> Memory {
-    let cap = ws_pages * 120 / 100;
-    Memory::builder()
-        .node(NodeKind::LocalDram, cap.max(64))
-        .swap_pages(ws_pages * 4)
-        .build()
+/// How a machine's capacity is laid out, before it is sized to a
+/// working set.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum Shape {
+    /// The "all from local" baseline: a single CPU-attached node large
+    /// enough to hold the entire working set comfortably.
+    AllLocal,
+    /// Local DRAM plus one CXL node in a `local : cxl` capacity split,
+    /// sized so the total is ~105% of the working set.
+    Ratio(u64, u64),
+    /// A multi-node topology preset, by a name from
+    /// [`topology_preset_names`].
+    Preset(&'static str),
+    /// Only the local DRAM of `Ratio(local, cxl)`; the CXL share of the
+    /// capacity backs an in-memory swap pool instead of a node.
+    SwapPool(u64, u64),
 }
 
-/// A machine with `local_parts : cxl_parts` capacity split, sized so the
-/// total is ~105% of the working set.
-pub fn ratio(ws_pages: u64, local_parts: u64, cxl_parts: u64) -> Memory {
+/// A machine as a plain value: its shape, the working set it is sized
+/// for, and the knobs the sweeps vary. The knobs hold concrete numbers
+/// (the defaults are the substrate's), so two specs that build the same
+/// machine compare equal.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct MachineSpec {
+    /// Capacity layout.
+    pub shape: Shape,
+    /// Working-set pages the capacities are sized against.
+    pub ws_pages: u64,
+    /// Transparent-huge-page mode.
+    pub thp: ThpMode,
+    /// Idle access latency of every direct-attached CXL node, ns.
+    pub cxl_latency_ns: u64,
+    /// `demote_scale_factor` of every node, in basis points.
+    pub demote_scale_bp: u32,
+}
+
+impl MachineSpec {
+    /// The `shape` machine for `ws_pages`, with THP off and the default
+    /// CXL latency and `demote_scale_factor`.
+    pub fn new(shape: Shape, ws_pages: u64) -> MachineSpec {
+        MachineSpec {
+            shape,
+            ws_pages,
+            thp: ThpMode::Never,
+            cxl_latency_ns: NodeKind::Cxl.default_latency_ns(),
+            demote_scale_bp: DEFAULT_DEMOTE_SCALE_BP,
+        }
+    }
+
+    /// Builds the machine.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a `Ratio`/`SwapPool` part of zero or an unknown preset
+    /// name.
+    pub fn build(&self) -> Memory {
+        let ws = self.ws_pages;
+        let total = ws * CAPACITY_SLACK_PCT / 100;
+        let mut swap_pages = ws * 4;
+        let mut t = Topology::new();
+        match self.shape {
+            Shape::AllLocal => {
+                t.node(NodeKind::LocalDram, (ws * 120 / 100).max(64));
+            }
+            Shape::Ratio(local_parts, cxl_parts) => {
+                let (local, cxl) = split(total, local_parts, cxl_parts);
+                t.node(NodeKind::LocalDram, local.max(64));
+                t.node_with_latency(NodeKind::Cxl, cxl.max(64), self.cxl_latency_ns);
+            }
+            Shape::SwapPool(local_parts, cxl_parts) => {
+                let (local, cxl) = split(total, local_parts, cxl_parts);
+                t.node(NodeKind::LocalDram, local.max(64));
+                swap_pages = cxl + ws;
+            }
+            Shape::Preset("2s2c") => {
+                // Own expander (14) closer than the peer socket (21),
+                // the peer's expander (24) further still.
+                let (dram, cxl) = ((total / 3).max(64), (total / 6).max(64));
+                let a = t.node(NodeKind::LocalDram, dram);
+                let b = t.node(NodeKind::LocalDram, dram);
+                let xa = t.node_with_latency(NodeKind::Cxl, cxl, self.cxl_latency_ns);
+                let xb = t.node_with_latency(NodeKind::Cxl, cxl, self.cxl_latency_ns);
+                t.set_distance(a, b, 21);
+                t.set_distance(a, xa, 14);
+                t.set_distance(b, xb, 14);
+                t.set_distance(a, xb, 24);
+                t.set_distance(b, xa, 24);
+                t.set_distance(xa, xb, 28);
+            }
+            Shape::Preset("pooled") => {
+                let d = t.node(NodeKind::LocalDram, (total / 3).max(64));
+                let p = t.node(NodeKind::CxlSwitched, (total - total / 3).max(64));
+                t.set_distance(d, p, 30);
+            }
+            Shape::Preset("3tier") => {
+                let d = t.node(NodeKind::LocalDram, (total * 2 / 5).max(64));
+                let n = t.node_with_latency(
+                    NodeKind::Cxl,
+                    (total * 2 / 5).max(64),
+                    self.cxl_latency_ns,
+                );
+                let f = t.node(NodeKind::CxlSwitched, (total - total * 2 / 5 * 2).max(64));
+                t.set_distance(d, n, 14);
+                t.set_distance(d, f, 30);
+                t.set_distance(n, f, 20);
+            }
+            Shape::Preset(other) => {
+                panic!("unknown topology preset {other:?} (try 2s2c, pooled, 3tier)")
+            }
+        }
+        Memory::builder()
+            .topology(t)
+            .swap_pages(swap_pages)
+            .demote_scale_bp(self.demote_scale_bp)
+            .thp_mode(self.thp)
+            .build()
+    }
+}
+
+/// Splits `total` pages `local_parts : cxl_parts` into (local, cxl).
+fn split(total: u64, local_parts: u64, cxl_parts: u64) -> (u64, u64) {
     assert!(local_parts > 0 && cxl_parts > 0, "both tiers need capacity");
-    let total = ws_pages * CAPACITY_SLACK_PCT / 100;
     let local = total * local_parts / (local_parts + cxl_parts);
-    let cxl = total - local;
-    Memory::builder()
-        .node(NodeKind::LocalDram, local.max(64))
-        .node(NodeKind::Cxl, cxl.max(64))
-        .swap_pages(ws_pages * 4)
-        .build()
+    (local, total - local)
+}
+
+/// The "all from local" baseline ([`Shape::AllLocal`]).
+pub fn all_local(ws_pages: u64) -> Memory {
+    MachineSpec::new(Shape::AllLocal, ws_pages).build()
+}
+
+/// A machine with `local_parts : cxl_parts` capacity split
+/// ([`Shape::Ratio`]).
+pub fn ratio(ws_pages: u64, local_parts: u64, cxl_parts: u64) -> Memory {
+    MachineSpec::new(Shape::Ratio(local_parts, cxl_parts), ws_pages).build()
 }
 
 /// The production target: local:CXL = 2:1 (§6.2.1).
@@ -52,24 +169,7 @@ pub fn one_to_four(ws_pages: u64) -> Memory {
 /// (24) is further still. Each socket's demotions must therefore land on
 /// *its own* expander, not a shared node 1.
 pub fn two_socket_two_cxl(ws_pages: u64) -> Memory {
-    let total = ws_pages * CAPACITY_SLACK_PCT / 100;
-    let dram = (total / 3).max(64);
-    let cxl = (total / 6).max(64);
-    let mut t = Topology::new();
-    let a = t.node(NodeKind::LocalDram, dram);
-    let b = t.node(NodeKind::LocalDram, dram);
-    let xa = t.node(NodeKind::Cxl, cxl);
-    let xb = t.node(NodeKind::Cxl, cxl);
-    t.set_distance(a, b, 21);
-    t.set_distance(a, xa, 14);
-    t.set_distance(b, xb, 14);
-    t.set_distance(a, xb, 24);
-    t.set_distance(b, xa, 24);
-    t.set_distance(xa, xb, 28);
-    Memory::builder()
-        .topology(t)
-        .swap_pages(ws_pages * 4)
-        .build()
+    topology_preset("2s2c", ws_pages)
 }
 
 /// `pooled`: one socket backed by a switch-attached CXL memory pool.
@@ -78,17 +178,7 @@ pub fn two_socket_two_cxl(ws_pages: u64) -> Memory {
 /// two link hops per migration, and a larger NUMA distance (30) than a
 /// direct expander would have.
 pub fn pooled(ws_pages: u64) -> Memory {
-    let total = ws_pages * CAPACITY_SLACK_PCT / 100;
-    let dram = (total / 3).max(64);
-    let pool = (total - total / 3).max(64);
-    let mut t = Topology::new();
-    let d = t.node(NodeKind::LocalDram, dram);
-    let p = t.node(NodeKind::CxlSwitched, pool);
-    t.set_distance(d, p, 30);
-    Memory::builder()
-        .topology(t)
-        .swap_pages(ws_pages * 4)
-        .build()
+    topology_preset("pooled", ws_pages)
 }
 
 /// `3tier`: DRAM → direct CXL expander → switch-attached pool.
@@ -97,21 +187,7 @@ pub fn pooled(ws_pages: u64) -> Memory {
 /// expander (distance 14), which in turn demotes into the pool (20); the
 /// pool is terminal and falls back to default reclaim.
 pub fn three_tier(ws_pages: u64) -> Memory {
-    let total = ws_pages * CAPACITY_SLACK_PCT / 100;
-    let dram = (total * 2 / 5).max(64);
-    let near = (total * 2 / 5).max(64);
-    let far = (total - total * 2 / 5 * 2).max(64);
-    let mut t = Topology::new();
-    let d = t.node(NodeKind::LocalDram, dram);
-    let n = t.node(NodeKind::Cxl, near);
-    let f = t.node(NodeKind::CxlSwitched, far);
-    t.set_distance(d, n, 14);
-    t.set_distance(d, f, 30);
-    t.set_distance(n, f, 20);
-    Memory::builder()
-        .topology(t)
-        .swap_pages(ws_pages * 4)
-        .build()
+    topology_preset("3tier", ws_pages)
 }
 
 /// The topology preset names accepted by [`topology_preset`], in the
@@ -120,24 +196,23 @@ pub fn topology_preset_names() -> &'static [&'static str] {
     &["2s2c", "pooled", "3tier"]
 }
 
-/// Builds a machine from a topology preset name.
+/// Builds a machine from a topology preset name ([`Shape::Preset`]).
 ///
 /// # Panics
 ///
 /// Panics on a name not in [`topology_preset_names`].
 pub fn topology_preset(name: &str, ws_pages: u64) -> Memory {
-    match name {
-        "2s2c" => two_socket_two_cxl(ws_pages),
-        "pooled" => pooled(ws_pages),
-        "3tier" => three_tier(ws_pages),
-        other => panic!("unknown topology preset {other:?} (try 2s2c, pooled, 3tier)"),
-    }
+    let name = topology_preset_names()
+        .iter()
+        .find(|&&n| n == name)
+        .unwrap_or_else(|| panic!("unknown topology preset {name:?} (try 2s2c, pooled, 3tier)"));
+    MachineSpec::new(Shape::Preset(name), ws_pages).build()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tiered_mem::NodeId;
+    use tiered_mem::{NodeId, TppWatermarks};
 
     #[test]
     fn ratios_split_capacity_as_labelled() {
@@ -224,6 +299,70 @@ mod tests {
             let m = topology_preset(name, 5_000);
             assert!(m.total_capacity() > 0);
         }
+    }
+
+    /// What a run can observe of a machine: per-node capacity, latency
+    /// and watermarks, the swap size and the THP mode.
+    fn observable(m: &Memory) -> (Vec<(u64, u64, TppWatermarks)>, u64, ThpMode) {
+        let nodes = (0..m.node_count())
+            .map(|i| {
+                let n = m.node(NodeId(i as u8));
+                (m.capacity(NodeId(i as u8)), n.latency_ns(), *n.watermarks())
+            })
+            .collect();
+        (nodes, m.swap().capacity(), m.thp_mode())
+    }
+
+    #[test]
+    fn knobs_at_their_defaults_build_the_one_to_four_machine() {
+        // The dsf sweep's 200 bp point, the latency sweep's 185 ns point
+        // and the THP sweep's `never` point are all the 1:4 machine.
+        let ws = 24_000;
+        let base = MachineSpec::new(Shape::Ratio(1, 4), ws);
+        for spec in [
+            MachineSpec {
+                demote_scale_bp: 200,
+                ..base
+            },
+            MachineSpec {
+                cxl_latency_ns: 185,
+                ..base
+            },
+            MachineSpec {
+                thp: ThpMode::Never,
+                ..base
+            },
+        ] {
+            assert_eq!(spec, base);
+            assert_eq!(observable(&spec.build()), observable(&one_to_four(ws)));
+        }
+        for spec in [
+            MachineSpec {
+                demote_scale_bp: 400,
+                ..base
+            },
+            MachineSpec {
+                cxl_latency_ns: 350,
+                ..base
+            },
+            MachineSpec {
+                thp: ThpMode::Always,
+                ..base
+            },
+        ] {
+            assert_ne!(spec, base);
+            assert_ne!(observable(&spec.build()), observable(&one_to_four(ws)));
+        }
+    }
+
+    #[test]
+    fn swap_pool_keeps_the_local_node_and_pools_the_rest() {
+        let ws = 10_000;
+        let pool = MachineSpec::new(Shape::SwapPool(1, 4), ws).build();
+        let tiered = one_to_four(ws);
+        assert_eq!(pool.node_count(), 1);
+        assert_eq!(pool.capacity(NodeId(0)), tiered.capacity(NodeId(0)));
+        assert_eq!(pool.swap().capacity(), tiered.capacity(NodeId(1)) + ws);
     }
 
     #[test]

@@ -1,17 +1,19 @@
 //! The experiment harness: runs (workload × machine × policy) cells and
 //! reduces them to the quantities the paper's figures report.
 //!
-//! Cells are described by [`CellSpec`] — a plain, thread-shareable
-//! descriptor — so figure and sweep grids can be enumerated first and
-//! executed by any driver (sequentially, or fanned out over a worker
-//! pool). Each spec owns its workload profile, machine *factory*, policy
-//! choice, duration and seed: running a spec touches no shared mutable
-//! state, which is what makes parallel execution bit-identical to
-//! sequential execution.
+//! Cells are described by [`CellSpec`] — a plain, thread-shareable value
+//! — so figure and sweep grids can be enumerated first and executed by
+//! any driver (sequentially, or fanned out over a worker pool). Each spec
+//! owns its workload profile, [`MachineSpec`], policy choice, duration
+//! and seed: running a spec touches no shared mutable state, which is
+//! what makes parallel execution bit-identical to sequential execution,
+//! and two equal specs produce equal results, which is what lets a driver
+//! run each distinct cell once.
 
 use tiered_mem::{Memory, NodeId, VmEvent, VmStat};
 use tiered_workloads::WorkloadProfile;
 
+use crate::configs::MachineSpec;
 use crate::metrics::RunMetrics;
 use crate::policy::{
     AutoTiering, InMemorySwap, LinuxDefault, NumaBalancing, PlacementPolicy, Tpp, TppConfig,
@@ -21,7 +23,7 @@ use crate::system::System;
 
 /// A buildable policy selection (policies themselves are not `Clone`, so
 /// sweeps carry this factory instead).
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum PolicyChoice {
     /// Default Linux kernel behaviour.
     Linux,
@@ -65,49 +67,40 @@ impl PolicyChoice {
 
 /// A self-contained description of one experiment cell.
 ///
-/// The spec carries a machine *factory*, so every run builds a fresh
-/// machine on the thread that runs it. Everything else is plain data, so
-/// a `CellSpec` is `Send + Sync` and a batch of specs can be shared
-/// across a thread scope.
+/// Every field is plain data, so a spec is `Send + Sync`, a batch of
+/// specs can be shared across a thread scope, and two specs that describe
+/// the same run compare equal. Every run builds a fresh machine from
+/// [`CellSpec::machine`] on the thread that runs it.
+#[derive(Clone, PartialEq, Debug)]
 pub struct CellSpec {
     /// Workload to run.
     pub profile: WorkloadProfile,
+    /// Machine to run it on.
+    pub machine: MachineSpec,
     /// Policy selection.
     pub choice: PolicyChoice,
     /// Simulated run duration, ns.
     pub duration_ns: u64,
     /// RNG seed.
     pub seed: u64,
-    machine: Box<dyn Fn() -> Memory + Send + Sync>,
-}
-
-impl std::fmt::Debug for CellSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CellSpec")
-            .field("profile", &self.profile.name)
-            .field("choice", &self.choice)
-            .field("duration_ns", &self.duration_ns)
-            .field("seed", &self.seed)
-            .finish_non_exhaustive()
-    }
 }
 
 impl CellSpec {
-    /// Describes a cell: `profile` on the machine built by `machine`
-    /// under `choice` for `duration_ns` simulated time.
+    /// Describes a cell: `profile` on `machine` under `choice` for
+    /// `duration_ns` simulated time.
     pub fn new(
         profile: WorkloadProfile,
-        machine: impl Fn() -> Memory + Send + Sync + 'static,
+        machine: MachineSpec,
         choice: PolicyChoice,
         duration_ns: u64,
         seed: u64,
     ) -> CellSpec {
         CellSpec {
             profile,
+            machine,
             choice,
             duration_ns,
             seed,
-            machine: Box::new(machine),
         }
     }
 
@@ -118,27 +111,26 @@ impl CellSpec {
     /// [`UnsupportedConfig`] if the policy rejects the machine.
     pub fn build_system(&self) -> Result<System, UnsupportedConfig> {
         System::new(
-            (self.machine)(),
+            self.machine.build(),
             self.choice.build(),
             Box::new(self.profile.build()),
             self.seed,
         )
     }
 
-    /// Runs the cell to completion and reduces it.
+    /// Runs the cell to completion and reduces it (see [`run_cell`]).
     ///
     /// # Errors
     ///
     /// [`UnsupportedConfig`] if the policy rejects the machine.
     pub fn run(&self) -> Result<ExperimentResult, UnsupportedConfig> {
-        let mut system = self.build_system()?;
-        system.run(self.duration_ns);
-        Ok(reduce(
-            system,
-            self.choice.label(),
-            &self.profile.name,
+        run_cell(
+            &self.profile,
+            self.machine.build(),
+            &self.choice,
             self.duration_ns,
-        ))
+            self.seed,
+        )
     }
 }
 
@@ -295,7 +287,7 @@ mod tests {
 
         let spec = CellSpec::new(
             tiered_workloads::uniform(2_000),
-            || configs::two_to_one(2_500),
+            MachineSpec::new(configs::Shape::Ratio(2, 1), 2_500),
             PolicyChoice::Tpp,
             2 * SEC,
             1,

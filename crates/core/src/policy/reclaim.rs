@@ -363,5 +363,7 @@ mod tests {
             DaemonBudget::demoter().time_ns,
             DaemonBudget::kswapd().time_ns
         );
+        let lat = tiered_sim::LatencyModel::datacenter();
+        assert!(lat.migrate_budget_pages(DaemonBudget::demoter().time_ns) > 0);
     }
 }

@@ -40,7 +40,7 @@ use super::sampler::SampleScope;
 use super::{FaultOutcome, PlacementPolicy, PolicyCtx};
 
 /// The three switches of [`Tpp`] the paper's evaluation varies.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TppConfig {
     /// Decoupled allocation/demotion watermarks (§5.2). Disable to
     /// reproduce the Figure 17 ablation.

@@ -114,6 +114,14 @@ mod tests {
     fn budget_helpers_scale_linearly() {
         let m = LatencyModel::datacenter();
         assert_eq!(m.migrate_budget_pages(0), 0);
+        // That the demotion daemon's budget buys migrations is checked
+        // next to `DaemonBudget` in the tpp crate.
+        let per_page = m.migrate_page_ns + m.scan_page_ns;
+        for pages in [1, 7, 1_000] {
+            let budget = pages * per_page;
+            assert_eq!(m.migrate_budget_pages(budget), pages);
+            assert_eq!(m.migrate_budget_pages(2 * budget), 2 * pages);
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::zipf::ZipfSampler;
 
 /// Optional growth of a region's allocated footprint over time (e.g. Web's
 /// anon usage growing while file caches are discarded, Figure 9a).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct Growth {
     /// Fraction of the region allocated at time zero.
     pub initial_frac: f64,
@@ -30,7 +30,7 @@ pub struct Growth {
 }
 
 /// Static description of a windowed region.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct RegionSpec {
     /// First virtual page of the region.
     pub base_vpn: u64,

@@ -9,7 +9,7 @@ use crate::transient::TransientPool;
 
 /// Sequential materialisation of regions at start-up (e.g. Web loading VM
 /// binaries and bytecode into the page cache, paper §3.5/§6.2.1).
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct WarmupSpec {
     /// Indices into the profile's region list, warmed in order.
     pub region_indices: Vec<usize>,
@@ -25,7 +25,7 @@ pub struct WarmupSpec {
 }
 
 /// Short-lived allocation behaviour (request churn).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct TransientSpec {
     /// Expected fresh allocations per steady-state op (may be fractional).
     pub allocs_per_op: f64,
@@ -38,7 +38,7 @@ pub struct TransientSpec {
 }
 
 /// Complete parameterisation of a synthetic workload.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct WorkloadProfile {
     /// Workload name (shows up in reports).
     pub name: String,

@@ -2,8 +2,10 @@
 # Prints the throughput delta between two bench.sh reports: the
 # end-to-end aggregate simulated accesses/s of each repro section
 # (`repro` at --jobs 2, `repro_jobs1` at --jobs 1) plus every microbench
-# row present in both files. Used by bench.sh (new run vs the checked-in
-# baseline) and check.sh (working-tree BENCH_repro.json vs HEAD).
+# row present in both files, and each section's distinct cells run and
+# repeated cells reused (`-` where a report predates the counts). Used by
+# bench.sh (new run vs the checked-in baseline) and check.sh
+# (working-tree BENCH_repro.json vs HEAD).
 #
 #   scripts/bench_delta.sh <baseline.json> <new.json>
 set -euo pipefail
@@ -26,16 +28,21 @@ extract() {
       n = split(line, f, " ")
       if (n >= 2) printf "%s %s\n", f[1], f[2]
     }
-    /"aggregate_ops_per_s"/ {
+    /"(aggregate_ops_per_s|cells_run|cells_reused)"/ {
       line = $0
       gsub(/[",:]/, " ", line)
       split(line, f, " ")
-      printf "%s.aggregate_ops_per_s %s\n", section, f[2]
+      printf "%s.%s %s\n", section, f[1], f[2]
     }
   ' "$1"
 }
 
-join <(extract "$1" | sort -k1,1) <(extract "$2" | sort -k1,1) | awk '
+join -a 2 -e - -o 0,1.2,2.2 <(extract "$1" | sort -k1,1) <(extract "$2" | sort -k1,1) | awk '
+  $1 ~ /cells_(run|reused)$/ {
+    printf "%-52s %11s -> %11s cells\n", $1, $2, $3
+    next
+  }
+  $2 == "-" { next }
   $1 ~ /aggregate_ops_per_s$/ {
     printf "%-52s %11.0f -> %11.0f /s  %+7.1f%%  (%.2fx)\n",
            $1, $2, $3, ($3 - $2) / $2 * 100, $3 / $2

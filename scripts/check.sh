@@ -14,6 +14,9 @@ cargo test --release -q -p tpp-bench --lib microbench
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q --workspace
 # Benches must at least compile (running them is bench.sh's job).
 cargo bench --no-run -q -p tpp-bench
+# The policy benches assert what each pass did (every demotion-tick
+# machine demoted, kswapd freed pages), so run them too (~4 s).
+cargo bench -q -p tpp-bench --bench policies >/dev/null
 # Every example must run to completion, not only compile (~9 s).
 cargo build --release -q --examples
 for example in examples/*.rs; do

@@ -2,7 +2,7 @@
 
 use tiered_mem::telemetry::write_jsonl;
 use tiered_sim::SEC;
-use tpp::configs;
+use tpp::configs::{self, MachineSpec, Shape};
 use tpp::experiment::{reduce, run_cell, CellSpec, ExperimentResult, PolicyChoice};
 
 fn fingerprint(seed: u64) -> (u64, u64, String) {
@@ -42,14 +42,8 @@ fn different_seeds_diverge() {
 /// The Cache1 1:4 TPP cell of `seed`.
 fn cache1_cell(seed: u64) -> CellSpec {
     let profile = tiered_workloads::cache1(3_000);
-    let ws = profile.working_set_pages();
-    CellSpec::new(
-        profile,
-        move || configs::one_to_four(ws),
-        PolicyChoice::Tpp,
-        10 * SEC,
-        seed,
-    )
+    let machine = MachineSpec::new(Shape::Ratio(1, 4), profile.working_set_pages());
+    CellSpec::new(profile, machine, PolicyChoice::Tpp, 10 * SEC, seed)
 }
 
 /// Runs `spec` traced; returns its JSONL trace and its reduced result.
@@ -107,14 +101,21 @@ fn executor_at_four_jobs_matches_sequential_byte_for_byte() {
 fn thp_sweep_is_identical_at_any_job_count() {
     // The THP grid runs huge-page daemons (khugepaged/kcompactd) inside
     // every non-`never` cell; the table must still be a pure function of
-    // the specs, independent of executor parallelism.
-    let mut scale = tpp_bench::Scale::quick();
-    scale.ws_pages = 2_000;
-    scale.duration_ns = 15 * SEC;
-    scale.jobs = 1;
-    let sequential = tpp_bench::sweeps::sweep_thp(&scale);
-    scale.jobs = 4;
-    let parallel = tpp_bench::sweeps::sweep_thp(&scale);
+    // the specs, independent of executor parallelism. Each side gets its
+    // own `Scale`, so neither reads the other's cell cache.
+    let scale = |jobs| tpp_bench::Scale {
+        ws_pages: 2_000,
+        duration_ns: 15 * SEC,
+        jobs,
+        ..tpp_bench::Scale::quick()
+    };
+    let (seq_scale, par_scale) = (scale(1), scale(4));
+    let sequential = tpp_bench::sweeps::sweep_thp(&seq_scale);
+    let parallel = tpp_bench::sweeps::sweep_thp(&par_scale);
+    // 2 baselines + 2 workloads x 2 policies x 3 modes, all distinct.
+    for s in [&seq_scale, &par_scale] {
+        assert_eq!((s.cells.cells_run(), s.cells.cells_reused()), (14, 0));
+    }
     assert_eq!(
         sequential, parallel,
         "thp sweep rows diverged between jobs=1 and jobs=4"

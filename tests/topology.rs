@@ -223,12 +223,16 @@ fn multi_node_fallback_spreads_allocations_without_oom() {
 
 #[test]
 fn topology_sweep_rows_are_jobs_invariant() {
-    let mut scale = tpp_bench::Scale::quick();
-    scale.ws_pages = 2_000;
-    scale.duration_ns = 20 * SEC;
-    scale.jobs = 1;
-    let sequential = tpp_bench::sweeps::sweep_topology(&scale);
-    scale.jobs = 4;
-    let parallel = tpp_bench::sweeps::sweep_topology(&scale);
+    // One `Scale` per side, so the parallel run reads no cached cells.
+    let scale = |jobs| tpp_bench::Scale {
+        ws_pages: 2_000,
+        duration_ns: 20 * SEC,
+        jobs,
+        ..tpp_bench::Scale::quick()
+    };
+    let (seq_scale, par_scale) = (scale(1), scale(4));
+    let sequential = tpp_bench::sweeps::sweep_topology(&seq_scale);
+    let parallel = tpp_bench::sweeps::sweep_topology(&par_scale);
+    assert_eq!(par_scale.cells.cells_reused(), 0);
     assert_eq!(sequential, parallel);
 }
