@@ -88,8 +88,6 @@ impl MachineSpec {
                 swap_pages = cxl + ws;
             }
             Shape::Preset("2s2c") => {
-                // Own expander (14) closer than the peer socket (21),
-                // the peer's expander (24) further still.
                 let (dram, cxl) = ((total / 3).max(64), (total / 6).max(64));
                 let a = t.node(NodeKind::LocalDram, dram);
                 let b = t.node(NodeKind::LocalDram, dram);
