@@ -1,15 +1,15 @@
 //! Micro-benchmarks for the policy hot paths: fault handling, demotion
-//! and kswapd passes, promotion via hint faults, hint-PTE scanning, and
-//! the khugepaged collapse scan. Runs with `harness = false` on the
-//! in-tree [`tpp_bench::microbench`] harness.
+//! and kswapd passes, promotion via hint faults, hint-PTE scanning, the
+//! khugepaged collapse scan and the kcompactd compaction pass. Runs with
+//! `harness = false` on the in-tree [`tpp_bench::microbench`] harness.
 
 use tpp_bench::microbench::{bench, bench_with_setup};
 
 use tiered_mem::{Memory, NodeId, NodeKind, PageType, Pid, ThpMode, Vpn, HUGE_PAGE_FRAMES};
 use tiered_sim::LatencyModel;
 use tpp::policy::{
-    khugepaged_pass, HintSampler, HugeConfig, HugeState, LinuxDefault, PlacementPolicy, PolicyCtx,
-    SampleScope, SamplerConfig, Tpp,
+    kcompactd_pass, khugepaged_pass, HintSampler, HugeConfig, HugeState, LinuxDefault,
+    PlacementPolicy, PolicyCtx, SampleScope, SamplerConfig, Tpp,
 };
 
 fn machine(local: u64, cxl: u64) -> Memory {
@@ -211,6 +211,48 @@ fn bench_khugepaged() {
     });
 }
 
+fn bench_kcompactd() {
+    // A THP-always local node of 16 windows, filled with base pages and
+    // then thinned to every 16th page: no free order-9 block is left, so
+    // kcompactd wakes and relocates pages from the low windows into free
+    // frames at the top. Every pass starts from a fresh copy of that
+    // machine and cursor; the machines are dropped after the bench, off
+    // the clock.
+    let lat = LatencyModel::datacenter();
+    let config = HugeConfig::default();
+    let mut used = Vec::new();
+    bench_with_setup(
+        "policy/kcompactd_pass_fragmented_thp",
+        || {
+            let mut m = Memory::builder()
+                .node(NodeKind::LocalDram, 16 * HUGE_PAGE_FRAMES)
+                .thp_mode(ThpMode::Always)
+                .build();
+            m.create_process(Pid(1));
+            for i in 0..16 * HUGE_PAGE_FRAMES {
+                m.alloc_and_map(NodeId(0), Pid(1), Vpn(i), PageType::Anon)
+                    .unwrap();
+            }
+            for i in (0..16 * HUGE_PAGE_FRAMES).filter(|i| i % 16 != 0) {
+                m.release(Pid(1), Vpn(i));
+            }
+            (m, HugeState::default())
+        },
+        |(mut m, mut state)| {
+            let migrated = kcompactd_pass(
+                &mut state,
+                &mut m,
+                &lat,
+                NodeId(0),
+                config.kcompactd,
+                config.frag_threshold_milli,
+            );
+            used.push((std::hint::black_box(migrated), m));
+        },
+    );
+    assert!(used.iter().all(|&(migrated, _)| migrated > 0));
+}
+
 fn main() {
     bench_fault_path();
     bench_demotion_tick();
@@ -218,4 +260,5 @@ fn main() {
     bench_promotion_hint_fault();
     bench_sampler();
     bench_khugepaged();
+    bench_kcompactd();
 }

@@ -5,7 +5,7 @@
 //!
 //! Figures no longer run cells inline: they *enumerate* the full grid as
 //! [`CellSpec`] values first and hand the batch to
-//! [`crate::executor::run_cells`], which runs each distinct cell once,
+//! `crate::executor::run_cells`, which runs each distinct cell once,
 //! fanned over `scale.jobs` worker threads. Results come back in spec
 //! order, so tables (and the CSV exports behind them) are byte-identical
 //! at any job count.

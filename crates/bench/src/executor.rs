@@ -15,9 +15,9 @@
 //!   per-cell state ownership this makes `--jobs N` output bit-identical
 //!   to `--jobs 1`.
 //!
-//! [`parallel_map`] is the generic primitive; [`run_cells`] is the
+//! [`parallel_map`] is the generic primitive; `run_cells` is the
 //! cell-batch entry point of the figure drivers. Equal specs produce
-//! equal results, so [`run_cells`] runs each distinct cell once: it
+//! equal results, so `run_cells` runs each distinct cell once: it
 //! dedupes its batch and keeps every result in the [`CellCache`] that
 //! [`Scale`] carries, so the targets of one `repro` run share it.
 
@@ -34,7 +34,7 @@ use crate::scale::Scale;
 static OPS_TOTAL: AtomicU64 = AtomicU64::new(0);
 
 /// Credits `n` simulated accesses to the process-wide counter.
-pub fn add_ops(n: u64) {
+pub(crate) fn add_ops(n: u64) {
     OPS_TOTAL.fetch_add(n, Ordering::Relaxed);
 }
 
@@ -146,7 +146,7 @@ impl CellCache {
 /// Only the unseen cells go to the workers, and each one's simulated
 /// access count is credited to the process-wide [`ops_total`] counter as
 /// it finishes.
-pub fn run_cells(scale: &Scale, specs: &[CellSpec]) -> Vec<CellOutcome> {
+pub(crate) fn run_cells(scale: &Scale, specs: &[CellSpec]) -> Vec<CellOutcome> {
     let mut cache = scale.cells.state();
     let mut fresh: Vec<&CellSpec> = Vec::new();
     for spec in specs {

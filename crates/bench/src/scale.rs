@@ -46,7 +46,7 @@ impl Scale {
         }
     }
 
-    /// A reduced scale for smoke tests and Criterion benches.
+    /// A reduced scale for smoke tests and `repro --quick`.
     pub fn quick() -> Scale {
         Scale {
             ws_pages: 6_000,
@@ -61,7 +61,7 @@ impl Scale {
 }
 
 /// Formats a fraction as a percentage string, e.g. `"93.4%"`.
-pub fn pct(frac: f64) -> String {
+pub(crate) fn pct(frac: f64) -> String {
     format!("{:.1}%", frac * 100.0)
 }
 
@@ -82,7 +82,7 @@ pub fn set_csv_dir(dir: impl Into<std::path::PathBuf>) {
 /// Writes a table as CSV into `dir/<slug>.csv` (the slug is derived from
 /// the title). Errors are reported to stderr, not propagated — CSV export
 /// is a convenience by-product of a figure run.
-pub fn write_csv(dir: &std::path::Path, title: &str, header: &[&str], rows: &[Vec<String>]) {
+pub(crate) fn write_csv(dir: &std::path::Path, title: &str, header: &[&str], rows: &[Vec<String>]) {
     // Slug from the full title so distinct tables never collide.
     let mut slug: String = title
         .to_lowercase()
@@ -117,7 +117,7 @@ pub fn write_csv(dir: &std::path::Path, title: &str, header: &[&str], rows: &[Ve
 }
 
 /// Prints a markdown-style table: a header row and aligned data rows.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
+pub(crate) fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     if let Some(dir) = CSV_DIR.get() {
         write_csv(dir, title, header, rows);
     }

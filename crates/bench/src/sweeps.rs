@@ -251,14 +251,14 @@ pub fn sweep_topology(scale: &Scale) -> Vec<Vec<String>> {
 /// configuration) and the THP-friendly profile, default Linux vs. TPP,
 /// across the three `ThpMode`s.
 ///
-/// `never` must reproduce the base-page numbers exactly (the huge-page
-/// subsystem is compiled out of the run, not merely idle). `madvise`
-/// enables khugepaged collapse only; `always` adds fault-time THP
-/// allocation and kcompactd. The counters show where huge pages come
-/// from (fault vs. collapse) and what tiering does to them: TPP demotes
-/// compound units whole when the CXL node has an aligned free block and
-/// splits them otherwise, so demotion-heavy cells report nonzero
-/// `thp_split`.
+/// `never` must reproduce the base-page numbers exactly: no compound
+/// page is created and neither huge-page daemon runs, on the same buddy
+/// allocator every mode uses. `madvise` enables the khugepaged and
+/// kcompactd daemons; `always` adds fault-time THP allocation. The
+/// counters show where huge pages come from (fault vs. collapse) and
+/// what tiering does to them: TPP demotes compound units whole when the
+/// CXL node has an aligned free block and splits them otherwise, so
+/// demotion-heavy cells report nonzero `thp_split`.
 pub fn sweep_thp(scale: &Scale) -> Vec<Vec<String>> {
     use tiered_mem::{ThpMode, VmEvent};
     let profiles = [

@@ -65,7 +65,7 @@ fn split_csv(line: &str) -> Vec<String> {
 
 /// Compares one produced CSV against its expected snapshot. Returns every
 /// deviation as a human-readable line.
-pub fn compare_csv(name: &str, expected: &str, actual: &str) -> Vec<String> {
+pub(crate) fn compare_csv(name: &str, expected: &str, actual: &str) -> Vec<String> {
     let mut deviations = Vec::new();
     let exp_lines: Vec<&str> = expected.lines().collect();
     let act_lines: Vec<&str> = actual.lines().collect();

@@ -58,7 +58,7 @@ pub struct PageSamples {
 
 impl PageSamples {
     /// Total sampled events.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.loads + self.stores
     }
 }
@@ -79,7 +79,7 @@ impl Collector {
     /// # Panics
     ///
     /// Panics if any config field is zero or `core_groups > cores`.
-    pub fn new(config: CollectorConfig) -> Collector {
+    pub(crate) fn new(config: CollectorConfig) -> Collector {
         assert!(config.sample_period > 0, "sample_period must be positive");
         assert!(
             config.cores > 0 && config.core_groups > 0,
@@ -99,11 +99,6 @@ impl Collector {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &CollectorConfig {
-        &self.config
-    }
-
     /// Total hardware events observed (sampled or not).
     pub fn events_seen(&self) -> u64 {
         self.event_counter
@@ -115,7 +110,7 @@ impl Collector {
     }
 
     /// Observes one memory access event, possibly recording a sample.
-    pub fn observe(&mut self, now_ns: u64, access: &Access) {
+    pub(crate) fn observe(&mut self, now_ns: u64, access: &Access) {
         self.event_counter += 1;
         // PMU overflow: every Nth event produces a PEBS record.
         if !self.event_counter.is_multiple_of(self.config.sample_period) {
@@ -146,7 +141,7 @@ impl Collector {
 
     /// Swaps the double buffer and returns the finished interval's table
     /// (called by the Worker at each interval boundary).
-    pub fn take_interval(&mut self) -> HashMap<PageKey, PageSamples> {
+    pub(crate) fn take_interval(&mut self) -> HashMap<PageKey, PageSamples> {
         let finished = self.active;
         self.active ^= 1;
         std::mem::take(&mut self.tables[finished])

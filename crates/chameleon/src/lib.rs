@@ -21,7 +21,7 @@
 //! use tiered_mem::{PageType, Pid, Vpn};
 //! use tiered_sim::{Access, AccessKind};
 //!
-//! let mut profiler = Chameleon::with_defaults();
+//! let mut profiler = Chameleon::new(ChameleonConfig::default());
 //! let access = Access {
 //!     pid: Pid(1),
 //!     vpn: Vpn(42),

@@ -58,16 +58,6 @@ impl Chameleon {
         }
     }
 
-    /// A profiler with paper-default settings.
-    pub fn with_defaults() -> Chameleon {
-        Chameleon::new(ChameleonConfig::default())
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &ChameleonConfig {
-        &self.config
-    }
-
     /// The sampling front-end (for overhead statistics).
     pub fn collector(&self) -> &Collector {
         &self.collector
@@ -84,7 +74,7 @@ impl Chameleon {
     }
 
     /// Current heatmap with a `warm_k`-interval warm window.
-    pub fn heatmap(&self, warm_k: u32) -> Heatmap {
+    pub(crate) fn heatmap(&self, warm_k: u32) -> Heatmap {
         Heatmap::from_worker(&self.worker, warm_k)
     }
 
@@ -93,11 +83,6 @@ impl Chameleon {
     /// intervals.
     pub fn reaccess_cdf(&self) -> Vec<f64> {
         reaccess_cdf(&self.reaccess_hist)
-    }
-
-    /// Intervals processed so far.
-    pub fn intervals(&self) -> u32 {
-        self.worker.intervals_processed()
     }
 
     /// Forces an interval boundary at `now_ns` (used at run teardown so a
@@ -162,12 +147,10 @@ mod tests {
     fn intervals_roll_over_with_time() {
         let mut c = Chameleon::new(fast_config());
         touch(&mut c, 100, 1, PageType::Anon);
-        assert_eq!(c.intervals(), 0);
+        assert_eq!(c.worker().tracked_pages(), 0);
         touch(&mut c, SEC, 2, PageType::Anon); // crosses the boundary
-        assert_eq!(c.intervals(), 1);
         assert_eq!(c.worker().tracked_pages(), 1); // page 1 only; 2 pending
         touch(&mut c, 2 * SEC, 3, PageType::Anon);
-        assert_eq!(c.intervals(), 2);
         assert_eq!(c.worker().tracked_pages(), 2);
     }
 
@@ -190,10 +173,11 @@ mod tests {
     #[test]
     fn series_samples_once_per_interval() {
         let mut c = Chameleon::new(fast_config());
+        // Touches at 0, 0.5, 1, 1.5 and 2 s cross two interval boundaries.
         for i in 0..5u64 {
             touch(&mut c, i * SEC / 2, 1, PageType::Anon);
         }
-        assert_eq!(c.series().total_pages.len() as u32, c.intervals());
+        assert_eq!(c.series().total_pages.len(), 2);
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub struct Heatmap {
 impl Heatmap {
     /// Builds the heatmap from the worker's current histories. `warm_k`
     /// is the look-back window (in intervals) separating warm from cold.
-    pub fn from_worker(worker: &Worker, warm_k: u32) -> Heatmap {
+    pub(crate) fn from_worker(worker: &Worker, warm_k: u32) -> Heatmap {
         let mut map = Heatmap::default();
         for (_, h) in worker.iter() {
             let temp = if h.active_within(1) {
@@ -62,16 +62,6 @@ impl Heatmap {
             }
         }
         map
-    }
-
-    /// Total tracked pages.
-    pub fn total(&self) -> u64 {
-        self.hot_anon
-            + self.warm_anon
-            + self.cold_anon
-            + self.hot_file
-            + self.warm_file
-            + self.cold_file
     }
 }
 
@@ -96,7 +86,7 @@ pub struct UsageSeries {
 
 impl UsageSeries {
     /// Creates empty series.
-    pub fn new() -> UsageSeries {
+    pub(crate) fn new() -> UsageSeries {
         UsageSeries {
             total_pages: TimeSeries::new("total_pages"),
             hot_frac_1: TimeSeries::new("hot_frac_1"),
@@ -108,7 +98,7 @@ impl UsageSeries {
     }
 
     /// Samples the worker state at `now_ns`.
-    pub fn sample(&mut self, now_ns: u64, worker: &Worker) {
+    pub(crate) fn sample(&mut self, now_ns: u64, worker: &Worker) {
         let (anon, file) = worker.usage_by_class();
         let total = anon + file;
         self.total_pages.record(now_ns, total as f64);
@@ -141,8 +131,8 @@ impl Default for UsageSeries {
 /// # Examples
 ///
 /// ```
-/// use chameleon::{Chameleon, TextReport};
-/// let profiler = Chameleon::with_defaults();
+/// use chameleon::{Chameleon, ChameleonConfig, TextReport};
+/// let profiler = Chameleon::new(ChameleonConfig::default());
 /// let report = TextReport::from_profiler("web", &profiler);
 /// assert!(report.to_string().contains("web"));
 /// ```
@@ -277,18 +267,8 @@ impl TraceSection {
         section
     }
 
-    /// Total events in the trace.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// Occurrences of one event kind (by its stable snake_case name).
-    pub fn count(&self, name: &str) -> u64 {
-        self.counts.get(name).copied().unwrap_or(0)
-    }
-
     /// Fraction of promotion candidates that had previously been demoted.
-    pub fn churn_fraction(&self) -> f64 {
+    pub(crate) fn churn_fraction(&self) -> f64 {
         if self.promote_candidates == 0 {
             0.0
         } else {
@@ -378,7 +358,6 @@ mod tests {
         let map = Heatmap::from_worker(&w, 4);
         assert_eq!(map.hot_anon, 1);
         assert_eq!(map.warm_file, 1);
-        assert_eq!(map.total(), 2);
         // With a 1-interval warm window, page 2 would look cold... but
         // warm_k=1 equals the hot test, so it degrades to cold.
         let tight = Heatmap::from_worker(&w, 1);
@@ -448,9 +427,9 @@ mod tests {
             },
         ];
         let section = TraceSection::from_records("cache1", &records);
-        assert_eq!(section.events(), 3);
-        assert_eq!(section.count("demote"), 1);
-        assert_eq!(section.count("missing"), 0);
+        assert_eq!(section.events, 3);
+        assert_eq!(section.counts.get("demote"), Some(&1));
+        assert_eq!(section.counts.get("missing"), None);
         assert!((section.churn_fraction() - 1.0).abs() < 1e-12);
         let text = section.to_string();
         assert!(text.contains("Trace section: cache1"));
@@ -460,7 +439,7 @@ mod tests {
 
     #[test]
     fn text_report_renders_all_sections() {
-        let profiler = crate::Chameleon::with_defaults();
+        let profiler = crate::Chameleon::new(crate::ChameleonConfig::default());
         let report = TextReport::from_profiler("test-service", &profiler);
         let text = report.to_string();
         assert!(text.contains("test-service"));

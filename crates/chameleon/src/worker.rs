@@ -34,7 +34,7 @@ impl PageHistory {
     /// # Panics
     ///
     /// Panics if `k` is 0 or greater than 64.
-    pub fn active_within(&self, k: u32) -> bool {
+    pub(crate) fn active_within(&self, k: u32) -> bool {
         assert!((1..=64).contains(&k), "window {k} out of 1..=64");
         let mask = if k == 64 { u64::MAX } else { (1u64 << k) - 1 };
         self.bitmap & mask != 0
@@ -43,7 +43,7 @@ impl PageHistory {
     /// If the page just became active (bit 0 set, bit 1 clear), how many
     /// intervals it had been cold — `None` if it is not a fresh
     /// re-activation or was never active before.
-    pub fn reaccess_gap(&self) -> Option<u32> {
+    pub(crate) fn reaccess_gap(&self) -> Option<u32> {
         if self.bitmap & 1 == 0 || self.bitmap & 2 != 0 {
             return None;
         }
@@ -75,7 +75,7 @@ impl Default for Worker {
 
 impl Worker {
     /// Creates an empty worker with 1 bit per interval (activeness only).
-    pub fn new() -> Worker {
+    pub(crate) fn new() -> Worker {
         Worker::with_bits(1)
     }
 
@@ -86,7 +86,7 @@ impl Worker {
     /// # Panics
     ///
     /// Panics if `bits` is outside `1..=8`.
-    pub fn with_bits(bits: u32) -> Worker {
+    pub(crate) fn with_bits(bits: u32) -> Worker {
         assert!(
             (1..=8).contains(&bits),
             "bits_per_interval {bits} out of 1..=8"
@@ -110,30 +110,20 @@ impl Worker {
         self.pages.get(&key).map_or(0, |h| h.bitmap & mask)
     }
 
-    /// Number of intervals processed so far.
-    pub fn intervals_processed(&self) -> u32 {
-        self.intervals
-    }
-
     /// Number of distinct pages ever observed.
     pub fn tracked_pages(&self) -> usize {
         self.pages.len()
     }
 
-    /// Read-only access to a page's history.
-    pub fn history(&self, key: PageKey) -> Option<&PageHistory> {
-        self.pages.get(&key)
-    }
-
     /// Iterates all `(page, history)` entries.
-    pub fn iter(&self) -> impl Iterator<Item = (&PageKey, &PageHistory)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&PageKey, &PageHistory)> {
         self.pages.iter()
     }
 
     /// Processes one interval's samples: shift every history left by
     /// `bits_per_interval` and record this interval's activity (a single
     /// bit, or a saturating sample count in frequency mode).
-    pub fn process_interval(&mut self, samples: HashMap<PageKey, PageSamples>) {
+    pub(crate) fn process_interval(&mut self, samples: HashMap<PageKey, PageSamples>) {
         let bits = self.bits_per_interval;
         let cap = (1u64 << bits) - 1;
         for h in self.pages.values_mut() {
@@ -208,7 +198,7 @@ impl Worker {
 
     /// Count of tracked pages per accounting class `(anon, file)` — the
     /// Figure 9 usage split.
-    pub fn usage_by_class(&self) -> (u64, u64) {
+    pub(crate) fn usage_by_class(&self) -> (u64, u64) {
         let mut anon = 0;
         let mut file = 0;
         for h in self.pages.values() {
@@ -224,7 +214,7 @@ impl Worker {
     /// Histogram of re-access gaps among pages that became active this
     /// interval: `out[g-1]` counts pages that had been cold for `g`
     /// intervals (Figure 11's raw data). `max_gap` bounds the histogram.
-    pub fn reaccess_histogram(&self, max_gap: u32) -> Vec<u64> {
+    pub(crate) fn reaccess_histogram(&self, max_gap: u32) -> Vec<u64> {
         let mut out = vec![0u64; max_gap as usize];
         for h in self.pages.values() {
             if let Some(gap) = h.reaccess_gap() {
@@ -268,7 +258,7 @@ mod tests {
         w.process_interval(samples(&[(1, PageType::Anon)]));
         w.process_interval(HashMap::new());
         w.process_interval(HashMap::new());
-        let h = w.history(key(1)).unwrap();
+        let h = w.pages.get(&key(1)).unwrap();
         assert_eq!(h.bitmap, 0b100);
         assert!(!h.active_within(2));
         assert!(h.active_within(3));
@@ -296,7 +286,7 @@ mod tests {
         w.process_interval(HashMap::new()); // cold
         w.process_interval(HashMap::new()); // cold
         w.process_interval(samples(&[(7, PageType::File)])); // re-accessed
-        let h = w.history(key(7)).unwrap();
+        let h = w.pages.get(&key(7)).unwrap();
         assert_eq!(h.bitmap, 0b1001);
         assert_eq!(h.reaccess_gap(), Some(3));
         let hist = w.reaccess_histogram(8);
@@ -309,7 +299,7 @@ mod tests {
         let mut w = Worker::new();
         w.process_interval(samples(&[(7, PageType::Anon)]));
         w.process_interval(samples(&[(7, PageType::Anon)]));
-        assert_eq!(w.history(key(7)).unwrap().reaccess_gap(), None);
+        assert_eq!(w.pages.get(&key(7)).unwrap().reaccess_gap(), None);
     }
 
     #[test]
@@ -317,7 +307,7 @@ mod tests {
         let mut w = Worker::new();
         w.process_interval(HashMap::new());
         w.process_interval(samples(&[(9, PageType::Anon)]));
-        assert_eq!(w.history(key(9)).unwrap().reaccess_gap(), None);
+        assert_eq!(w.pages.get(&key(9)).unwrap().reaccess_gap(), None);
     }
 
     #[test]
@@ -381,10 +371,10 @@ mod tests {
         for _ in 0..63 {
             w.process_interval(HashMap::new());
         }
-        let h = w.history(key(1)).unwrap();
+        let h = w.pages.get(&key(1)).unwrap();
         assert!(h.active_within(64));
         // One more shift and the bit falls off the end.
         w.process_interval(HashMap::new());
-        assert!(!w.history(key(1)).unwrap().active_within(64));
+        assert!(!w.pages.get(&key(1)).unwrap().active_within(64));
     }
 }

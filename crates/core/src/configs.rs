@@ -170,15 +170,6 @@ pub fn two_socket_two_cxl(ws_pages: u64) -> Memory {
     topology_preset("2s2c", ws_pages)
 }
 
-/// `pooled`: one socket backed by a switch-attached CXL memory pool.
-///
-/// The pool is a [`NodeKind::CxlSwitched`] node: higher access latency,
-/// two link hops per migration, and a larger NUMA distance (30) than a
-/// direct expander would have.
-pub fn pooled(ws_pages: u64) -> Memory {
-    topology_preset("pooled", ws_pages)
-}
-
 /// `3tier`: DRAM → direct CXL expander → switch-attached pool.
 ///
 /// Demotions cascade: the DRAM node's nearest lower tier is the direct
@@ -272,7 +263,7 @@ mod tests {
 
     #[test]
     fn pooled_preset_is_switch_attached() {
-        let m = pooled(10_000);
+        let m = topology_preset("pooled", 10_000);
         assert_eq!(m.node_count(), 2);
         assert!(m.node(NodeId(1)).is_cpu_less());
         assert_eq!(m.migrate_hops(NodeId(0), NodeId(1)), 2);

@@ -73,7 +73,7 @@ pub struct RunMetrics {
 
 impl RunMetrics {
     /// Creates a zeroed metrics recorder.
-    pub fn new() -> RunMetrics {
+    pub(crate) fn new() -> RunMetrics {
         RunMetrics {
             ops_completed: 0,
             total_op_ns: 0,
@@ -108,7 +108,7 @@ impl RunMetrics {
 
     /// Records one completed op.
     #[inline]
-    pub fn note_op(&mut self, op_ns: u64, mem_ns: u64) {
+    pub(crate) fn note_op(&mut self, op_ns: u64, mem_ns: u64) {
         self.ops_completed += 1;
         self.window_ops += 1;
         self.total_op_ns += op_ns;
@@ -121,7 +121,7 @@ impl RunMetrics {
     /// Branch-free: `is_anon` is a coin flip per access in mixed
     /// workloads, so every counter adds its predicate as 0 or 1.
     #[inline]
-    pub fn note_access(&mut self, is_local: bool, is_anon: bool, latency_ns: u64) {
+    pub(crate) fn note_access(&mut self, is_local: bool, is_anon: bool, latency_ns: u64) {
         self.accesses += 1;
         self.window_accesses += 1;
         self.access_latency_ns += latency_ns;
@@ -189,7 +189,7 @@ impl RunMetrics {
     }
 
     /// Fraction of anon accesses served locally over the whole run.
-    pub fn anon_local_fraction(&self) -> f64 {
+    pub(crate) fn anon_local_fraction(&self) -> f64 {
         fraction(self.anon_local_accesses, self.anon_accesses)
     }
 
@@ -223,13 +223,13 @@ impl RunMetrics {
     }
 
     /// Convenience: sample window aligned to seconds.
-    pub fn sample_period_ns() -> u64 {
+    pub(crate) fn sample_period_ns() -> u64 {
         SEC
     }
 
     /// Every recorded time series, fixed ones first, then the per-node
     /// gauges in `NodeId` order.
-    pub fn series(&self) -> Vec<&TimeSeries> {
+    pub(crate) fn series(&self) -> Vec<&TimeSeries> {
         let mut out: Vec<&TimeSeries> = vec![
             &self.throughput,
             &self.local_traffic,
@@ -253,13 +253,13 @@ impl RunMetrics {
     /// All time series as one wide CSV (`time_s` column plus one column
     /// per series; cells are empty where a series has no point at that
     /// timestamp).
-    pub fn series_csv(&self) -> String {
+    pub(crate) fn series_csv(&self) -> String {
         timeseries_csv(&self.series())
     }
 
     /// Run-level scalars as one flat JSON object (hand-rolled: the build
     /// environment is registry-less, so no serde).
-    pub fn summary_json(&self) -> String {
+    pub(crate) fn summary_json(&self) -> String {
         let mut s = String::from("{");
         let _ = write!(
             s,
@@ -313,7 +313,7 @@ impl Default for RunMetrics {
 ///
 /// The first column is `time_s` (seconds of simulated time); every series
 /// contributes one column, with empty cells where it has no point.
-pub fn timeseries_csv(series: &[&TimeSeries]) -> String {
+pub(crate) fn timeseries_csv(series: &[&TimeSeries]) -> String {
     let mut times: Vec<u64> = Vec::new();
     for s in series {
         for &(t, _) in s.points() {
@@ -343,7 +343,7 @@ pub fn timeseries_csv(series: &[&TimeSeries]) -> String {
 
 /// Renders a [`LogHistogram`] as a flat JSON object of count, mean, max
 /// and the standard percentiles.
-pub fn histogram_json(h: &LogHistogram) -> String {
+pub(crate) fn histogram_json(h: &LogHistogram) -> String {
     let mut s = String::from("{");
     let _ = write!(
         s,
@@ -391,7 +391,7 @@ pub struct PingPongReport {
 
 impl PingPongReport {
     /// Fraction of promotion candidates that were previously demoted.
-    pub fn candidate_demoted_fraction(&self) -> f64 {
+    pub(crate) fn candidate_demoted_fraction(&self) -> f64 {
         fraction(self.candidates_recently_demoted, self.promote_candidates)
     }
 

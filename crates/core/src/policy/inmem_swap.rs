@@ -40,7 +40,7 @@ pub struct InMemorySwap {
 
 impl InMemorySwap {
     /// Creates the policy.
-    pub fn new() -> InMemorySwap {
+    pub(crate) fn new() -> InMemorySwap {
         InMemorySwap {
             daemons: Daemons::new(None),
         }

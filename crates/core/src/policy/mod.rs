@@ -162,7 +162,7 @@ pub trait PlacementPolicy {
 /// # Panics
 ///
 /// Panics if the machine has no CPU-attached node.
-pub fn preferred_local_node(memory: &Memory) -> NodeId {
+pub(crate) fn preferred_local_node(memory: &Memory) -> NodeId {
     *memory
         .local_nodes()
         .first()

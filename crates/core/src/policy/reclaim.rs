@@ -23,7 +23,7 @@ pub struct DaemonBudget {
 impl DaemonBudget {
     /// The throttled budget default Linux kswapd runs with (the kernel's
     /// priority-based scanning walks only a small LRU slice per wakeup).
-    pub fn kswapd() -> DaemonBudget {
+    pub(crate) fn kswapd() -> DaemonBudget {
         DaemonBudget {
             scan_pages: 96,
             time_ns: 5_000_000,
@@ -32,7 +32,7 @@ impl DaemonBudget {
 
     /// The budget of TPP's demotion daemon — same CPU slice, larger scan
     /// window (migration is cheap enough to act on what it scans).
-    pub fn demoter() -> DaemonBudget {
+    pub(crate) fn demoter() -> DaemonBudget {
         DaemonBudget {
             scan_pages: 2048,
             time_ns: 5_000_000,
@@ -53,7 +53,7 @@ pub struct ReclaimScratch {
 
 impl ReclaimScratch {
     /// Borrows buffers from `memory`'s scratch pool.
-    pub fn from_pool(memory: &mut Memory) -> ReclaimScratch {
+    pub(crate) fn from_pool(memory: &mut Memory) -> ReclaimScratch {
         ReclaimScratch {
             victims: memory.take_pfn_scratch(),
             kind_victims: memory.take_pfn_scratch(),
@@ -61,7 +61,7 @@ impl ReclaimScratch {
     }
 
     /// Hands the buffers back to `memory`'s scratch pool for reuse.
-    pub fn into_pool(self, memory: &mut Memory) {
+    pub(crate) fn into_pool(self, memory: &mut Memory) {
         memory.put_pfn_scratch(self.victims);
         memory.put_pfn_scratch(self.kind_victims);
     }
@@ -363,7 +363,5 @@ mod tests {
             DaemonBudget::demoter().time_ns,
             DaemonBudget::kswapd().time_ns
         );
-        let lat = tiered_sim::LatencyModel::datacenter();
-        assert!(lat.migrate_budget_pages(DaemonBudget::demoter().time_ns) > 0);
     }
 }

@@ -37,7 +37,7 @@ pub struct SamplerConfig {
 
 impl SamplerConfig {
     /// A scanner suitable for the simulation scale: 4096 pages per second.
-    pub fn scaled(scope: SampleScope) -> SamplerConfig {
+    pub(crate) fn scaled(scope: SampleScope) -> SamplerConfig {
         SamplerConfig {
             pages_per_scan: 4096,
             period_ns: tiered_sim::SEC,
@@ -66,11 +66,6 @@ impl HintSampler {
             cursors: PidTable::new(),
             visit: Vec::new(),
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &SamplerConfig {
-        &self.config
     }
 
     /// Runs one scan pass: marks up to `pages_per_scan` resident pages

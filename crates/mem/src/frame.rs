@@ -8,23 +8,14 @@
 //! # Buddy orders
 //!
 //! The allocator is order-aware: each node keeps one intrusive free list
-//! per order `0..=`[`MAX_PAGE_ORDER`], splits larger blocks on demand and
-//! (in huge mode) eagerly merges buddies on free, exactly like the
-//! kernel's `mm/page_alloc.c`. Block alignment is *node-relative*: a
-//! node's PFN range starts wherever the previous node ended, so the buddy
-//! of relative frame `r` at order `o` is `r ^ (1 << o)`, not an absolute
-//! PFN xor.
-//!
-//! Two modes exist so the huge-page subsystem can land without
-//! perturbing calibrated figures:
-//!
-//! * **flat** ([`FrameTable::new`], used by `ThpMode::Never`): only the
-//!   order-0 list is populated and no merging happens. The pop/push
-//!   sequence is bit-identical to the historical single-order free
-//!   stack.
-//! * **huge** ([`FrameTable::new_with_thp`] with `huge = true`): free
-//!   space is seeded as maximal aligned blocks, allocations split the
-//!   smallest sufficient block, and frees merge buddies back up.
+//! per order `0..=`[`MAX_PAGE_ORDER`], seeds its free space as maximal
+//! aligned blocks, splits larger blocks on demand and eagerly merges
+//! buddies on free, exactly like the kernel's `mm/page_alloc.c`. There is
+//! one allocator whatever the THP mode: `ThpMode::Never` only stops the
+//! simulator asking for compound pages. Block alignment is
+//! *node-relative*: a node's PFN range starts wherever the previous node
+//! ended, so the buddy of relative frame `r` at order `o` is
+//! `r ^ (1 << o)`, not an absolute PFN xor.
 
 use crate::error::AllocError;
 use crate::flags::PageFlags;
@@ -96,12 +87,6 @@ impl Frame {
             hotness: 0,
             last_access_ns: 0,
         }
-    }
-
-    /// Allocation state of the frame.
-    #[inline]
-    pub fn state(&self) -> FrameState {
-        self.state
     }
 
     /// Whether the frame currently backs a page.
@@ -177,7 +162,7 @@ impl Frame {
     /// Overwrites the hotness counter (used when migration carries state
     /// across nodes).
     #[inline]
-    pub fn set_hotness(&mut self, hotness: u8) {
+    pub(crate) fn set_hotness(&mut self, hotness: u8) {
         self.hotness = hotness;
     }
 
@@ -235,16 +220,12 @@ pub struct FrameTable {
     free_areas: Vec<[FreeArea; NR_ORDERS]>,
     /// Per-node total free pages (cheap `free_pages` lookups).
     free_totals: Vec<u64>,
-    /// Whether free space is managed as multi-order buddy blocks. When
-    /// false only order 0 is populated and frees never merge, which
-    /// keeps the historical allocation sequence bit-identical.
-    huge: bool,
 }
 
 impl FrameTable {
-    /// Creates a flat (order-0 only) frame table for nodes with the given
-    /// capacities (pages). Equivalent to
-    /// [`new_with_thp`](FrameTable::new_with_thp) with `huge = false`.
+    /// Creates a frame table for nodes with the given capacities (pages).
+    /// Each node's range is carved into maximal node-relative-aligned
+    /// buddy blocks, lowest block first on each list.
     ///
     /// A zero-capacity node is allowed (e.g. a hot-removed or not-yet-
     /// onlined expander in a larger topology): every allocation on it
@@ -255,22 +236,6 @@ impl FrameTable {
     /// Panics if `capacities` is empty or the total exceeds `u32::MAX`
     /// frames.
     pub fn new(capacities: &[u64]) -> FrameTable {
-        FrameTable::new_with_thp(capacities, false)
-    }
-
-    /// Creates a frame table, choosing the free-space mode.
-    ///
-    /// With `huge = false` only the order-0 list is seeded (low PFNs
-    /// handed out first, frees recycled LIFO — the historical
-    /// behaviour). With `huge = true` each node's range is carved into
-    /// maximal node-relative-aligned buddy blocks, enabling huge-page
-    /// allocation, splitting and merging.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacities` is empty or the total exceeds `u32::MAX`
-    /// frames.
-    pub fn new_with_thp(capacities: &[u64], huge: bool) -> FrameTable {
         assert!(!capacities.is_empty(), "at least one memory node required");
         let total: u64 = capacities.iter().sum();
         assert!(total < u32::MAX as u64, "too many frames for 32-bit PFNs");
@@ -291,35 +256,25 @@ impl FrameTable {
             node_start,
             free_areas: vec![[FreeArea::EMPTY; NR_ORDERS]; capacities.len()],
             free_totals: capacities.to_vec(),
-            huge,
         };
         for (ni, &cap) in capacities.iter().enumerate() {
             let start = table.node_start[ni];
             let cap = cap as u32;
-            if huge {
-                // Carve the range into maximal aligned blocks, then link
-                // them in reverse so each list's head is the lowest block
-                // (low addresses are handed out first, like flat mode).
-                let mut blocks: Vec<(u32, u8)> = Vec::new();
-                let mut rel: u32 = 0;
-                while rel < cap {
-                    let mut order = MAX_PAGE_ORDER;
-                    while order > 0 && (rel & ((1 << order) - 1) != 0 || rel + (1 << order) > cap) {
-                        order -= 1;
-                    }
-                    blocks.push((rel, order));
-                    rel += 1 << order;
+            // Carve the range into maximal aligned blocks, then link them
+            // in reverse so each list's head is the lowest block (low
+            // addresses are handed out first).
+            let mut blocks: Vec<(u32, u8)> = Vec::new();
+            let mut rel: u32 = 0;
+            while rel < cap {
+                let mut order = MAX_PAGE_ORDER;
+                while order > 0 && (rel & ((1 << order) - 1) != 0 || rel + (1 << order) > cap) {
+                    order -= 1;
                 }
-                for &(rel, order) in blocks.iter().rev() {
-                    table.push_front(ni, order as usize, Pfn(start + rel));
-                }
-            } else {
-                // Push high PFNs first so the list head ends at the
-                // lowest PFN — pops then hand out 0, 1, 2, ... exactly
-                // like the historical free stack.
-                for rel in (0..cap).rev() {
-                    table.push_front(ni, 0, Pfn(start + rel));
-                }
+                blocks.push((rel, order));
+                rel += 1 << order;
+            }
+            for &(rel, order) in blocks.iter().rev() {
+                table.push_front(ni, order as usize, Pfn(start + rel));
             }
         }
         table
@@ -327,7 +282,7 @@ impl FrameTable {
 
     /// Number of memory nodes.
     #[inline]
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.free_areas.len()
     }
 
@@ -337,7 +292,7 @@ impl FrameTable {
     ///
     /// Panics if `node` does not exist.
     #[inline]
-    pub fn capacity(&self, node: NodeId) -> u64 {
+    pub(crate) fn capacity(&self, node: NodeId) -> u64 {
         let i = node.index();
         (self.node_start[i + 1] - self.node_start[i]) as u64
     }
@@ -397,7 +352,7 @@ impl FrameTable {
 
     /// Whether `node` is a valid node id.
     #[inline]
-    pub fn has_node(&self, node: NodeId) -> bool {
+    pub(crate) fn has_node(&self, node: NodeId) -> bool {
         node.index() < self.node_count()
     }
 
@@ -527,7 +482,7 @@ impl FrameTable {
     /// Panics if `node` does not exist or `order` exceeds
     /// [`MAX_PAGE_ORDER`].
     #[inline(always)]
-    pub fn reserve_block(&mut self, node: NodeId, order: u8) -> Option<Pfn> {
+    pub(crate) fn reserve_block(&mut self, node: NodeId, order: u8) -> Option<Pfn> {
         let ni = node.index();
         let want = order as usize;
         // Single pages (every fault and base-page migration) come straight
@@ -597,7 +552,7 @@ impl FrameTable {
     ///
     /// Panics if the frame is already allocated.
     #[inline(always)]
-    pub fn claim(&mut self, pfn: Pfn, owner: PageKey, page_type: PageType) {
+    pub(crate) fn claim(&mut self, pfn: Pfn, owner: PageKey, page_type: PageType) {
         let frame = &mut self.frames[pfn.index()];
         assert!(
             matches!(frame.state, FrameState::Free),
@@ -617,8 +572,8 @@ impl FrameTable {
     }
 
     /// Releases `pfn` back to its node's free lists, returning the
-    /// previous owner. In huge mode the freed page eagerly merges with
-    /// its buddy up the orders, like `__free_one_page`.
+    /// previous owner. The freed page eagerly merges with its buddy up
+    /// the orders, like `__free_one_page`.
     ///
     /// # Panics
     ///
@@ -643,10 +598,6 @@ impl FrameTable {
         let node = frame.node;
         let ni = node.index();
         self.free_totals[ni] += 1;
-        if !self.huge {
-            self.push_front(ni, 0, pfn);
-            return owner;
-        }
         // Eager buddy merge, node-relative.
         let start = self.node_start[ni];
         let cap = self.node_start[ni + 1] - start;
@@ -680,7 +631,7 @@ impl FrameTable {
     /// # Panics
     ///
     /// Panics on any violated invariant.
-    pub fn validate_free_lists(&self) {
+    pub(crate) fn validate_free_lists(&self) {
         for ni in 0..self.node_count() {
             let start = self.node_start[ni];
             let cap = self.node_start[ni + 1] - start;
@@ -746,21 +697,6 @@ impl FrameTable {
     pub fn allocated_frames_mut(&mut self) -> impl Iterator<Item = &mut Frame> + '_ {
         self.frames.iter_mut().filter(|f| f.is_allocated())
     }
-
-    /// Counts allocated pages on `node` by accounting class
-    /// `(anon, file_backed)`.
-    pub fn usage_by_class(&self, node: NodeId) -> (u64, u64) {
-        let mut anon = 0;
-        let mut file = 0;
-        for pfn in self.allocated_on(node) {
-            if self.frames[pfn.index()].page_type.is_anon() {
-                anon += 1;
-            } else {
-                file += 1;
-            }
-        }
-        (anon, file)
-    }
 }
 
 #[cfg(test)]
@@ -783,14 +719,19 @@ mod tests {
     }
 
     #[test]
-    fn alloc_assigns_low_pfns_first_and_tracks_free_count() {
+    fn alloc_splits_the_smallest_block_first_and_tracks_free_count() {
+        // 10 frames seed as an order-3 block at 0 and an order-1 block at
+        // 8; single pages come from the smaller tail block first.
         let mut ft = FrameTable::new(&[10]);
+        assert_eq!(ft.free_blocks(NodeId(0), 3), 1);
+        assert_eq!(ft.free_blocks(NodeId(0), 1), 1);
         let p0 = ft.alloc(NodeId(0), key(0), PageType::Anon).unwrap();
         let p1 = ft.alloc(NodeId(0), key(1), PageType::File).unwrap();
-        assert_eq!(p0, Pfn(0));
-        assert_eq!(p1, Pfn(1));
-        assert_eq!(ft.free_pages(NodeId(0)), 8);
-        assert_eq!(ft.used_pages(NodeId(0)), 2);
+        let p2 = ft.alloc(NodeId(0), key(2), PageType::Anon).unwrap();
+        assert_eq!((p0, p1, p2), (Pfn(8), Pfn(9), Pfn(0)));
+        assert_eq!(ft.free_pages(NodeId(0)), 7);
+        assert_eq!(ft.used_pages(NodeId(0)), 3);
+        ft.validate_free_lists();
     }
 
     #[test]
@@ -863,15 +804,6 @@ mod tests {
     }
 
     #[test]
-    fn usage_by_class_counts_tmpfs_as_file() {
-        let mut ft = FrameTable::new(&[10]);
-        ft.alloc(NodeId(0), key(0), PageType::Anon).unwrap();
-        ft.alloc(NodeId(0), key(1), PageType::File).unwrap();
-        ft.alloc(NodeId(0), key(2), PageType::Tmpfs).unwrap();
-        assert_eq!(ft.usage_by_class(NodeId(0)), (1, 2));
-    }
-
-    #[test]
     fn allocated_on_lists_only_allocated_frames() {
         let mut ft = FrameTable::new(&[4, 4]);
         let a = ft.alloc(NodeId(0), key(0), PageType::Anon).unwrap();
@@ -880,11 +812,11 @@ mod tests {
         assert_eq!(ft.allocated_on(NodeId(1)).collect::<Vec<_>>(), vec![b]);
     }
 
-    // ---- buddy-mode invariants -------------------------------------
+    // ---- buddy invariants ------------------------------------------
 
     #[test]
-    fn huge_mode_seeds_maximal_aligned_blocks() {
-        let ft = FrameTable::new_with_thp(&[1024 + 17], true);
+    fn new_seeds_maximal_aligned_blocks() {
+        let ft = FrameTable::new(&[1024 + 17]);
         ft.validate_free_lists();
         assert_eq!(ft.free_blocks(NodeId(0), MAX_PAGE_ORDER), 2);
         assert_eq!(ft.free_pages(NodeId(0)), 1024 + 17);
@@ -895,7 +827,7 @@ mod tests {
 
     #[test]
     fn split_on_demand_then_merge_on_free_restores_max_order() {
-        let mut ft = FrameTable::new_with_thp(&[1024], true);
+        let mut ft = FrameTable::new(&[1024]);
         let pfn = ft.alloc(NodeId(0), key(0), PageType::Anon).unwrap();
         ft.validate_free_lists();
         // One order-9 block was split all the way down to order 0.
@@ -916,7 +848,7 @@ mod tests {
 
     #[test]
     fn free_list_conservation_through_random_churn() {
-        let mut ft = FrameTable::new_with_thp(&[640], true);
+        let mut ft = FrameTable::new(&[640]);
         let mut live = Vec::new();
         // A deterministic xorshift drives an alloc/free mix.
         let mut state: u64 = 0x9e37_79b9;
@@ -948,7 +880,7 @@ mod tests {
     fn buddy_math_is_node_relative() {
         // Node 1 starts at absolute PFN 100, which is not 512-aligned;
         // blocks must still align relative to the node start.
-        let ft = FrameTable::new_with_thp(&[100, 1024], true);
+        let ft = FrameTable::new(&[100, 1024]);
         ft.validate_free_lists();
         assert_eq!(ft.free_blocks(NodeId(1), MAX_PAGE_ORDER), 2);
         assert_eq!(ft.free_blocks(NodeId(0), MAX_PAGE_ORDER), 0);
@@ -957,7 +889,7 @@ mod tests {
 
     #[test]
     fn reserve_block_and_claim_assemble_compounds() {
-        let mut ft = FrameTable::new_with_thp(&[1024], true);
+        let mut ft = FrameTable::new(&[1024]);
         let head = ft.reserve_block(NodeId(0), MAX_PAGE_ORDER).unwrap();
         assert_eq!(head, Pfn(0));
         assert_eq!(ft.free_pages(NodeId(0)), 512);
@@ -976,7 +908,7 @@ mod tests {
 
     #[test]
     fn reserve_block_fails_when_fragmented() {
-        let mut ft = FrameTable::new_with_thp(&[512], true);
+        let mut ft = FrameTable::new(&[512]);
         // Pin one page so no order-9 block can exist.
         let pinned = ft.alloc(NodeId(0), key(0), PageType::Anon).unwrap();
         assert!(ft.reserve_block(NodeId(0), MAX_PAGE_ORDER).is_none());
@@ -986,7 +918,7 @@ mod tests {
 
     #[test]
     fn reserve_page_extracts_target_from_a_large_block() {
-        let mut ft = FrameTable::new_with_thp(&[1024], true);
+        let mut ft = FrameTable::new(&[1024]);
         // Grab a frame from the middle of the second order-9 block.
         assert!(ft.reserve_page(Pfn(700)));
         ft.validate_free_lists();
@@ -1001,7 +933,7 @@ mod tests {
 
     #[test]
     fn unusable_free_index_tracks_fragmentation() {
-        let mut ft = FrameTable::new_with_thp(&[1024], true);
+        let mut ft = FrameTable::new(&[1024]);
         assert_eq!(ft.unusable_free_index(NodeId(0), MAX_PAGE_ORDER), 0.0);
         let pfn = ft.alloc(NodeId(0), key(0), PageType::Anon).unwrap();
         // 1023 free, one order-9 block (512 pages) still usable.
@@ -1011,24 +943,5 @@ mod tests {
         assert_eq!(ft.unusable_free_index(NodeId(0), 0), 0.0);
         ft.free(pfn);
         assert_eq!(ft.unusable_free_index(NodeId(0), MAX_PAGE_ORDER), 0.0);
-    }
-
-    #[test]
-    fn flat_mode_never_populates_higher_orders() {
-        let mut ft = FrameTable::new(&[1024]);
-        for o in 1..=MAX_PAGE_ORDER {
-            assert_eq!(ft.free_blocks(NodeId(0), o), 0);
-        }
-        let a = ft.alloc(NodeId(0), key(0), PageType::Anon).unwrap();
-        let b = ft.alloc(NodeId(0), key(1), PageType::Anon).unwrap();
-        ft.free(a);
-        ft.free(b);
-        ft.validate_free_lists();
-        // No merging: everything stays at order 0.
-        assert_eq!(ft.free_blocks(NodeId(0), 0), 1024);
-        assert_eq!(ft.free_blocks(NodeId(0), 1), 0);
-        // LIFO recycling: the most recently freed page comes back first.
-        assert_eq!(ft.alloc(NodeId(0), key(2), PageType::Anon).unwrap(), b);
-        assert_eq!(ft.alloc(NodeId(0), key(3), PageType::Anon).unwrap(), a);
     }
 }

@@ -33,7 +33,7 @@ impl LruKind {
     ];
 
     /// The list a page of `page_type` belongs on given its activity.
-    pub fn for_page(page_type: PageType, active: bool) -> LruKind {
+    pub(crate) fn for_page(page_type: PageType, active: bool) -> LruKind {
         match (page_type.is_anon(), active) {
             (true, true) => LruKind::AnonActive,
             (true, false) => LruKind::AnonInactive,
@@ -125,36 +125,19 @@ impl NodeLru {
         }
     }
 
-    /// The node these lists belong to.
-    #[inline]
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
     /// Number of pages on the given list.
     #[inline]
     pub fn len(&self, kind: LruKind) -> u64 {
         self.lists[kind.idx()].len
     }
 
-    /// Whether the given list is empty.
-    #[inline]
-    pub fn is_empty(&self, kind: LruKind) -> bool {
-        self.len(kind) == 0
-    }
-
-    /// Total pages across all four lists.
-    pub fn total(&self) -> u64 {
-        self.lists.iter().map(|l| l.len).sum()
-    }
-
     /// Pages on the anon lists (active + inactive).
-    pub fn anon_total(&self) -> u64 {
+    pub(crate) fn anon_total(&self) -> u64 {
         self.len(LruKind::AnonActive) + self.len(LruKind::AnonInactive)
     }
 
     /// Pages on the file lists (active + inactive).
-    pub fn file_total(&self) -> u64 {
+    pub(crate) fn file_total(&self) -> u64 {
         self.len(LruKind::FileActive) + self.len(LruKind::FileInactive)
     }
 
@@ -226,7 +209,7 @@ impl NodeLru {
     ///
     /// Returns the list it was on, or `None` if it was not linked.
     #[inline]
-    pub fn remove(&mut self, ft: &mut FrameTable, pfn: Pfn) -> Option<LruKind> {
+    pub(crate) fn remove(&mut self, ft: &mut FrameTable, pfn: Pfn) -> Option<LruKind> {
         let kind = ft.frame(pfn).lru_kind()?;
         debug_assert_eq!(ft.frame(pfn).node(), self.node);
         let (prev, next) = {
@@ -254,7 +237,7 @@ impl NodeLru {
     }
 
     /// Peeks at the coldest (tail) page of `kind` without unlinking it.
-    pub fn peek_back(&self, kind: LruKind) -> Option<Pfn> {
+    pub(crate) fn peek_back(&self, kind: LruKind) -> Option<Pfn> {
         let list = &self.lists[kind.idx()];
         if list.len == 0 {
             None
@@ -275,7 +258,7 @@ impl NodeLru {
     /// # Panics
     ///
     /// Panics if the page is not on any list.
-    pub fn move_to_front(&mut self, ft: &mut FrameTable, pfn: Pfn) {
+    pub(crate) fn move_to_front(&mut self, ft: &mut FrameTable, pfn: Pfn) {
         let kind = self
             .remove(ft, pfn)
             .unwrap_or_else(|| panic!("{pfn} not on an LRU list"));
@@ -288,7 +271,7 @@ impl NodeLru {
     /// # Panics
     ///
     /// Panics if the page is not on any list.
-    pub fn activate(&mut self, ft: &mut FrameTable, pfn: Pfn) {
+    pub(crate) fn activate(&mut self, ft: &mut FrameTable, pfn: Pfn) {
         let kind = ft
             .frame(pfn)
             .lru_kind()
@@ -306,7 +289,7 @@ impl NodeLru {
     /// # Panics
     ///
     /// Panics if the page is not on any list.
-    pub fn deactivate(&mut self, ft: &mut FrameTable, pfn: Pfn) {
+    pub(crate) fn deactivate(&mut self, ft: &mut FrameTable, pfn: Pfn) {
         let kind = ft
             .frame(pfn)
             .lru_kind()
@@ -348,7 +331,7 @@ impl NodeLru {
 
     /// Like [`NodeLru::collect`], but reuses a caller-owned buffer
     /// (cleared first) instead of allocating.
-    pub fn collect_into(&self, ft: &FrameTable, kind: LruKind, out: &mut Vec<Pfn>) {
+    pub(crate) fn collect_into(&self, ft: &FrameTable, kind: LruKind, out: &mut Vec<Pfn>) {
         out.clear();
         let mut cur = self.lists[kind.idx()].head;
         while cur != Pfn::NONE {
@@ -363,7 +346,7 @@ impl NodeLru {
     /// # Panics
     ///
     /// Panics on the first violated invariant.
-    pub fn validate(&self, ft: &FrameTable) {
+    pub(crate) fn validate(&self, ft: &FrameTable) {
         for kind in LruKind::ALL {
             let pages = self.collect(ft, kind);
             assert_eq!(
@@ -549,7 +532,6 @@ mod tests {
         lru.push_front(&mut ft, LruKind::FileInactive, f);
         assert_eq!(lru.file_total(), 1);
         assert_eq!(lru.anon_total(), 0);
-        assert_eq!(lru.total(), 1);
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub struct MemoryBuilder {
 impl MemoryBuilder {
     /// Creates a builder with no nodes and the default 2%
     /// `demote_scale_factor`.
-    pub fn new() -> MemoryBuilder {
+    pub(crate) fn new() -> MemoryBuilder {
         MemoryBuilder {
             topology: Topology::new(),
             swap_pages: None,
@@ -109,10 +109,9 @@ impl MemoryBuilder {
     }
 
     /// Sets the machine's transparent-huge-page mode (default
-    /// [`ThpMode::Never`]). Anything other than `Never` switches the
-    /// frame table into buddy (multi-order) free-space management;
-    /// `Never` keeps the flat order-0 allocator with its historical
-    /// allocation sequence.
+    /// [`ThpMode::Never`]). The mode decides whether faults, khugepaged
+    /// and kcompactd build compound pages; the buddy allocator underneath
+    /// is the same in every mode.
     pub fn thp_mode(&mut self, mode: ThpMode) -> &mut MemoryBuilder {
         self.thp_mode = mode;
         self
@@ -140,7 +139,7 @@ impl MemoryBuilder {
             "node ids must be unique and densely numbered"
         );
         let capacities: Vec<u64> = topo.ids().map(|id| topo.capacity(id)).collect();
-        let frames = FrameTable::new_with_thp(&capacities, self.thp_mode != ThpMode::Never);
+        let frames = FrameTable::new(&capacities);
         let nodes: Vec<MemoryNode> = topo
             .ids()
             .map(|id| {
@@ -483,7 +482,7 @@ impl Memory {
     }
 
     /// Records one structured event: bumps every vmstat counter the event
-    /// implies ([`TraceEvent::count_into`]) and, if tracing is on, keeps
+    /// implies (`TraceEvent::count_into`) and, if tracing is on, keeps
     /// the record stamped with the current trace time.
     ///
     /// This is the single entry point for counted mutations, so the trace
@@ -1684,6 +1683,60 @@ mod tests {
 
     // ---- compound (huge) pages -------------------------------------
 
+    #[test]
+    fn never_mode_churn_then_release_restores_the_seeded_blocks() {
+        // The buddy allocator runs in every THP mode: base-page churn on
+        // a `Never` machine splits and merges blocks, and releasing every
+        // page merges each node back into the blocks it was seeded with.
+        let caps = [1000, 1517];
+        let mut m = Memory::builder()
+            .node(NodeKind::LocalDram, caps[0])
+            .node(NodeKind::Cxl, caps[1])
+            .build();
+        assert_eq!(m.thp_mode(), ThpMode::Never);
+        let seeded = FrameTable::new(&caps);
+        m.create_process(Pid(1));
+        let mut live: Vec<Vpn> = Vec::new();
+        let mut state: u64 = 0x2545_f491;
+        for i in 0..5_000u64 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let pick = (state >> 8) as usize;
+            if state % 4 < 2 || live.is_empty() {
+                let node = NodeId((pick & 1) as u8);
+                if m.alloc_and_map(node, Pid(1), Vpn(i), PageType::Anon)
+                    .is_ok()
+                {
+                    live.push(Vpn(i));
+                }
+            } else if state % 4 == 2 {
+                assert!(m.release(Pid(1), live.swap_remove(pick % live.len())));
+            } else if let Some(PageLocation::Mapped(pfn)) =
+                m.space(Pid(1)).translate(live[pick % live.len()])
+            {
+                let dst = NodeId(1 - m.frames().frame(pfn).node().0);
+                let _ = m.migrate_page(pfn, dst);
+            }
+        }
+        m.validate();
+        assert!(!live.is_empty());
+        for vpn in live.drain(..) {
+            assert!(m.release(Pid(1), vpn));
+        }
+        m.validate();
+        for node in [NodeId(0), NodeId(1)] {
+            assert_eq!(m.free_pages(node), m.capacity(node));
+            for order in 0..=MAX_PAGE_ORDER {
+                assert_eq!(
+                    m.frames().free_blocks(node, order),
+                    seeded.free_blocks(node, order),
+                    "{node} order {order}"
+                );
+            }
+        }
+    }
+
     fn thp_two_node() -> Memory {
         Memory::builder()
             .node(NodeKind::LocalDram, 2048)
@@ -1719,7 +1772,7 @@ mod tests {
             }
         }
         assert_eq!(m.free_pages(NodeId(0)), 2048 - 512);
-        assert_eq!(m.node(NodeId(0)).lru.total(), 1);
+        assert_eq!(m.node(NodeId(0)).lru.anon_total(), 1);
         assert_eq!(m.vmstat().get(VmEvent::ThpFaultAlloc), 1);
         m.validate();
         assert_eq!(m.compound_head(Pfn(head.0 + 100)), head);
@@ -1740,7 +1793,7 @@ mod tests {
         assert_eq!(m.vmstat().get(VmEvent::ThpSplit), 1);
         // All 512 pages now independently LRU-resident, mappings intact,
         // per-page state kept.
-        assert_eq!(m.node(NodeId(0)).lru.total(), HUGE_PAGE_FRAMES);
+        assert_eq!(m.node(NodeId(0)).lru.anon_total(), HUGE_PAGE_FRAMES);
         assert!(m
             .frames()
             .frame(Pfn(head.0 + 7))

@@ -22,7 +22,7 @@ pub enum NodeKind {
 impl NodeKind {
     /// Whether this node has no CPUs (pages here are always "remote").
     #[inline]
-    pub fn is_cpu_less(self) -> bool {
+    pub(crate) fn is_cpu_less(self) -> bool {
         matches!(self, NodeKind::Cxl | NodeKind::CxlSwitched)
     }
 
@@ -42,7 +42,7 @@ impl NodeKind {
     /// Memory-tier rank: demotions move pages to a node of strictly
     /// greater rank (local DRAM → direct CXL → switched CXL pool).
     #[inline]
-    pub fn tier_rank(self) -> u8 {
+    pub(crate) fn tier_rank(self) -> u8 {
         match self {
             NodeKind::LocalDram => 0,
             NodeKind::Cxl => 1,
@@ -70,7 +70,7 @@ pub struct MemoryNode {
 impl MemoryNode {
     /// Creates a node of `kind` with `capacity` pages' worth of watermarks
     /// and the default latency for its tier.
-    pub fn new(id: NodeId, kind: NodeKind, capacity: u64) -> MemoryNode {
+    pub(crate) fn new(id: NodeId, kind: NodeKind, capacity: u64) -> MemoryNode {
         MemoryNode {
             id,
             kind,
@@ -87,12 +87,6 @@ impl MemoryNode {
         self.id
     }
 
-    /// The technology class.
-    #[inline]
-    pub fn kind(&self) -> NodeKind {
-        self.kind
-    }
-
     /// Whether this node is CPU-less (a CXL expander).
     #[inline]
     pub fn is_cpu_less(&self) -> bool {
@@ -107,7 +101,7 @@ impl MemoryNode {
 
     /// Overrides the access latency (for modelling different CXL device
     /// generations, FPGA prototypes, etc.).
-    pub fn set_latency_ns(&mut self, ns: u64) {
+    pub(crate) fn set_latency_ns(&mut self, ns: u64) {
         self.latency_ns = ns;
     }
 
@@ -118,7 +112,7 @@ impl MemoryNode {
     }
 
     /// Replaces the watermark set (e.g. to change `demote_scale_factor`).
-    pub fn set_watermarks(&mut self, wm: TppWatermarks) {
+    pub(crate) fn set_watermarks(&mut self, wm: TppWatermarks) {
         self.watermarks = wm;
     }
 
@@ -129,15 +123,6 @@ impl MemoryNode {
         self.demotion_order.first().copied()
     }
 
-    /// Sets the demotion target (single-entry demotion order).
-    pub fn set_demotion_target(&mut self, target: Option<NodeId>) {
-        let mut order = NodeList::new();
-        if let Some(t) = target {
-            order.push(t);
-        }
-        self.demotion_order = order;
-    }
-
     /// Candidate demotion targets, nearest lower tier first. Empty for
     /// terminal tiers.
     #[inline]
@@ -146,7 +131,7 @@ impl MemoryNode {
     }
 
     /// Replaces the demotion order (nearest first).
-    pub fn set_demotion_order(&mut self, order: NodeList) {
+    pub(crate) fn set_demotion_order(&mut self, order: NodeList) {
         self.demotion_order = order;
     }
 }
@@ -183,9 +168,7 @@ mod tests {
         let order: NodeList = [NodeId(1), NodeId(2)].into_iter().collect();
         node.set_demotion_order(order);
         assert_eq!(node.demotion_target(), Some(NodeId(1)));
-        node.set_demotion_target(Some(NodeId(2)));
-        assert_eq!(node.demotion_order().as_slice(), &[NodeId(2)]);
-        node.set_demotion_target(None);
+        node.set_demotion_order(NodeList::new());
         assert_eq!(node.demotion_target(), None);
     }
 
@@ -198,8 +181,6 @@ mod tests {
         node.set_latency_ns(250); // FPGA prototype latency
         assert_eq!(node.latency_ns(), 250);
         assert_eq!(node.demotion_target(), None);
-        node.set_demotion_target(Some(NodeId(2)));
-        assert_eq!(node.demotion_target(), Some(NodeId(2)));
     }
 
     #[test]

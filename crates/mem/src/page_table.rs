@@ -143,12 +143,6 @@ impl AddressSpace {
         }
     }
 
-    /// The owning process.
-    #[inline]
-    pub fn pid(&self) -> Pid {
-        self.pid
-    }
-
     /// Looks up where `vpn` lives, if anywhere.
     #[inline]
     pub fn translate(&self, vpn: Vpn) -> Option<PageLocation> {
@@ -162,12 +156,6 @@ impl AddressSpace {
     #[inline]
     pub fn resident_pages(&self) -> u64 {
         self.resident
-    }
-
-    /// Number of swapped-out pages.
-    #[inline]
-    pub fn swapped_pages(&self) -> u64 {
-        self.swapped
     }
 
     /// Total pages with any backing (resident + swapped).
@@ -346,7 +334,6 @@ mod tests {
     #[test]
     fn map_unmap_accounting() {
         let mut s = AddressSpace::new(Pid(9));
-        assert_eq!(s.pid(), Pid(9));
         s.map(Vpn(1), Pfn(100));
         s.map(Vpn(2), Pfn(101));
         assert_eq!(s.resident_pages(), 2);
@@ -364,12 +351,12 @@ mod tests {
         let prev = s.set_swapped(Vpn(5), SwapSlot(3));
         assert_eq!(prev, Some(PageLocation::Mapped(Pfn(7))));
         assert_eq!(s.resident_pages(), 0);
-        assert_eq!(s.swapped_pages(), 1);
+        assert_eq!(s.total_pages(), 1);
         // Swap-in: back to mapped.
         let prev = s.map(Vpn(5), Pfn(8));
         assert_eq!(prev, Some(PageLocation::Swapped(SwapSlot(3))));
         assert_eq!(s.resident_pages(), 1);
-        assert_eq!(s.swapped_pages(), 0);
+        assert_eq!(s.total_pages(), 1);
     }
 
     #[test]

@@ -67,18 +67,13 @@ impl<T> PidTable<T> {
 
     /// Mutable access to the value for `pid`, if any.
     #[inline]
-    pub fn get_mut(&mut self, pid: Pid) -> Option<&mut T> {
+    pub(crate) fn get_mut(&mut self, pid: Pid) -> Option<&mut T> {
         self.find(pid).ok().map(|i| &mut self.entries[i].1)
     }
 
     /// Removes `pid`, returning its value if it had one.
-    pub fn remove(&mut self, pid: Pid) -> Option<T> {
+    pub(crate) fn remove(&mut self, pid: Pid) -> Option<T> {
         self.find(pid).ok().map(|i| self.entries.remove(i).1)
-    }
-
-    /// Whether `pid` has a value.
-    pub fn contains_key(&self, pid: Pid) -> bool {
-        self.find(pid).is_ok()
     }
 
     /// Every entry, in ascending pid order.
@@ -127,7 +122,7 @@ mod tests {
         }
         assert_eq!(t.remove(Pid(2)), Some(20));
         assert_eq!(t.remove(Pid(2)), None);
-        assert!(!t.contains_key(Pid(2)));
+        assert_eq!(t.get(Pid(2)), None);
         *t.get_mut(Pid(3)).unwrap() += 1;
         let got: Vec<(Pid, u32)> = t.iter().map(|(pid, &v)| (pid, v)).collect();
         assert_eq!(got, [(Pid(1), 10), (Pid(3), 31)]);
@@ -139,11 +134,9 @@ mod tests {
         assert_eq!(t.get(Pid(0)), None);
         assert_eq!(t.get_mut(Pid(0)), None);
         assert_eq!(t.remove(Pid(0)), None);
-        assert!(!t.contains_key(Pid(0)));
         t.insert(Pid(4), 1);
         for miss in [0, 3, 5, u32::MAX] {
             assert_eq!(t.get(Pid(miss)), None);
-            assert!(!t.contains_key(Pid(miss)));
         }
     }
 }

@@ -35,8 +35,6 @@ pub struct SwapDevice {
     capacity: u64,
     slots: HashMap<u64, PageKey>,
     next_slot: u64,
-    total_outs: u64,
-    total_ins: u64,
 }
 
 impl SwapDevice {
@@ -46,8 +44,6 @@ impl SwapDevice {
             capacity,
             slots: HashMap::new(),
             next_slot: 0,
-            total_outs: 0,
-            total_ins: 0,
         }
     }
 
@@ -63,24 +59,6 @@ impl SwapDevice {
         self.slots.len() as u64
     }
 
-    /// Free slots remaining.
-    #[inline]
-    pub fn free_slots(&self) -> u64 {
-        self.capacity - self.used_slots()
-    }
-
-    /// Lifetime count of pages written out.
-    #[inline]
-    pub fn total_swap_outs(&self) -> u64 {
-        self.total_outs
-    }
-
-    /// Lifetime count of pages read back in.
-    #[inline]
-    pub fn total_swap_ins(&self) -> u64 {
-        self.total_ins
-    }
-
     /// Writes a page out, returning the slot that now holds it.
     ///
     /// # Errors
@@ -93,7 +71,6 @@ impl SwapDevice {
         let slot = self.next_slot;
         self.next_slot += 1;
         self.slots.insert(slot, owner);
-        self.total_outs += 1;
         Ok(SwapSlot(slot))
     }
 
@@ -103,9 +80,7 @@ impl SwapDevice {
     ///
     /// [`SwapError::BadSlot`] if the slot is empty or unknown.
     pub fn swap_in(&mut self, slot: SwapSlot) -> Result<PageKey, SwapError> {
-        let owner = self.slots.remove(&slot.0).ok_or(SwapError::BadSlot)?;
-        self.total_ins += 1;
-        Ok(owner)
+        self.slots.remove(&slot.0).ok_or(SwapError::BadSlot)
     }
 
     /// Drops a slot without a read (e.g. the owning process exited).
@@ -113,12 +88,12 @@ impl SwapDevice {
     /// # Errors
     ///
     /// [`SwapError::BadSlot`] if the slot is empty or unknown.
-    pub fn discard(&mut self, slot: SwapSlot) -> Result<PageKey, SwapError> {
+    pub(crate) fn discard(&mut self, slot: SwapSlot) -> Result<PageKey, SwapError> {
         self.slots.remove(&slot.0).ok_or(SwapError::BadSlot)
     }
 
     /// The owner a slot holds, if occupied.
-    pub fn peek(&self, slot: SwapSlot) -> Option<PageKey> {
+    pub(crate) fn peek(&self, slot: SwapSlot) -> Option<PageKey> {
         self.slots.get(&slot.0).copied()
     }
 }
@@ -141,8 +116,6 @@ mod tests {
         assert_eq!(dev.swap_in(s0).unwrap(), key(0));
         assert_eq!(dev.swap_in(s1).unwrap(), key(1));
         assert_eq!(dev.used_slots(), 0);
-        assert_eq!(dev.total_swap_outs(), 2);
-        assert_eq!(dev.total_swap_ins(), 2);
     }
 
     #[test]
@@ -167,12 +140,11 @@ mod tests {
     }
 
     #[test]
-    fn discard_frees_without_counting_a_read() {
+    fn discard_frees_the_slot() {
         let mut dev = SwapDevice::new(4);
         let s = dev.swap_out(key(3)).unwrap();
         assert_eq!(dev.peek(s), Some(key(3)));
         assert_eq!(dev.discard(s).unwrap(), key(3));
-        assert_eq!(dev.total_swap_ins(), 0);
         assert_eq!(dev.used_slots(), 0);
     }
 
@@ -180,6 +152,6 @@ mod tests {
     fn zero_capacity_device_always_full() {
         let mut dev = SwapDevice::new(0);
         assert_eq!(dev.swap_out(key(0)), Err(SwapError::Full));
-        assert_eq!(dev.free_slots(), 0);
+        assert_eq!(dev.used_slots(), 0);
     }
 }

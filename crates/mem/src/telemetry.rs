@@ -5,7 +5,7 @@
 //! pages, *when*, or *why*. This module adds the event layer underneath
 //! the counters: every mutation path records a [`TraceEvent`], and each
 //! event knows which vmstat counters it implies
-//! ([`TraceEvent::count_into`]), so the trace and the counters can never
+//! (`TraceEvent::count_into`), so the trace and the counters can never
 //! disagree — [`crate::Memory::record`] bumps both from a single call.
 //!
 //! A traced `Memory` ([`crate::Memory::enable_trace`]) keeps every
@@ -35,7 +35,7 @@ pub enum PromoteFailReason {
 
 impl PromoteFailReason {
     /// Stable lowercase name used in JSONL output.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             PromoteFailReason::LowMem => "lowmem",
             PromoteFailReason::Busy => "busy",
@@ -66,7 +66,7 @@ pub enum PromoteSkipReason {
 
 impl PromoteSkipReason {
     /// Stable lowercase name used in JSONL output.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             PromoteSkipReason::Inactive => "inactive",
             PromoteSkipReason::Cold => "cold",
@@ -324,7 +324,7 @@ impl TraceEvent {
     /// Bumps every vmstat counter this event implies. This is the single
     /// source of truth for the event ↔ counter mapping: `Memory::record`
     /// calls it, so a traced counter can never drift from its events.
-    pub fn count_into(&self, vmstat: &mut VmStat) {
+    pub(crate) fn count_into(&self, vmstat: &mut VmStat) {
         match *self {
             TraceEvent::Fault { major, .. } => {
                 vmstat.count(VmEvent::PgFault);
@@ -390,7 +390,7 @@ impl TraceEvent {
     }
 
     /// The page this event concerns, if any.
-    pub fn page(&self) -> Option<PageKey> {
+    pub(crate) fn page(&self) -> Option<PageKey> {
         match *self {
             TraceEvent::Fault { page, .. }
             | TraceEvent::HintFault { page, .. }
@@ -437,7 +437,7 @@ impl TraceRecord {
     /// The format is flat and stable: `ts` and `event` first, then the
     /// event's fields. Written by hand because the build environment has
     /// no access to serde.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(self) -> String {
         let mut s = String::with_capacity(96);
         let _ = write!(
             s,
@@ -622,7 +622,7 @@ pub fn replay_counters(records: &[TraceRecord]) -> VmStat {
     vm
 }
 
-/// Writes `records` to `out` as JSONL: one [`TraceRecord::to_json`]
+/// Writes `records` to `out` as JSONL: one `TraceRecord::to_json`
 /// object per line.
 ///
 /// # Errors

@@ -40,7 +40,7 @@ pub struct Link {
 impl Link {
     /// Default link for a node kind: DDR channels for sockets, a x8 CXL
     /// link for direct expanders, one extra switch hop for pools.
-    pub fn for_kind(kind: NodeKind) -> Link {
+    pub(crate) fn for_kind(kind: NodeKind) -> Link {
         match kind {
             NodeKind::LocalDram => Link { hops: 1, gbps: 120 },
             NodeKind::Cxl => Link { hops: 1, gbps: 32 },
@@ -87,7 +87,7 @@ impl Topology {
     }
 
     /// Appends a node with full control over latency and link properties.
-    pub fn node_full(
+    pub(crate) fn node_full(
         &mut self,
         kind: NodeKind,
         capacity: u64,
@@ -108,13 +108,8 @@ impl Topology {
         NodeId((self.nodes.len() - 1) as u8)
     }
 
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Whether the topology has no nodes yet.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
 
@@ -124,24 +119,24 @@ impl Topology {
     }
 
     /// The technology class of `node`.
-    pub fn kind(&self, node: NodeId) -> NodeKind {
+    pub(crate) fn kind(&self, node: NodeId) -> NodeKind {
         self.nodes[node.index()].kind
     }
 
     /// Capacity of `node` in pages.
-    pub fn capacity(&self, node: NodeId) -> u64 {
+    pub(crate) fn capacity(&self, node: NodeId) -> u64 {
         self.nodes[node.index()].capacity
     }
 
     /// Idle access latency of `node`: the explicit override if one was
     /// given, else the kind default.
-    pub fn resolved_latency_ns(&self, node: NodeId) -> u64 {
+    pub(crate) fn resolved_latency_ns(&self, node: NodeId) -> u64 {
         let n = &self.nodes[node.index()];
         n.latency_ns.unwrap_or_else(|| n.kind.default_latency_ns())
     }
 
     /// Link properties of `node`.
-    pub fn link(&self, node: NodeId) -> Link {
+    pub(crate) fn link(&self, node: NodeId) -> Link {
         self.nodes[node.index()].link
     }
 
@@ -169,7 +164,7 @@ impl Topology {
     /// NUMA distance between two nodes: an explicit override if set, else
     /// `10 + 10·|a−b|` (`10` on the diagonal) — the id-delta default that
     /// reproduces pre-topology behaviour.
-    pub fn distance(&self, a: NodeId, b: NodeId) -> u16 {
+    pub(crate) fn distance(&self, a: NodeId, b: NodeId) -> u16 {
         let (lo, hi) = if a.0 < b.0 { (a.0, b.0) } else { (b.0, a.0) };
         self.overrides
             .iter()
@@ -178,16 +173,9 @@ impl Topology {
             .unwrap_or(LOCAL_DISTANCE + LOCAL_DISTANCE * (hi - lo) as u16)
     }
 
-    /// The full distance matrix, row-major (`matrix[a][b]`).
-    pub fn matrix(&self) -> Vec<Vec<u16>> {
-        self.ids()
-            .map(|a| self.ids().map(|b| self.distance(a, b)).collect())
-            .collect()
-    }
-
     /// Allocation fallback order from `from`: every node, nearest first
     /// (ties broken by id, so `from` itself always sorts first).
-    pub fn fallback_order(&self, from: NodeId) -> NodeList {
+    pub(crate) fn fallback_order(&self, from: NodeId) -> NodeList {
         let mut ids: NodeList = self.ids().collect();
         ids.sort_by_key(|n| (self.distance(from, n), n.0));
         ids
@@ -197,7 +185,7 @@ impl Topology {
     /// (greater [`NodeKind::tier_rank`]), nearest first. Empty for
     /// terminal tiers. Demoters pick the first entry with allocation
     /// headroom (§5.2), falling back to the head.
-    pub fn demotion_order(&self, from: NodeId) -> NodeList {
+    pub(crate) fn demotion_order(&self, from: NodeId) -> NodeList {
         let rank = self.kind(from).tier_rank();
         let mut ids: NodeList = self
             .ids()
@@ -210,13 +198,13 @@ impl Topology {
     /// Link hops a page copy between `a` and `b` traverses: the larger
     /// hop count of the two endpoints. Direct-attached pairs copy in one
     /// hop; a switch-attached pool adds one per switch traversal.
-    pub fn migrate_hops(&self, a: NodeId, b: NodeId) -> u32 {
+    pub(crate) fn migrate_hops(&self, a: NodeId, b: NodeId) -> u32 {
         self.link(a).hops.max(self.link(b).hops) as u32
     }
 
     /// First CPU-attached node, by id — the conventional default home
     /// node for processes without an explicit socket binding.
-    pub fn first_local(&self) -> Option<NodeId> {
+    pub(crate) fn first_local(&self) -> Option<NodeId> {
         self.ids().find(|&n| !self.kind(n).is_cpu_less())
     }
 }
@@ -240,7 +228,7 @@ mod tests {
         assert_eq!(t.distance(NodeId(0), NodeId(1)), 20);
         assert_eq!(t.distance(NodeId(0), NodeId(2)), 30);
         assert_eq!(t.distance(NodeId(2), NodeId(0)), 30, "symmetric");
-        assert_eq!(t.matrix()[1], vec![20, 10, 20]);
+        assert_eq!(t.distance(NodeId(1), NodeId(2)), 20);
     }
 
     #[test]

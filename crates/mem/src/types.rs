@@ -52,7 +52,7 @@ impl Pfn {
 
     /// Returns the raw index of this frame.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -66,14 +66,6 @@ impl fmt::Display for Pfn {
 /// A virtual page number within one process' address space.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Vpn(pub u64);
-
-impl Vpn {
-    /// Returns the virtual page number `n` pages after `self`.
-    #[inline]
-    pub fn offset(self, n: u64) -> Vpn {
-        Vpn(self.0 + n)
-    }
-}
 
 impl fmt::Display for Vpn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -138,7 +130,7 @@ impl NodeList {
     /// # Panics
     ///
     /// Panics if the list is full ([`NodeList::CAPACITY`] entries).
-    pub fn push(&mut self, id: NodeId) {
+    pub(crate) fn push(&mut self, id: NodeId) {
         assert!(
             (self.len as usize) < NodeList::CAPACITY,
             "machine has more than {} nodes",
@@ -156,7 +148,7 @@ impl NodeList {
 
     /// Sorts the list with a key function (insertion sort: the list is
     /// tiny and this keeps the type `Copy`).
-    pub fn sort_by_key<K: Ord>(&mut self, key: impl Fn(NodeId) -> K) {
+    pub(crate) fn sort_by_key<K: Ord>(&mut self, key: impl Fn(NodeId) -> K) {
         let n = self.len as usize;
         for i in 1..n {
             let mut j = i;
@@ -213,9 +205,8 @@ impl FromIterator<NodeId> for NodeList {
 /// collapse scanner, and the compaction daemon.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum ThpMode {
-    /// No huge pages anywhere (`never`). The frame allocator behaves
-    /// exactly like a flat order-0 free list, so runs are bit-identical
-    /// to the pre-huge-page substrate. The default.
+    /// No huge pages anywhere (`never`): faults map base pages and
+    /// neither khugepaged nor kcompactd runs. The default.
     #[default]
     Never,
     /// No fault-time huge allocation, but the khugepaged-style collapse
@@ -347,11 +338,6 @@ mod tests {
         assert_eq!(NodeId(1).to_string(), "node1");
         assert_eq!(Vpn(0x10).to_string(), "vpn#0x10");
         assert_eq!(PageKey::new(Pid(3), Vpn(16)).to_string(), "pid3:vpn#0x10");
-    }
-
-    #[test]
-    fn vpn_offset_advances() {
-        assert_eq!(Vpn(10).offset(5), Vpn(15));
     }
 
     #[test]

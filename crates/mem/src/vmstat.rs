@@ -239,13 +239,6 @@ impl VmStat {
         self.get(VmEvent::PgPromoteSuccessAnon) + self.get(VmEvent::PgPromoteSuccessFile)
     }
 
-    /// Total failed promotions across all failure reasons.
-    pub fn promote_failures(&self) -> u64 {
-        self.get(VmEvent::PgPromoteFailLowMem)
-            + self.get(VmEvent::PgPromoteFailBusy)
-            + self.get(VmEvent::PgPromoteFailSystem)
-    }
-
     /// Fraction of promotion attempts that succeeded (1.0 when none were
     /// attempted).
     pub fn promote_success_rate(&self) -> f64 {
@@ -314,7 +307,6 @@ mod tests {
         vs.count_n(VmEvent::PgPromoteFailBusy, 2);
         vs.count(VmEvent::PgPromoteFailSystem);
         assert_eq!(vs.promoted_total(), 10);
-        assert_eq!(vs.promote_failures(), 10);
         assert!((vs.promote_success_rate() - 0.5).abs() < 1e-12);
     }
 

@@ -42,16 +42,6 @@ impl Watermarks {
         }
     }
 
-    /// Watermarks that never trigger (all zero); useful for nodes whose
-    /// allocations are not performance-critical in tests.
-    pub fn disabled() -> Watermarks {
-        Watermarks {
-            min: 0,
-            low: 0,
-            high: 0,
-        }
-    }
-
     /// Whether an ordinary allocation may proceed with `free` pages left.
     ///
     /// Mirrors the kernel fast path: allocation is allowed while free pages
@@ -65,12 +55,6 @@ impl Watermarks {
     #[inline]
     pub fn needs_reclaim(&self, free: u64) -> bool {
         free < self.low
-    }
-
-    /// Whether reclaim has restored enough headroom to stop.
-    #[inline]
-    pub fn reclaim_satisfied(&self, free: u64) -> bool {
-        free >= self.high
     }
 }
 
@@ -166,8 +150,6 @@ mod tests {
         assert!(!wm.allows_allocation(wm.min));
         assert!(wm.needs_reclaim(wm.low - 1));
         assert!(!wm.needs_reclaim(wm.low));
-        assert!(wm.reclaim_satisfied(wm.high));
-        assert!(!wm.reclaim_satisfied(wm.high - 1));
     }
 
     #[test]
@@ -206,13 +188,5 @@ mod tests {
         assert!(wm.allows_promotion(free));
         assert!(wm.needs_demotion(free));
         assert!(!wm.allows_promotion(wm.base.min));
-    }
-
-    #[test]
-    fn disabled_watermarks_never_trigger() {
-        let wm = Watermarks::disabled();
-        assert!(wm.allows_allocation(1));
-        assert!(!wm.needs_reclaim(0));
-        assert!(wm.reclaim_satisfied(0));
     }
 }

@@ -46,12 +46,6 @@ impl Periodic {
         }
     }
 
-    /// The configured period.
-    #[inline]
-    pub fn period_ns(&self) -> u64 {
-        self.period_ns
-    }
-
     /// Returns how many periods elapsed up to `now_ns` and advances the
     /// deadline past `now_ns`. Returns 0 if the deadline has not arrived.
     #[inline]

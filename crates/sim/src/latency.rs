@@ -67,12 +67,6 @@ impl LatencyModel {
         self.major_fault_ns + self.swap_in_page_ns
     }
 
-    /// How many pages a demotion daemon can migrate within `budget_ns`.
-    #[inline]
-    pub fn migrate_budget_pages(&self, budget_ns: u64) -> u64 {
-        budget_ns / (self.migrate_page_ns + self.scan_page_ns)
-    }
-
     /// Cost of migrating one page over a path of `hops` link hops
     /// (`tiered_mem::Memory::migrate_hops`): the copy is re-driven once
     /// per hop, so a switch-attached pool pays proportionally more.
@@ -108,20 +102,6 @@ mod tests {
         let ratio = m.swap_out_page_ns as f64 / m.migrate_page_ns as f64;
         // The paper reports TPP reclaiming ~44x faster than default Linux.
         assert!((30.0..60.0).contains(&ratio), "swap/migrate ratio {ratio}");
-    }
-
-    #[test]
-    fn budget_helpers_scale_linearly() {
-        let m = LatencyModel::datacenter();
-        assert_eq!(m.migrate_budget_pages(0), 0);
-        // That the demotion daemon's budget buys migrations is checked
-        // next to `DaemonBudget` in the tpp crate.
-        let per_page = m.migrate_page_ns + m.scan_page_ns;
-        for pages in [1, 7, 1_000] {
-            let budget = pages * per_page;
-            assert_eq!(m.migrate_budget_pages(budget), pages);
-            assert_eq!(m.migrate_budget_pages(2 * budget), 2 * pages);
-        }
     }
 
     #[test]

@@ -14,14 +14,12 @@
 //! ## Example
 //!
 //! ```
-//! use tiered_sim::{LatencyModel, Periodic, SimRng, MS};
+//! use tiered_sim::{Periodic, SimRng, MS};
 //!
 //! let mut kswapd = Periodic::new(50 * MS);
-//! let model = LatencyModel::datacenter();
 //! let mut rng = SimRng::seed(1);
 //!
 //! assert_eq!(kswapd.fire(120 * MS), 2); // two missed wakeups
-//! assert!(model.migrate_budget_pages(MS) > 100);
 //! assert!(rng.chance(1.0));
 //! ```
 

@@ -106,20 +106,9 @@ impl SimRng {
         self.f64() < p
     }
 
-    /// Samples an index in `[0, weights.len())` proportionally to
-    /// `weights`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` is empty or sums to zero.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        self.weighted_index_summed(weights, weights.iter().sum())
-    }
-
-    /// [`SimRng::weighted_index`] with the weights' sum precomputed by
-    /// the caller, for callers that draw from the same weights many
-    /// times. `total` must be `weights.iter().sum()` exactly for the
-    /// draws to match `weighted_index`'s.
+    /// Draws an index with probability proportional to its weight. The
+    /// caller passes the weights' sum `total` (`weights.iter().sum()`),
+    /// since it draws from the same weights many times.
     ///
     /// # Panics
     ///
@@ -203,20 +192,20 @@ mod tests {
     }
 
     #[test]
-    fn weighted_index_respects_zero_weights() {
+    fn weighted_index_summed_respects_zero_weights() {
         let mut rng = SimRng::seed(11);
         for _ in 0..200 {
-            let i = rng.weighted_index(&[0.0, 5.0, 0.0]);
+            let i = rng.weighted_index_summed(&[0.0, 5.0, 0.0], 5.0);
             assert_eq!(i, 1);
         }
     }
 
     #[test]
-    fn weighted_index_roughly_proportional() {
+    fn weighted_index_summed_roughly_proportional() {
         let mut rng = SimRng::seed(13);
         let mut counts = [0u32; 2];
         for _ in 0..10_000 {
-            counts[rng.weighted_index(&[1.0, 3.0])] += 1;
+            counts[rng.weighted_index_summed(&[1.0, 3.0], 4.0)] += 1;
         }
         let frac = counts[1] as f64 / 10_000.0;
         assert!((0.70..0.80).contains(&frac), "frac={frac}");

@@ -58,14 +58,6 @@ pub struct Op {
 }
 
 impl Op {
-    /// An op with no memory events (pure compute).
-    pub fn compute(cpu_ns: u64) -> Op {
-        Op {
-            cpu_ns,
-            events: Vec::new(),
-        }
-    }
-
     /// Number of page accesses in this op.
     pub fn access_count(&self) -> usize {
         self.events
@@ -139,13 +131,5 @@ mod tests {
             ],
         };
         assert_eq!(op.access_count(), 2);
-    }
-
-    #[test]
-    fn compute_op_is_empty() {
-        let op = Op::compute(500);
-        assert_eq!(op.cpu_ns, 500);
-        assert_eq!(op.access_count(), 0);
-        assert!(op.events.is_empty());
     }
 }

@@ -451,6 +451,11 @@ mod tests {
     use tiered_mem::Vpn;
     use tiered_sim::{SimRng, Workload, WorkloadEvent, MINUTE};
 
+    /// How long a region's window takes to slide once over its pages.
+    fn cycle_ns(spec: &RegionSpec) -> u64 {
+        (spec.pages / spec.step_pages.max(1)).max(1) * spec.dwell_ns
+    }
+
     /// Drives a profile for `duration` of simulated time and returns the
     /// unique pages touched per type in the final 2-minute window.
     ///
@@ -565,14 +570,10 @@ mod tests {
     fn web_reaccess_is_fast_warehouse_slow() {
         // Figure 11: Web re-accesses ~80% of cold pages within 10 minutes;
         // Data Warehouse mostly allocates fresh pages instead.
-        let web_anon = crate::region::WindowedRegion::new(web(10_000).regions[0].clone());
-        let dw_anon = crate::region::WindowedRegion::new(data_warehouse(10_000).regions[0].clone());
-        assert!(
-            web_anon.cycle_ns() <= 11 * MINUTE,
-            "web cycle {}",
-            web_anon.cycle_ns()
-        );
-        assert!(dw_anon.cycle_ns() > web_anon.cycle_ns());
+        let web_anon = cycle_ns(&web(10_000).regions[0]);
+        let dw_anon = cycle_ns(&data_warehouse(10_000).regions[0]);
+        assert!(web_anon <= 11 * MINUTE, "web cycle {web_anon}");
+        assert!(dw_anon > web_anon);
     }
 
     #[test]
@@ -660,15 +661,8 @@ mod tests {
     fn batch_analytics_scans_with_little_reuse() {
         // The scan front moves quickly: the window cycles the dataset in
         // a handful of dwells.
-        let w = batch_analytics(10_000);
-        let data = crate::region::WindowedRegion::new(w.regions[0].clone());
-        assert!(
-            data.cycle_ns()
-                <= 6 * crate::region::WindowedRegion::new(w.regions[0].clone())
-                    .spec()
-                    .dwell_ns,
-            "scan cycle too slow: {}",
-            data.cycle_ns()
-        );
+        let data = &batch_analytics(10_000).regions[0];
+        let cycle = cycle_ns(data);
+        assert!(cycle <= 6 * data.dwell_ns, "scan cycle too slow: {cycle}");
     }
 }

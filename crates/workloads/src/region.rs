@@ -200,34 +200,13 @@ impl WindowedRegion {
     }
 
     /// The region's static description.
-    pub fn spec(&self) -> &RegionSpec {
+    pub(crate) fn spec(&self) -> &RegionSpec {
         &self.spec
     }
 
     /// Pages allocated (touchable) at `now_ns`, honouring growth.
-    pub fn allocated_pages(&self, now_ns: u64) -> u64 {
+    pub(crate) fn allocated_pages(&self, now_ns: u64) -> u64 {
         self.geometry(now_ns).allocated
-    }
-
-    /// Current hot-window size in pages.
-    pub fn window_pages(&self, now_ns: u64) -> u64 {
-        self.geometry(now_ns).window
-    }
-
-    /// First page offset of the hot window at `now_ns`.
-    ///
-    /// The window starts mid-region (not at offset 0) so the hot set is
-    /// decoupled from allocation order from the first instant — hot pages
-    /// are *not* conveniently the pages that happened to land on the
-    /// local node during warm-up.
-    pub fn window_start(&self, now_ns: u64) -> u64 {
-        self.geometry(now_ns).start
-    }
-
-    /// Time for the window to cycle the entire (full-size) region once —
-    /// the region's re-access period (Figure 11).
-    pub fn cycle_ns(&self) -> u64 {
-        (self.spec.pages / self.spec.step_pages.max(1)).max(1) * self.spec.dwell_ns
     }
 
     /// Whether `vpn` belongs to this region.
@@ -328,8 +307,8 @@ mod tests {
     #[test]
     fn window_slides_over_time() {
         let r = region(0.2);
-        let s0 = r.window_start(0);
-        let s1 = r.window_start(r.spec().dwell_ns);
+        let s0 = r.geometry(0).start;
+        let s1 = r.geometry(r.spec().dwell_ns).start;
         assert_ne!(s0, s1);
         // One dwell moves the start by exactly step_pages, modulo the
         // allocated span (plain `s1 - s0` underflows when the window
@@ -391,8 +370,8 @@ mod tests {
     fn assert_geometry_at(cached: &WindowedRegion, t: u64) {
         let (allocated, window, start) = reference_geometry(cached.spec(), t);
         assert_eq!(cached.allocated_pages(t), allocated, "t={t}");
-        assert_eq!(cached.window_pages(t), window, "t={t}");
-        assert_eq!(cached.window_start(t), start, "t={t}");
+        assert_eq!(cached.geometry(t).window, window, "t={t}");
+        assert_eq!(cached.geometry(t).start, start, "t={t}");
     }
 
     #[test]
@@ -407,8 +386,8 @@ mod tests {
             let t = (i % 7) * SEC / 2 + (i / 7) * 11 * SEC;
             let fresh = WindowedRegion::new(spec.clone());
             assert_eq!(cached.allocated_pages(t), fresh.allocated_pages(t), "t={t}");
-            assert_eq!(cached.window_pages(t), fresh.window_pages(t), "t={t}");
-            assert_eq!(cached.window_start(t), fresh.window_start(t), "t={t}");
+            assert_eq!(cached.geometry(t).window, fresh.geometry(t).window, "t={t}");
+            assert_eq!(cached.geometry(t).start, fresh.geometry(t).start, "t={t}");
             assert_geometry_at(&cached, t);
         }
     }
@@ -516,13 +495,6 @@ mod tests {
             );
         }
         assert_eq!(a.u64(), b.u64());
-    }
-
-    #[test]
-    fn cycle_period_is_pages_over_step() {
-        let r = region(0.2);
-        let expected = (10_000 / r.spec().step_pages) * r.spec().dwell_ns;
-        assert_eq!(r.cycle_ns(), expected);
     }
 
     #[test]

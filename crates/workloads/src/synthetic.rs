@@ -142,16 +142,6 @@ impl SyntheticWorkload {
         self.warmup_pos.is_some()
     }
 
-    /// The regions, for inspection by tests and reports.
-    pub fn regions(&self) -> &[WindowedRegion] {
-        &self.regions
-    }
-
-    /// Live short-lived pages right now.
-    pub fn transient_live(&self) -> u64 {
-        self.pool.as_ref().map_or(0, |p| p.live_count())
-    }
-
     /// One warm-up op: appends its events, returns its CPU time.
     fn warmup_op(&mut self, events: &mut Vec<WorkloadEvent>) -> u64 {
         // Moved out and back rather than cloned: the spec owns a Vec, and
@@ -447,7 +437,7 @@ mod tests {
         assert!(frees > 50, "only {frees} frees");
         assert!(transient_accesses > 100);
         // Pool stays bounded by its range.
-        assert!(w.transient_live() <= 50);
+        assert!(w.pool.as_ref().map_or(0, |p| p.live_count()) <= 50);
     }
 
     #[test]

@@ -64,12 +64,6 @@ impl TransientPool {
         self.live.len() as u64
     }
 
-    /// The page lifetime.
-    #[inline]
-    pub fn lifetime_ns(&self) -> u64 {
-        self.lifetime_ns
-    }
-
     /// Allocates a fresh page at `now_ns`, scheduling its free.
     ///
     /// Returns `None` when every VPN in the range is still live — the pool
@@ -93,7 +87,7 @@ impl TransientPool {
 
     /// A random live page, if any (re-touching in-flight request state).
     #[inline]
-    pub fn peek_live(&self, salt: u64) -> Option<Vpn> {
+    pub(crate) fn peek_live(&self, salt: u64) -> Option<Vpn> {
         if self.live.is_empty() {
             return None;
         }

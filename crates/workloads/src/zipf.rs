@@ -39,7 +39,6 @@ pub struct ZipfSampler {
     thresh: Vec<u64>,
     /// The donor rank paired with each bucket.
     alias: Vec<u32>,
-    s: f64,
 }
 
 impl ZipfSampler {
@@ -91,25 +90,7 @@ impl ZipfSampler {
         }
         // Buckets left on either worklist hold exactly weight 1 (modulo
         // float error) and keep their always-accept defaults.
-        ZipfSampler { thresh, alias, s }
-    }
-
-    /// Number of items in the domain.
-    #[inline]
-    pub fn len(&self) -> u64 {
-        self.thresh.len() as u64
-    }
-
-    /// Whether the domain is empty (never true; `new` rejects `n = 0`).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.thresh.is_empty()
-    }
-
-    /// The skew parameter.
-    #[inline]
-    pub fn skew(&self) -> f64 {
-        self.s
+        ZipfSampler { thresh, alias }
     }
 
     /// Draws one rank in `[0, n)`; rank 0 is the hottest.
@@ -140,7 +121,7 @@ mod tests {
 
     fn histogram(zipf: &ZipfSampler, draws: usize, seed: u64) -> Vec<u32> {
         let mut rng = SimRng::seed(seed);
-        let mut h = vec![0u32; zipf.len() as usize];
+        let mut h = vec![0u32; zipf.thresh.len()];
         for _ in 0..draws {
             h[zipf.sample(&mut rng) as usize] += 1;
         }
