@@ -177,7 +177,7 @@ mod tests {
         for i in 0..5u64 {
             touch(&mut c, i * SEC / 2, 1, PageType::Anon);
         }
-        assert_eq!(c.series().total_pages.len(), 2);
+        assert_eq!(c.series().total_pages.points().len(), 2);
     }
 
     #[test]

@@ -444,7 +444,7 @@ mod tests {
     fn metrics_sampled_once_per_second() {
         let mut s = quick_system(Box::new(LinuxDefault::new()));
         s.run(3 * SEC);
-        assert!((3..=4).contains(&s.metrics().throughput.len()));
+        assert!((3..=4).contains(&s.metrics().throughput.points().len()));
     }
 
     #[test]

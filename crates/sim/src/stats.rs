@@ -11,7 +11,7 @@
 /// let mut ts = TimeSeries::new("promotion_rate");
 /// ts.record(0, 10.0);
 /// ts.record(1_000, 30.0);
-/// assert_eq!(ts.len(), 2);
+/// assert_eq!(ts.points().len(), 2);
 /// assert_eq!(ts.mean(), Some(20.0));
 /// assert_eq!(ts.max(), Some(30.0));
 /// ```
@@ -45,16 +45,6 @@ impl TimeSeries {
             assert!(time_ns >= last, "time went backwards: {time_ns} < {last}");
         }
         self.points.push((time_ns, value));
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the series is empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
     }
 
     /// All points in time order.
@@ -278,7 +268,7 @@ mod tests {
     #[test]
     fn empty_series_yields_none() {
         let ts = TimeSeries::new("e");
-        assert!(ts.is_empty());
+        assert!(ts.points().is_empty());
         assert_eq!(ts.mean(), None);
         assert_eq!(ts.max(), None);
         assert_eq!(ts.percentile(0.9), None);

@@ -14,7 +14,7 @@
 #
 # The kept items CHANGES.md lists are the only expected lines. Doc
 # examples are not compiled, so a function only a doc example calls is
-# listed too. About 35 s from a cold target dir on 2 vCPUs (one
+# listed too. About 40 s from a cold target dir on 2 vCPUs (one
 # incremental check per round). Needs `jq`.
 #
 #   scripts/dead_api.sh
