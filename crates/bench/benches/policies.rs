@@ -8,8 +8,8 @@ use tpp_bench::microbench::{bench, bench_with_setup};
 use tiered_mem::{Memory, NodeId, NodeKind, PageType, Pid, ThpMode, Vpn, HUGE_PAGE_FRAMES};
 use tiered_sim::LatencyModel;
 use tpp::policy::{
-    kcompactd_pass, khugepaged_pass, HintSampler, HugeConfig, HugeState, LinuxDefault,
-    PlacementPolicy, PolicyCtx, SampleScope, SamplerConfig, Tpp,
+    kcompactd_pass, khugepaged_pass, HintSampler, HugeState, LinuxDefault, PlacementPolicy,
+    PolicyCtx, SampleScope, Tpp, KCOMPACTD_BUDGET, KHUGEPAGED_BUDGET,
 };
 
 fn machine(local: u64, cxl: u64) -> Memory {
@@ -156,11 +156,7 @@ fn bench_sampler() {
         m.alloc_and_map(node, Pid(1), Vpn(i), PageType::Anon)
             .unwrap();
     }
-    let mut sampler = HintSampler::new(SamplerConfig {
-        pages_per_scan: 4096,
-        period_ns: 1,
-        scope: SampleScope::CxlOnly,
-    });
+    let mut sampler = HintSampler::new(SampleScope::CxlOnly, 4096);
     bench("policy/hint_sampler_scan_16k_pages", || {
         std::hint::black_box(sampler.scan(&mut m));
     });
@@ -173,11 +169,7 @@ fn bench_sampler() {
         m.alloc_and_map(node, Pid(1), Vpn(i), PageType::Anon)
             .unwrap();
     }
-    let mut sampler = HintSampler::new(SamplerConfig {
-        pages_per_scan: 4096,
-        period_ns: 1,
-        scope: SampleScope::CxlOnly,
-    });
+    let mut sampler = HintSampler::new(SampleScope::CxlOnly, 4096);
     bench("policy/hint_sampler_scan_1m_pages", || {
         std::hint::black_box(sampler.scan(&mut m));
     });
@@ -204,10 +196,9 @@ fn bench_khugepaged() {
             m.frames_mut().frame_mut(pfn).touch_hotness();
         }
     }
-    let budget = HugeConfig::default().khugepaged;
     let mut state = HugeState::default();
     bench("policy/khugepaged_pass_fragmented_thp", || {
-        std::hint::black_box(khugepaged_pass(&mut state, &mut m, &lat, budget));
+        std::hint::black_box(khugepaged_pass(&mut state, &mut m, &lat, KHUGEPAGED_BUDGET));
     });
 }
 
@@ -219,7 +210,6 @@ fn bench_kcompactd() {
     // machine and cursor; the machines are dropped after the bench, off
     // the clock.
     let lat = LatencyModel::datacenter();
-    let config = HugeConfig::default();
     let mut used = Vec::new();
     bench_with_setup(
         "policy/kcompactd_pass_fragmented_thp",
@@ -239,14 +229,7 @@ fn bench_kcompactd() {
             (m, HugeState::default())
         },
         |(mut m, mut state)| {
-            let migrated = kcompactd_pass(
-                &mut state,
-                &mut m,
-                &lat,
-                NodeId(0),
-                config.kcompactd,
-                config.frag_threshold_milli,
-            );
+            let migrated = kcompactd_pass(&mut state, &mut m, &lat, NodeId(0), KCOMPACTD_BUDGET);
             used.push((std::hint::black_box(migrated), m));
         },
     );

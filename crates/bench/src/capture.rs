@@ -6,17 +6,16 @@
 //! are bit-identical whether or not a capture is requested; the capture
 //! is a separate, dedicated run.
 
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
-use chameleon::TraceSection;
 use tiered_mem::telemetry::{replay_counters, write_jsonl, TraceRecord, TRACED_COUNTERS};
-use tiered_mem::VmStat;
-use tiered_sim::SEC;
+use tiered_sim::{fraction, SEC};
 use tpp::configs::Shape;
 use tpp::experiment::PolicyChoice;
-use tpp::metrics::{decision_summary, ping_pong_report, vmstat_csv, PingPongReport};
+use tpp::metrics::{decision_summary, ping_pong_report, vmstat_csv};
 
 use crate::scale::{print_table, Scale};
 
@@ -24,20 +23,17 @@ use crate::scale::{print_table, Scale};
 pub struct CaptureOutcome {
     /// The full event stream, one JSONL line each in the `--trace` file.
     pub records: Vec<TraceRecord>,
-    /// Final vmstat counters of the captured run.
-    pub vmstat: VmStat,
     /// Counters where the replayed trace disagrees with vmstat (must be
     /// empty: `Memory::record` bumps both from one call).
     pub parity_mismatches: Vec<String>,
-    /// The §5.5 ping-pong diagnosis for the captured run.
-    pub ping_pong: PingPongReport,
 }
 
 /// Runs the dedicated capture workload (cache1 on the 1:4 machine under
 /// TPP) with tracing on, writes its records to `trace_path` (JSONL, when
-/// given), then prints the parity table, the decision summary,
-/// the ping-pong report and the Chameleon trace section. Exports the
-/// run's metrics into `metrics_dir` when given.
+/// given), then prints the parity table, the decision summary, the
+/// ping-pong report and a trace section (the event span, placement
+/// churn and events by kind). Exports the run's metrics into
+/// `metrics_dir` when given.
 ///
 /// # Errors
 ///
@@ -67,7 +63,7 @@ pub fn capture_run(
         out.flush()?;
     }
 
-    let vmstat = system.memory().vmstat().clone();
+    let vmstat = system.memory().vmstat();
     let replayed = replay_counters(&records);
     let mut parity_mismatches = Vec::new();
     let rows: Vec<Vec<String>> = TRACED_COUNTERS
@@ -129,14 +125,49 @@ pub fn capture_run(
         ]],
     );
 
-    println!("\n{}", TraceSection::from_records(&profile.name, &records));
+    let mut by_kind: BTreeMap<&str, u64> = BTreeMap::new();
+    for r in &records {
+        *by_kind.entry(r.event.name()).or_insert(0) += 1;
+    }
+    let first_ns = records.first().map_or(0, |r| r.ts_ns);
+    let span_ns = records
+        .last()
+        .map_or(0, |r| r.ts_ns)
+        .saturating_sub(first_ns);
+    println!("\n== Trace section: {} ==", profile.name);
+    println!(
+        "events: {} over {:.1}s simulated",
+        records.len(),
+        span_ns as f64 / 1e9
+    );
+    println!(
+        "placement: {} promotions, {} demotions, churn {:.1}% of {} candidates",
+        ping_pong.promotions,
+        ping_pong.demotions,
+        fraction(
+            ping_pong.candidates_recently_demoted,
+            ping_pong.promote_candidates
+        ) * 100.0,
+        ping_pong.promote_candidates
+    );
+    println!("events by kind:");
+    for (name, count) in &by_kind {
+        println!("  {name:<28} {count}");
+    }
+    if !decision_rows.is_empty() {
+        println!("policy decisions:");
+        for row in &decision_rows {
+            println!("  {}/{}: {}", row[0], row[1], row[2]);
+        }
+    }
+    println!();
 
     if let Some(dir) = metrics_dir {
         std::fs::create_dir_all(dir)?;
         system.metrics().write_exports(dir, "capture_cache1_tpp")?;
         std::fs::write(
             dir.join("capture_cache1_tpp_vmstat.csv"),
-            vmstat_csv(&vmstat),
+            vmstat_csv(vmstat),
         )?;
         let mut pp = ping_pong.to_json();
         pp.push('\n');
@@ -146,8 +177,6 @@ pub fn capture_run(
 
     Ok(CaptureOutcome {
         records,
-        vmstat,
         parity_mismatches,
-        ping_pong,
     })
 }

@@ -42,5 +42,5 @@ mod worker;
 
 pub use collector::{Collector, CollectorConfig, PageSamples};
 pub use profiler::{Chameleon, ChameleonConfig};
-pub use report::{reaccess_cdf, Heatmap, Temperature, TextReport, TraceSection, UsageSeries};
+pub use report::{reaccess_cdf, Heatmap, Temperature, TextReport, UsageSeries};
 pub use worker::{PageHistory, Worker};

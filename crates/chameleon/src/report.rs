@@ -1,11 +1,6 @@
 //! Characterization reports: the data series behind the paper's Figures
-//! 7–11, computed from Worker histories — plus [`TraceSection`], the
-//! report section built from a structured kernel-event trace.
+//! 7–11, computed from Worker histories.
 
-use std::collections::BTreeMap;
-
-use tiered_mem::telemetry::TraceRecord;
-use tiered_mem::TraceEvent;
 use tiered_sim::TimeSeries;
 
 use crate::worker::Worker;
@@ -210,104 +205,6 @@ impl std::fmt::Display for TextReport {
     }
 }
 
-/// A report section summarizing a structured event trace: what the
-/// kernel-side telemetry saw while Chameleon profiled the application.
-///
-/// Complements the access-side characterization with placement activity:
-/// how many events of each kind fired, what the policies decided and why,
-/// and how much promotion traffic was churn (pages promoted that had
-/// already been demoted — the paper's §5.5 ping-pong diagnosis).
-#[derive(Clone, Debug)]
-pub struct TraceSection {
-    name: String,
-    events: u64,
-    span_ns: u64,
-    counts: BTreeMap<&'static str, u64>,
-    decisions: BTreeMap<(&'static str, &'static str), u64>,
-    promotions: u64,
-    demotions: u64,
-    repromoted_candidates: u64,
-    promote_candidates: u64,
-}
-
-impl TraceSection {
-    /// Builds the section from a run's trace records.
-    pub fn from_records(name: impl Into<String>, records: &[TraceRecord]) -> TraceSection {
-        let mut section = TraceSection {
-            name: name.into(),
-            events: records.len() as u64,
-            span_ns: 0,
-            counts: BTreeMap::new(),
-            decisions: BTreeMap::new(),
-            promotions: 0,
-            demotions: 0,
-            repromoted_candidates: 0,
-            promote_candidates: 0,
-        };
-        let first = records.first().map_or(0, |r| r.ts_ns);
-        let last = records.last().map_or(0, |r| r.ts_ns);
-        section.span_ns = last.saturating_sub(first);
-        for r in records {
-            *section.counts.entry(r.event.name()).or_insert(0) += 1;
-            match r.event {
-                TraceEvent::PromoteSuccess { .. } => section.promotions += 1,
-                TraceEvent::Demote { .. } => section.demotions += 1,
-                TraceEvent::PromoteCandidate { demoted, .. } => {
-                    section.promote_candidates += 1;
-                    if demoted {
-                        section.repromoted_candidates += 1;
-                    }
-                }
-                TraceEvent::Decision { policy, reason, .. } => {
-                    *section.decisions.entry((policy, reason)).or_insert(0) += 1;
-                }
-                _ => {}
-            }
-        }
-        section
-    }
-
-    /// Fraction of promotion candidates that had previously been demoted.
-    pub(crate) fn churn_fraction(&self) -> f64 {
-        if self.promote_candidates == 0 {
-            0.0
-        } else {
-            self.repromoted_candidates as f64 / self.promote_candidates as f64
-        }
-    }
-}
-
-impl std::fmt::Display for TraceSection {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "== Trace section: {} ==", self.name)?;
-        writeln!(
-            f,
-            "events: {} over {:.1}s simulated",
-            self.events,
-            self.span_ns as f64 / 1e9
-        )?;
-        writeln!(
-            f,
-            "placement: {} promotions, {} demotions, churn {:.1}% of {} candidates",
-            self.promotions,
-            self.demotions,
-            self.churn_fraction() * 100.0,
-            self.promote_candidates
-        )?;
-        writeln!(f, "events by kind:")?;
-        for (name, count) in &self.counts {
-            writeln!(f, "  {name:<28} {count}")?;
-        }
-        if !self.decisions.is_empty() {
-            writeln!(f, "policy decisions:")?;
-            for ((policy, reason), count) in &self.decisions {
-                writeln!(f, "  {policy}/{reason}: {count}")?;
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Cumulative re-access distribution (Figure 11): `cdf[g-1]` = fraction of
 /// observed re-accesses whose cold gap was ≤ `g` intervals.
 pub fn reaccess_cdf(histogram: &[u64]) -> Vec<f64> {
@@ -394,47 +291,6 @@ mod tests {
     #[test]
     fn cdf_of_empty_histogram_is_zero() {
         assert_eq!(reaccess_cdf(&[0, 0]), vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn trace_section_summarizes_records() {
-        use tiered_mem::{NodeId, TraceEvent};
-        let page = PageKey::new(Pid(1), Vpn(3));
-        let records = vec![
-            TraceRecord {
-                ts_ns: 1_000_000_000,
-                event: TraceEvent::Demote {
-                    page,
-                    from: NodeId(0),
-                    to: NodeId(1),
-                    page_type: PageType::Anon,
-                },
-            },
-            TraceRecord {
-                ts_ns: 2_000_000_000,
-                event: TraceEvent::PromoteCandidate {
-                    page,
-                    demoted: true,
-                },
-            },
-            TraceRecord {
-                ts_ns: 3_000_000_000,
-                event: TraceEvent::Decision {
-                    policy: "tpp",
-                    reason: "example",
-                    page: None,
-                },
-            },
-        ];
-        let section = TraceSection::from_records("cache1", &records);
-        assert_eq!(section.events, 3);
-        assert_eq!(section.counts.get("demote"), Some(&1));
-        assert_eq!(section.counts.get("missing"), None);
-        assert!((section.churn_fraction() - 1.0).abs() < 1e-12);
-        let text = section.to_string();
-        assert!(text.contains("Trace section: cache1"));
-        assert!(text.contains("tpp/example: 1"));
-        assert!(text.contains("events: 3 over 2.0s"));
     }
 
     #[test]

@@ -19,8 +19,6 @@ pub struct PageHistory {
     pub bitmap: u64,
     /// The page's type as of the latest sample.
     pub page_type: PageType,
-    /// Interval index when the page was first observed.
-    pub first_interval: u32,
     /// Lifetime sampled loads.
     pub loads: u64,
     /// Lifetime sampled stores.
@@ -133,7 +131,6 @@ impl Worker {
             let entry = self.pages.entry(key).or_insert(PageHistory {
                 bitmap: 0,
                 page_type: s.page_type.unwrap_or(PageType::Anon),
-                first_interval: self.intervals,
                 loads: 0,
                 stores: 0,
             });

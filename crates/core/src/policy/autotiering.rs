@@ -18,9 +18,9 @@ use tiered_mem::{Memory, NodeId, PageFlags, PageType, Pfn, Pid, TraceEvent, Vpn}
 use tiered_sim::{Periodic, SEC};
 
 use super::engine::{
-    demote, demotion_target, hinted_cxl_page, promote, reclaim_pass, split, Daemons, Victim,
+    demote, demotion_target, fault, hinted_cxl_page, promote, reclaim_pass, split, swap_reclaim,
+    Daemons, Victim,
 };
-use super::linux_default::fault_with_fallback;
 use super::reclaim::DaemonBudget;
 use super::sampler::SampleScope;
 use super::{preferred_local_node, FaultOutcome, PlacementPolicy, PolicyCtx, UnsupportedConfig};
@@ -143,8 +143,16 @@ impl PlacementPolicy for AutoTiering {
         page_type: PageType,
     ) -> FaultOutcome {
         self.ensure_buffer(ctx.memory);
-        let prefer = ctx.memory.home_node(pid);
-        fault_with_fallback(ctx, pid, vpn, page_type, prefer, "autotiering")
+        let swap_in_ns = ctx.latency.swap_in_total_ns();
+        fault(
+            ctx,
+            pid,
+            vpn,
+            page_type,
+            "autotiering",
+            swap_in_ns,
+            swap_reclaim,
+        )
     }
 
     fn on_hint_fault(&mut self, ctx: &mut PolicyCtx<'_>, pfn: Pfn) -> u64 {

@@ -1,14 +1,22 @@
-//! The migration engine and the daemon schedule every policy shares.
+//! The page-fault path, the migration engine and the daemon schedule
+//! every policy shares.
 //!
-//! Promotion, demotion and reclaim are the same page-moving mechanics in
+//! Faulting, promotion, demotion and reclaim are the same mechanics in
 //! every policy; the policies differ only in *when* they admit a page.
-//! This module is the one place that moves pages and schedules daemons:
+//! This module is the one place that places, moves and evicts pages and
+//! schedules daemons:
 //!
+//! * [`fault`]: the fallback-order fault path (fault-time THP, watermark
+//!   spill, direct reclaim on a stall), with the swap-in cost and the
+//!   direct-reclaim step as arguments; [`swap_reclaim`] is the step of
+//!   the swap-backed policies;
 //! * [`hinted_cxl_page`] and [`promote`]: the hint-fault prologue and
 //!   compound-aware, event-recording, hop-priced promotion;
 //! * [`demotion_target`] and [`demote`]: the nearest lower tier with
 //!   headroom, and migration-based demotion with split and eviction
 //!   fallbacks;
+//! * [`evict_page`]: eviction the default-kernel way (swap out, write
+//!   back, drop);
 //! * [`reclaim_pass`] and [`direct_reclaim`]: the budgeted daemon reclaim
 //!   loop and the escalating-scan reclaim on the fault path, each driving
 //!   a caller-supplied per-victim step;
@@ -16,17 +24,219 @@
 //!   sampler, run in that order at the end of every tick.
 
 use tiered_mem::telemetry::PromoteFailReason;
-use tiered_mem::{Memory, MigrateError, NodeId, NodeList, PageFlags, PageKey, Pfn, TraceEvent};
-use tiered_sim::{Periodic, MS};
+use tiered_mem::{
+    Memory, MigrateError, NodeId, NodeList, PageFlags, PageKey, PageLocation, PageType, Pfn, Pid,
+    ThpMode, TraceEvent, Vpn, HUGE_PAGE_FRAMES,
+};
+use tiered_sim::{LatencyModel, Periodic, MS, SEC};
 
-use super::huge::{run_huge_daemons, HugeConfig, HugeState, COMPOUND_MIGRATE_FACTOR};
-use super::linux_default::{evict_page, kswapd_pass};
+use super::huge::{run_huge_daemons, HugeState, COMPOUND_MIGRATE_FACTOR};
 use super::reclaim::{select_victims_into, DaemonBudget, ReclaimScratch};
-use super::sampler::{HintSampler, SampleScope, SamplerConfig};
-use super::PolicyCtx;
+use super::sampler::{HintSampler, SampleScope, PAGES_PER_SCAN};
+use super::{FaultOutcome, PolicyCtx};
 
 /// The daemon wakeup period every policy ticks at (50 ms).
 pub(crate) const TICK_PERIOD_NS: u64 = 50 * MS;
+
+/// How often the hint sampler scans (once per simulated second).
+const SAMPLE_PERIOD_NS: u64 = SEC;
+
+/// Cost charged to a faulting task for materialising a page of
+/// `page_type` from the swap device or filesystem (`was_swapped` selects
+/// the swap-in path).
+///
+/// File pages are read from the filesystem on (re-)fault — a device read,
+/// not a zero-fill — which is why dropping page cache that will be
+/// re-accessed is expensive, and why TPP's keep-it-in-memory demotion
+/// wins (§5.1).
+pub(crate) fn materialise_cost_ns(
+    latency: &LatencyModel,
+    page_type: PageType,
+    was_swapped: bool,
+) -> u64 {
+    if was_swapped {
+        latency.swap_in_total_ns()
+    } else {
+        match page_type {
+            PageType::File => latency.major_fault_ns + latency.swap_in_page_ns,
+            PageType::Anon | PageType::Tmpfs => latency.minor_fault_ns,
+        }
+    }
+}
+
+/// The page-fault path: try each node in fallback order from the task's
+/// home node, above its `min` watermark; when every node is below `min`,
+/// run `reclaim` on the home node, charged to the task, and retry. A
+/// swapped-out page costs `swap_in_ns` to bring back. `policy`
+/// attributes the spill/stall decision events emitted along the way.
+///
+/// # Panics
+///
+/// Simulated OOM: no node can host the page even after direct reclaim.
+pub(crate) fn fault(
+    ctx: &mut PolicyCtx<'_>,
+    pid: Pid,
+    vpn: Vpn,
+    page_type: PageType,
+    policy: &'static str,
+    swap_in_ns: u64,
+    reclaim: impl FnOnce(&mut PolicyCtx<'_>, NodeId) -> u64,
+) -> FaultOutcome {
+    let prefer = ctx.memory.home_node(pid);
+    let was_swapped = matches!(
+        ctx.memory.space(pid).translate(vpn),
+        Some(PageLocation::Swapped(_))
+    );
+    let base_cost = if was_swapped {
+        swap_in_ns
+    } else {
+        materialise_cost_ns(ctx.latency, page_type, false)
+    };
+    let order = ctx.memory.fallback_order(prefer);
+    // THP at fault time (`ThpMode::Always`): an anon first-touch fault
+    // whose aligned 512-page window is entirely unmapped gets a compound
+    // page on the first node in fallback order that has watermark room
+    // for the whole block. Fragmentation (no aligned free block) or
+    // pressure falls through to the base-page path below.
+    if ctx.memory.thp_mode() == ThpMode::Always && page_type.is_anon() && !was_swapped {
+        let base = Vpn(vpn.0 & !(HUGE_PAGE_FRAMES - 1));
+        if window_unmapped(ctx.memory, pid, base) {
+            for node in &order {
+                let free = ctx.memory.free_pages(*node);
+                let wm = ctx.memory.node(*node).watermarks().base;
+                if !wm.allows_allocation(free.saturating_sub(HUGE_PAGE_FRAMES - 1)) {
+                    continue;
+                }
+                if let Ok(head) = ctx.memory.alloc_huge_and_map(*node, pid, base, page_type) {
+                    ctx.memory.record(TraceEvent::Fault {
+                        page: PageKey::new(pid, vpn),
+                        major: false,
+                    });
+                    if *node != prefer {
+                        ctx.memory.record(TraceEvent::Decision {
+                            policy,
+                            reason: "alloc_spill_below_watermark",
+                            page: Some(PageKey::new(pid, vpn)),
+                        });
+                    }
+                    return FaultOutcome {
+                        pfn: Pfn(head.0 + (vpn.0 - base.0) as u32),
+                        cost_ns: base_cost,
+                    };
+                }
+            }
+        }
+    }
+    for node in &order {
+        let wm = ctx.memory.node(*node).watermarks().base;
+        if !wm.allows_allocation(ctx.memory.free_pages(*node)) {
+            continue;
+        }
+        if let Some(pfn) = try_place(ctx.memory, *node, pid, vpn, page_type, was_swapped) {
+            if *node != prefer {
+                // Allocation spilled past the preferred node's watermark —
+                // the §4.1 failure mode TPP's headroom exists to avoid.
+                ctx.memory.record(TraceEvent::Decision {
+                    policy,
+                    reason: "alloc_spill_below_watermark",
+                    page: Some(PageKey::new(pid, vpn)),
+                });
+            }
+            return FaultOutcome {
+                pfn,
+                cost_ns: base_cost,
+            };
+        }
+    }
+    // Every node is under its min watermark: direct reclaim on the
+    // preferred node, charged to the task.
+    ctx.memory.record(TraceEvent::AllocStall { node: prefer });
+    ctx.memory.record(TraceEvent::Decision {
+        policy,
+        reason: "alloc_stall_direct_reclaim",
+        page: Some(PageKey::new(pid, vpn)),
+    });
+    let reclaim_cost = reclaim(ctx, prefer);
+    for node in &order {
+        if let Some(pfn) = try_place(ctx.memory, *node, pid, vpn, page_type, was_swapped) {
+            return FaultOutcome {
+                pfn,
+                cost_ns: base_cost + reclaim_cost,
+            };
+        }
+    }
+    panic!("simulated OOM: no node can host {pid}:{vpn} even after direct reclaim");
+}
+
+/// Whether the whole aligned 512-page window at `base` is unmapped (a
+/// swap entry counts as mapped — swapped pages must come back as base
+/// pages so their contents survive).
+fn window_unmapped(memory: &Memory, pid: Pid, base: Vpn) -> bool {
+    let space = memory.space(pid);
+    (0..HUGE_PAGE_FRAMES).all(|i| space.translate(Vpn(base.0 + i)).is_none())
+}
+
+/// Attempts the actual placement on `node` (swap-in or fresh mapping).
+pub(crate) fn try_place(
+    memory: &mut Memory,
+    node: NodeId,
+    pid: Pid,
+    vpn: Vpn,
+    page_type: PageType,
+    was_swapped: bool,
+) -> Option<Pfn> {
+    memory.record(TraceEvent::Fault {
+        page: PageKey::new(pid, vpn),
+        major: was_swapped,
+    });
+    let res = if was_swapped {
+        memory.swap_in(pid, vpn, node, page_type)
+    } else {
+        memory.alloc_and_map(node, pid, vpn, page_type)
+    };
+    res.ok()
+}
+
+/// The direct-reclaim step of the swap-backed policies: up to 32 pages
+/// evicted with [`evict_page`], from a 256-page scan.
+pub(crate) fn swap_reclaim(ctx: &mut PolicyCtx<'_>, node: NodeId) -> u64 {
+    let latency = ctx.latency;
+    direct_reclaim(ctx.memory, node, 32, 32 * 8, |memory, pfn| {
+        evict_page(memory, latency, pfn)
+    })
+}
+
+/// Evicts one page the default-kernel way. Returns the daemon time spent,
+/// or `None` if the page could not be evicted (swap full).
+///
+/// * anon and tmpfs pages are written to swap,
+/// * dirty file pages pay a writeback before being dropped,
+/// * clean file pages are dropped for free.
+pub(crate) fn evict_page(memory: &mut Memory, latency: &LatencyModel, pfn: Pfn) -> Option<u64> {
+    let frame = memory.frames().frame(pfn);
+    let page_type = frame.page_type();
+    let dirty = frame.flags().contains(PageFlags::DIRTY);
+    let node = frame.node();
+    let page = frame.owner().expect("eviction victim is allocated");
+    match page_type {
+        PageType::Anon | PageType::Tmpfs => match memory.swap_out(pfn) {
+            Ok(_) => {
+                memory.record(TraceEvent::ReclaimSteal { page, node });
+                Some(latency.swap_out_page_ns)
+            }
+            Err(_) => None,
+        },
+        PageType::File => {
+            memory.drop_file_page(pfn);
+            memory.record(TraceEvent::ReclaimSteal { page, node });
+            Some(if dirty {
+                latency.swap_out_page_ns
+            } else {
+                latency.scan_page_ns
+            })
+        }
+    }
+}
 
 /// The owner of the hinted page at `pfn` when it sits on a CPU-less node.
 /// A hint fault on a CPU-attached node is pure sampling overhead: it is
@@ -244,9 +454,9 @@ pub(crate) fn direct_reclaim(
 }
 
 /// One policy's daemon schedule: per-node kswapd with its wake/sleep
-/// hysteresis and [`DaemonBudget::kswapd`], the huge-page daemons with
-/// [`HugeConfig::default`] (inert under `ThpMode::Never`), and the hint
-/// sampler with [`SamplerConfig::scaled`] and its timer where the policy
+/// hysteresis and [`DaemonBudget::kswapd`], the huge-page daemons (inert
+/// under `ThpMode::Never`), and the hint sampler scanning
+/// [`PAGES_PER_SCAN`] pages once per simulated second where the policy
 /// samples.
 #[derive(Clone, Debug)]
 pub(crate) struct Daemons {
@@ -260,8 +470,10 @@ impl Daemons {
     /// scope, or not at all.
     pub(crate) fn new(sampler: Option<SampleScope>) -> Daemons {
         let sampler = sampler.map(|scope| {
-            let config = SamplerConfig::scaled(scope);
-            (HintSampler::new(config), Periodic::new(config.period_ns))
+            (
+                HintSampler::new(scope, PAGES_PER_SCAN),
+                Periodic::new(SAMPLE_PERIOD_NS),
+            )
         });
         Daemons {
             kswapd_active: Vec::new(),
@@ -270,17 +482,61 @@ impl Daemons {
         }
     }
 
-    /// One kswapd wakeup on `node`.
+    /// One kswapd wakeup on `node`, with wake/sleep hysteresis: kswapd
+    /// wakes when free pages drop below `low` and keeps processing one
+    /// scan batch per wakeup until free pages reach a boosted target
+    /// slightly *above* `high` — which is what lets NUMA balancing's
+    /// `free > high` promotion check occasionally pass on a busy node.
+    ///
+    /// Each wakeup processes a *single* batch (`SWAP_CLUSTER_MAX`-style),
+    /// bounded by both the scan and time budgets of
+    /// [`DaemonBudget::kswapd`] — the kernel's priority-based throttling,
+    /// and what allocation surges outrun (§4.1: "with high allocation
+    /// rate, reclamation may fail to cope up").
     pub(crate) fn kswapd(&mut self, ctx: &mut PolicyCtx<'_>, node: NodeId) {
         self.kswapd_active.resize(ctx.memory.node_count(), false);
         let active = &mut self.kswapd_active[node.index()];
-        kswapd_pass(
-            ctx.memory,
-            ctx.latency,
-            node,
-            DaemonBudget::kswapd(),
-            active,
-        );
+        let memory = &mut *ctx.memory;
+        let wm = memory.node(node).watermarks().base;
+        let free = memory.free_pages(node);
+        let boost_target = wm.high + (wm.high - wm.low).max(1);
+        if !*active {
+            if !wm.needs_reclaim(free) {
+                return;
+            }
+            *active = true;
+            memory.record(TraceEvent::WatermarkCross {
+                node,
+                level: "low",
+                free,
+                below: true,
+            });
+            memory.record(TraceEvent::DaemonWake {
+                daemon: "kswapd",
+                node: Some(node),
+            });
+        } else if free >= boost_target {
+            *active = false;
+            memory.record(TraceEvent::WatermarkCross {
+                node,
+                level: "high_boost",
+                free,
+                below: false,
+            });
+            return;
+        }
+        let budget = DaemonBudget::kswapd();
+        let mut time_left = budget.time_ns;
+        let want = (boost_target.saturating_sub(free)).min(32) as usize;
+        let mut scratch = ReclaimScratch::from_pool(memory);
+        select_victims_into(memory, node, want, budget.scan_pages as usize, &mut scratch);
+        for &pfn in &scratch.victims {
+            match evict_page(memory, ctx.latency, pfn) {
+                Some(cost) if cost <= time_left => time_left -= cost,
+                Some(_) | None => break,
+            }
+        }
+        scratch.into_pool(memory);
     }
 
     /// The shared end of every tick: kswapd on `nodes`, then the huge-page
@@ -289,7 +545,7 @@ impl Daemons {
         for node in nodes {
             self.kswapd(ctx, node);
         }
-        run_huge_daemons(ctx, &HugeConfig::default(), &mut self.huge_state);
+        run_huge_daemons(ctx, &mut self.huge_state);
         if let Some((sampler, timer)) = &mut self.sampler {
             if timer.fire(ctx.now_ns) > 0 {
                 sampler.scan(ctx.memory);
@@ -306,8 +562,7 @@ pub(crate) fn all_nodes(memory: &Memory) -> NodeList {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tiered_mem::{NodeKind, PageType, Pid, ThpMode, VmEvent, Vpn};
-    use tiered_sim::LatencyModel;
+    use tiered_mem::{NodeKind, VmEvent};
 
     fn machine(local: u64, cxl: u64, mode: ThpMode) -> Memory {
         let mut m = Memory::builder()
@@ -456,5 +711,47 @@ mod tests {
             }
         };
         assert_eq!(steps_until_exit(progress_then_fail), 20);
+    }
+
+    /// A 64/256-page machine with 1,024 swap slots and one process.
+    fn swap_machine() -> (Memory, LatencyModel) {
+        let mut m = Memory::builder()
+            .node(NodeKind::LocalDram, 64)
+            .node(NodeKind::Cxl, 256)
+            .swap_pages(1024)
+            .build();
+        m.create_process(Pid(2));
+        (m, LatencyModel::datacenter())
+    }
+
+    #[test]
+    fn clean_file_pages_drop_dirty_ones_pay_writeback() {
+        let (mut m, lat) = swap_machine();
+        let clean = m
+            .alloc_and_map(NodeId(0), Pid(2), Vpn(1), PageType::File)
+            .unwrap();
+        let dirty = m
+            .alloc_and_map(NodeId(0), Pid(2), Vpn(2), PageType::File)
+            .unwrap();
+        m.frames_mut()
+            .frame_mut(dirty)
+            .flags_mut()
+            .insert(PageFlags::DIRTY);
+        let c1 = evict_page(&mut m, &lat, clean).unwrap();
+        let c2 = evict_page(&mut m, &lat, dirty).unwrap();
+        assert!(c2 > c1 * 100);
+        assert_eq!(m.vmstat().get(VmEvent::PgDropFile), 2);
+        assert_eq!(m.swap().used_slots(), 0);
+    }
+
+    #[test]
+    fn tmpfs_pages_must_swap_not_drop() {
+        let (mut m, lat) = swap_machine();
+        let pfn = m
+            .alloc_and_map(NodeId(0), Pid(2), Vpn(1), PageType::Tmpfs)
+            .unwrap();
+        evict_page(&mut m, &lat, pfn).unwrap();
+        assert_eq!(m.swap().used_slots(), 1);
+        assert_eq!(m.vmstat().get(VmEvent::PswpOut), 1);
     }
 }

@@ -10,7 +10,7 @@
 //! khugepaged still collapses eligible windows in the background — the
 //! kernel's behaviour for madvised regions, applied here to every anon
 //! mapping. [`ThpMode::Always`] adds fault-time allocation on top (see
-//! `fault_with_fallback`).
+//! the shared fault path, `engine::fault`).
 
 use tiered_mem::{
     Memory, NodeId, PageFlags, Pfn, PidTable, ThpMode, TraceEvent, Vpn, HUGE_PAGE_FRAMES,
@@ -30,40 +30,26 @@ use super::PolicyCtx;
 /// The same factor prices khugepaged's 512-page collapse copy.
 pub const COMPOUND_MIGRATE_FACTOR: u64 = 8;
 
-/// Configuration of the huge-page daemons.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HugeConfig {
-    /// khugepaged's per-wakeup budget: `scan_pages` counts base pages
-    /// examined (one 512-page window per eligibility check), `time_ns`
-    /// pays for scan work and collapse copies.
-    pub khugepaged: DaemonBudget,
-    /// kcompactd's per-node per-wakeup budget: `scan_pages` bounds the
-    /// migration scanner, `time_ns` pays for page relocations.
-    pub kcompactd: DaemonBudget,
-    /// Fragmentation gate in milli-units (0..=1000): compaction only runs
-    /// when the node's unusable-free-space index for order
-    /// [`MAX_PAGE_ORDER`] exceeds this (kernel
-    /// `sysctl_extfrag_threshold`).
-    pub frag_threshold_milli: u32,
-}
+/// khugepaged's per-wakeup budget: `scan_pages` counts base pages
+/// examined (one 512-page window per eligibility check), `time_ns` pays
+/// for scan work and collapse copies. Four windows' worth of eligibility
+/// checks per wakeup — khugepaged is deliberately slow in the kernel too.
+pub const KHUGEPAGED_BUDGET: DaemonBudget = DaemonBudget {
+    scan_pages: 4 * HUGE_PAGE_FRAMES as u32,
+    time_ns: 5_000_000,
+};
 
-impl Default for HugeConfig {
-    fn default() -> HugeConfig {
-        HugeConfig {
-            // Four windows' worth of eligibility checks per wakeup —
-            // khugepaged is deliberately slow in the kernel too.
-            khugepaged: DaemonBudget {
-                scan_pages: 4 * HUGE_PAGE_FRAMES as u32,
-                time_ns: 5_000_000,
-            },
-            kcompactd: DaemonBudget {
-                scan_pages: 4096,
-                time_ns: 5_000_000,
-            },
-            frag_threshold_milli: 500,
-        }
-    }
-}
+/// kcompactd's per-node per-wakeup budget: `scan_pages` bounds the
+/// migration scanner, `time_ns` pays for page relocations.
+pub const KCOMPACTD_BUDGET: DaemonBudget = DaemonBudget {
+    scan_pages: 4096,
+    time_ns: 5_000_000,
+};
+
+/// Fragmentation gate in milli-units (0..=1000): compaction only runs
+/// when the node's unusable-free-space index for order
+/// [`MAX_PAGE_ORDER`] exceeds this (kernel `sysctl_extfrag_threshold`).
+const FRAG_THRESHOLD_MILLI: u32 = 500;
 
 /// Cursor and scratch state of the huge-page daemons, owned by each
 /// policy instance.
@@ -81,21 +67,20 @@ pub struct HugeState {
 }
 
 /// Runs one wakeup of both huge-page daemons: khugepaged over every
-/// process, then kcompactd over every node. No-op under
-/// [`ThpMode::Never`].
-pub fn run_huge_daemons(ctx: &mut PolicyCtx<'_>, config: &HugeConfig, state: &mut HugeState) {
+/// process with [`KHUGEPAGED_BUDGET`], then kcompactd over every node
+/// with [`KCOMPACTD_BUDGET`]. No-op under [`ThpMode::Never`].
+pub(crate) fn run_huge_daemons(ctx: &mut PolicyCtx<'_>, state: &mut HugeState) {
     if ctx.memory.thp_mode() == ThpMode::Never {
         return;
     }
-    khugepaged_pass(state, ctx.memory, ctx.latency, config.khugepaged);
+    khugepaged_pass(state, ctx.memory, ctx.latency, KHUGEPAGED_BUDGET);
     for i in 0..ctx.memory.node_count() {
         kcompactd_pass(
             state,
             ctx.memory,
             ctx.latency,
             NodeId(i as u8),
-            config.kcompactd,
-            config.frag_threshold_milli,
+            KCOMPACTD_BUDGET,
         );
     }
 }
@@ -161,9 +146,9 @@ pub fn khugepaged_pass(
 ///
 /// The daemon only wakes when the node can no longer serve an
 /// order-[`MAX_PAGE_ORDER`] allocation *and* its unusable-free-space
-/// index exceeds `frag_threshold_milli` — i.e. there is enough free
-/// memory, it is just scattered. It then runs the two classic scanners
-/// toward each other:
+/// index exceeds one half (`FRAG_THRESHOLD_MILLI`) — i.e. there is
+/// enough free memory, it is just scattered. It then runs the two
+/// classic scanners toward each other:
 ///
 /// * the **migration scanner** walks node-relative PFNs upward from a
 ///   persistent cursor looking for movable base pages (LRU-linked, not
@@ -182,7 +167,6 @@ pub fn kcompactd_pass(
     latency: &LatencyModel,
     node: NodeId,
     budget: DaemonBudget,
-    frag_threshold_milli: u32,
 ) -> u64 {
     if memory.thp_mode() == ThpMode::Never {
         return 0;
@@ -190,7 +174,7 @@ pub fn kcompactd_pass(
     let frag = memory.frames().unusable_free_index(node, MAX_PAGE_ORDER);
     let triggered = memory.frames().free_blocks(node, MAX_PAGE_ORDER) == 0
         && memory.free_pages(node) >= HUGE_PAGE_FRAMES
-        && frag * 1000.0 > frag_threshold_milli as f64;
+        && frag * 1000.0 > FRAG_THRESHOLD_MILLI as f64;
     if !triggered {
         return 0;
     }
@@ -442,7 +426,6 @@ mod tests {
                 scan_pages: 4096,
                 time_ns: 100_000_000,
             },
-            500,
         );
         assert!(moved > 0, "compaction relocated nothing");
         assert!(
@@ -465,14 +448,7 @@ mod tests {
         let lat = LatencyModel::datacenter();
         // Max-order blocks still exist: no wakeup, no events.
         assert_eq!(
-            kcompactd_pass(
-                &mut state,
-                &mut m,
-                &lat,
-                NodeId(0),
-                DaemonBudget::demoter(),
-                500
-            ),
+            kcompactd_pass(&mut state, &mut m, &lat, NodeId(0), DaemonBudget::demoter()),
             0
         );
         assert_eq!(m.vmstat().get(VmEvent::CompactSuccess), 0);
@@ -502,7 +478,6 @@ mod tests {
                 scan_pages: 16,
                 time_ns: 100_000_000,
             },
-            500,
         );
         assert_eq!(m.vmstat().get(VmEvent::CompactFail), 1);
         assert_eq!(m.frames().free_blocks(NodeId(0), MAX_PAGE_ORDER), 0);

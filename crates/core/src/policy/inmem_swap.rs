@@ -12,10 +12,9 @@
 //! through the fault path on every cold re-access, which hurts workloads
 //! that touch pages at varied frequencies.
 
-use tiered_mem::{Memory, NodeList, PageKey, PageLocation, PageType, Pfn, Pid, TraceEvent, Vpn};
+use tiered_mem::{Memory, NodeId, NodeList, PageType, Pfn, Pid, TraceEvent, Vpn};
 
-use super::engine::{all_nodes, direct_reclaim, reclaim_pass, Daemons, Victim};
-use super::linux_default::{materialise_cost_ns, try_place};
+use super::engine::{all_nodes, direct_reclaim, fault, reclaim_pass, Daemons, Victim};
 use super::reclaim::DaemonBudget;
 use super::{FaultOutcome, PlacementPolicy, PolicyCtx};
 
@@ -34,7 +33,7 @@ const POOL_BUDGET: DaemonBudget = DaemonBudget {
 #[derive(Clone, Debug)]
 pub struct InMemorySwap {
     /// No kswapd (the pool reclaimer replaces it); the huge-page daemons
-    /// run with default knobs.
+    /// run as under every policy.
     daemons: Daemons,
 }
 
@@ -65,6 +64,14 @@ fn swap_to_pool(memory: &mut Memory, pfn: Pfn) -> bool {
     swapped
 }
 
+/// Synchronous reclaim into the pool (fast): up to 32 pages from a
+/// 512-page scan.
+fn pool_reclaim(ctx: &mut PolicyCtx<'_>, node: NodeId) -> u64 {
+    direct_reclaim(ctx.memory, node, 32, 512, |memory, pfn| {
+        swap_to_pool(memory, pfn).then_some(SWAP_OUT_NS)
+    })
+}
+
 impl PlacementPolicy for InMemorySwap {
     fn name(&self) -> &str {
         "inmem_swap"
@@ -77,48 +84,18 @@ impl PlacementPolicy for InMemorySwap {
         vpn: Vpn,
         page_type: PageType,
     ) -> FaultOutcome {
-        let prefer = ctx.memory.home_node(pid);
-        let was_swapped = matches!(
-            ctx.memory.space(pid).translate(vpn),
-            Some(PageLocation::Swapped(_))
-        );
         // Swap-ins come back fast (in-memory pool), everything else costs
         // what it normally costs.
-        let base_cost = if was_swapped {
-            ctx.latency.hint_fault_ns + SWAP_IN_NS
-        } else {
-            materialise_cost_ns(ctx.latency, page_type, false)
-        };
-        for node in ctx.memory.fallback_order(prefer) {
-            let wm = ctx.memory.node(node).watermarks().base;
-            if !wm.allows_allocation(ctx.memory.free_pages(node)) {
-                continue;
-            }
-            if let Some(pfn) = try_place(ctx.memory, node, pid, vpn, page_type, was_swapped) {
-                return FaultOutcome {
-                    pfn,
-                    cost_ns: base_cost,
-                };
-            }
-        }
-        // Synchronous reclaim into the pool (fast), escalating the scan
-        // budget like direct reclaim does until at least one page frees.
-        ctx.memory.record(TraceEvent::AllocStall { node: prefer });
-        ctx.memory.record(TraceEvent::Decision {
-            policy: "inmem_swap",
-            reason: "alloc_stall_sync_pool_reclaim",
-            page: Some(PageKey::new(pid, vpn)),
-        });
-        let cost = base_cost
-            + direct_reclaim(ctx.memory, prefer, 32, 512, |memory, pfn| {
-                swap_to_pool(memory, pfn).then_some(SWAP_OUT_NS)
-            });
-        for node in ctx.memory.fallback_order(prefer) {
-            if let Some(pfn) = try_place(ctx.memory, node, pid, vpn, page_type, was_swapped) {
-                return FaultOutcome { pfn, cost_ns: cost };
-            }
-        }
-        panic!("simulated OOM under in-memory swap: {pid}:{vpn}");
+        let swap_in_ns = ctx.latency.hint_fault_ns + SWAP_IN_NS;
+        fault(
+            ctx,
+            pid,
+            vpn,
+            page_type,
+            "inmem_swap",
+            swap_in_ns,
+            pool_reclaim,
+        )
     }
 
     fn tick(&mut self, ctx: &mut PolicyCtx<'_>) {
@@ -146,8 +123,7 @@ impl PlacementPolicy for InMemorySwap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tiered_mem::VmEvent;
-    use tiered_mem::{Memory, NodeId, NodeKind};
+    use tiered_mem::{NodeKind, PageFlags, ThpMode, VmEvent};
     use tiered_sim::LatencyModel;
 
     fn setup() -> (Memory, LatencyModel, InMemorySwap) {
@@ -229,5 +205,52 @@ mod tests {
         }
         assert_eq!(m.vmstat().get(VmEvent::PgMigrateSuccess), 0);
         assert_eq!(m.vmstat().demoted_total(), 0);
+    }
+
+    #[test]
+    fn always_mode_anon_first_touch_allocates_a_compound_page() {
+        let mut m = Memory::builder()
+            .node(NodeKind::LocalDram, 2048)
+            .node(NodeKind::Cxl, 2048)
+            .swap_pages(1024)
+            .thp_mode(ThpMode::Always)
+            .build();
+        m.create_process(Pid(1));
+        let lat = LatencyModel::datacenter();
+        let mut ctx = PolicyCtx {
+            memory: &mut m,
+            latency: &lat,
+            now_ns: 0,
+        };
+        let out = InMemorySwap::new().handle_fault(&mut ctx, Pid(1), Vpn(700), PageType::Anon);
+        assert_eq!(m.vmstat().get(VmEvent::ThpFaultAlloc), 1);
+        let head = m.compound_head(out.pfn);
+        assert!(m.frames().frame(head).flags().contains(PageFlags::HEAD));
+        m.validate();
+    }
+
+    #[test]
+    fn a_fault_with_every_node_at_min_reclaims_into_the_pool() {
+        let (mut m, lat, mut p) = setup();
+        let mut vpn = 0;
+        for node in [NodeId(0), NodeId(1)] {
+            let min = m.node(node).watermarks().base.min;
+            while m.free_pages(node) > min {
+                m.alloc_and_map(node, Pid(1), Vpn(vpn), PageType::Anon)
+                    .unwrap();
+                vpn += 1;
+            }
+        }
+        let mut ctx = PolicyCtx {
+            memory: &mut m,
+            latency: &lat,
+            now_ns: 0,
+        };
+        let out = p.handle_fault(&mut ctx, Pid(1), Vpn(10_000), PageType::Anon);
+        assert_eq!(m.vmstat().get(VmEvent::PgAllocStall), 1);
+        assert!(m.vmstat().get(VmEvent::PswpOut) > 0);
+        assert!(m.swap().used_slots() > 0);
+        assert!(out.cost_ns >= lat.minor_fault_ns + SWAP_OUT_NS);
+        m.validate();
     }
 }

@@ -17,12 +17,14 @@
 //! * [`InMemorySwap`] — a zswap/zram-style extra baseline the paper's
 //!   related-work section argues against (§7).
 //!
-//! The policies share one layer of mechanics, the `engine` module:
-//! promotion, demotion-target selection, demotion, the budgeted reclaim
-//! loops and the daemon schedule (kswapd, huge-page daemons, hint
-//! sampler). A policy keeps only its admission gates — when a page may
-//! move — and its own daemon pass, which runs before the shared schedule
-//! on every tick.
+//! The policies share one layer of mechanics, the `engine` module: the
+//! page-fault path, promotion, demotion-target selection, demotion,
+//! eviction, the budgeted reclaim loops and the daemon schedule (kswapd,
+//! huge-page daemons, hint sampler). Every policy faults through
+//! `engine::fault`, passing only its swap-in cost and its direct-reclaim
+//! step. A policy keeps only its admission gates — when a page may move
+//! — and its own daemon pass, which runs before the shared schedule on
+//! every tick.
 
 mod autotiering;
 mod engine;
@@ -36,16 +38,14 @@ mod tpp_policy;
 
 pub use autotiering::AutoTiering;
 pub use huge::{
-    kcompactd_pass, khugepaged_pass, run_huge_daemons, HugeConfig, HugeState,
-    COMPOUND_MIGRATE_FACTOR,
+    kcompactd_pass, khugepaged_pass, HugeState, COMPOUND_MIGRATE_FACTOR, KCOMPACTD_BUDGET,
+    KHUGEPAGED_BUDGET,
 };
 pub use inmem_swap::InMemorySwap;
 pub use linux_default::LinuxDefault;
 pub use numa_balancing::NumaBalancing;
-pub use reclaim::{
-    age_active_list, select_victims, select_victims_into, DaemonBudget, ReclaimScratch,
-};
-pub use sampler::{HintSampler, SampleScope, SamplerConfig};
+pub use reclaim::DaemonBudget;
+pub use sampler::{HintSampler, SampleScope};
 pub use tpp_policy::{Tpp, TppConfig};
 
 use std::error::Error;

@@ -9,8 +9,7 @@
 use tiered_mem::telemetry::PromoteFailReason;
 use tiered_mem::{PageType, Pid, TraceEvent, Vpn};
 
-use super::engine::{all_nodes, hinted_cxl_page, promote, Daemons};
-use super::linux_default::fault_with_fallback;
+use super::engine::{all_nodes, fault, hinted_cxl_page, promote, swap_reclaim, Daemons};
 use super::sampler::SampleScope;
 use super::{FaultOutcome, PlacementPolicy, PolicyCtx};
 
@@ -48,8 +47,16 @@ impl PlacementPolicy for NumaBalancing {
         vpn: Vpn,
         page_type: PageType,
     ) -> FaultOutcome {
-        let prefer = ctx.memory.home_node(pid);
-        fault_with_fallback(ctx, pid, vpn, page_type, prefer, "numa_balancing")
+        let swap_in_ns = ctx.latency.swap_in_total_ns();
+        fault(
+            ctx,
+            pid,
+            vpn,
+            page_type,
+            "numa_balancing",
+            swap_in_ns,
+            swap_reclaim,
+        )
     }
 
     fn on_hint_fault(&mut self, ctx: &mut PolicyCtx<'_>, pfn: tiered_mem::Pfn) -> u64 {

@@ -45,9 +45,9 @@ impl DaemonBudget {
 /// Background daemons scan every tick; holding the victim and rotation
 /// lists across calls removes two heap allocations per tick per node.
 #[derive(Clone, Debug, Default)]
-pub struct ReclaimScratch {
+pub(crate) struct ReclaimScratch {
     /// Victims selected by the last scan, coldest first.
-    pub victims: Vec<Pfn>,
+    pub(crate) victims: Vec<Pfn>,
     kind_victims: Vec<Pfn>,
 }
 
@@ -68,23 +68,6 @@ impl ReclaimScratch {
 }
 
 /// Scans up to `scan_budget` pages from `node`'s inactive tails and
-/// returns up to `want` reclaim victims, coldest first (file pages
-/// before anon pages).
-///
-/// Allocating convenience wrapper around [`select_victims_into`]; per-tick
-/// callers should hold a [`ReclaimScratch`] and use the `_into` form.
-pub fn select_victims(
-    memory: &mut Memory,
-    node: NodeId,
-    want: usize,
-    scan_budget: usize,
-) -> Vec<Pfn> {
-    let mut scratch = ReclaimScratch::default();
-    select_victims_into(memory, node, want, scan_budget, &mut scratch);
-    scratch.victims
-}
-
-/// Scans up to `scan_budget` pages from `node`'s inactive tails and
 /// leaves up to `want` reclaim victims in `scratch.victims`, coldest
 /// first. The file inactive list is scanned before the anon one; every
 /// policy scans both (TPP's demotion keeps pages in memory, §5.1).
@@ -98,7 +81,7 @@ pub fn select_victims(
 /// Victims remain linked at the tail of their list; the caller evicts
 /// them via `migrate_page`, `swap_out`, or `drop_file_page` (each of
 /// which maintains LRU consistency itself).
-pub fn select_victims_into(
+pub(crate) fn select_victims_into(
     memory: &mut Memory,
     node: NodeId,
     want: usize,
@@ -168,7 +151,7 @@ pub fn select_victims_into(
 /// Moves pages from the active tail to the inactive head until the
 /// inactive list holds at least a third of the class, clearing
 /// `REFERENCED` along the way (`shrink_active_list` analogue).
-pub fn age_active_list(memory: &mut Memory, node: NodeId, inactive: LruKind, batch: usize) {
+fn age_active_list(memory: &mut Memory, node: NodeId, inactive: LruKind, batch: usize) {
     let active = inactive.counterpart();
     for _ in 0..batch {
         let Some(pfn) = take_tail(memory, node, active) else {
@@ -215,6 +198,13 @@ mod tests {
     use super::*;
     use tiered_mem::{NodeKind, PageType, Pid, Vpn};
 
+    /// The victims one [`select_victims_into`] call selects.
+    fn scan_victims(memory: &mut Memory, node: NodeId, want: usize, scan: usize) -> Vec<Pfn> {
+        let mut scratch = ReclaimScratch::default();
+        select_victims_into(memory, node, want, scan, &mut scratch);
+        scratch.victims
+    }
+
     fn setup(n_file: u64, n_anon: u64) -> (Memory, Vec<Pfn>, Vec<Pfn>) {
         let mut m = Memory::builder()
             .node(NodeKind::LocalDram, n_file + n_anon + 8)
@@ -244,7 +234,7 @@ mod tests {
     #[test]
     fn coldest_file_pages_selected_first() {
         let (mut m, files, _) = setup(8, 0);
-        let victims = select_victims(&mut m, NodeId(0), 3, 64);
+        let victims = scan_victims(&mut m, NodeId(0), 3, 64);
         // Files were pushed to the front in order, so the coldest (tail)
         // is the first allocated.
         assert_eq!(victims, files[..3].to_vec());
@@ -265,7 +255,7 @@ mod tests {
                 .flags_mut()
                 .insert(PageFlags::REFERENCED);
         }
-        let victims = select_victims(&mut m, NodeId(0), 2, 64);
+        let victims = scan_victims(&mut m, NodeId(0), 2, 64);
         assert_eq!(victims, vec![files[2], files[3]]);
         // Referenced bits were consumed.
         for &pfn in &files[..2] {
@@ -289,7 +279,7 @@ mod tests {
             .frame_mut(anons[0])
             .flags_mut()
             .insert(PageFlags::REFERENCED);
-        let victims = select_victims(&mut m, NodeId(0), 1, 64);
+        let victims = scan_victims(&mut m, NodeId(0), 1, 64);
         assert_eq!(victims, vec![anons[1]]);
         assert_eq!(
             m.frames().frame(anons[0]).lru_kind(),
@@ -305,7 +295,7 @@ mod tests {
             .frame_mut(files[0])
             .flags_mut()
             .insert(PageFlags::UNEVICTABLE);
-        let victims = select_victims(&mut m, NodeId(0), 3, 64);
+        let victims = scan_victims(&mut m, NodeId(0), 3, 64);
         assert_eq!(victims, vec![files[1], files[2]]);
         m.validate();
     }
@@ -322,7 +312,7 @@ mod tests {
                 .insert(PageFlags::REFERENCED);
         }
         let before = m.vmstat().get(VmEvent::PgScan);
-        let victims = select_victims(&mut m, NodeId(0), 8, 4);
+        let victims = scan_victims(&mut m, NodeId(0), 8, 4);
         assert!(victims.is_empty());
         assert_eq!(m.vmstat().get(VmEvent::PgScan) - before, 4);
         m.validate();
@@ -331,7 +321,7 @@ mod tests {
     #[test]
     fn file_victims_preferred_over_anon() {
         let (mut m, files, anons) = setup(2, 4);
-        let victims = select_victims(&mut m, NodeId(0), 3, 64);
+        let victims = scan_victims(&mut m, NodeId(0), 3, 64);
         assert_eq!(victims.len(), 3);
         assert_eq!(&victims[..2], &files[..2]);
         assert_eq!(victims[2], anons[0]);
@@ -348,9 +338,9 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(m.node(NodeId(0)).lru.len(LruKind::AnonInactive), 0);
-        // select_victims internally rebalances, so victims appear even
+        // select_victims_into internally rebalances, so victims appear even
         // though everything started active.
-        let victims = select_victims(&mut m, NodeId(0), 2, 64);
+        let victims = scan_victims(&mut m, NodeId(0), 2, 64);
         assert_eq!(victims.len(), 2);
         assert!(m.node(NodeId(0)).lru.len(LruKind::AnonInactive) > 0);
         m.validate();

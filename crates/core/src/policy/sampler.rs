@@ -23,28 +23,9 @@ pub enum SampleScope {
     CxlOnly,
 }
 
-/// Scanner configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct SamplerConfig {
-    /// Pages marked per scan period (the kernel's 256 MB default window,
-    /// scaled to simulation size).
-    pub pages_per_scan: u32,
-    /// Scan period in nanoseconds.
-    pub period_ns: u64,
-    /// Node scope.
-    pub scope: SampleScope,
-}
-
-impl SamplerConfig {
-    /// A scanner suitable for the simulation scale: 4096 pages per second.
-    pub(crate) fn scaled(scope: SampleScope) -> SamplerConfig {
-        SamplerConfig {
-            pages_per_scan: 4096,
-            period_ns: tiered_sim::SEC,
-            scope,
-        }
-    }
-}
+/// Pages the policies' scanner marks per scan period: the kernel's
+/// 256 MB default window, scaled to simulation size.
+pub(crate) const PAGES_PER_SCAN: u32 = 4096;
 
 /// The hint-PTE scanner. Keeps one cursor per process so successive scans
 /// cover successive windows of the address space, like
@@ -52,17 +33,20 @@ impl SamplerConfig {
 /// the process's VPNs in ascending order, not an address.
 #[derive(Clone, Debug)]
 pub struct HintSampler {
-    config: SamplerConfig,
+    scope: SampleScope,
+    pages_per_scan: u32,
     cursors: PidTable<u64>,
     /// Reused per-scan buffer for the VPNs one scan visits in a process.
     visit: Vec<tiered_mem::Vpn>,
 }
 
 impl HintSampler {
-    /// Creates a scanner.
-    pub fn new(config: SamplerConfig) -> HintSampler {
+    /// Creates a scanner that marks up to `pages_per_scan` pages in
+    /// `scope` per scan.
+    pub fn new(scope: SampleScope, pages_per_scan: u32) -> HintSampler {
         HintSampler {
-            config,
+            scope,
+            pages_per_scan,
             cursors: PidTable::new(),
             visit: Vec::new(),
         }
@@ -73,7 +57,7 @@ impl HintSampler {
     /// Returns the number of PTEs updated.
     pub fn scan(&mut self, memory: &mut Memory) -> u32 {
         let mut marked = 0u32;
-        let budget = self.config.pages_per_scan;
+        let budget = self.pages_per_scan;
         let pids = memory.pids();
         if pids.is_empty() {
             return 0;
@@ -104,7 +88,7 @@ impl HintSampler {
                 let Some(PageLocation::Mapped(pfn)) = memory.space(pid).translate(vpn) else {
                     continue;
                 };
-                let in_scope = match self.config.scope {
+                let in_scope = match self.scope {
                     SampleScope::AllNodes => true,
                     SampleScope::CxlOnly => {
                         memory.node(memory.frames().frame(pfn).node()).is_cpu_less()
@@ -164,11 +148,7 @@ mod tests {
     #[test]
     fn cxl_only_scope_never_marks_local_pages() {
         let mut m = machine();
-        let mut s = HintSampler::new(SamplerConfig {
-            pages_per_scan: 1000,
-            period_ns: 1,
-            scope: SampleScope::CxlOnly,
-        });
+        let mut s = HintSampler::new(SampleScope::CxlOnly, 1000);
         let marked = s.scan(&mut m);
         assert_eq!(marked, 16);
         assert_eq!(hinted_on(&m, NodeId(0)), 0);
@@ -178,11 +158,7 @@ mod tests {
     #[test]
     fn all_nodes_scope_marks_everything() {
         let mut m = machine();
-        let mut s = HintSampler::new(SamplerConfig {
-            pages_per_scan: 1000,
-            period_ns: 1,
-            scope: SampleScope::AllNodes,
-        });
+        let mut s = HintSampler::new(SampleScope::AllNodes, 1000);
         assert_eq!(s.scan(&mut m), 32);
         assert_eq!(hinted_on(&m, NodeId(0)), 16);
         assert_eq!(m.vmstat().get(tiered_mem::VmEvent::NumaPteUpdates), 32);
@@ -191,11 +167,7 @@ mod tests {
     #[test]
     fn budget_limits_marks_and_cursor_resumes() {
         let mut m = machine();
-        let mut s = HintSampler::new(SamplerConfig {
-            pages_per_scan: 8,
-            period_ns: 1,
-            scope: SampleScope::AllNodes,
-        });
+        let mut s = HintSampler::new(SampleScope::AllNodes, 8);
         assert_eq!(s.scan(&mut m), 8);
         // Second scan continues where the first stopped — no page is
         // double-marked while others are unvisited.
@@ -207,11 +179,7 @@ mod tests {
     #[test]
     fn already_hinted_pages_are_not_recounted() {
         let mut m = machine();
-        let mut s = HintSampler::new(SamplerConfig {
-            pages_per_scan: 1000,
-            period_ns: 1,
-            scope: SampleScope::AllNodes,
-        });
+        let mut s = HintSampler::new(SampleScope::AllNodes, 1000);
         assert_eq!(s.scan(&mut m), 32);
         assert_eq!(s.scan(&mut m), 0);
     }
@@ -242,11 +210,7 @@ mod tests {
                 .unwrap();
         }
         vpns.sort_unstable();
-        let mut s = HintSampler::new(SamplerConfig {
-            pages_per_scan: 20,
-            period_ns: 1,
-            scope: SampleScope::AllNodes,
-        });
+        let mut s = HintSampler::new(SampleScope::AllNodes, 20);
         s.scan(&mut m);
         assert_eq!(take_hinted(&mut m, &vpns), vpns[..20]);
         s.scan(&mut m);
@@ -269,7 +233,7 @@ mod tests {
     #[test]
     fn empty_machine_scans_nothing() {
         let mut m = Memory::builder().node(NodeKind::LocalDram, 8).build();
-        let mut s = HintSampler::new(SamplerConfig::scaled(SampleScope::AllNodes));
+        let mut s = HintSampler::new(SampleScope::AllNodes, PAGES_PER_SCAN);
         assert_eq!(s.scan(&mut m), 0);
     }
 }

@@ -33,8 +33,10 @@
 use tiered_mem::telemetry::{PromoteFailReason, PromoteSkipReason};
 use tiered_mem::{NodeId, PageFlags, PageType, Pfn, Pid, TraceEvent, Vpn, HUGE_PAGE_FRAMES};
 
-use super::engine::{demote, demotion_target, hinted_cxl_page, promote, reclaim_pass, Daemons};
-use super::linux_default::{fault_with_fallback, materialise_cost_ns, try_place};
+use super::engine::{
+    demote, demotion_target, fault, hinted_cxl_page, materialise_cost_ns, promote, reclaim_pass,
+    swap_reclaim, try_place, Daemons,
+};
 use super::reclaim::DaemonBudget;
 use super::sampler::SampleScope;
 use super::{FaultOutcome, PlacementPolicy, PolicyCtx};
@@ -176,7 +178,8 @@ impl PlacementPolicy for Tpp {
                 }
             }
         }
-        fault_with_fallback(ctx, pid, vpn, page_type, local, "tpp")
+        let swap_in_ns = ctx.latency.swap_in_total_ns();
+        fault(ctx, pid, vpn, page_type, "tpp", swap_in_ns, swap_reclaim)
     }
 
     fn on_hint_fault(&mut self, ctx: &mut PolicyCtx<'_>, pfn: Pfn) -> u64 {

@@ -564,7 +564,7 @@ impl Memory {
                     self.unlink_frame(pfn);
                 }
                 PageLocation::Swapped(slot) => {
-                    let _ = self.swap.discard(slot);
+                    let _ = self.swap.swap_in(slot);
                 }
             }
         }
@@ -656,7 +656,7 @@ impl Memory {
                 true
             }
             Some(PageLocation::Swapped(slot)) => {
-                let _ = self.swap.discard(slot);
+                let _ = self.swap.swap_in(slot);
                 true
             }
             None => false,

@@ -75,20 +75,13 @@ impl SwapDevice {
     }
 
     /// Reads a page back in, freeing its slot and returning the owner.
+    /// It also frees a slot without a read (e.g. the owning process
+    /// exited).
     ///
     /// # Errors
     ///
     /// [`SwapError::BadSlot`] if the slot is empty or unknown.
     pub fn swap_in(&mut self, slot: SwapSlot) -> Result<PageKey, SwapError> {
-        self.slots.remove(&slot.0).ok_or(SwapError::BadSlot)
-    }
-
-    /// Drops a slot without a read (e.g. the owning process exited).
-    ///
-    /// # Errors
-    ///
-    /// [`SwapError::BadSlot`] if the slot is empty or unknown.
-    pub(crate) fn discard(&mut self, slot: SwapSlot) -> Result<PageKey, SwapError> {
         self.slots.remove(&slot.0).ok_or(SwapError::BadSlot)
     }
 
@@ -144,7 +137,7 @@ mod tests {
         let mut dev = SwapDevice::new(4);
         let s = dev.swap_out(key(3)).unwrap();
         assert_eq!(dev.peek(s), Some(key(3)));
-        assert_eq!(dev.discard(s).unwrap(), key(3));
+        assert_eq!(dev.swap_in(s).unwrap(), key(3));
         assert_eq!(dev.used_slots(), 0);
     }
 

@@ -30,8 +30,6 @@ pub struct LatencyModel {
     pub migrate_page_ns: u64,
     /// Scanning one page during LRU reclaim scan.
     pub scan_page_ns: u64,
-    /// Installing one NUMA hint PTE during sampling.
-    pub pte_update_ns: u64,
     /// How many cache-line misses one workload-level page access stands
     /// for. Datacenter services are memory-bound: a single logical
     /// "touch" of a hot page corresponds to a burst of LLC misses, so the
@@ -56,7 +54,6 @@ impl LatencyModel {
             swap_out_page_ns: 130_000,
             migrate_page_ns: 3_000,
             scan_page_ns: 120,
-            pte_update_ns: 150,
             access_bundle: 16,
         }
     }

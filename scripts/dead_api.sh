@@ -1,21 +1,33 @@
 #!/usr/bin/env bash
-# Lists the public functions nothing outside a unit test calls. Works on
-# a temporary copy of the tree, never on the tree itself:
+# Lists the public functions and struct fields nothing outside a unit
+# test uses. Works on a temporary copy of the tree, never on the tree
+# itself:
 #
-#   1. every `pub fn` in crates/*/src becomes `pub(crate) fn`;
+#   1. every `pub fn` and every `pub <field>:` line in crates/*/src
+#      becomes `pub(crate)`;
 #   2. `cargo check --all-targets` (the workspace, then the out-of-
 #      workspace perfbench/ package) runs until it compiles; each round
-#      restores `pub` on every narrowed function a compile error points
-#      at (the definition a privacy error names, or else the narrowed
-#      functions of the name the error highlights);
+#      restores `pub` on every narrowed line a compile error points at:
+#      the definition a privacy error names, the fields a private-field
+#      error (E0451, E0616) names in its message, or else the narrowed
+#      functions of the name the error highlights;
 #   3. `cargo check --workspace --lib --bins` then prints rustc's
-#      `dead_code` warnings, one `file:line: name` each: functions whose
-#      only callers are the unit tests of their own crate, or nothing.
+#      `dead_code` warnings, one `file:line: name` each: functions and
+#      fields whose only users are the unit tests of their own crate, or
+#      nothing.
 #
 # The kept items CHANGES.md lists are the only expected lines. Doc
 # examples are not compiled, so a function only a doc example calls is
-# listed too. About 40 s from a cold target dir on 2 vCPUs (one
-# incremental check per round). Needs `jq`.
+# listed too. Two limits hide uses that are not real:
+#
+#   * rustc counts a derived `PartialEq`, `Eq` or `Hash` as a read of
+#     every field, so a field of such a struct that nothing reads (as
+#     `LatencyModel::pte_update_ns` was) is not listed;
+#   * a `pub use` re-export still counts as a caller, so a function or
+#     type only re-exported keeps its `pub`.
+#
+# About 70 s from a cold target dir on 2 vCPUs (one incremental check
+# per round). Needs `jq`.
 #
 #   scripts/dead_api.sh
 #
@@ -33,13 +45,14 @@ tar -cf - --exclude=./.git --exclude=./target --exclude=./results \
 cd "$work"
 export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$work/target}"
 
-# 1. Narrow every public function, remembering each narrowed line.
+# 1. Narrow every public function and struct field, remembering each
+# narrowed line.
 narrowed="$tmp/narrowed"
-grep -rnE --include='*.rs' '^[[:space:]]*pub (const )?fn ' crates/*/src |
+grep -rnE --include='*.rs' '^[[:space:]]*pub ((const )?fn |[a-z_][a-z0-9_]*:)' crates/*/src |
   cut -d: -f1,2 | sort -u >"$narrowed"
 find crates/*/src -name '*.rs' -print0 |
-  xargs -0 sed -i -E 's/^([[:space:]]*)pub ((const )?fn )/\1pub(crate) \2/'
-echo "narrowed $(wc -l <"$narrowed") functions" >&2
+  xargs -0 sed -i -E 's/^([[:space:]]*)pub ((const )?fn |[a-z_][a-z0-9_]*:)/\1pub(crate) \2/'
+echo "narrowed $(wc -l <"$narrowed") functions and fields" >&2
 
 # restore <file:line>...: puts `pub` back on narrowed lines; prints how
 # many it restored.
@@ -63,6 +76,29 @@ errors() {
       | .message' >"$tmp/errors" || true
 }
 
+# field_locs: the narrowed lines of the fields the private-field errors
+# in $tmp/errors name, as file:line. A `..base` struct update highlights
+# no field, so the names come from the message ("fields `a`, `b` and `c`
+# of struct `path::X` are private"); each is looked up inside the body
+# of every `struct X` in crates/*/src.
+field_locs() {
+  local struct fields field file
+  jq -r 'select(.code.code == "E0451" or .code.code == "E0616") | .message
+      | capture("^fields? (?<f>.*) of struct `(?<s>[^`]+)`")
+      | (.s | sub("<.*"; "") | split("::") | last) + " "
+        + ([.f | scan("`([A-Za-z0-9_]+)`") | .[0]] | join(" "))' "$tmp/errors" |
+    sort -u | while read -r struct fields; do
+      grep -rlE --include='*.rs' "struct ${struct}\b" crates/*/src | while read -r file; do
+        for field in $fields; do
+          awk -v s="$struct" -v f="$field" '
+            $0 ~ ("struct " s "([^A-Za-z0-9_]|$)") { inside = 1; next }
+            inside && $0 ~ ("^[[:space:]]*pub\\(crate\\) " f ":") { print FILENAME ":" FNR; inside = 0 }
+            inside && /^[[:space:]]*}[[:space:]]*$/ { inside = 0 }' "$file"
+        done
+      done
+    done
+}
+
 # 2. Restore `pub` wherever another crate, test, example, bench or
 # perfbench needs it, until everything compiles.
 check_until_clean() {
@@ -71,10 +107,14 @@ check_until_clean() {
     errors "$@"
     [ -s "$tmp/errors" ] || return 0
     round=$((round + 1))
-    # Spans (at any depth) on narrowed lines, as relative file:line.
-    mapfile -t locs < <(jq -r '.. | objects | select(has("file_name") and has("line_start"))
-        | "\(.file_name):\(.line_start)"' "$tmp/errors" |
-      sed -E "s#^(\.\./)+##; s#^$work/##" | sort -u)
+    # Spans (at any depth) on narrowed lines, as relative file:line, and
+    # the fields private-field errors name.
+    mapfile -t locs < <({
+      jq -r '.. | objects | select(has("file_name") and has("line_start"))
+          | "\(.file_name):\(.line_start)"' "$tmp/errors" |
+        sed -E "s#^(\.\./)+##; s#^$work/##"
+      field_locs
+    } | sort -u)
     n="$(restore "${locs[@]}")"
     if [ "$n" -eq 0 ]; then
       # No span points at a definition (a `pub use` of a narrowed

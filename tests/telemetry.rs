@@ -146,7 +146,7 @@ fn every_policy_emits_a_decision_reason_event() {
 
 #[test]
 fn fallback_policies_attribute_decisions_to_themselves() {
-    // The shared allocation path (fault_with_fallback) tags its decision
+    // The shared fault path (engine::fault) tags its decision
     // events with the calling policy's name, not a generic label.
     for choice in [
         PolicyChoice::Linux,
