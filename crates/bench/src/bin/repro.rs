@@ -147,6 +147,15 @@ fn parse_args() -> Args {
             target => args.targets.push(target.to_string()),
         }
     }
+    // Reject a misspelt target before any target runs, not after the
+    // ones named before it.
+    let known = |t: &str| t == "all" || TARGETS.iter().any(|(name, _)| *name == t);
+    if let Some(other) = args.targets.iter().find(|t| !known(t)) {
+        eprintln!("unknown target: {other}");
+        let names: Vec<&str> = TARGETS.iter().map(|(name, _)| *name).collect();
+        eprintln!("known: {} all (see --list)", names.join(" "));
+        std::process::exit(2);
+    }
     args
 }
 
@@ -253,12 +262,7 @@ fn main() {
             "thp" => {
                 sweeps::sweep_thp(&scale);
             }
-            other => {
-                eprintln!("unknown target: {other}");
-                let known: Vec<&str> = TARGETS.iter().map(|(name, _)| *name).collect();
-                eprintln!("known: {} all (see --list)", known.join(" "));
-                std::process::exit(2);
-            }
+            other => unreachable!("target {other} was checked against TARGETS"),
         }
         timings.push((target.to_string(), t.elapsed().as_secs_f64()));
     }

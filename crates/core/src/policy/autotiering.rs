@@ -18,8 +18,8 @@ use tiered_mem::{Memory, NodeId, PageFlags, PageType, Pfn, Pid, TraceEvent, Vpn}
 use tiered_sim::{Periodic, SEC};
 
 use super::engine::{
-    demote, demotion_target, fault, hinted_cxl_page, promote, reclaim_pass, split, swap_reclaim,
-    Daemons, Victim,
+    demote, demotion_target, fault, hinted_cxl_page, promote, reclaim_pass, split, Daemons, Victim,
+    SWAP_DEVICE,
 };
 use super::reclaim::DaemonBudget;
 use super::sampler::SampleScope;
@@ -143,16 +143,8 @@ impl PlacementPolicy for AutoTiering {
         page_type: PageType,
     ) -> FaultOutcome {
         self.ensure_buffer(ctx.memory);
-        let swap_in_ns = ctx.latency.swap_in_total_ns();
-        fault(
-            ctx,
-            pid,
-            vpn,
-            page_type,
-            "autotiering",
-            swap_in_ns,
-            swap_reclaim,
-        )
+        let home = ctx.memory.home_node(pid);
+        fault(ctx, pid, vpn, page_type, home, "autotiering", &SWAP_DEVICE)
     }
 
     fn on_hint_fault(&mut self, ctx: &mut PolicyCtx<'_>, pfn: Pfn) -> u64 {

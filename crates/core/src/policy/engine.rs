@@ -6,10 +6,11 @@
 //! This module is the one place that places, moves and evicts pages and
 //! schedules daemons:
 //!
-//! * [`fault`]: the fallback-order fault path (fault-time THP, watermark
-//!   spill, direct reclaim on a stall), with the swap-in cost and the
-//!   direct-reclaim step as arguments; [`swap_reclaim`] is the step of
-//!   the swap-backed policies;
+//! * [`fault`]: the one page-fault path (fault-time THP, watermark spill
+//!   along the zonelist of the node the policy prefers, and on a stall
+//!   direct reclaim on the task's home node), with a [`SwapBacking`] that
+//!   prices swap-ins and supplies the reclaim step; [`SWAP_DEVICE`] is
+//!   the backing of every policy that swaps to a device;
 //! * [`hinted_cxl_page`] and [`promote`]: the hint-fault prologue and
 //!   compound-aware, event-recording, hop-priced promotion;
 //! * [`demotion_target`] and [`demote`]: the nearest lower tier with
@@ -42,33 +43,42 @@ pub(crate) const TICK_PERIOD_NS: u64 = 50 * MS;
 const SAMPLE_PERIOD_NS: u64 = SEC;
 
 /// Cost charged to a faulting task for materialising a page of
-/// `page_type` from the swap device or filesystem (`was_swapped` selects
-/// the swap-in path).
+/// `page_type` that is not in swap.
 ///
 /// File pages are read from the filesystem on (re-)fault — a device read,
 /// not a zero-fill — which is why dropping page cache that will be
 /// re-accessed is expensive, and why TPP's keep-it-in-memory demotion
 /// wins (§5.1).
-pub(crate) fn materialise_cost_ns(
-    latency: &LatencyModel,
-    page_type: PageType,
-    was_swapped: bool,
-) -> u64 {
-    if was_swapped {
-        latency.swap_in_total_ns()
-    } else {
-        match page_type {
-            PageType::File => latency.major_fault_ns + latency.swap_in_page_ns,
-            PageType::Anon | PageType::Tmpfs => latency.minor_fault_ns,
-        }
+fn materialise_cost_ns(latency: &LatencyModel, page_type: PageType) -> u64 {
+    match page_type {
+        PageType::File => latency.major_fault_ns + latency.swap_in_page_ns,
+        PageType::Anon | PageType::Tmpfs => latency.minor_fault_ns,
     }
 }
 
-/// The page-fault path: try each node in fallback order from the task's
-/// home node, above its `min` watermark; when every node is below `min`,
-/// run `reclaim` on the home node, charged to the task, and retry. A
-/// swapped-out page costs `swap_in_ns` to bring back. `policy`
-/// attributes the spill/stall decision events emitted along the way.
+/// Where a policy's swapped-out pages live: what bringing one back costs
+/// the faulting task, and the direct-reclaim step a stalled fault runs on
+/// a node (returning the latency charged to the task).
+pub(crate) struct SwapBacking {
+    pub(crate) swap_in_ns: fn(&LatencyModel) -> u64,
+    pub(crate) reclaim: fn(&mut PolicyCtx<'_>, NodeId) -> u64,
+}
+
+/// The swap device of Linux, NUMA balancing, AutoTiering and TPP: a
+/// major fault plus a device read to swap in, and up to 32 pages evicted
+/// with [`evict_page`] from a 256-page scan to reclaim.
+pub(crate) const SWAP_DEVICE: SwapBacking = SwapBacking {
+    swap_in_ns: LatencyModel::swap_in_total_ns,
+    reclaim: swap_reclaim,
+};
+
+/// The page-fault path: try each node in `prefer`'s fallback order (its
+/// zonelist), above its `min` watermark; a page placed past `prefer`
+/// records a spill. When every node is below `min`, the task stalls:
+/// `swap`'s reclaim step runs on the task's home node, charged to the
+/// task, and the fallback order is retried. A swapped-out page costs
+/// `swap`'s swap-in to bring back. `policy` attributes the spill/stall
+/// decision events emitted along the way.
 ///
 /// # Panics
 ///
@@ -78,19 +88,18 @@ pub(crate) fn fault(
     pid: Pid,
     vpn: Vpn,
     page_type: PageType,
+    prefer: NodeId,
     policy: &'static str,
-    swap_in_ns: u64,
-    reclaim: impl FnOnce(&mut PolicyCtx<'_>, NodeId) -> u64,
+    swap: &SwapBacking,
 ) -> FaultOutcome {
-    let prefer = ctx.memory.home_node(pid);
     let was_swapped = matches!(
         ctx.memory.space(pid).translate(vpn),
         Some(PageLocation::Swapped(_))
     );
     let base_cost = if was_swapped {
-        swap_in_ns
+        (swap.swap_in_ns)(ctx.latency)
     } else {
-        materialise_cost_ns(ctx.latency, page_type, false)
+        materialise_cost_ns(ctx.latency, page_type)
     };
     let order = ctx.memory.fallback_order(prefer);
     // THP at fault time (`ThpMode::Always`): an anon first-touch fault
@@ -149,15 +158,21 @@ pub(crate) fn fault(
         }
     }
     // Every node is under its min watermark: direct reclaim on the
-    // preferred node, charged to the task.
-    ctx.memory.record(TraceEvent::AllocStall { node: prefer });
+    // task's home node, charged to the task.
+    let home = ctx.memory.home_node(pid);
+    ctx.memory.record(TraceEvent::AllocStall { node: home });
     ctx.memory.record(TraceEvent::Decision {
         policy,
         reason: "alloc_stall_direct_reclaim",
         page: Some(PageKey::new(pid, vpn)),
     });
-    let reclaim_cost = reclaim(ctx, prefer);
+    let reclaim_cost = (swap.reclaim)(ctx, home);
     for node in &order {
+        // A node with no free frame cannot take the page; trying it would
+        // count a fault that placed nothing.
+        if ctx.memory.free_pages(*node) == 0 {
+            continue;
+        }
         if let Some(pfn) = try_place(ctx.memory, *node, pid, vpn, page_type, was_swapped) {
             return FaultOutcome {
                 pfn,
@@ -177,7 +192,7 @@ fn window_unmapped(memory: &Memory, pid: Pid, base: Vpn) -> bool {
 }
 
 /// Attempts the actual placement on `node` (swap-in or fresh mapping).
-pub(crate) fn try_place(
+fn try_place(
     memory: &mut Memory,
     node: NodeId,
     pid: Pid,
@@ -197,9 +212,8 @@ pub(crate) fn try_place(
     res.ok()
 }
 
-/// The direct-reclaim step of the swap-backed policies: up to 32 pages
-/// evicted with [`evict_page`], from a 256-page scan.
-pub(crate) fn swap_reclaim(ctx: &mut PolicyCtx<'_>, node: NodeId) -> u64 {
+/// [`SWAP_DEVICE`]'s direct-reclaim step.
+fn swap_reclaim(ctx: &mut PolicyCtx<'_>, node: NodeId) -> u64 {
     let latency = ctx.latency;
     direct_reclaim(ctx.memory, node, 32, 32 * 8, |memory, pfn| {
         evict_page(memory, latency, pfn)

@@ -12,9 +12,9 @@
 //! through the fault path on every cold re-access, which hurts workloads
 //! that touch pages at varied frequencies.
 
-use tiered_mem::{Memory, NodeId, NodeList, PageType, Pfn, Pid, TraceEvent, Vpn};
+use tiered_mem::{Memory, NodeList, PageType, Pfn, Pid, TraceEvent, Vpn};
 
-use super::engine::{all_nodes, direct_reclaim, fault, reclaim_pass, Daemons, Victim};
+use super::engine::{all_nodes, direct_reclaim, fault, reclaim_pass, Daemons, SwapBacking, Victim};
 use super::reclaim::DaemonBudget;
 use super::{FaultOutcome, PlacementPolicy, PolicyCtx};
 
@@ -64,13 +64,18 @@ fn swap_to_pool(memory: &mut Memory, pfn: Pfn) -> bool {
     swapped
 }
 
-/// Synchronous reclaim into the pool (fast): up to 32 pages from a
-/// 512-page scan.
-fn pool_reclaim(ctx: &mut PolicyCtx<'_>, node: NodeId) -> u64 {
-    direct_reclaim(ctx.memory, node, 32, 512, |memory, pfn| {
-        swap_to_pool(memory, pfn).then_some(SWAP_OUT_NS)
-    })
-}
+/// The in-memory pool as swap backing: swap-ins come back fast (a hint
+/// fault plus a copy), and direct reclaim into the pool takes up to 32
+/// pages from a 512-page scan. Pages not in swap cost what they normally
+/// cost.
+const POOL: SwapBacking = SwapBacking {
+    swap_in_ns: |latency| latency.hint_fault_ns + SWAP_IN_NS,
+    reclaim: |ctx, node| {
+        direct_reclaim(ctx.memory, node, 32, 512, |memory, pfn| {
+            swap_to_pool(memory, pfn).then_some(SWAP_OUT_NS)
+        })
+    },
+};
 
 impl PlacementPolicy for InMemorySwap {
     fn name(&self) -> &str {
@@ -84,18 +89,8 @@ impl PlacementPolicy for InMemorySwap {
         vpn: Vpn,
         page_type: PageType,
     ) -> FaultOutcome {
-        // Swap-ins come back fast (in-memory pool), everything else costs
-        // what it normally costs.
-        let swap_in_ns = ctx.latency.hint_fault_ns + SWAP_IN_NS;
-        fault(
-            ctx,
-            pid,
-            vpn,
-            page_type,
-            "inmem_swap",
-            swap_in_ns,
-            pool_reclaim,
-        )
+        let home = ctx.memory.home_node(pid);
+        fault(ctx, pid, vpn, page_type, home, "inmem_swap", &POOL)
     }
 
     fn tick(&mut self, ctx: &mut PolicyCtx<'_>) {
@@ -123,7 +118,7 @@ impl PlacementPolicy for InMemorySwap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tiered_mem::{NodeKind, PageFlags, ThpMode, VmEvent};
+    use tiered_mem::{NodeId, NodeKind, PageFlags, ThpMode, VmEvent};
     use tiered_sim::LatencyModel;
 
     fn setup() -> (Memory, LatencyModel, InMemorySwap) {

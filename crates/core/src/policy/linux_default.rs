@@ -6,7 +6,7 @@
 
 use tiered_mem::{PageType, Pid, Vpn};
 
-use super::engine::{all_nodes, fault, swap_reclaim, Daemons};
+use super::engine::{all_nodes, fault, Daemons, SWAP_DEVICE};
 use super::{FaultOutcome, PlacementPolicy, PolicyCtx};
 
 /// Default Linux page placement.
@@ -42,8 +42,8 @@ impl PlacementPolicy for LinuxDefault {
         vpn: Vpn,
         page_type: PageType,
     ) -> FaultOutcome {
-        let swap_in_ns = ctx.latency.swap_in_total_ns();
-        fault(ctx, pid, vpn, page_type, "linux", swap_in_ns, swap_reclaim)
+        let home = ctx.memory.home_node(pid);
+        fault(ctx, pid, vpn, page_type, home, "linux", &SWAP_DEVICE)
     }
 
     fn tick(&mut self, ctx: &mut PolicyCtx<'_>) {

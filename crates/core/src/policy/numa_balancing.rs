@@ -9,7 +9,7 @@
 use tiered_mem::telemetry::PromoteFailReason;
 use tiered_mem::{PageType, Pid, TraceEvent, Vpn};
 
-use super::engine::{all_nodes, fault, hinted_cxl_page, promote, swap_reclaim, Daemons};
+use super::engine::{all_nodes, fault, hinted_cxl_page, promote, Daemons, SWAP_DEVICE};
 use super::sampler::SampleScope;
 use super::{FaultOutcome, PlacementPolicy, PolicyCtx};
 
@@ -47,15 +47,15 @@ impl PlacementPolicy for NumaBalancing {
         vpn: Vpn,
         page_type: PageType,
     ) -> FaultOutcome {
-        let swap_in_ns = ctx.latency.swap_in_total_ns();
+        let home = ctx.memory.home_node(pid);
         fault(
             ctx,
             pid,
             vpn,
             page_type,
+            home,
             "numa_balancing",
-            swap_in_ns,
-            swap_reclaim,
+            &SWAP_DEVICE,
         )
     }
 

@@ -20,8 +20,11 @@
 //!    promoted on its *next* hint fault if still hot — cutting ping-pong
 //!    traffic. Promotion ignores the allocation watermark.
 //! 4. **Page-type-aware allocation** (§5.4, optional): file/tmpfs caches
-//!    are preferentially allocated on the CXL node from the start, while
-//!    anon pages keep local preference.
+//!    prefer the CXL node their home socket demotes to, while anon pages
+//!    keep local preference. Only the preferred node changes: the fault
+//!    takes the shared path, spilling along the CXL node's zonelist when
+//!    it is below `min` and stalling into direct reclaim on the home node
+//!    when every node is.
 //!
 //! [`TppConfig`] holds the three switches the paper's evaluation varies:
 //! `decouple` (mechanism 2, the Figure 17 ablation), `active_lru_filter`
@@ -34,8 +37,7 @@ use tiered_mem::telemetry::{PromoteFailReason, PromoteSkipReason};
 use tiered_mem::{NodeId, PageFlags, PageType, Pfn, Pid, TraceEvent, Vpn, HUGE_PAGE_FRAMES};
 
 use super::engine::{
-    demote, demotion_target, fault, hinted_cxl_page, materialise_cost_ns, promote, reclaim_pass,
-    swap_reclaim, try_place, Daemons,
+    demote, demotion_target, fault, hinted_cxl_page, promote, reclaim_pass, Daemons, SWAP_DEVICE,
 };
 use super::reclaim::DaemonBudget;
 use super::sampler::SampleScope;
@@ -157,29 +159,15 @@ impl PlacementPolicy for Tpp {
         vpn: Vpn,
         page_type: PageType,
     ) -> FaultOutcome {
-        let local = ctx.memory.home_node(pid);
-        // Page-type-aware allocation (§5.4): caches go first to the CXL
-        // node the home socket demotes to.
-        if self.config.cache_to_cxl && page_type.is_file_backed() {
-            if let Some(cxl) = demotion_target(ctx.memory, local) {
-                let was_swapped = matches!(
-                    ctx.memory.space(pid).translate(vpn),
-                    Some(tiered_mem::PageLocation::Swapped(_))
-                );
-                let wm = ctx.memory.node(cxl).watermarks().base;
-                if wm.allows_allocation(ctx.memory.free_pages(cxl)) {
-                    if let Some(pfn) = try_place(ctx.memory, cxl, pid, vpn, page_type, was_swapped)
-                    {
-                        return FaultOutcome {
-                            pfn,
-                            cost_ns: materialise_cost_ns(ctx.latency, page_type, was_swapped),
-                        };
-                    }
-                }
-            }
-        }
-        let swap_in_ns = ctx.latency.swap_in_total_ns();
-        fault(ctx, pid, vpn, page_type, "tpp", swap_in_ns, swap_reclaim)
+        let home = ctx.memory.home_node(pid);
+        // Page-type-aware allocation (§5.4): caches prefer the CXL node
+        // the home socket demotes to, and spill along its zonelist.
+        let prefer = if self.config.cache_to_cxl && page_type.is_file_backed() {
+            demotion_target(ctx.memory, home).unwrap_or(home)
+        } else {
+            home
+        };
+        fault(ctx, pid, vpn, page_type, prefer, "tpp", &SWAP_DEVICE)
     }
 
     fn on_hint_fault(&mut self, ctx: &mut PolicyCtx<'_>, pfn: Pfn) -> u64 {

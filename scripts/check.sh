@@ -42,6 +42,14 @@ scripts/perfbench_digests.sh target/perfbench/release/perfbench
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 cargo build --release -q -p tpp-bench --bin repro
+# An unknown target is rejected before any target runs: exit 2, no CSV.
+status=0
+./target/release/repro fig2 no_such_target --quick --csv "$tmp/bad" >/dev/null 2>&1 || status=$?
+if [ "$status" -ne 2 ] || [ -n "$(find "$tmp/bad" -name '*.csv' 2>/dev/null)" ]; then
+  echo "unknown-target gate FAILED: repro exited $status or wrote a CSV before rejecting the target" >&2
+  exit 1
+fi
+echo "unknown-target gate: repro rejects a misspelt target before running any"
 
 # determinism_gate <target> <label>
 determinism_gate() {

@@ -1,5 +1,6 @@
-//! Cross-product invariant matrix: every policy under every THP mode, on
-//! every topology preset, with one workload and with two co-located ones.
+//! Cross-product invariant matrix: every policy (and TPP with
+//! page-type-aware allocation) under every THP mode, on every topology
+//! preset, with one workload and with two co-located ones.
 //!
 //! Each cell runs in daemon-tick-sized chunks with `Memory::validate()`
 //! after every chunk, and ends with three identities:
@@ -21,6 +22,7 @@ use tiered_mem::telemetry::{replay_counters, TraceRecord, TRACED_COUNTERS};
 use tiered_mem::{Memory, ThpMode, TraceEvent, VmEvent};
 use tiered_sim::{Workload, MS};
 use tpp::experiment::PolicyChoice;
+use tpp::policy::TppConfig;
 use tpp::{configs, System};
 
 /// Working set of the whole cell, split evenly between co-located lanes.
@@ -170,6 +172,15 @@ fn matrix_autotiering() {
 #[test]
 fn matrix_tpp() {
     assert_eq!(run_policy(PolicyChoice::Tpp), 0);
+}
+
+#[test]
+fn matrix_tpp_cache_to_cxl() {
+    let config = TppConfig {
+        cache_to_cxl: true,
+        ..TppConfig::default()
+    };
+    assert_eq!(run_policy(PolicyChoice::TppCustom(config)), 0);
 }
 
 #[test]
