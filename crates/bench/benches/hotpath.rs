@@ -5,15 +5,21 @@
 //! above them: one workload op's generation (into a fresh `Op`, and into
 //! the reused buffer the run loop passes), and one whole op of a warmed
 //! `System::run` (generation, resolution and daemon ticks) and the
-//! once-per-second metrics sample that run takes. Runs
-//! with `harness = false` on the in-tree [`tpp_bench::microbench`]
-//! harness (no external deps).
+//! once-per-second metrics sample that run takes.
+//!
+//! The `uniform` and single-region rows never switch regions. The
+//! `cache1` rows draw anon or tmpfs at random on every access, the way
+//! `tpp_expand` runs, so they see the cost of that alternation in
+//! generation and in translation; `next_op_into_kv_store` (the
+//! `local_steady` profile, 90/10 between its two regions) is their
+//! control. Runs with `harness = false` on the in-tree
+//! [`tpp_bench::microbench`] harness (no external deps).
 
 use tpp_bench::microbench::{bench, bench_with_setup};
 
 use tiered_mem::{PageLocation, PageType, Vpn};
-use tiered_sim::{Access, AccessKind, SimRng, Workload, SEC};
-use tiered_workloads::{RegionSpec, WindowedRegion, ZipfSampler};
+use tiered_sim::{Access, AccessKind, SimRng, Workload, WorkloadEvent, SEC};
+use tiered_workloads::{RegionSpec, WindowedRegion, WorkloadProfile, ZipfSampler};
 use tpp::policy::Tpp;
 use tpp::{configs, System};
 
@@ -101,10 +107,11 @@ fn bench_next_op_cache1() {
     });
 }
 
-fn bench_next_op_into_cache1() {
-    // The same steady-state generation, the way the run loop drives it:
-    // one event buffer, cleared and refilled for every op.
-    let mut workload = tiered_workloads::cache1(CACHE1_PAGES).build();
+/// Times steady-state generation of `profile` the way the run loop drives
+/// it: one event buffer, cleared and refilled for every op, from 10 s of
+/// simulated time on (past warm-up).
+fn bench_next_op_into(name: &str, profile: &WorkloadProfile) {
+    let mut workload = profile.build();
     let mut rng = SimRng::seed(45);
     let mut now = 0u64;
     let mut events = Vec::new();
@@ -112,10 +119,73 @@ fn bench_next_op_into_cache1() {
         events.clear();
         now += workload.next_op_into(now, &mut rng, &mut events);
     }
-    bench("hotpath/next_op_into_cache1", || {
+    bench(name, || {
         events.clear();
         now += workload.next_op_into(now, &mut rng, &mut events);
         std::hint::black_box(&events);
+    });
+}
+
+fn bench_next_op_into_cache1() {
+    let profile = tiered_workloads::cache1(CACHE1_PAGES);
+    bench_next_op_into("hotpath/next_op_into_cache1", &profile);
+}
+
+fn bench_next_op_into_kv_store() {
+    // `local_steady`'s profile at the same scale: its region draw goes
+    // 90/10, so the branch on it is mostly predicted.
+    let profile = tiered_workloads::kv_store(CACHE1_PAGES);
+    bench_next_op_into("hotpath/next_op_into_kv_store", &profile);
+}
+
+/// `tpp_expand`'s configuration (cache1 on the 1:4 machine under TPP),
+/// run for 30 s of simulated time, past cache1's warm-up.
+fn warmed_tpp_expand(profile: &WorkloadProfile) -> System {
+    let memory = configs::one_to_four(profile.working_set_pages());
+    let mut system =
+        System::new(memory, Box::new(Tpp::new()), Box::new(profile.build()), 46).unwrap();
+    system.run(30 * SEC);
+    system
+}
+
+fn bench_execute_access_cache1() {
+    // The warmed `tpp_expand` system resolving the accesses a second
+    // cache1 workload draws past its warm-up, in draw order, so anon,
+    // tmpfs and transient pages (three page-table spans) alternate as in
+    // a run. Only accesses to pages the system has mapped are kept, so
+    // the stream exercises the fast path, as `execute_access_hot` does.
+    let profile = tiered_workloads::cache1(CACHE1_PAGES);
+    let mut system = warmed_tpp_expand(&profile);
+    let mut workload = profile.build();
+    let mut rng = SimRng::seed(47);
+    let mut now = 0u64;
+    let mut events = Vec::new();
+    while workload.in_warmup() || now < 30 * SEC {
+        events.clear();
+        now += workload.next_op_into(now, &mut rng, &mut events);
+    }
+    let space = system.memory().space(profile.pid);
+    let mut stream: Vec<Access> = Vec::new();
+    while stream.len() < 1 << 16 {
+        events.clear();
+        now += workload.next_op_into(now, &mut rng, &mut events);
+        stream.extend(events.iter().filter_map(|e| match e {
+            WorkloadEvent::Access(a)
+                if matches!(space.translate(a.vpn), Some(PageLocation::Mapped(_))) =>
+            {
+                Some(*a)
+            }
+            _ => None,
+        }));
+    }
+    let now = system.now_ns();
+    let mut i = 0usize;
+    bench("hotpath/execute_access_cache1", || {
+        std::hint::black_box(system.resolve_access(now, &stream[i]));
+        i += 1;
+        if i == stream.len() {
+            i = 0;
+        }
     });
 }
 
@@ -124,11 +194,7 @@ fn bench_system_run_op() {
     // warmed past cache1's warm-up. Every op advances the clock by at
     // least 1 ns, so `run(1)` executes exactly one op, plus whatever
     // daemon ticks and metric samples fall due after it.
-    let profile = tiered_workloads::cache1(CACHE1_PAGES);
-    let memory = configs::one_to_four(profile.working_set_pages());
-    let mut system =
-        System::new(memory, Box::new(Tpp::new()), Box::new(profile.build()), 46).unwrap();
-    system.run(30 * SEC);
+    let mut system = warmed_tpp_expand(&tiered_workloads::cache1(CACHE1_PAGES));
     bench("hotpath/system_run_op", || system.run(1));
 }
 
@@ -136,11 +202,7 @@ fn bench_run_metrics_sample() {
     // One per-second metrics sample of the same warmed `tpp_expand`
     // system, each into a copy of its metrics so far. The copies are
     // dropped after the bench, off the clock.
-    let profile = tiered_workloads::cache1(CACHE1_PAGES);
-    let memory = configs::one_to_four(profile.working_set_pages());
-    let mut system =
-        System::new(memory, Box::new(Tpp::new()), Box::new(profile.build()), 46).unwrap();
-    system.run(30 * SEC);
+    let system = warmed_tpp_expand(&tiered_workloads::cache1(CACHE1_PAGES));
     let now = system.now_ns();
     let mut used = Vec::new();
     bench_with_setup(
@@ -157,8 +219,10 @@ fn main() {
     bench_zipf_sample();
     bench_region_sample();
     bench_execute_access_hot();
+    bench_execute_access_cache1();
     bench_next_op_cache1();
     bench_next_op_into_cache1();
+    bench_next_op_into_kv_store();
     bench_system_run_op();
     bench_run_metrics_sample();
 }

@@ -6,6 +6,10 @@
 //! multiple samples, and a `name  median ns/iter (min .. max)` report
 //! line. All benches run with `harness = false` and call [`bench()`] (or
 //! [`bench_with_setup`] for `iter_batched`-style cases) from `main`.
+//!
+//! The same statistics summarise a row over repeated runs of a bench
+//! binary: [`parse_report`] reads a report line back and [`quartiles`]
+//! gives the median and quartiles the `bench_ledger` binary records.
 
 use std::time::{Duration, Instant};
 
@@ -75,8 +79,38 @@ pub fn bench_with_setup<T, S: FnMut() -> T, F: FnMut(T)>(name: &str, mut setup: 
     report(name, &per_iter, 1);
 }
 
+/// The first quartile, median and third quartile of `sorted` (ascending,
+/// non-empty), each interpolated linearly between the two nearest values.
+pub fn quartiles(sorted: &[f64]) -> [f64; 3] {
+    let at = |p: f64| {
+        let h = p * (sorted.len() - 1) as f64;
+        let lo = h as usize;
+        match sorted.get(lo + 1) {
+            Some(&next) => sorted[lo] + (h - lo as f64) * (next - sorted[lo]),
+            None => sorted[lo],
+        }
+    };
+    [at(0.25), at(0.5), at(0.75)]
+}
+
+/// The row name and median ns/iter of a report line, `None` for any
+/// other line.
+pub fn parse_report(line: &str) -> Option<(&str, f64)> {
+    let mut fields = line.split_whitespace();
+    let name = fields.next()?;
+    let median = fields.next()?;
+    if fields.next() != Some("ns/iter") {
+        return None;
+    }
+    let (digits, scale) = [("us", 1e3), ("ms", 1e6), ("s", 1e9)]
+        .into_iter()
+        .find_map(|(unit, scale)| Some((median.strip_suffix(unit)?, scale)))
+        .unwrap_or((median, 1.0));
+    Some((name, digits.parse::<f64>().ok()? * scale))
+}
+
 fn report(name: &str, sorted_ns: &[f64], batch: u64) {
-    let median = sorted_ns[sorted_ns.len() / 2];
+    let [_, median, _] = quartiles(sorted_ns);
     let min = sorted_ns[0];
     let max = sorted_ns[sorted_ns.len() - 1];
     println!(
@@ -130,6 +164,23 @@ mod tests {
         );
         assert!(built >= 2);
         assert_eq!(consumed, built * 1024);
+    }
+
+    #[test]
+    fn quartiles_interpolate_between_samples() {
+        assert_eq!(quartiles(&[7.0]), [7.0, 7.0, 7.0]);
+        assert_eq!(quartiles(&[1.0, 2.0, 3.0, 4.0, 5.0]), [2.0, 3.0, 4.0]);
+        assert_eq!(quartiles(&[1.0, 2.0, 3.0, 5.0]), [1.75, 2.5, 3.5]);
+    }
+
+    #[test]
+    fn report_lines_parse_back_to_their_median() {
+        for ns in [23.0, 950.0, 1_500.0, 2_500_000.0, 3_000_000_000.0] {
+            let line = format!("row/x {:>12} ns/iter  (min 1, max 2, batch 8)", fmt_ns(ns));
+            assert_eq!(parse_report(&line), Some(("row/x", ns)));
+        }
+        assert_eq!(parse_report("running hotpath microbenches..."), None);
+        assert_eq!(parse_report(""), None);
     }
 
     #[test]

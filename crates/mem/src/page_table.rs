@@ -458,6 +458,37 @@ mod tests {
     }
 
     #[test]
+    fn spans_whose_keys_share_a_slot_all_translate() {
+        // Span 5 shares a slot with the anon span 0, and span 6 with the
+        // file span at `1 << 32`; whichever holds the slot, the other is
+        // found by the fallback search. Both insertion orders.
+        let bases = [0u64, 1 << 32, 5 << SPAN_SHIFT, 6 << SPAN_SHIFT, 3 << 32];
+        for reversed in [false, true] {
+            let mut s = AddressSpace::new(Pid(1));
+            let mut order: Vec<usize> = (0..bases.len()).collect();
+            if reversed {
+                order.reverse();
+            }
+            for &i in &order {
+                s.map(Vpn(bases[i] + 1), Pfn(i as u32));
+                s.validate();
+            }
+            for (i, &base) in bases.iter().enumerate() {
+                let mapped = Some(PageLocation::Mapped(Pfn(i as u32)));
+                assert_eq!(s.translate(Vpn(base + 1)), mapped, "span at {base}");
+                assert_eq!(s.translate(Vpn(base)), None, "span at {base}");
+            }
+            for &i in &order {
+                let mapped = Some(PageLocation::Mapped(Pfn(i as u32)));
+                assert_eq!(s.unmap(Vpn(bases[i] + 1)), mapped);
+                assert_eq!(s.translate(Vpn(bases[i] + 1)), None);
+            }
+            assert_eq!(s.total_pages(), 0);
+            s.validate();
+        }
+    }
+
+    #[test]
     fn clone_is_independent() {
         let mut a = AddressSpace::new(Pid(1));
         a.map(Vpn(1), Pfn(10));

@@ -254,10 +254,12 @@ fn lru_is_a_partition() {
 /// `iter` entry by entry in ascending order, and both ordered walks, the
 /// window walk with the distinct aligned bases and the rank walk from `r`
 /// with `sorted[r..]`. VPNs sit on window edges (511/512) around the anon
-/// (0) and file (`1 << 32`) bases and a far base (`3 << 32`).
+/// (0) and file (`1 << 32`) bases, a far base (`3 << 32`), and the bases
+/// of spans 5 and 6, whose keys share a span slot with the anon and file
+/// spans.
 #[test]
 fn occupancy_index_walks_match_sorted_keys() {
-    const BASES: [u64; 3] = [0, 1 << 32, 3 << 32];
+    const BASES: [u64; 5] = [0, 1 << 32, 3 << 32, 5 << 21, 6 << 21];
     const OFFSETS: [u64; 9] = [0, 1, 63, 64, 510, 511, 512, 513, 1023];
     for seed in 4000..4048u64 {
         let mut rng = TestRng(seed);
@@ -265,7 +267,8 @@ fn occupancy_index_walks_match_sorted_keys() {
         let mut model: BTreeMap<u64, PageLocation> = BTreeMap::new();
         let mut touched: BTreeSet<u64> = BTreeSet::new();
         for step in 0..300u64 {
-            let vpn = BASES[rng.below(3) as usize] + OFFSETS[rng.below(9) as usize];
+            let vpn =
+                BASES[rng.below(BASES.len() as u64) as usize] + OFFSETS[rng.below(9) as usize];
             touched.insert(vpn);
             match rng.below(4) {
                 0 => {

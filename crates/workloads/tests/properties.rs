@@ -290,3 +290,119 @@ fn next_op_into_appends_what_next_op_returns() {
         assert_eq!(rng_op.u64(), rng_into.u64(), "{}", profile.name);
     }
 }
+
+/// `2^53`: the number of distinct draws `SimRng::f64` scales to `[0, 1)`.
+const TWO_POW_53: u64 = 1 << 53;
+
+/// The `f64` that `SimRng::f64` makes of the 53-bit draw `u`.
+fn unit(u: u64) -> f64 {
+    u as f64 * (1.0 / TWO_POW_53 as f64)
+}
+
+/// The region a draw of `u` picks under the float formula: scale by the
+/// weights' sum, then subtract weights until one exceeds the rest.
+fn float_region(u: u64, weights: &[f64]) -> usize {
+    let total: f64 = weights.iter().sum();
+    let mut x = unit(u) * total;
+    for (i, &w) in weights.iter().enumerate() {
+        if x < w {
+            return i;
+        }
+        x -= w;
+    }
+    weights.len() - 1
+}
+
+/// Asserts that the monotone predicate `at` first holds at the integer
+/// threshold `t`: false at `t − 1`, true at `t` and `t + 1` (each where it
+/// is a 53-bit draw).
+fn assert_threshold(t: u64, at: impl Fn(u64) -> bool, what: &str) {
+    assert!(t <= TWO_POW_53, "{what}: threshold {t} above 2^53");
+    if t > 0 {
+        assert!(!at(t - 1), "{what}: holds at T-1 = {}", t - 1);
+    }
+    for u in [t, t + 1] {
+        if u < TWO_POW_53 {
+            assert!(at(u), "{what}: fails at {u} (T = {t})");
+        }
+    }
+}
+
+/// The smallest `u` in `[0, 2^53]` at which the monotone `at` holds,
+/// `2^53` (no draw) when none does.
+fn search_threshold(at: impl Fn(u64) -> bool) -> u64 {
+    let (mut lo, mut hi) = (0u64, TWO_POW_53);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if at(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
+/// Every probability a profile's regions draw with, named.
+fn profile_probabilities(profile: &WorkloadProfile) -> Vec<(String, f64)> {
+    let mut out = Vec::new();
+    for (r, spec) in profile.regions.iter().enumerate() {
+        for (what, p) in [
+            ("tail", spec.tail_weight),
+            ("frontier", spec.frontier_weight),
+            ("store", spec.store_frac),
+        ] {
+            out.push((format!("{} region {r} {what}", profile.name), p));
+        }
+    }
+    out
+}
+
+/// Integer thresholds decide every draw exactly as the float formulas:
+/// each region boundary of every profile is the first 53-bit draw the
+/// float region choice puts at or past that region, each probability
+/// threshold `ceil(p * 2^53)` the first draw `unit(u) < p` rejects, and a
+/// seeded sweep of draws agrees with both float formulas, which are the
+/// ones `SimRng` draws with.
+#[test]
+fn integer_thresholds_match_the_float_draws() {
+    let mut sweep = SimRng::seed(0x7E5);
+    for profile in all_profiles(3_000) {
+        let weights = &profile.region_weights;
+        let bounds: Vec<u64> = (1..weights.len())
+            .map(|k| search_threshold(|u| float_region(u, weights) >= k))
+            .collect();
+        for (k, &t) in bounds.iter().enumerate() {
+            let what = format!("{} region boundary {}", profile.name, k + 1);
+            assert_threshold(t, |u| float_region(u, weights) > k, &what);
+        }
+        let probabilities = profile_probabilities(&profile);
+        for (what, p) in &probabilities {
+            let t = (p * TWO_POW_53 as f64).ceil() as u64;
+            assert_threshold(t, |u| unit(u) >= *p, what);
+        }
+        let total: f64 = weights.iter().sum();
+        for _ in 0..20_000 {
+            let rng = sweep.clone();
+            let u = sweep.u64() >> 11;
+            let by_bounds = bounds.iter().filter(|&&t| u >= t).count();
+            assert_eq!(
+                by_bounds,
+                float_region(u, weights),
+                "{} u={u}",
+                profile.name
+            );
+            assert_eq!(
+                rng.clone().weighted_index_summed(weights, total),
+                by_bounds,
+                "{} u={u}",
+                profile.name
+            );
+            for (what, p) in &probabilities {
+                let t = (p * TWO_POW_53 as f64).ceil() as u64;
+                assert_eq!(u < t, unit(u) < *p, "{what} u={u}");
+                assert_eq!(rng.clone().chance(*p), u < t, "{what} u={u}");
+            }
+        }
+    }
+}

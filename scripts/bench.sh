@@ -5,6 +5,13 @@
 # checked in). The `repro` section runs at `--jobs 2`, the `repro_jobs1`
 # section at `--jobs 1` (the serial cost, free of scheduling effects).
 #
+# One run of a microbench row moves more between runs of the same
+# binary than most code changes move it, so the three suites run RUNS
+# times in a row and each row records the median and quartiles of its
+# per-run medians (the `bench_ledger` binary, on the harness's own
+# statistics). `scripts/bench_delta.sh` calls a row moved only when two
+# reports' quartile ranges do not overlap.
+#
 # The microbench section carries its own baseline: the
 # `hashmap_*_baseline` entries measure a std::collections::HashMap page
 # table under the same load as the radix table's `translate_*` entries.
@@ -15,17 +22,19 @@ cd "$(dirname "$0")/.."
 
 OUT="${1:-BENCH_repro.json}"
 
-cargo build --release -q -p tpp-bench --benches --bin repro
+RUNS=5
+
+cargo build --release -q -p tpp-bench --benches --bin repro --bin bench_ledger
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-echo "running substrate microbenches..." >&2
-cargo bench -q -p tpp-bench --bench substrate 2>/dev/null | tee "$tmp/micro.txt" >&2
-echo "running hotpath microbenches..." >&2
-cargo bench -q -p tpp-bench --bench hotpath 2>/dev/null | tee -a "$tmp/micro.txt" >&2
-echo "running policy microbenches..." >&2
-cargo bench -q -p tpp-bench --bench policies 2>/dev/null | tee -a "$tmp/micro.txt" >&2
+for ((run = 1; run <= RUNS; run++)); do
+  for suite in substrate hotpath policies; do
+    echo "running $suite microbenches ($run/$RUNS)..." >&2
+    cargo bench -q -p tpp-bench --bench "$suite" 2>/dev/null | tee -a "$tmp/micro.txt" >&2
+  done
+done
 
 for jobs in 2 1; do
   echo "running standard-scale repro (--jobs $jobs)..." >&2
@@ -36,8 +45,8 @@ done
 # Assemble the report: host info (including the CPU model, since
 # reports from different hosts differ by several times on every row,
 # and the revision the numbers were measured at), what the access
-# counts count, the microbench medians (ns/iter), and both repro timing
-# JSONs verbatim.
+# counts count, each microbench row's median and quartiles over the
+# runs (ns/iter), and both repro timing JSONs verbatim.
 GIT_REV="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 git diff --quiet HEAD 2>/dev/null || GIT_REV="$GIT_REV-dirty"
 CPU="$(sed -n 's/^model name[[:space:]]*: *//p' /proc/cpuinfo 2>/dev/null | head -n 1)"
@@ -45,14 +54,8 @@ CPU="$(sed -n 's/^model name[[:space:]]*: *//p' /proc/cpuinfo 2>/dev/null | head
   echo "{"
   echo "  \"host\": {\"cpus\": $(nproc), \"cpu\": \"${CPU:-unknown}\", \"os\": \"$(uname -sr)\", \"git_rev\": \"$GIT_REV\"},"
   echo "  \"accounting\": \"simulated_accesses and aggregate_ops_per_s count the cells_run distinct cells; the cells_reused repeats take an earlier cell's result and simulate nothing\","
-  echo "  \"microbench_median_ns_per_iter\": {"
-  awk '/ns\/iter/ {
-         v = $2                            # median, e.g. "35" or "55.8us"
-         if (v ~ /us$/)      { sub(/us$/, "", v); v *= 1000 }
-         else if (v ~ /ms$/) { sub(/ms$/, "", v); v *= 1000000 }
-         else if (v ~ /s$/)  { sub(/s$/, "", v);  v *= 1000000000 }
-         printf "%s    \"%s\": %s", sep, $1, v; sep = ",\n"
-       } END { print "" }' "$tmp/micro.txt"
+  echo "  \"microbench_ns_per_iter\": {"
+  ./target/release/bench_ledger <"$tmp/micro.txt" | sed 's/^/    /'
   echo "  },"
   echo "  \"repro\":"
   sed 's/^/  /; $s/$/,/' "$tmp/repro2.json"
