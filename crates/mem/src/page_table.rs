@@ -4,15 +4,23 @@
 //! Each space is a radix page table, like the kernel's. A VPN splits into
 //! a span key (`vpn >> 21`: one 8 GiB span of 4 KiB pages), a leaf index
 //! within the span (4,096 leaves) and an entry index within the leaf (512
-//! entries, so a leaf is exactly one huge-page-aligned window). A space
-//! keeps its spans in a short list sorted by key and searched linearly:
-//! anon regions start at VPN 0 and file regions at `1 << 32`, so a
-//! process has two or three spans. A leaf packs its entries as `u64`s (a
-//! PFN as is, a swap slot with the top bit set, `u64::MAX` for no entry)
-//! and counts its live ones.
+//! entries, so a leaf is exactly one huge-page-aligned window). Anon
+//! regions start at VPN 0, file regions at `1 << 32` and transient churn
+//! at `3 << 32`, so a process has two or three spans. A leaf packs its
+//! entries as `u64`s (a PFN as is, a swap slot with the top bit set,
+//! `u64::MAX` for no entry) and counts its live ones.
 //!
 //! Every simulated access funnels through [`AddressSpace::translate`],
 //! which indexes the table directly, and neighbouring VPNs share a leaf.
+//! The spans live in eight slots inside the space itself, keyed by a
+//! multiplicative hash of the span key, so finding one is a hash, one
+//! load and one compare, the same for every span. A linear search of a
+//! list instead exits at the first or a later span, and when a workload
+//! picks anon or file pages at random (cache1) that exit is a branch the
+//! predictor misses about half the time. Keys 0, `1 << 11` and `3 << 11`
+//! (the three bases above) have slots of their own; a span whose slot
+//! another span already holds goes to a short overflow list searched
+//! behind the slots. A sorted list of the keys orders the walks.
 //! The background scanners (khugepaged, the hint sampler) walk the same
 //! leaves in address order; a rank walk skips whole leaves by their live
 //! counts, so reaching a rank costs O(leaves), not O(entries).
@@ -79,6 +87,16 @@ fn leaf_index(vpn: u64) -> usize {
     (vpn >> LEAF_SHIFT) as usize & (SPAN_LEAVES - 1)
 }
 
+/// Span slots in each address space.
+const SLOTS: usize = 8;
+
+/// The slot of span key `key`: the top three bits of a multiplicative
+/// (Fibonacci) hash.
+#[inline]
+fn slot_of(key: u64) -> usize {
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (u64::BITS - SLOTS.trailing_zeros())) as usize
+}
+
 /// One window's entries and how many of them are live.
 #[derive(Clone, Debug)]
 struct Leaf {
@@ -101,7 +119,8 @@ impl Leaf {
 #[derive(Clone, Debug)]
 struct Span {
     key: u64,
-    leaves: Box<[Option<Box<Leaf>>]>,
+    /// A fixed-size array, so a masked leaf index needs no bounds check.
+    leaves: Box<[Option<Box<Leaf>>; SPAN_LEAVES]>,
 }
 
 /// One process' page table.
@@ -120,8 +139,13 @@ struct Span {
 #[derive(Clone, Debug)]
 pub struct AddressSpace {
     pid: Pid,
-    /// Sorted by key.
-    spans: Vec<Span>,
+    /// `slots[slot_of(key)]`: the first span added whose key hashes to
+    /// that slot.
+    slots: [Option<Span>; SLOTS],
+    /// The spans whose slot another span already held.
+    overflow: Vec<Span>,
+    /// Every span's key, ascending: the order of the walks.
+    keys: Vec<u64>,
     /// Emptied leaves (all entries `EMPTY`), reused before allocating.
     free: Vec<Box<Leaf>>,
     /// Leaves holding at least one entry.
@@ -135,7 +159,9 @@ impl AddressSpace {
     pub fn new(pid: Pid) -> AddressSpace {
         AddressSpace {
             pid,
-            spans: Vec::new(),
+            slots: Default::default(),
+            overflow: Vec::new(),
+            keys: Vec::new(),
             free: Vec::new(),
             windows: 0,
             resident: 0,
@@ -146,10 +172,56 @@ impl AddressSpace {
     /// Looks up where `vpn` lives, if anywhere.
     #[inline]
     pub fn translate(&self, vpn: Vpn) -> Option<PageLocation> {
-        let key = vpn.0 >> SPAN_SHIFT;
-        let span = self.spans.iter().find(|s| s.key == key)?;
+        let span = self.span(vpn.0 >> SPAN_SHIFT)?;
         let leaf = span.leaves[leaf_index(vpn.0)].as_deref()?;
         PageLocation::decode(leaf.entries[vpn.0 as usize % LEAF_ENTRIES])
+    }
+
+    /// The span with key `key`: the one in its slot, else the overflow
+    /// search.
+    #[inline]
+    fn span(&self, key: u64) -> Option<&Span> {
+        match &self.slots[slot_of(key)] {
+            Some(span) if span.key == key => Some(span),
+            _ => self.overflow_span(key),
+        }
+    }
+
+    /// A key whose slot holds another span, or no span at all.
+    #[cold]
+    fn overflow_span(&self, key: u64) -> Option<&Span> {
+        self.overflow.iter().find(|s| s.key == key)
+    }
+
+    /// [`AddressSpace::span`], mutably; it takes the two fields it reads
+    /// so the caller can still borrow the others.
+    fn span_mut<'a>(
+        slots: &'a mut [Option<Span>; SLOTS],
+        overflow: &'a mut [Span],
+        key: u64,
+    ) -> Option<&'a mut Span> {
+        match &mut slots[slot_of(key)] {
+            Some(span) if span.key == key => Some(span),
+            _ => overflow.iter_mut().find(|s| s.key == key),
+        }
+    }
+
+    /// Adds the empty span `key`: into its slot if that is free, else
+    /// onto the overflow list.
+    fn add_span(&mut self, key: u64) {
+        let span = Span {
+            key,
+            leaves: vec![None; SPAN_LEAVES]
+                .into_boxed_slice()
+                .try_into()
+                .expect("SPAN_LEAVES leaves"),
+        };
+        match &mut self.slots[slot_of(key)] {
+            slot @ None => *slot = Some(span),
+            Some(_) => self.overflow.push(span),
+        }
+        let at = self.keys.partition_point(|&k| k < key);
+        self.keys.insert(at, key);
     }
 
     /// Number of resident (mapped) pages.
@@ -188,16 +260,12 @@ impl AddressSpace {
     #[inline]
     fn insert(&mut self, vpn: u64, loc: PageLocation) -> Option<PageLocation> {
         let key = vpn >> SPAN_SHIFT;
-        let at = match self.spans.iter().position(|s| s.key == key) {
-            Some(at) => at,
-            None => {
-                let at = self.spans.partition_point(|s| s.key < key);
-                let leaves = vec![None; SPAN_LEAVES].into_boxed_slice();
-                self.spans.insert(at, Span { key, leaves });
-                at
-            }
-        };
-        let slot = &mut self.spans[at].leaves[leaf_index(vpn)];
+        if self.span(key).is_none() {
+            self.add_span(key);
+        }
+        let span = AddressSpace::span_mut(&mut self.slots, &mut self.overflow, key)
+            .expect("span added above");
+        let slot = &mut span.leaves[leaf_index(vpn)];
         let leaf = slot.get_or_insert_with(|| {
             self.windows += 1;
             self.free.pop().unwrap_or_else(|| {
@@ -220,7 +288,7 @@ impl AddressSpace {
     /// empty goes to the free list.
     pub fn unmap(&mut self, vpn: Vpn) -> Option<PageLocation> {
         let key = vpn.0 >> SPAN_SHIFT;
-        let span = self.spans.iter_mut().find(|s| s.key == key)?;
+        let span = AddressSpace::span_mut(&mut self.slots, &mut self.overflow, key)?;
         let slot = &mut span.leaves[leaf_index(vpn.0)];
         let leaf = slot.as_mut()?;
         let entry = &mut leaf.entries[vpn.0 as usize % LEAF_ENTRIES];
@@ -244,7 +312,8 @@ impl AddressSpace {
 
     /// The non-empty leaves with their base VPNs, in ascending order.
     fn leaves(&self) -> impl Iterator<Item = (u64, &Leaf)> + '_ {
-        self.spans.iter().flat_map(|span| {
+        self.keys.iter().flat_map(|&key| {
+            let span = self.span(key).expect("every key has a span");
             let span_base = span.key << SPAN_SHIFT;
             span.leaves.iter().enumerate().filter_map(move |(i, leaf)| {
                 Some((span_base + ((i as u64) << LEAF_SHIFT), leaf.as_deref()?))
@@ -287,15 +356,45 @@ impl AddressSpace {
             .map(|(vpn, _)| vpn)
     }
 
-    /// Asserts that the spans are sorted, that every leaf's live count
-    /// matches its entries and is non-zero, and that the window, resident
-    /// and swapped counts match the entries.
+    /// Asserts that the keys are sorted and name exactly the spans, that
+    /// each slot's span hashes to it and each overflow span's slot is
+    /// taken, that every leaf's live count matches its entries and is
+    /// non-zero, and that the window, resident and swapped counts match
+    /// the entries.
     pub(crate) fn validate(&self) {
         assert!(
-            self.spans.windows(2).all(|w| w[0].key < w[1].key),
-            "{}: spans out of order",
+            self.keys.windows(2).all(|w| w[0] < w[1]),
+            "{}: span keys out of order",
             self.pid
         );
+        for (at, span) in self.slots.iter().enumerate() {
+            if let Some(span) = span {
+                assert_eq!(
+                    slot_of(span.key),
+                    at,
+                    "{}: span {} in a foreign slot",
+                    self.pid,
+                    span.key
+                );
+            }
+        }
+        for span in &self.overflow {
+            assert!(
+                self.slots[slot_of(span.key)].is_some(),
+                "{}: span {} overflowed a free slot",
+                self.pid,
+                span.key
+            );
+        }
+        let spans = self.slots.iter().flatten().count() + self.overflow.len();
+        assert_eq!(spans, self.keys.len(), "{}: span count", self.pid);
+        for &key in &self.keys {
+            assert!(
+                self.span(key).is_some_and(|s| s.key == key),
+                "{}: span {key} missing",
+                self.pid
+            );
+        }
         let (mut windows, mut resident, mut swapped) = (0, 0, 0);
         for (base, leaf) in self.leaves() {
             let mut live = 0;
@@ -463,6 +562,11 @@ mod tests {
         // file span at `1 << 32`; whichever holds the slot, the other is
         // found by the fallback search. Both insertion orders.
         let bases = [0u64, 1 << 32, 5 << SPAN_SHIFT, 6 << SPAN_SHIFT, 3 << 32];
+        let slot = |base: u64| slot_of(base >> SPAN_SHIFT);
+        assert_eq!(slot(5 << SPAN_SHIFT), slot(0));
+        assert_eq!(slot(6 << SPAN_SHIFT), slot(1 << 32));
+        let own = [slot(0), slot(1 << 32), slot(3 << 32)];
+        assert!(own[0] != own[1] && own[0] != own[2] && own[1] != own[2]);
         for reversed in [false, true] {
             let mut s = AddressSpace::new(Pid(1));
             let mut order: Vec<usize> = (0..bases.len()).collect();

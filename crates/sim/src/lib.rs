@@ -34,6 +34,6 @@ mod trace;
 
 pub use clock::{Periodic, MINUTE, MS, SEC, US};
 pub use latency::{access_latency_ns, LatencyModel};
-pub use rng::SimRng;
+pub use rng::{SimRng, WeightedIndex};
 pub use stats::{fraction, percentile, rate_per_sec, LogHistogram, TimeSeries};
 pub use trace::{Access, AccessKind, Op, Workload, WorkloadEvent};

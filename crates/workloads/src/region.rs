@@ -109,6 +109,69 @@ struct Geometry {
     frontier: u64,
 }
 
+/// Whether and how [`WindowedRegion::sample`] takes one of the optional
+/// coins (the tail or the frontier coin). It is decided once for the
+/// whole set of regions a workload draws among, so a `match` on it goes
+/// the same way on every access, whichever region was drawn.
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    /// No region of the set has the coin: no generator step.
+    Skip,
+    /// Every region of the set has it: a plain step.
+    Always,
+    /// Some regions have it: a step kept where `keep` is all ones (this
+    /// region has the coin) and dropped where it is zero, so which region
+    /// was drawn is data, not a branch.
+    Masked { keep: u64 },
+}
+
+/// One of a region's optional coins, tossed as an integer compare.
+#[derive(Clone, Copy, Debug)]
+struct Coin {
+    step: Step,
+    /// `SimRng::chance_bound` of the coin's weight: 0 (never) for a region
+    /// without the coin, so its masked step never hits.
+    below: u64,
+}
+
+impl Coin {
+    /// The coin of weight `weight` in a set whose regions have the
+    /// weights `set`; a region has the coin when its weight is positive.
+    fn new(weight: f64, set: impl Iterator<Item = f64>) -> Coin {
+        let has = |w: f64| w > 0.0;
+        let (mut with, mut without) = (0, 0);
+        for w in set {
+            if has(w) {
+                with += 1;
+            } else {
+                without += 1;
+            }
+        }
+        let step = match (with, without) {
+            (0, _) => Step::Skip,
+            (_, 0) => Step::Always,
+            _ => Step::Masked {
+                keep: if has(weight) { u64::MAX } else { 0 },
+            },
+        };
+        Coin {
+            step,
+            below: SimRng::chance_bound(weight),
+        }
+    }
+
+    /// Tosses the coin: whether it hit.
+    #[inline]
+    fn hit(self, rng: &mut SimRng) -> bool {
+        let u = match self.step {
+            Step::Skip => return false,
+            Step::Always => rng.u53(),
+            Step::Masked { keep } => rng.u53_if(keep),
+        };
+        u < self.below
+    }
+}
+
 /// Runtime sampler for one region.
 #[derive(Clone, Debug)]
 pub struct WindowedRegion {
@@ -117,15 +180,40 @@ pub struct WindowedRegion {
     /// `(pages * initial_frac) as u64`, hoisted out of the growth formula.
     initial_pages: u64,
     geo: Cell<Geometry>,
+    /// The one-off touch anywhere in the region (`tail_weight`).
+    tail: Coin,
+    /// The touch of the newest pages (`frontier_weight`).
+    frontier: Coin,
+    /// `SimRng::chance_bound(store_frac)`.
+    store_below: u64,
 }
 
 impl WindowedRegion {
-    /// Builds the sampler for `spec`.
+    /// Builds the sampler for `spec`, drawn on its own.
     ///
     /// # Panics
     ///
     /// Panics if the region is empty or `window_frac` is outside `(0, 1]`.
     pub fn new(spec: RegionSpec) -> WindowedRegion {
+        WindowedRegion::in_set(spec.clone(), std::slice::from_ref(&spec))
+    }
+
+    /// Builds the samplers for `specs`, a set one workload draws among.
+    /// A coin only some of them have is tossed with a masked step (see
+    /// [`SimRng::u53_if`]), so drawing a region takes no branch; a coin
+    /// all or none of them have takes a plain step or none.
+    ///
+    /// # Panics
+    ///
+    /// As [`WindowedRegion::new`], for any of `specs`.
+    pub(crate) fn set(specs: &[RegionSpec]) -> Vec<WindowedRegion> {
+        specs
+            .iter()
+            .map(|spec| WindowedRegion::in_set(spec.clone(), specs))
+            .collect()
+    }
+
+    fn in_set(spec: RegionSpec, set: &[RegionSpec]) -> WindowedRegion {
         assert!(spec.pages > 0, "empty region");
         assert!(
             spec.window_frac > 0.0 && spec.window_frac <= 1.0,
@@ -139,6 +227,9 @@ impl WindowedRegion {
             Some(g) => (spec.pages as f64 * g.initial_frac) as u64,
         };
         WindowedRegion {
+            tail: Coin::new(spec.tail_weight, set.iter().map(|r| r.tail_weight)),
+            frontier: Coin::new(spec.frontier_weight, set.iter().map(|r| r.frontier_weight)),
+            store_below: SimRng::chance_bound(spec.store_frac),
             spec,
             zipf,
             initial_pages,
@@ -215,21 +306,28 @@ impl WindowedRegion {
     }
 
     /// Draws one access at `now_ns`.
+    ///
+    /// The draws, in order: the tail coin (`chance(tail_weight)`) if the
+    /// region has one; on a miss, the frontier coin if it has one; on a
+    /// miss again, a Zipf rank in the window; then the store coin. Each
+    /// coin is an integer compare of a 53-bit draw against its
+    /// `chance_bound`, which decides exactly as `chance` does. Only a hit
+    /// of the tail or frontier coin branches on the draw.
     #[inline]
     pub fn sample(&self, now_ns: u64, rng: &mut SimRng) -> (Vpn, AccessKind) {
         let geo = self.geometry(now_ns);
         let allocated = geo.allocated;
-        let offset = if self.spec.tail_weight > 0.0 && rng.chance(self.spec.tail_weight) {
+        let offset = if self.tail.hit(rng) {
             // Sporadic one-off touch anywhere in the region.
             rng.range(0..allocated)
-        } else if self.spec.frontier_weight > 0.0 && rng.chance(self.spec.frontier_weight) {
+        } else if self.frontier.hit(rng) {
             // Hot allocation frontier: the newest pages.
             allocated - 1 - rng.range(0..geo.frontier)
         } else {
             window_offset(self.zipf.sample(rng), geo.window, geo.start, allocated)
         };
         let vpn = Vpn(self.spec.base_vpn + offset);
-        let kind = if rng.chance(self.spec.store_frac) {
+        let kind = if rng.u53() < self.store_below {
             AccessKind::Store
         } else {
             AccessKind::Load

@@ -2,7 +2,7 @@
 //! short-lived allocation churn, assembled from a [`WorkloadProfile`].
 
 use tiered_mem::{PageType, Pid, Vpn};
-use tiered_sim::{Access, AccessKind, Op, SimRng, Workload, WorkloadEvent};
+use tiered_sim::{Access, AccessKind, Op, SimRng, WeightedIndex, Workload, WorkloadEvent};
 
 use crate::region::{RegionSpec, WindowedRegion};
 use crate::transient::TransientPool;
@@ -84,19 +84,14 @@ impl WorkloadProfile {
                 assert!(i < self.regions.len(), "warm-up region {i} out of range");
             }
         }
-        let regions: Vec<WindowedRegion> = self
-            .regions
-            .iter()
-            .cloned()
-            .map(WindowedRegion::new)
-            .collect();
+        let regions = WindowedRegion::set(&self.regions);
         let pool = self
             .transient
             .map(|t| TransientPool::new(TRANSIENT_BASE_VPN, t.range_pages, t.lifetime_ns));
         let materialize_cursors = vec![0u64; regions.len()];
         SyntheticWorkload {
             profile: self.clone(),
-            weight_total: self.region_weights.iter().sum(),
+            choice: WeightedIndex::new(&self.region_weights),
             regions,
             pool,
             warmup_pos: self.warmup.as_ref().map(|_| (0, 0)),
@@ -115,8 +110,8 @@ pub const TRANSIENT_BASE_VPN: u64 = 3 << 32;
 #[derive(Clone, Debug)]
 pub struct SyntheticWorkload {
     profile: WorkloadProfile,
-    /// `profile.region_weights.iter().sum()`, hoisted out of every draw.
-    weight_total: f64,
+    /// The region choice of a steady access, by `region_weights`.
+    choice: WeightedIndex,
     regions: Vec<WindowedRegion>,
     pool: Option<TransientPool>,
     /// `(warm-up list position, page offset within that region)`;
@@ -279,10 +274,12 @@ impl Workload for SyntheticWorkload {
             self.materialize(now_ns, events);
         }
         let pid = self.profile.pid;
-        // Steady-state region traffic.
+        // Steady-state region traffic. The region is an index computed
+        // from the draw and everything after it reads that region's
+        // data, so when the weights are close (cache1's 55/45) no branch
+        // depends on which region came up.
         for _ in 0..self.profile.accesses_per_op {
-            let i = rng.weighted_index_summed(&self.profile.region_weights, self.weight_total);
-            let region = &self.regions[i];
+            let region = &self.regions[self.choice.sample(rng)];
             let (vpn, kind) = region.sample(now_ns, rng);
             events.push(WorkloadEvent::Access(Access {
                 pid,

@@ -2,7 +2,7 @@
 //! [`SimRng`] loops (no external proptest dependency).
 
 use tiered_mem::{PageType, Pid, Vpn};
-use tiered_sim::{AccessKind, SimRng, Workload, WorkloadEvent, SEC};
+use tiered_sim::{AccessKind, SimRng, WeightedIndex, Workload, WorkloadEvent, SEC};
 use tiered_workloads::{RegionSpec, TransientPool, WindowedRegion, WorkloadProfile, ZipfSampler};
 
 /// Region samples never escape the region bounds, at any time, for
@@ -328,21 +328,6 @@ fn assert_threshold(t: u64, at: impl Fn(u64) -> bool, what: &str) {
     }
 }
 
-/// The smallest `u` in `[0, 2^53]` at which the monotone `at` holds,
-/// `2^53` (no draw) when none does.
-fn search_threshold(at: impl Fn(u64) -> bool) -> u64 {
-    let (mut lo, mut hi) = (0u64, TWO_POW_53);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if at(mid) {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    lo
-}
-
 /// Every probability a profile's regions draw with, named.
 fn profile_probabilities(profile: &WorkloadProfile) -> Vec<(String, f64)> {
     let mut out = Vec::new();
@@ -360,31 +345,29 @@ fn profile_probabilities(profile: &WorkloadProfile) -> Vec<(String, f64)> {
 
 /// Integer thresholds decide every draw exactly as the float formulas:
 /// each region boundary of every profile is the first 53-bit draw the
-/// float region choice puts at or past that region, each probability
-/// threshold `ceil(p * 2^53)` the first draw `unit(u) < p` rejects, and a
-/// seeded sweep of draws agrees with both float formulas, which are the
-/// ones `SimRng` draws with.
+/// float region choice puts at or past that region, each coin's
+/// `chance_bound` the first draw `unit(u) < p` rejects, and a seeded
+/// sweep of draws agrees with both float formulas and with
+/// `SimRng::chance`.
 #[test]
 fn integer_thresholds_match_the_float_draws() {
     let mut sweep = SimRng::seed(0x7E5);
     for profile in all_profiles(3_000) {
         let weights = &profile.region_weights;
-        let bounds: Vec<u64> = (1..weights.len())
-            .map(|k| search_threshold(|u| float_region(u, weights) >= k))
-            .collect();
+        let choice = WeightedIndex::new(weights);
+        let bounds = choice.bounds();
+        assert_eq!(bounds.len(), weights.len() - 1, "{}", profile.name);
         for (k, &t) in bounds.iter().enumerate() {
             let what = format!("{} region boundary {}", profile.name, k + 1);
             assert_threshold(t, |u| float_region(u, weights) > k, &what);
         }
         let probabilities = profile_probabilities(&profile);
         for (what, p) in &probabilities {
-            let t = (p * TWO_POW_53 as f64).ceil() as u64;
-            assert_threshold(t, |u| unit(u) >= *p, what);
+            assert_threshold(SimRng::chance_bound(*p), |u| unit(u) >= *p, what);
         }
-        let total: f64 = weights.iter().sum();
         for _ in 0..20_000 {
             let rng = sweep.clone();
-            let u = sweep.u64() >> 11;
+            let u = sweep.u53();
             let by_bounds = bounds.iter().filter(|&&t| u >= t).count();
             assert_eq!(
                 by_bounds,
@@ -393,13 +376,13 @@ fn integer_thresholds_match_the_float_draws() {
                 profile.name
             );
             assert_eq!(
-                rng.clone().weighted_index_summed(weights, total),
+                choice.sample(&mut rng.clone()),
                 by_bounds,
                 "{} u={u}",
                 profile.name
             );
             for (what, p) in &probabilities {
-                let t = (p * TWO_POW_53 as f64).ceil() as u64;
+                let t = SimRng::chance_bound(*p);
                 assert_eq!(u < t, unit(u) < *p, "{what} u={u}");
                 assert_eq!(rng.clone().chance(*p), u < t, "{what} u={u}");
             }
