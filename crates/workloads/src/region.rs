@@ -596,6 +596,38 @@ mod tests {
     }
 
     #[test]
+    fn a_set_with_coins_some_regions_lack_matches_the_reference_stream() {
+        // One region with a tail coin, one with a frontier coin, one with
+        // neither: both coins are masked steps, kept only for the region
+        // that has them.
+        let mut tail = RegionSpec::steady(0, 10_000, PageType::Anon, 0.3);
+        tail.tail_weight = 0.05;
+        let mut frontier = RegionSpec::steady(1 << 32, 4_000, PageType::Tmpfs, 0.2);
+        frontier.frontier_weight = 0.4;
+        let plain = RegionSpec::steady(3 << 32, 2_000, PageType::File, 0.5);
+        let set = WindowedRegion::set(&[tail, frontier, plain]);
+        assert!(set
+            .iter()
+            .all(|r| matches!(r.tail.step, Step::Masked { .. })));
+        assert!(set
+            .iter()
+            .all(|r| matches!(r.frontier.step, Step::Masked { .. })));
+        let mut pick = SimRng::seed(0x5E7);
+        let mut a = SimRng::seed(0x5E8);
+        let mut b = a.clone();
+        for i in 0..50_000u64 {
+            let region = &set[pick.range(0..3) as usize];
+            let t = i * SEC / 100;
+            assert_eq!(
+                region.sample(t, &mut a),
+                reference_sample(region, t, &mut b),
+                "draw {i}"
+            );
+        }
+        assert_eq!(a.u64(), b.u64());
+    }
+
+    #[test]
     fn growth_expands_allocated_footprint() {
         let mut spec = RegionSpec::steady(0, 1000, PageType::Anon, 0.5);
         spec.growth = Some(Growth {
