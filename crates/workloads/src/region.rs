@@ -109,53 +109,29 @@ struct Geometry {
     frontier: u64,
 }
 
-/// Whether and how [`WindowedRegion::sample`] takes one of the optional
-/// coins (the tail or the frontier coin). It is decided once for the
-/// whole set of regions a workload draws among, so a `match` on it goes
-/// the same way on every access, whichever region was drawn.
-#[derive(Clone, Copy, Debug)]
-enum Step {
-    /// No region of the set has the coin: no generator step.
-    Skip,
-    /// Every region of the set has it: a plain step.
-    Always,
-    /// Some regions have it: a step kept where `keep` is all ones (this
-    /// region has the coin) and dropped where it is zero, so which region
-    /// was drawn is data, not a branch.
-    Masked { keep: u64 },
-}
-
-/// One of a region's optional coins, tossed as an integer compare.
+/// One of a region's optional coins (the tail or the frontier coin),
+/// tossed as an integer compare.
 #[derive(Clone, Copy, Debug)]
 struct Coin {
-    step: Step,
+    /// `None` when no region of the set a workload draws among has the
+    /// coin: no generator step. Otherwise the [`SimRng::u53_if`] mask, all
+    /// ones when this region has the coin and zero when it has not, so
+    /// which region was drawn is data, not a branch.
+    keep: Option<u64>,
     /// `SimRng::chance_bound` of the coin's weight: 0 (never) for a region
-    /// without the coin, so its masked step never hits.
+    /// without the coin, so its dropped step never hits.
     below: u64,
 }
 
 impl Coin {
     /// The coin of weight `weight` in a set whose regions have the
     /// weights `set`; a region has the coin when its weight is positive.
-    fn new(weight: f64, set: impl Iterator<Item = f64>) -> Coin {
+    fn new(weight: f64, mut set: impl Iterator<Item = f64>) -> Coin {
         let has = |w: f64| w > 0.0;
-        let (mut with, mut without) = (0, 0);
-        for w in set {
-            if has(w) {
-                with += 1;
-            } else {
-                without += 1;
-            }
-        }
-        let step = match (with, without) {
-            (0, _) => Step::Skip,
-            (_, 0) => Step::Always,
-            _ => Step::Masked {
-                keep: if has(weight) { u64::MAX } else { 0 },
-            },
-        };
         Coin {
-            step,
+            keep: set
+                .any(has)
+                .then_some(if has(weight) { u64::MAX } else { 0 }),
             below: SimRng::chance_bound(weight),
         }
     }
@@ -163,12 +139,10 @@ impl Coin {
     /// Tosses the coin: whether it hit.
     #[inline]
     fn hit(self, rng: &mut SimRng) -> bool {
-        let u = match self.step {
-            Step::Skip => return false,
-            Step::Always => rng.u53(),
-            Step::Masked { keep } => rng.u53_if(keep),
-        };
-        u < self.below
+        match self.keep {
+            None => false,
+            Some(keep) => rng.u53_if(keep) < self.below,
+        }
     }
 }
 
@@ -199,9 +173,9 @@ impl WindowedRegion {
     }
 
     /// Builds the samplers for `specs`, a set one workload draws among.
-    /// A coin only some of them have is tossed with a masked step (see
+    /// A coin any of them has is tossed with a masked step (see
     /// [`SimRng::u53_if`]), so drawing a region takes no branch; a coin
-    /// all or none of them have takes a plain step or none.
+    /// none of them has takes no step.
     ///
     /// # Panics
     ///
@@ -606,12 +580,11 @@ mod tests {
         frontier.frontier_weight = 0.4;
         let plain = RegionSpec::steady(3 << 32, 2_000, PageType::File, 0.5);
         let set = WindowedRegion::set(&[tail, frontier, plain]);
-        assert!(set
-            .iter()
-            .all(|r| matches!(r.tail.step, Step::Masked { .. })));
-        assert!(set
-            .iter()
-            .all(|r| matches!(r.frontier.step, Step::Masked { .. })));
+        let keeps = |coin: fn(&WindowedRegion) -> Coin| -> Vec<_> {
+            set.iter().map(|r| coin(r).keep).collect()
+        };
+        assert_eq!(keeps(|r| r.tail), [Some(u64::MAX), Some(0), Some(0)]);
+        assert_eq!(keeps(|r| r.frontier), [Some(0), Some(u64::MAX), Some(0)]);
         let mut pick = SimRng::seed(0x5E7);
         let mut a = SimRng::seed(0x5E8);
         let mut b = a.clone();

@@ -5,9 +5,8 @@
 # and repeated cells reused (`-` where a report predates the counts), and
 # every microbench row of the new report. A row shows its median and
 # quartiles in both reports and is called `moved` only when the two
-# quartile ranges do not overlap; otherwise it is `within noise`. A
-# report from before repeated runs has one median per row and no
-# quartiles: its range is that single value. Used by bench.sh (new run
+# quartile ranges do not overlap; otherwise it is `within noise`. Both
+# reports must have per-row quartiles. Used by bench.sh (new run
 # vs the checked-in baseline) and check.sh (working-tree BENCH_repro.json
 # vs HEAD).
 #
@@ -25,15 +24,13 @@ fi
 extract() {
   awk '
     /^  "repro[a-z0-9_]*":/ { section = $1; gsub(/[":]/, "", section) }
-    /"microbench_(median_)?ns_per_iter"/ { inmb = 1; next }
+    /"microbench_ns_per_iter"/ { inmb = 1; next }
     inmb && /^  }/ { inmb = 0 }
     inmb {
       line = $0
       gsub(/[",:{}]/, " ", line)
       n = split(line, f, " ")
-      if (n == 2) {
-        printf "%s %s %s %s\n", f[1], f[2], f[2], f[2]
-      } else if (n > 2) {
+      if (n > 2) {
         for (i = 2; i < n; i += 2) v[f[i]] = f[i + 1]
         printf "%s %s %s %s\n", f[1], v["median"], v["q1"], v["q3"]
       }
