@@ -77,12 +77,15 @@ fn bench_execute_access_hot() {
     bench("hotpath/execute_access_hot", || {
         let access = Access {
             pid,
-            vpn: mapped[i % mapped.len()],
+            vpn: mapped[i],
             kind: AccessKind::Load,
             page_type: PageType::Anon,
         };
-        i += 1;
         std::hint::black_box(system.resolve_access(now, &access));
+        i += 1;
+        if i == mapped.len() {
+            i = 0;
+        }
     });
 }
 

@@ -6,10 +6,13 @@
 //! cargo run --release -p tpp-bench --bin repro -- --trace /tmp/t.jsonl
 //! ```
 //!
-//! Tables are exported as CSV into `results/` (override with
-//! `--csv <dir>`). At standard scale, produced tables are compared against the
-//! checked-in snapshots in `crates/bench/expected/`; the run exits
-//! non-zero if any figure deviates beyond tolerance.
+//! `repro` prints every table a target returns and writes it as CSV into
+//! `results/` (override with `--csv <dir>`); a CSV directory that cannot
+//! be created stops the run before any target runs, and a failed write
+//! makes it exit non-zero. At standard scale, the tables this run
+//! produced are compared against the checked-in snapshots in
+//! `crates/bench/expected/`; the run exits non-zero if any deviates
+//! beyond tolerance.
 //!
 //! `--trace <path>` appends a dedicated instrumented run (cache1 on the
 //! 1:4 machine under TPP) that streams every kernel-style event to
@@ -22,57 +25,125 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use tpp_bench::charfig;
+use tpp_bench::charfig::{self, Characterization};
 use tpp_bench::evalfig;
 use tpp_bench::sweeps;
-use tpp_bench::Scale;
+use tpp_bench::{Scale, Table};
 
-/// Every runnable experiment target, in `all` execution order, with a
-/// one-line description (`repro --list`).
-const TARGETS: &[(&str, &str)] = &[
+/// How a target computes its table: from the run's scale, or from the
+/// characterization pass, which runs once before the first target when
+/// any selected target takes it.
+enum Run {
+    Scaled(fn(&Scale) -> Table),
+    Characterized(fn(&[Characterization]) -> Table),
+}
+use Run::{Characterized, Scaled};
+
+/// A target's name, its one-line description (`repro --list`) and how it
+/// runs.
+type Target = (&'static str, &'static str, Run);
+
+/// Every runnable experiment target, in `all` execution order.
+const TARGETS: &[Target] = &[
     (
         "fig2",
         "memory-tier latency hierarchy of the simulated machine",
+        Scaled(|_| charfig::fig2()),
     ),
     (
         "fig7",
         "total tracked memory vs. memory accessed in 1-/2-interval windows",
+        Characterized(charfig::fig7),
     ),
-    ("fig8", "per-page-type hotness within a 2-interval window"),
-    ("fig9", "anon/file shares of resident memory over time"),
-    ("fig10", "throughput vs. page-type utilisation per interval"),
-    ("fig11", "re-access-interval CDF per workload"),
+    (
+        "fig8",
+        "per-page-type hotness within a 2-interval window",
+        Characterized(charfig::fig8),
+    ),
+    (
+        "fig9",
+        "anon/file shares of resident memory over time",
+        Characterized(charfig::fig9),
+    ),
+    (
+        "fig10",
+        "throughput vs. page-type utilisation per interval",
+        Characterized(charfig::fig10),
+    ),
+    (
+        "fig11",
+        "re-access-interval CDF per workload",
+        Characterized(charfig::fig11),
+    ),
     (
         "fig15",
         "production 2:1 machine, Linux vs TPP, all four workloads",
+        Scaled(evalfig::fig15),
     ),
-    ("fig16", "memory expansion 1:4, Cache workloads"),
+    (
+        "fig16",
+        "memory expansion 1:4, Cache workloads",
+        Scaled(evalfig::fig16),
+    ),
     (
         "fig17",
         "ablation: allocation/reclamation watermark decoupling",
+        Scaled(evalfig::fig17),
     ),
-    ("fig18", "ablation: active-LRU promotion filter"),
-    ("table1", "page-type-aware allocation (caches to CXL)"),
-    ("fig19", "TPP vs NUMA balancing vs AutoTiering"),
-    ("reclaim_rate", "reclaim mechanism rate probe (paper: ~44x)"),
-    ("zswap", "CXL as swap pool vs CXL as memory"),
+    (
+        "fig18",
+        "ablation: active-LRU promotion filter",
+        Scaled(evalfig::fig18),
+    ),
+    (
+        "table1",
+        "page-type-aware allocation (caches to CXL)",
+        Scaled(evalfig::table1),
+    ),
+    (
+        "fig19",
+        "TPP vs NUMA balancing vs AutoTiering",
+        Scaled(evalfig::fig19),
+    ),
+    (
+        "reclaim_rate",
+        "reclaim mechanism rate probe (paper: ~44x)",
+        Scaled(sweeps::reclaim_rate_comparison),
+    ),
+    (
+        "zswap",
+        "CXL as swap pool vs CXL as memory",
+        Scaled(sweeps::zswap_comparison),
+    ),
     (
         "colocation",
         "co-located cache1 + data_warehouse on one machine",
+        Scaled(sweeps::colocation),
     ),
     (
         "sweep_dsf",
         "sweep demote_scale_factor on Cache1 1:4 under TPP",
+        Scaled(sweeps::sweep_demote_scale),
     ),
-    ("sweep_latency", "sweep CXL device latency on Cache1 1:4"),
-    ("sweep_ratio", "sweep the local:CXL capacity ratio"),
+    (
+        "sweep_latency",
+        "sweep CXL device latency on Cache1 1:4",
+        Scaled(sweeps::sweep_cxl_latency),
+    ),
+    (
+        "sweep_ratio",
+        "sweep the local:CXL capacity ratio",
+        Scaled(sweeps::sweep_ratio),
+    ),
     (
         "topology",
         "multi-socket/multi-CXL presets (2s2c, pooled, 3tier), Cache1/Web",
+        Scaled(sweeps::sweep_topology),
     ),
     (
         "thp",
         "transparent huge pages (never/madvise/always), Linux vs TPP",
+        Scaled(sweeps::sweep_thp),
     ),
 ];
 
@@ -83,7 +154,8 @@ struct Args {
     trace: Option<PathBuf>,
     metrics_dir: Option<PathBuf>,
     timings_json: Option<PathBuf>,
-    targets: Vec<String>,
+    /// The targets to run, in order (empty for a capture-only run).
+    targets: Vec<&'static Target>,
 }
 
 /// Worker threads to use when `--jobs` is not given: every core.
@@ -102,6 +174,7 @@ fn parse_args() -> Args {
         timings_json: None,
         targets: Vec::new(),
     };
+    let mut names: Vec<String> = Vec::new();
     let mut it = raw.into_iter();
     while let Some(a) = it.next() {
         let mut value_of = |flag: &str| match it.next() {
@@ -113,8 +186,8 @@ fn parse_args() -> Args {
         };
         match a.as_str() {
             "--list" => {
-                let width = TARGETS.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
-                for (name, desc) in TARGETS {
+                let width = TARGETS.iter().map(|(n, ..)| n.len()).max().unwrap_or(0);
+                for (name, desc, _) in TARGETS {
                     println!("{name:width$}  {desc}");
                 }
                 std::process::exit(0);
@@ -144,18 +217,27 @@ fn parse_args() -> Args {
                 );
                 std::process::exit(2);
             }
-            target => args.targets.push(target.to_string()),
+            target => names.push(target.to_string()),
         }
     }
     // Reject a misspelt target before any target runs, not after the
     // ones named before it.
-    let known = |t: &str| t == "all" || TARGETS.iter().any(|(name, _)| *name == t);
-    if let Some(other) = args.targets.iter().find(|t| !known(t)) {
+    let find = |t: &str| TARGETS.iter().find(|(name, ..)| *name == t);
+    if let Some(other) = names.iter().find(|t| *t != "all" && find(t).is_none()) {
         eprintln!("unknown target: {other}");
-        let names: Vec<&str> = TARGETS.iter().map(|(name, _)| *name).collect();
-        eprintln!("known: {} all (see --list)", names.join(" "));
+        let known: Vec<&str> = TARGETS.iter().map(|(name, ..)| *name).collect();
+        eprintln!("known: {} all (see --list)", known.join(" "));
         std::process::exit(2);
     }
+    // A bare `--trace`/`--metrics-dir` invocation asks only for the
+    // instrumented capture run; figure targets still default to `all`
+    // when named explicitly or when no telemetry flag is present.
+    let capture_only = args.trace.is_some() || args.metrics_dir.is_some();
+    args.targets = if names.is_empty() && !capture_only || names.iter().any(|t| t == "all") {
+        TARGETS.iter().collect()
+    } else {
+        names.iter().filter_map(|t| find(t)).collect()
+    };
     args
 }
 
@@ -167,28 +249,22 @@ fn main() {
         Scale::standard()
     };
     scale.jobs = args.jobs;
-    tpp_bench::scale::set_csv_dir(&args.csv_dir);
-
-    // A bare `--trace`/`--metrics-dir` invocation asks only for the
-    // instrumented capture run; figure targets still default to `all`
-    // when named explicitly or when no telemetry flag is present.
-    let capture_only =
-        args.targets.is_empty() && (args.trace.is_some() || args.metrics_dir.is_some());
-    let targets: Vec<&str> = if capture_only {
-        Vec::new()
-    } else if args.targets.is_empty() || args.targets.iter().any(|t| t == "all") {
-        TARGETS.iter().map(|(name, _)| *name).collect()
-    } else {
-        args.targets.iter().map(|s| s.as_str()).collect()
-    };
+    // Every table lands in the CSV directory, so a directory that cannot
+    // be made fails the run before anything runs.
+    if let Err(e) = std::fs::create_dir_all(&args.csv_dir) {
+        eprintln!("cannot create csv dir {}: {e}", args.csv_dir.display());
+        std::process::exit(1);
+    }
 
     let run_start = Instant::now();
     let mut timings: Vec<(String, f64)> = Vec::new();
+    let mut failed = false;
 
-    let needs_characterization = targets
+    let chars = if args
+        .targets
         .iter()
-        .any(|t| matches!(*t, "fig7" | "fig8" | "fig9" | "fig10" | "fig11"));
-    let chars = if needs_characterization {
+        .any(|(_, _, run)| matches!(run, Characterized(_)))
+    {
         eprintln!("characterizing workloads (Chameleon)...");
         let t = Instant::now();
         let chars = charfig::characterize_all(&scale);
@@ -198,76 +274,22 @@ fn main() {
         Vec::new()
     };
 
-    for target in &targets {
-        eprintln!("running {target}...");
+    let mut tables = Vec::new();
+    for (name, _, run) in &args.targets {
+        eprintln!("running {name}...");
         let t = Instant::now();
-        match *target {
-            "fig2" => {
-                charfig::fig2();
-            }
-            "fig7" => {
-                charfig::fig7(&chars);
-            }
-            "fig8" => {
-                charfig::fig8(&chars);
-            }
-            "fig9" => {
-                charfig::fig9(&chars);
-            }
-            "fig10" => {
-                charfig::fig10(&chars);
-            }
-            "fig11" => {
-                charfig::fig11(&chars);
-            }
-            "fig15" => {
-                evalfig::fig15(&scale);
-            }
-            "fig16" => {
-                evalfig::fig16(&scale);
-            }
-            "fig17" => {
-                evalfig::fig17(&scale);
-            }
-            "fig18" => {
-                evalfig::fig18(&scale);
-            }
-            "table1" => {
-                evalfig::table1(&scale);
-            }
-            "fig19" => {
-                evalfig::fig19(&scale);
-            }
-            "reclaim_rate" => {
-                sweeps::reclaim_rate_comparison(&scale);
-            }
-            "zswap" => {
-                sweeps::zswap_comparison(&scale);
-            }
-            "colocation" => {
-                sweeps::colocation(&scale);
-            }
-            "sweep_dsf" => {
-                sweeps::sweep_demote_scale(&scale);
-            }
-            "sweep_latency" => {
-                sweeps::sweep_cxl_latency(&scale);
-            }
-            "sweep_ratio" => {
-                sweeps::sweep_ratio(&scale);
-            }
-            "topology" => {
-                sweeps::sweep_topology(&scale);
-            }
-            "thp" => {
-                sweeps::sweep_thp(&scale);
-            }
-            other => unreachable!("target {other} was checked against TARGETS"),
+        let table = match run {
+            Scaled(f) => f(&scale),
+            Characterized(f) => f(&chars),
+        };
+        table.print();
+        if let Err(e) = table.write_csv(&args.csv_dir) {
+            eprintln!("{e}");
+            failed = true;
         }
-        timings.push((target.to_string(), t.elapsed().as_secs_f64()));
+        timings.push((name.to_string(), t.elapsed().as_secs_f64()));
+        tables.push(table);
     }
-
-    let mut failed = false;
 
     // Every target ran its cells through `scale`, so each distinct cell
     // ran once; the rest were answered from its cache.
@@ -304,9 +326,9 @@ fn main() {
 
     // Regression gate: at standard scale the simulator is deterministic,
     // so produced tables must match the checked-in snapshots.
-    if !args.quick && !targets.is_empty() {
+    if !args.quick && !tables.is_empty() {
         let expected = tpp_bench::tolerance::expected_dir();
-        let (checked, deviations) = tpp_bench::tolerance::check_results(&args.csv_dir, &expected);
+        let (checked, deviations) = tpp_bench::tolerance::check_tables(&tables, &expected);
         if deviations.is_empty() {
             eprintln!("tolerance check: {checked} table(s) match the expected snapshots");
         } else {
@@ -322,6 +344,7 @@ fn main() {
         eprintln!("running instrumented capture (cache1, 1:4, tpp)...");
         match tpp_bench::capture::capture_run(
             &scale,
+            &args.csv_dir,
             args.trace.as_deref(),
             args.metrics_dir.as_deref(),
         ) {

@@ -17,7 +17,7 @@ use tpp::configs::Shape;
 use tpp::experiment::PolicyChoice;
 use tpp::metrics::{decision_summary, ping_pong_report, vmstat_csv};
 
-use crate::scale::{print_table, Scale};
+use crate::scale::{Scale, Table};
 
 /// Everything the capture run produced.
 pub struct CaptureOutcome {
@@ -32,14 +32,17 @@ pub struct CaptureOutcome {
 /// TPP) with tracing on, writes its records to `trace_path` (JSONL, when
 /// given), then prints the parity table, the decision summary, the
 /// ping-pong report and a trace section (the event span, placement
-/// churn and events by kind). Exports the run's metrics into
-/// `metrics_dir` when given.
+/// churn and events by kind). The three tables are also written as CSV
+/// into `csv_dir`. Exports the run's metrics into `metrics_dir` when
+/// given.
 ///
 /// # Errors
 ///
-/// Propagates filesystem errors from the trace file or metrics exports.
+/// Propagates filesystem errors from the trace file, the CSV tables or
+/// the metrics exports.
 pub fn capture_run(
     scale: &Scale,
+    csv_dir: &Path,
     trace_path: Option<&Path>,
     metrics_dir: Option<&Path>,
 ) -> std::io::Result<CaptureOutcome> {
@@ -82,30 +85,36 @@ pub fn capture_run(
             ]
         })
         .collect();
-    print_table(
+    let emit = |table: &Table| {
+        table.print();
+        table.write_csv(csv_dir)
+    };
+    emit(&Table::new(
         "Trace parity — vmstat counters vs replayed trace events",
         &["counter", "vmstat", "trace", "status"],
-        &rows,
-    );
+        rows,
+    ))?;
 
     let summaries = decision_summary(&records);
-    let decision_rows: Vec<Vec<String>> = summaries
-        .iter()
-        .flat_map(|s| {
-            s.reasons
-                .iter()
-                .map(|(reason, count)| vec![s.policy.clone(), reason.clone(), count.to_string()])
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    print_table(
+    let decisions = Table::new(
         "Policy decisions (from trace)",
         &["policy", "reason", "count"],
-        &decision_rows,
+        summaries
+            .iter()
+            .flat_map(|s| {
+                s.reasons
+                    .iter()
+                    .map(|(reason, count)| {
+                        vec![s.policy.clone(), reason.clone(), count.to_string()]
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .collect(),
     );
+    emit(&decisions)?;
 
     let ping_pong = ping_pong_report(&records);
-    print_table(
+    emit(&Table::new(
         "Ping-pong report (paper §5.5)",
         &[
             "promotions",
@@ -115,7 +124,7 @@ pub fn capture_run(
             "round_trips",
             "thrashing",
         ],
-        &[vec![
+        vec![vec![
             ping_pong.promotions.to_string(),
             ping_pong.demotions.to_string(),
             ping_pong.promote_candidates.to_string(),
@@ -123,7 +132,7 @@ pub fn capture_run(
             ping_pong.round_trips.to_string(),
             ping_pong.is_thrashing().to_string(),
         ]],
-    );
+    ))?;
 
     let mut by_kind: BTreeMap<&str, u64> = BTreeMap::new();
     for r in &records {
@@ -154,9 +163,9 @@ pub fn capture_run(
     for (name, count) in &by_kind {
         println!("  {name:<28} {count}");
     }
-    if !decision_rows.is_empty() {
+    if !decisions.rows.is_empty() {
         println!("policy decisions:");
-        for row in &decision_rows {
+        for row in &decisions.rows {
             println!("  {}/{}: {}", row[0], row[1], row[2]);
         }
     }

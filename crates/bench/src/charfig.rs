@@ -14,7 +14,7 @@ use tpp::experiment::PolicyChoice;
 use tpp::{configs, RunMetrics, System};
 
 use crate::executor::parallel_map;
-use crate::scale::{pct, print_table, Scale};
+use crate::scale::{pct, Scale, Table};
 
 /// One workload's characterization artefacts.
 pub struct Characterization {
@@ -82,7 +82,7 @@ pub fn characterize_all(scale: &Scale) -> Vec<Characterization> {
 
 /// Figure 2/5: the memory-tier latency hierarchy of the simulated
 /// machine.
-pub fn fig2() -> Vec<Vec<String>> {
+pub fn fig2() -> Table {
     let lat = LatencyModel::datacenter();
     let rows = vec![
         vec![
@@ -116,17 +116,16 @@ pub fn fig2() -> Vec<Vec<String>> {
             "major fault".to_string(),
         ],
     ];
-    print_table(
+    Table::new(
         "Figure 2/5 — memory-tier latency hierarchy",
         &["tier / operation", "latency", "notes"],
-        &rows,
-    );
-    rows
+        rows,
+    )
 }
 
 /// Figure 7: total tracked memory vs. memory accessed within 1- and
 /// 2-interval windows.
-pub fn fig7(chars: &[Characterization]) -> Vec<Vec<String>> {
+pub fn fig7(chars: &[Characterization]) -> Table {
     let rows: Vec<Vec<String>> = chars
         .iter()
         .map(|c| {
@@ -140,7 +139,7 @@ pub fn fig7(chars: &[Characterization]) -> Vec<Vec<String>> {
             ]
         })
         .collect();
-    print_table(
+    Table::new(
         "Figure 7 — pages accessed within short windows (1 interval ~ 1 paper-minute)",
         &[
             "workload",
@@ -148,13 +147,12 @@ pub fn fig7(chars: &[Characterization]) -> Vec<Vec<String>> {
             "hot (1 interval)",
             "hot (2 intervals)",
         ],
-        &rows,
-    );
-    rows
+        rows,
+    )
 }
 
 /// Figure 8: per-type hotness within a 2-interval window.
-pub fn fig8(chars: &[Characterization]) -> Vec<Vec<String>> {
+pub fn fig8(chars: &[Characterization]) -> Table {
     let rows: Vec<Vec<String>> = chars
         .iter()
         .map(|c| {
@@ -166,18 +164,17 @@ pub fn fig8(chars: &[Characterization]) -> Vec<Vec<String>> {
             ]
         })
         .collect();
-    print_table(
+    Table::new(
         "Figure 8 — anon vs file hotness (2-interval window)",
         &["workload", "anon hot", "file hot"],
-        &rows,
-    );
-    rows
+        rows,
+    )
 }
 
 /// Figure 9: page-type usage over time (anon/file shares of *resident*
 /// memory, from the system's per-second node-usage series, thinned to one
 /// row per 30 s).
-pub fn fig9(chars: &[Characterization]) -> Vec<Vec<String>> {
+pub fn fig9(chars: &[Characterization]) -> Table {
     let mut rows = Vec::new();
     for c in chars {
         let anon = c.metrics.local_anon_pages.points();
@@ -196,7 +193,7 @@ pub fn fig9(chars: &[Characterization]) -> Vec<Vec<String>> {
             ]);
         }
     }
-    print_table(
+    Table::new(
         "Figure 9 — page-type usage over time",
         &[
             "workload",
@@ -205,14 +202,13 @@ pub fn fig9(chars: &[Characterization]) -> Vec<Vec<String>> {
             "file share",
             "resident pages",
         ],
-        &rows,
-    );
-    rows
+        rows,
+    )
 }
 
 /// Figure 10: throughput vs. page-type utilisation (per-interval pairs,
 /// throughput normalised to the workload's own maximum).
-pub fn fig10(chars: &[Characterization]) -> Vec<Vec<String>> {
+pub fn fig10(chars: &[Characterization]) -> Table {
     let mut rows = Vec::new();
     for c in chars {
         let tp = c.metrics.throughput.points();
@@ -234,7 +230,7 @@ pub fn fig10(chars: &[Characterization]) -> Vec<Vec<String>> {
             ]);
         }
     }
-    print_table(
+    Table::new(
         "Figure 10 — throughput vs page-type utilisation",
         &[
             "workload",
@@ -243,14 +239,13 @@ pub fn fig10(chars: &[Characterization]) -> Vec<Vec<String>> {
             "file pages",
             "throughput (of max)",
         ],
-        &rows,
-    );
-    rows
+        rows,
+    )
 }
 
 /// Figure 11: re-access-interval CDF per workload (gap measured in
 /// profiler intervals ~ paper minutes).
-pub fn fig11(chars: &[Characterization]) -> Vec<Vec<String>> {
+pub fn fig11(chars: &[Characterization]) -> Table {
     let mut rows = Vec::new();
     for c in chars {
         let cdf = c.profiler.reaccess_cdf();
@@ -258,12 +253,11 @@ pub fn fig11(chars: &[Characterization]) -> Vec<Vec<String>> {
             rows.push(vec![c.name.clone(), format!("{}", gap + 1), pct(*frac)]);
         }
     }
-    print_table(
+    Table::new(
         "Figure 11 — re-access interval CDF (gap in intervals ~ minutes)",
         &["workload", "cold gap ≤", "fraction of re-accesses"],
-        &rows,
-    );
-    rows
+        rows,
+    )
 }
 
 #[cfg(test)]
@@ -272,7 +266,7 @@ mod tests {
 
     #[test]
     fn fig2_lists_all_tiers() {
-        let rows = fig2();
+        let rows = fig2().rows;
         assert_eq!(rows.len(), 6);
         assert!(rows[0][0].contains("DRAM"));
     }

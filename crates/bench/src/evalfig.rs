@@ -1,7 +1,6 @@
 //! Evaluation figures (paper §6): Figures 15–19 and Table 1.
 //!
-//! Every function returns structured results (for integration tests and
-//! the micro-benchmarks) and prints the paper-shaped table.
+//! Every function returns its paper-shaped [`Table`].
 //!
 //! Figures no longer run cells inline: they *enumerate* the full grid as
 //! [`CellSpec`] values first and hand the batch to
@@ -17,18 +16,18 @@ use tpp::configs::{MachineSpec, Shape};
 use tpp::experiment::{CellSpec, ExperimentResult, PolicyChoice};
 use tpp::policy::TppConfig;
 
-use crate::executor::{run_cells, CellOutcome};
-use crate::scale::{pct, print_table, Scale};
+use crate::executor::run_cells;
+use crate::scale::{pct, Scale, Table};
 
 /// One workload's comparison: the all-local baseline plus one result per
 /// evaluated policy.
-pub struct Comparison {
+struct Comparison {
     /// Workload name.
-    pub workload: String,
+    workload: String,
     /// The all-from-local-memory baseline (default kernel, single node).
-    pub baseline: ExperimentResult,
+    baseline: ExperimentResult,
     /// Policy results on the tiered machine.
-    pub cells: Vec<ExperimentResult>,
+    cells: Vec<ExperimentResult>,
 }
 
 /// The spec for the all-local baseline every comparison is relative to.
@@ -137,7 +136,7 @@ const TRAFFIC_HEADER: [&str; 9] = [
 
 /// Figure 15: default production environment (2:1), default Linux vs TPP
 /// on all four workloads.
-pub fn fig15(scale: &Scale) -> Vec<Comparison> {
+pub fn fig15(scale: &Scale) -> Table {
     let groups: Vec<Vec<CellSpec>> = tiered_workloads::all_production(scale.ws_pages)
         .iter()
         .map(|p| {
@@ -149,17 +148,15 @@ pub fn fig15(scale: &Scale) -> Vec<Comparison> {
             )
         })
         .collect();
-    let comparisons = run_comparisons(groups, scale);
-    print_table(
+    Table::new(
         "Figure 15 — 2:1 local:CXL, default Linux vs TPP",
         &TRAFFIC_HEADER,
-        &traffic_perf_rows(&comparisons),
-    );
-    comparisons
+        traffic_perf_rows(&run_comparisons(groups, scale)),
+    )
 }
 
 /// Figure 16: large memory expansion (1:4) for the Cache workloads.
-pub fn fig16(scale: &Scale) -> Vec<Comparison> {
+pub fn fig16(scale: &Scale) -> Table {
     let profiles = [
         tiered_workloads::cache1(scale.ws_pages),
         tiered_workloads::cache2(scale.ws_pages),
@@ -175,18 +172,16 @@ pub fn fig16(scale: &Scale) -> Vec<Comparison> {
             )
         })
         .collect();
-    let comparisons = run_comparisons(groups, scale);
-    print_table(
+    Table::new(
         "Figure 16 — 1:4 local:CXL (80% of working set on CXL)",
         &TRAFFIC_HEADER,
-        &traffic_perf_rows(&comparisons),
-    );
-    comparisons
+        traffic_perf_rows(&run_comparisons(groups, scale)),
+    )
 }
 
 /// Figure 17: ablation of allocation/reclamation decoupling (Cache1,
 /// 1:4).
-pub fn fig17(scale: &Scale) -> Vec<Comparison> {
+pub fn fig17(scale: &Scale) -> Table {
     let profile = tiered_workloads::cache1(scale.ws_pages);
     let coupled = TppConfig {
         decouple: false,
@@ -216,7 +211,7 @@ pub fn fig17(scale: &Scale) -> Vec<Comparison> {
             pct(r.relative_throughput(&comparison.baseline)),
         ]);
     }
-    print_table(
+    Table::new(
         "Figure 17 — decoupling allocation & reclamation (Cache1, 1:4)",
         &[
             "variant",
@@ -226,13 +221,12 @@ pub fn fig17(scale: &Scale) -> Vec<Comparison> {
             "CXL traffic",
             "throughput vs all-local",
         ],
-        &rows,
-    );
-    vec![comparison]
+        rows,
+    )
 }
 
 /// Figure 18: ablation of the active-LRU promotion filter (Cache1, 1:4).
-pub fn fig18(scale: &Scale) -> Vec<Comparison> {
+pub fn fig18(scale: &Scale) -> Table {
     let profile = tiered_workloads::cache1(scale.ws_pages);
     let instant = TppConfig {
         active_lru_filter: false,
@@ -260,7 +254,7 @@ pub fn fig18(scale: &Scale) -> Vec<Comparison> {
             pct(r.relative_throughput(&comparison.baseline)),
         ]);
     }
-    print_table(
+    Table::new(
         "Figure 18 — active-LRU-based hot-page detection (Cache1, 1:4)",
         &[
             "variant",
@@ -271,13 +265,12 @@ pub fn fig18(scale: &Scale) -> Vec<Comparison> {
             "local traffic",
             "throughput vs all-local",
         ],
-        &rows,
-    );
-    vec![comparison]
+        rows,
+    )
 }
 
 /// Table 1: page-type-aware allocation (caches to CXL).
-pub fn table1(scale: &Scale) -> Vec<Comparison> {
+pub fn table1(scale: &Scale) -> Table {
     let aware = TppConfig {
         cache_to_cxl: true,
         ..TppConfig::default()
@@ -318,7 +311,7 @@ pub fn table1(scale: &Scale) -> Vec<Comparison> {
             pct(r.relative_throughput(&comparison.baseline)),
         ]);
     }
-    print_table(
+    Table::new(
         "Table 1 — page-type-aware allocation (caches to CXL)",
         &[
             "application",
@@ -327,15 +320,14 @@ pub fn table1(scale: &Scale) -> Vec<Comparison> {
             "CXL traffic",
             "perf w.r.t baseline",
         ],
-        &rows,
-    );
-    out
+        rows,
+    )
 }
 
 /// Figure 19: TPP vs NUMA balancing vs AutoTiering (Web on 2:1; Cache1 on
 /// 1:4 where AutoTiering cannot run, so it is evaluated on 2:1 as in the
 /// paper).
-pub fn fig19(scale: &Scale) -> Vec<Comparison> {
+pub fn fig19(scale: &Scale) -> Table {
     let web = tiered_workloads::web(scale.ws_pages);
     let cache1 = tiered_workloads::cache1(scale.ws_pages);
 
@@ -364,58 +356,36 @@ pub fn fig19(scale: &Scale) -> Vec<Comparison> {
         specs.push(cell(&cache1, shape, PolicyChoice::AutoTiering, scale));
     }
 
-    let mut results = run_cells(scale, &specs).into_iter();
-    fn take(results: &mut impl Iterator<Item = CellOutcome>, msg: &str) -> ExperimentResult {
-        results.next().expect("one result per spec").expect(msg)
-    }
-    let mut web_cells: Vec<ExperimentResult> = (0..web_len)
-        .map(|_| take(&mut results, "every policy supports 2:1"))
-        .collect();
-    let web_cmp = Comparison {
-        workload: web.name.clone(),
-        baseline: web_cells.remove(0),
-        cells: web_cells,
-    };
-    let mut cache_cells: Vec<ExperimentResult> = (0..3)
-        .map(|_| take(&mut results, "policy supports 1:4"))
-        .collect();
-    let cache_baseline = cache_cells.remove(0);
+    let results = run_cells(scale, &specs);
+    let ok = |i: usize| results[i].as_ref().expect("policy supports its machine");
     // AutoTiering refuses 1:4 — reproduce the paper's observation, then
     // fall back to 2:1 for its row.
-    let unsupported = results
-        .next()
-        .expect("one result per spec")
+    let unsupported = results[web_len + 3]
+        .as_ref()
         .expect_err("AutoTiering refuses 1:4");
-    cache_cells.push(take(&mut results, "AutoTiering supports 2:1"));
-    let cache_cmp = Comparison {
-        workload: cache1.name.clone(),
-        baseline: cache_baseline,
-        cells: cache_cells,
-    };
-
-    let comparisons = vec![web_cmp, cache_cmp];
-    let mut rows = Vec::new();
-    for c in &comparisons {
-        for r in &c.cells {
-            let config = if r.policy == "autotiering" && c.workload == "cache1" {
-                "2:1 (cannot run 1:4)"
-            } else if c.workload == "cache1" {
-                "1:4"
-            } else {
-                "2:1"
-            };
-            rows.push(vec![
-                c.workload.clone(),
+    // (baseline, cell, config) per row, in spec order.
+    let cache_rows = [
+        (web_len, web_len + 1, "1:4"),
+        (web_len, web_len + 2, "1:4"),
+        (web_len, web_len + 4, "2:1 (cannot run 1:4)"),
+    ];
+    let rows = (1..web_len)
+        .map(|i| (0, i, "2:1"))
+        .chain(cache_rows)
+        .map(|(base, i, config)| {
+            let r = ok(i);
+            vec![
+                r.workload.clone(),
                 r.policy.clone(),
                 config.to_string(),
                 pct(r.local_traffic),
-                pct(r.relative_throughput(&c.baseline)),
+                pct(r.relative_throughput(ok(base))),
                 format!("{}", r.promoted()),
                 format!("{}", r.vmstat.get(VmEvent::NumaHintFaultsLocal)),
-            ]);
-        }
-    }
-    print_table(
+            ]
+        })
+        .collect();
+    let mut table = Table::new(
         "Figure 19 — TPP vs NUMA balancing vs AutoTiering",
         &[
             "workload",
@@ -426,10 +396,10 @@ pub fn fig19(scale: &Scale) -> Vec<Comparison> {
             "promoted",
             "wasted local hint faults",
         ],
-        &rows,
+        rows,
     );
-    println!("\nnote: {unsupported}");
-    comparisons
+    table.note = Some(unsupported.to_string());
+    table
 }
 
 #[cfg(test)]

@@ -16,4 +16,4 @@ pub mod scale;
 pub mod sweeps;
 pub mod tolerance;
 
-pub use scale::Scale;
+pub use scale::{Scale, Table};

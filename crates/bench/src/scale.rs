@@ -1,10 +1,13 @@
-//! Simulation scale settings shared by every figure reproduction.
+//! Simulation scale settings shared by every figure reproduction, and
+//! the [`Table`] each reproduction returns.
 //!
 //! The paper's machines hold hundreds of GiB and its runs last hours; the
 //! simulator reproduces the *dynamics* at a reduced scale. One Chameleon
 //! "interval" stands in for the paper's one-minute interval, and working
 //! sets are tens of thousands of pages instead of tens of millions. All
 //! scale knobs live here so the mapping is explicit and consistent.
+
+use std::path::Path;
 
 use tiered_sim::{MINUTE, SEC};
 
@@ -65,85 +68,108 @@ pub(crate) fn pct(frac: f64) -> String {
     format!("{:.1}%", frac * 100.0)
 }
 
-static CSV_DIR: std::sync::OnceLock<std::path::PathBuf> = std::sync::OnceLock::new();
-
-/// Configures a directory that every subsequently printed table is also
-/// exported to as CSV (used by `repro --csv <dir>`). Can only be set
-/// once per process; later calls are ignored.
-pub fn set_csv_dir(dir: impl Into<std::path::PathBuf>) {
-    let dir = dir.into();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("cannot create csv dir {}: {e}", dir.display());
-        return;
-    }
-    let _ = CSV_DIR.set(dir);
+/// One reproduced table: what a figure, sweep or capture step returns,
+/// and what `repro` prints, exports as CSV and checks against its
+/// snapshot.
+#[derive(Debug, PartialEq)]
+pub struct Table {
+    title: String,
+    header: Vec<String>,
+    pub(crate) rows: Vec<Vec<String>>,
+    /// A line printed after the table but not part of its CSV.
+    pub(crate) note: Option<String>,
 }
 
-/// Writes a table as CSV into `dir/<slug>.csv` (the slug is derived from
-/// the title). Errors are reported to stderr, not propagated — CSV export
-/// is a convenience by-product of a figure run.
-pub(crate) fn write_csv(dir: &std::path::Path, title: &str, header: &[&str], rows: &[Vec<String>]) {
-    // Slug from the full title so distinct tables never collide.
-    let mut slug: String = title
-        .to_lowercase()
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect();
-    while slug.contains("__") {
-        slug = slug.replace("__", "_");
+impl Table {
+    pub(crate) fn new(title: &str, header: &[&str], rows: Vec<Vec<String>>) -> Table {
+        Table {
+            title: title.to_string(),
+            header: header.iter().map(|h| h.to_string()).collect(),
+            rows,
+            note: None,
+        }
     }
-    let slug = slug.trim_matches('_').chars().take(64).collect::<String>();
-    let path = dir.join(format!("{slug}.csv"));
-    let mut out = String::new();
-    out.push_str(&header.join(","));
-    out.push('\n');
-    for row in rows {
-        let escaped: Vec<String> = row
-            .iter()
-            .map(|c| {
-                if c.contains(',') || c.contains('"') {
-                    format!("\"{}\"", c.replace('"', "\"\""))
-                } else {
-                    c.clone()
-                }
-            })
+
+    /// The CSV file name stem, derived from the full title so distinct
+    /// tables never collide.
+    pub(crate) fn slug(&self) -> String {
+        let mut slug: String = self
+            .title
+            .to_lowercase()
+            .chars()
+            .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
             .collect();
-        out.push_str(&escaped.join(","));
-        out.push('\n');
+        while slug.contains("__") {
+            slug = slug.replace("__", "_");
+        }
+        slug.trim_matches('_').chars().take(64).collect()
     }
-    if let Err(e) = std::fs::write(&path, out) {
-        eprintln!("csv export to {} failed: {e}", path.display());
-    }
-}
 
-/// Prints a markdown-style table: a header row and aligned data rows.
-pub(crate) fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    if let Some(dir) = CSV_DIR.get() {
-        write_csv(dir, title, header, rows);
+    /// The table as CSV: the header line, then one line per row.
+    pub(crate) fn csv(&self) -> String {
+        let mut out = self.header.join(",");
+        out.push('\n');
+        for row in &self.rows {
+            let escaped: Vec<String> = row
+                .iter()
+                .map(|c| {
+                    if c.contains(',') || c.contains('"') {
+                        format!("\"{}\"", c.replace('"', "\"\""))
+                    } else {
+                        c.clone()
+                    }
+                })
+                .collect();
+            out.push_str(&escaped.join(","));
+            out.push('\n');
+        }
+        out
     }
-    println!("\n## {title}\n");
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
+
+    /// Writes the table as CSV into `dir/<slug>.csv`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the write error.
+    pub fn write_csv(&self, dir: &Path) -> std::io::Result<()> {
+        let path = dir.join(format!("{}.csv", self.slug()));
+        std::fs::write(&path, self.csv()).map_err(|e| {
+            std::io::Error::new(
+                e.kind(),
+                format!("csv export to {} failed: {e}", path.display()),
+            )
+        })
+    }
+
+    /// Prints the table in markdown: a header row and aligned data rows,
+    /// then the note, if any.
+    pub fn print(&self) {
+        println!("\n## {}\n", self.title);
+        let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
+        for row in &self.rows {
+            for (i, cell) in row.iter().enumerate() {
+                if i < widths.len() {
+                    widths[i] = widths[i].max(cell.len());
+                }
             }
         }
-    }
-    let fmt_row = |cells: &[String]| {
-        let mut line = String::from("|");
-        for (i, cell) in cells.iter().enumerate() {
-            let w = widths.get(i).copied().unwrap_or(cell.len());
-            line.push_str(&format!(" {cell:<w$} |"));
+        let fmt_row = |cells: &[String]| {
+            let mut line = String::from("|");
+            for (i, cell) in cells.iter().enumerate() {
+                let w = widths.get(i).copied().unwrap_or(cell.len());
+                line.push_str(&format!(" {cell:<w$} |"));
+            }
+            line
+        };
+        println!("{}", fmt_row(&self.header));
+        let sep: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
+        println!("{}", fmt_row(&sep));
+        for row in &self.rows {
+            println!("{}", fmt_row(row));
         }
-        line
-    };
-    let header_cells: Vec<String> = header.iter().map(|s| s.to_string()).collect();
-    println!("{}", fmt_row(&header_cells));
-    let sep: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
-    println!("{}", fmt_row(&sep));
-    for row in rows {
-        println!("{}", fmt_row(row));
+        if let Some(note) = &self.note {
+            println!("\nnote: {note}");
+        }
     }
 }
 
@@ -169,12 +195,12 @@ mod tests {
     fn csv_export_writes_escaped_rows() {
         let dir = std::env::temp_dir().join("tpp_csv_test");
         std::fs::create_dir_all(&dir).unwrap();
-        write_csv(
-            &dir,
+        let table = Table::new(
             "Figure 99 — example table",
             &["a", "b"],
-            &[vec!["1".into(), "x,y".into()]],
+            vec![vec!["1".into(), "x,y".into()]],
         );
+        table.write_csv(&dir).unwrap();
         let text = std::fs::read_to_string(dir.join("figure_99_example_table.csv")).unwrap();
         assert!(text.starts_with("a,b\n"));
         assert!(text.contains("1,\"x,y\""));

@@ -28,7 +28,7 @@ use tpp::{configs, System};
 
 use crate::evalfig::{baseline_spec, cell};
 use crate::executor::{parallel_map, run_cells};
-use crate::scale::{pct, print_table, Scale};
+use crate::scale::{pct, Scale, Table};
 
 /// Runs `specs` on the executor and unwraps every cell (sweep grids only
 /// contain supported machine/policy pairs).
@@ -43,7 +43,7 @@ fn run_all(specs: &[CellSpec], scale: &Scale) -> Vec<ExperimentResult> {
 ///
 /// The paper fixes 2% (200 bp); this shows why: too little headroom and
 /// promotions starve, too much and the local node wastes capacity.
-pub fn sweep_demote_scale(scale: &Scale) -> Vec<Vec<String>> {
+pub fn sweep_demote_scale(scale: &Scale) -> Table {
     let profile = tiered_workloads::cache1(scale.ws_pages);
     let points = [25u32, 100, 200, 400, 800];
     let mut specs = vec![baseline_spec(&profile, scale)];
@@ -65,7 +65,7 @@ pub fn sweep_demote_scale(scale: &Scale) -> Vec<Vec<String>> {
             pct(r.relative_throughput(base)),
         ]);
     }
-    print_table(
+    Table::new(
         "Sweep — demote_scale_factor (Cache1, 1:4, TPP)",
         &[
             "demote_scale_factor",
@@ -75,14 +75,13 @@ pub fn sweep_demote_scale(scale: &Scale) -> Vec<Vec<String>> {
             "promo success",
             "throughput vs all-local",
         ],
-        &rows,
-    );
-    rows
+        rows,
+    )
 }
 
 /// Sweep the CXL device latency on Cache1 1:4: the ASIC target (~185 ns),
 /// the paper's FPGA prototype (+250 ns), and worse.
-pub fn sweep_cxl_latency(scale: &Scale) -> Vec<Vec<String>> {
+pub fn sweep_cxl_latency(scale: &Scale) -> Table {
     let profile = tiered_workloads::cache1(scale.ws_pages);
     let points = [
         ("ASIC target (185 ns)", 185u64),
@@ -110,7 +109,7 @@ pub fn sweep_cxl_latency(scale: &Scale) -> Vec<Vec<String>> {
             pct(r.relative_throughput(base)),
         ]);
     }
-    print_table(
+    Table::new(
         "Sweep — CXL latency sensitivity (Cache1, 1:4)",
         &[
             "CXL device",
@@ -118,13 +117,12 @@ pub fn sweep_cxl_latency(scale: &Scale) -> Vec<Vec<String>> {
             "local traffic",
             "throughput vs all-local",
         ],
-        &rows,
-    );
-    rows
+        rows,
+    )
 }
 
 /// Sweep the local:CXL capacity ratio from 2:1 down to 1:5.
-pub fn sweep_ratio(scale: &Scale) -> Vec<Vec<String>> {
+pub fn sweep_ratio(scale: &Scale) -> Table {
     let profile = tiered_workloads::cache1(scale.ws_pages);
     let points = [
         ("2:1", 2u64, 1u64),
@@ -153,7 +151,7 @@ pub fn sweep_ratio(scale: &Scale) -> Vec<Vec<String>> {
             pct(r.relative_throughput(base)),
         ]);
     }
-    print_table(
+    Table::new(
         "Sweep — local:CXL capacity ratio (Cache1)",
         &[
             "ratio",
@@ -161,9 +159,8 @@ pub fn sweep_ratio(scale: &Scale) -> Vec<Vec<String>> {
             "local traffic",
             "throughput vs all-local",
         ],
-        &rows,
-    );
-    rows
+        rows,
+    )
 }
 
 /// Topology grid: Cache1 and Web across the multi-socket/multi-CXL
@@ -173,7 +170,7 @@ pub fn sweep_ratio(scale: &Scale) -> Vec<Vec<String>> {
 /// the demoting socket's *nearest* lower-tier node (its distance-derived
 /// first choice) — the distance-aware placement the topology engine is
 /// for. `-` means the policy never demoted.
-pub fn sweep_topology(scale: &Scale) -> Vec<Vec<String>> {
+pub fn sweep_topology(scale: &Scale) -> Table {
     use tiered_mem::NodeId;
     let profiles = [
         tiered_workloads::cache1(scale.ws_pages),
@@ -231,7 +228,7 @@ pub fn sweep_topology(scale: &Scale) -> Vec<Vec<String>> {
             pct(r.relative_throughput(base)),
         ]);
     }
-    print_table(
+    Table::new(
         "Sweep — topology presets (Cache1/Web, Linux vs TPP)",
         &[
             "preset",
@@ -242,9 +239,8 @@ pub fn sweep_topology(scale: &Scale) -> Vec<Vec<String>> {
             "nearest demote",
             "throughput vs all-local",
         ],
-        &rows,
-    );
-    rows
+        rows,
+    )
 }
 
 /// Transparent-huge-page grid: Cache1 (the paper's demotion-heavy 1:4
@@ -259,7 +255,7 @@ pub fn sweep_topology(scale: &Scale) -> Vec<Vec<String>> {
 /// what tiering does to them: TPP demotes compound units whole when the
 /// CXL node has an aligned free block and splits them otherwise, so
 /// demotion-heavy cells report nonzero `thp_split`.
-pub fn sweep_thp(scale: &Scale) -> Vec<Vec<String>> {
+pub fn sweep_thp(scale: &Scale) -> Table {
     use tiered_mem::{ThpMode, VmEvent};
     let profiles = [
         tiered_workloads::cache1(scale.ws_pages),
@@ -299,7 +295,7 @@ pub fn sweep_thp(scale: &Scale) -> Vec<Vec<String>> {
             pct(r.relative_throughput(base)),
         ]);
     }
-    print_table(
+    Table::new(
         "Sweep — transparent huge pages (Cache1/THP-friendly, 1:4, Linux vs TPP)",
         &[
             "workload",
@@ -311,9 +307,8 @@ pub fn sweep_thp(scale: &Scale) -> Vec<Vec<String>> {
             "compact ok/fail",
             "throughput vs all-local",
         ],
-        &rows,
-    );
-    rows
+        rows,
+    )
 }
 
 /// TPP vs. in-memory swapping (zswap/zram-style): the §7 argument.
@@ -327,7 +322,7 @@ pub fn sweep_thp(scale: &Scale) -> Vec<Vec<String>> {
 ///   and a pool round trip.
 /// * **CXL as memory** ([`PolicyChoice::Tpp`]): the CXL capacity is a
 ///   CPU-less NUMA node; cold pages are directly addressable there.
-pub fn zswap_comparison(scale: &Scale) -> Vec<Vec<String>> {
+pub fn zswap_comparison(scale: &Scale) -> Table {
     let profile = tiered_workloads::cache1(scale.ws_pages);
     let mut specs = vec![
         baseline_spec(&profile, scale),
@@ -361,7 +356,7 @@ pub fn zswap_comparison(scale: &Scale) -> Vec<Vec<String>> {
             pct(r.relative_throughput(base)),
         ]);
     }
-    print_table(
+    Table::new(
         "Extra — CXL as swap pool vs CXL as memory (Cache1, same capacities)",
         &[
             "configuration",
@@ -371,9 +366,8 @@ pub fn zswap_comparison(scale: &Scale) -> Vec<Vec<String>> {
             "demoted",
             "throughput vs all-local",
         ],
-        &rows,
-    );
-    rows
+        rows,
+    )
 }
 
 /// Co-location experiment: a latency-sensitive cache and a batch Data
@@ -385,7 +379,7 @@ pub fn zswap_comparison(scale: &Scale) -> Vec<Vec<String>> {
 /// one machine, so this experiment cannot be expressed as independent
 /// [`CellSpec`] cells; the two policy variants are still fanned out with
 /// [`parallel_map`] (each worker builds and runs its own system locally).
-pub fn colocation(scale: &Scale) -> Vec<Vec<String>> {
+pub fn colocation(scale: &Scale) -> Table {
     let choices = [PolicyChoice::Linux, PolicyChoice::Tpp];
     let per_choice: Vec<Vec<Vec<String>>> = parallel_map(scale.jobs, choices.len(), |ci| {
         let choice = &choices[ci];
@@ -415,7 +409,7 @@ pub fn colocation(scale: &Scale) -> Vec<Vec<String>> {
             .collect()
     });
     let rows: Vec<Vec<String>> = per_choice.into_iter().flatten().collect();
-    print_table(
+    Table::new(
         "Extra — co-located cache1 + data_warehouse on one 2:1 machine",
         &[
             "policy",
@@ -424,9 +418,8 @@ pub fn colocation(scale: &Scale) -> Vec<Vec<String>> {
             "local traffic",
             "p99 op latency (µs)",
         ],
-        &rows,
-    );
-    rows
+        rows,
+    )
 }
 
 /// Verifies the §5.1/§6.2.1 reclaim-rate claim with a mechanism probe:
@@ -435,7 +428,7 @@ pub fn colocation(scale: &Scale) -> Vec<Vec<String>> {
 /// measure how many pages it can move out. The ~44× gap between paging
 /// (130 µs/page) and migration (3 µs/page) emerges from the device
 /// model.
-pub fn reclaim_rate_comparison(_scale: &Scale) -> Vec<Vec<String>> {
+pub fn reclaim_rate_comparison(_scale: &Scale) -> Table {
     use tiered_mem::{NodeId, PageType, Pid, Vpn};
     use tiered_sim::{LatencyModel, MS};
     use tpp::policy::PolicyCtx;
@@ -502,12 +495,11 @@ pub fn reclaim_rate_comparison(_scale: &Scale) -> Vec<Vec<String>> {
         String::new(),
         String::new(),
     ]);
-    print_table(
+    Table::new(
         "Extra — reclaim mechanism rate probe (cold tmpfs, 1 s of daemon wakeups; paper: ~44x)",
         &["policy", "pages evicted/s", "in swap", "demoted"],
-        &rows,
-    );
-    rows
+        rows,
+    )
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Regression gate for `repro`: compares the CSV tables a run just wrote
+//! Regression gate for `repro`: compares the tables a run just produced
 //! against checked-in expected snapshots, within a numeric tolerance.
 //!
 //! The simulator is deterministic given a seed, so at the standard scale
@@ -7,6 +7,8 @@
 //! when any pinned figure deviates.
 
 use std::path::{Path, PathBuf};
+
+use crate::scale::Table;
 
 /// Relative tolerance for numeric cells (absolute for values near zero).
 pub const REL_TOLERANCE: f64 = 0.02;
@@ -96,42 +98,19 @@ pub(crate) fn compare_csv(name: &str, expected: &str, actual: &str) -> Vec<Strin
     deviations
 }
 
-/// Checks every snapshot in `expected` that this run reproduced into
-/// `results`. Snapshots whose table was not produced (target not run) are
-/// skipped. Returns `(files_checked, deviations)`.
-pub fn check_results(results: &Path, expected: &Path) -> (usize, Vec<String>) {
+/// Checks each of `tables` against its snapshot `expected/<slug>.csv`.
+/// A table with no snapshot is skipped. Returns `(tables_checked,
+/// deviations)`.
+pub fn check_tables(tables: &[Table], expected: &Path) -> (usize, Vec<String>) {
     let mut checked = 0;
     let mut deviations = Vec::new();
-    let Ok(entries) = std::fs::read_dir(expected) else {
-        return (0, deviations);
-    };
-    let mut names: Vec<String> = entries
-        .filter_map(|e| e.ok())
-        .map(|e| e.file_name().to_string_lossy().into_owned())
-        .filter(|n| n.ends_with(".csv"))
-        .collect();
-    names.sort();
-    for name in names {
-        let produced = results.join(&name);
-        if !produced.exists() {
+    for table in tables {
+        let name = format!("{}.csv", table.slug());
+        let Ok(exp) = std::fs::read_to_string(expected.join(&name)) else {
             continue;
-        }
-        let exp = match std::fs::read_to_string(expected.join(&name)) {
-            Ok(s) => s,
-            Err(e) => {
-                deviations.push(format!("{name}: cannot read snapshot: {e}"));
-                continue;
-            }
-        };
-        let act = match std::fs::read_to_string(&produced) {
-            Ok(s) => s,
-            Err(e) => {
-                deviations.push(format!("{name}: cannot read result: {e}"));
-                continue;
-            }
         };
         checked += 1;
-        deviations.extend(compare_csv(&name, &exp, &act));
+        deviations.extend(compare_csv(&name, &exp, &table.csv()));
     }
     (checked, deviations)
 }
@@ -183,12 +162,17 @@ mod tests {
     }
 
     #[test]
-    fn missing_results_are_skipped() {
-        let dir = std::env::temp_dir().join("tpp_tolerance_empty");
+    fn tables_are_checked_against_their_own_snapshots() {
+        let dir = std::env::temp_dir().join("tpp_tolerance_tables");
         std::fs::create_dir_all(&dir).unwrap();
-        let (checked, deviations) = check_results(&dir, &expected_dir());
-        assert!(deviations.is_empty());
-        let _ = checked; // nothing produced → nothing checked
+        std::fs::write(dir.join("pinned.csv"), "a,b\nx,93.4%\n").unwrap();
+        let table = |title: &str, cell: &str| {
+            Table::new(title, &["a", "b"], vec![vec!["x".into(), cell.into()]])
+        };
+        assert_eq!(check_tables(&[table("Pinned", "93.0%")], &dir), (1, vec![]));
+        let (checked, deviations) = check_tables(&[table("Pinned", "80.0%")], &dir);
+        assert_eq!((checked, deviations.len()), (1, 1));
+        assert_eq!(check_tables(&[table("Unpinned", "0%")], &dir), (0, vec![]));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -105,18 +105,8 @@ fn zipf_band_mass_decreases() {
 /// and churn included).
 #[test]
 fn profiles_generate_bounded_ops() {
-    for which in 0u8..7 {
+    for profile in all_profiles(800) {
         for seed in [0u64, 17, 61] {
-            let ws = 800;
-            let profile = match which {
-                0 => tiered_workloads::web(ws),
-                1 => tiered_workloads::cache1(ws),
-                2 => tiered_workloads::cache2(ws),
-                3 => tiered_workloads::data_warehouse(ws),
-                4 => tiered_workloads::kv_store(ws),
-                5 => tiered_workloads::batch_analytics(ws),
-                _ => tiered_workloads::uniform(ws),
-            };
             let per_op_cap = profile.accesses_per_op as usize
                 + 16 * profile.regions.len() // materialisation bursts
                 + 8 // churn touches + retouch
@@ -131,7 +121,8 @@ fn profiles_generate_bounded_ops() {
                 if !was_warmup {
                     assert!(
                         op.access_count() <= per_op_cap,
-                        "profile {which} seed {seed}: op with {} accesses exceeds cap {per_op_cap}",
+                        "profile {} seed {seed}: op with {} accesses exceeds cap {per_op_cap}",
+                        profile.name,
                         op.access_count()
                     );
                 }

@@ -50,6 +50,29 @@ if [ "$status" -ne 2 ] || [ -n "$(find "$tmp/bad" -name '*.csv' 2>/dev/null)" ];
   exit 1
 fi
 echo "unknown-target gate: repro rejects a misspelt target before running any"
+# The tolerance gate checks the tables this run produced, not whatever
+# CSVs the output directory holds: a deviating Figure 15 snapshot left
+# there must not fail a fig2 run (standard scale, no cells, <1 s).
+mkdir -p "$tmp/stale"
+sed '2s/[0-9]/9/g' crates/bench/expected/figure_15_2_1_local_cxl_default_linux_vs_tpp.csv \
+  >"$tmp/stale/figure_15_2_1_local_cxl_default_linux_vs_tpp.csv"
+status=0
+./target/release/repro fig2 --csv "$tmp/stale" >/dev/null 2>"$tmp/stale.err" || status=$?
+if [ "$status" -ne 0 ] || ! grep -q "tolerance check: 1 table(s) match" "$tmp/stale.err"; then
+  echo "stale-csv gate FAILED: repro fig2 exited $status or did not check exactly its own table" >&2
+  cat "$tmp/stale.err" >&2
+  exit 1
+fi
+echo "stale-csv gate: repro fig2 checks only the table it produced"
+# A CSV directory that cannot be created fails the run before any target.
+touch "$tmp/regular_file"
+status=0
+./target/release/repro fig2 --csv "$tmp/regular_file/csv" >/dev/null 2>&1 || status=$?
+if [ "$status" -ne 1 ]; then
+  echo "unwritable-csv gate FAILED: repro exited $status, not 1, for a --csv path under a regular file" >&2
+  exit 1
+fi
+echo "unwritable-csv gate: repro exits 1 when the CSV directory cannot be created"
 
 # determinism_gate <target> <label>
 determinism_gate() {
@@ -81,7 +104,7 @@ echo "byte-identity gate: repro all --quick output matches crates/bench/expected
 # Trace byte-identity gate: the `--trace` capture run's JSONL and stdout
 # must match crates/bench/expected/trace.sha256. A change that means to
 # move the trace copies "$tmp/trace.sha256" over the file, and says why.
-./target/release/repro --quick --trace "$tmp/trace.jsonl" >"$tmp/trace.out" 2>/dev/null
+./target/release/repro --quick --trace "$tmp/trace.jsonl" --csv "$tmp/trace_csv" >"$tmp/trace.out" 2>/dev/null
 {
   (cd "$tmp" && sha256sum trace.jsonl)
   sha256sum <"$tmp/trace.out" | sed 's/-$/stdout/'
