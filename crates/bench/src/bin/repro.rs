@@ -257,7 +257,7 @@ fn main() {
     }
 
     let run_start = Instant::now();
-    let mut timings: Vec<(String, f64)> = Vec::new();
+    let mut timings: Vec<(&str, f64)> = Vec::new();
     let mut failed = false;
 
     let chars = if args
@@ -268,7 +268,7 @@ fn main() {
         eprintln!("characterizing workloads (Chameleon)...");
         let t = Instant::now();
         let chars = charfig::characterize_all(&scale);
-        timings.push(("characterize".to_string(), t.elapsed().as_secs_f64()));
+        timings.push(("characterize", t.elapsed().as_secs_f64()));
         chars
     } else {
         Vec::new()
@@ -287,7 +287,7 @@ fn main() {
             eprintln!("{e}");
             failed = true;
         }
-        timings.push((name.to_string(), t.elapsed().as_secs_f64()));
+        timings.push((name, t.elapsed().as_secs_f64()));
         tables.push(table);
     }
 

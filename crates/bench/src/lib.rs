@@ -1,8 +1,9 @@
 //! # tpp-bench
 //!
 //! The benchmark harness of the TPP reproduction: one function per table
-//! and figure in the paper's evaluation, shared by the `repro` binary,
-//! the integration tests, and the micro-benchmarks.
+//! and figure in the paper's evaluation, each returning its [`Table`],
+//! shared by the `repro` binary and the integration tests; plus the
+//! micro-benchmark harness.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
