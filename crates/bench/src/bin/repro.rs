@@ -236,7 +236,14 @@ fn parse_args() -> Args {
     args.targets = if names.is_empty() && !capture_only || names.iter().any(|t| t == "all") {
         TARGETS.iter().collect()
     } else {
-        names.iter().filter_map(|t| find(t)).collect()
+        // A target named twice runs once, where it was first named.
+        let mut targets: Vec<&Target> = Vec::new();
+        for target in names.iter().filter_map(|t| find(t)) {
+            if !targets.iter().any(|&t| std::ptr::eq(t, target)) {
+                targets.push(target);
+            }
+        }
+        targets
     };
     args
 }
@@ -328,13 +335,28 @@ fn main() {
     // so produced tables must match the checked-in snapshots.
     if !args.quick && !tables.is_empty() {
         let expected = tpp_bench::tolerance::expected_dir();
-        let (checked, deviations) = tpp_bench::tolerance::check_tables(&tables, &expected);
-        if deviations.is_empty() {
-            eprintln!("tolerance check: {checked} table(s) match the expected snapshots");
+        let check = tpp_bench::tolerance::check_tables(&tables, &expected);
+        if check.deviations.is_empty() {
+            eprintln!(
+                "tolerance check: {} table(s) match the expected snapshots",
+                check.checked
+            );
         } else {
-            eprintln!("tolerance check FAILED ({checked} table(s) checked):");
-            for d in &deviations {
+            eprintln!(
+                "tolerance check FAILED ({} table(s) checked):",
+                check.checked
+            );
+            for d in &check.deviations {
                 eprintln!("  {d}");
+            }
+            failed = true;
+        }
+        // Every target ran, so every snapshot must have met its table: one
+        // left over belongs to a figure that no longer produces it.
+        if args.targets.len() == TARGETS.len() && !check.unmatched.is_empty() {
+            eprintln!("tolerance check FAILED: no table produced these snapshots:");
+            for name in &check.unmatched {
+                eprintln!("  {name}");
             }
             failed = true;
         }

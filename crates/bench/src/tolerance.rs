@@ -98,21 +98,47 @@ pub(crate) fn compare_csv(name: &str, expected: &str, actual: &str) -> Vec<Strin
     deviations
 }
 
+/// The outcome of checking a run's tables against the snapshots.
+#[derive(Debug, PartialEq)]
+pub struct TableCheck {
+    /// Tables that had a snapshot and were compared.
+    pub checked: usize,
+    /// Every deviation found, as a human-readable line.
+    pub deviations: Vec<String>,
+    /// Snapshot files (`<slug>.csv`, sorted) that no table matched. A
+    /// run of every target leaves none: one left over is a figure whose
+    /// title, and so slug, changed.
+    pub unmatched: Vec<String>,
+}
+
 /// Checks each of `tables` against its snapshot `expected/<slug>.csv`.
-/// A table with no snapshot is skipped. Returns `(tables_checked,
-/// deviations)`.
-pub fn check_tables(tables: &[Table], expected: &Path) -> (usize, Vec<String>) {
-    let mut checked = 0;
-    let mut deviations = Vec::new();
+/// A table with no snapshot is skipped; a snapshot with no table is
+/// listed in [`TableCheck::unmatched`].
+pub fn check_tables(tables: &[Table], expected: &Path) -> TableCheck {
+    let mut check = TableCheck {
+        checked: 0,
+        deviations: Vec::new(),
+        unmatched: Vec::new(),
+    };
+    let mut names = Vec::new();
     for table in tables {
         let name = format!("{}.csv", table.slug());
-        let Ok(exp) = std::fs::read_to_string(expected.join(&name)) else {
-            continue;
-        };
-        checked += 1;
-        deviations.extend(compare_csv(&name, &exp, &table.csv()));
+        if let Ok(exp) = std::fs::read_to_string(expected.join(&name)) {
+            check.checked += 1;
+            check
+                .deviations
+                .extend(compare_csv(&name, &exp, &table.csv()));
+        }
+        names.push(name);
     }
-    (checked, deviations)
+    if let Ok(entries) = std::fs::read_dir(expected) {
+        check.unmatched = entries
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|f| f.ends_with(".csv") && !names.contains(f))
+            .collect();
+        check.unmatched.sort();
+    }
+    check
 }
 
 #[cfg(test)]
@@ -163,16 +189,42 @@ mod tests {
 
     #[test]
     fn tables_are_checked_against_their_own_snapshots() {
-        let dir = std::env::temp_dir().join("tpp_tolerance_tables");
+        let dir = std::env::temp_dir().join(format!("tpp_tolerance_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("pinned.csv"), "a,b\nx,93.4%\n").unwrap();
         let table = |title: &str, cell: &str| {
             Table::new(title, &["a", "b"], vec![vec!["x".into(), cell.into()]])
         };
-        assert_eq!(check_tables(&[table("Pinned", "93.0%")], &dir), (1, vec![]));
-        let (checked, deviations) = check_tables(&[table("Pinned", "80.0%")], &dir);
-        assert_eq!((checked, deviations.len()), (1, 1));
-        assert_eq!(check_tables(&[table("Unpinned", "0%")], &dir), (0, vec![]));
+        let check = check_tables(&[table("Pinned", "93.0%")], &dir);
+        assert_eq!((check.checked, check.deviations.len()), (1, 0));
+        let check = check_tables(&[table("Pinned", "80.0%")], &dir);
+        assert_eq!((check.checked, check.deviations.len()), (1, 1));
+        let check = check_tables(&[table("Unpinned", "0%")], &dir);
+        assert_eq!((check.checked, check.deviations.len()), (0, 0));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn snapshots_no_table_matched_are_listed() {
+        let dir = std::env::temp_dir().join(format!("tpp_unmatched_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for name in ["pinned.csv", "renamed_figure.csv", "old_title.csv"] {
+            std::fs::write(dir.join(name), "a\n1\n").unwrap();
+        }
+        // Digest files beside the snapshots are not snapshots.
+        std::fs::write(dir.join("quick.sha256"), "").unwrap();
+        let table = |title: &str| Table::new(title, &["a"], vec![vec!["1".into()]]);
+        let check = check_tables(&[table("Pinned"), table("New title")], &dir);
+        assert_eq!(
+            check,
+            TableCheck {
+                checked: 1,
+                deviations: vec![],
+                unmatched: vec!["old_title.csv".into(), "renamed_figure.csv".into()],
+            }
+        );
+        let every = [table("Pinned"), table("Renamed figure"), table("Old title")];
+        assert!(check_tables(&every, &dir).unmatched.is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use tiered_mem::telemetry::TraceRecord;
-use tiered_mem::{Memory, NodeId, PageKey, TraceEvent, VmEvent, VmStat};
+use tiered_mem::{Memory, NodeId, NodeList, PageKey, TraceEvent, VmEvent, VmStat};
 use tiered_sim::{fraction, rate_per_sec, LogHistogram, TimeSeries, SEC};
 
 /// Everything measured during a [`crate::System`] run.
@@ -22,6 +22,11 @@ pub struct RunMetrics {
     /// Total memory-stall time, ns.
     pub total_mem_ns: u64,
     /// Total page accesses.
+    ///
+    /// This and the four access counts and the latency sum below are
+    /// derived from the per-node access table ([`RunMetrics::node_accesses`])
+    /// when the run settles them: at every sample and when
+    /// [`crate::System::run_observed`] returns.
     pub accesses: u64,
     /// Accesses served by CPU-attached nodes.
     pub local_accesses: u64,
@@ -64,11 +69,16 @@ pub struct RunMetrics {
     /// latency (p99) reporting.
     pub op_latency: LogHistogram,
 
+    /// Accesses per node and page type, indexed `[node][is_anon]`: the
+    /// one counter the access path bumps.
+    node_accesses: [[u64; 2]; NodeList::CAPACITY],
     last_vmstat: VmStat,
     last_sample_ns: u64,
     window_ops: u64,
-    window_accesses: u64,
-    window_local: u64,
+    /// `accesses` and `local_accesses` as settled at the last sample;
+    /// a window's counts are the settled totals' growth since.
+    sampled_accesses: u64,
+    sampled_local: u64,
 }
 
 impl RunMetrics {
@@ -98,11 +108,12 @@ impl RunMetrics {
             node_file_pages: Vec::new(),
             node_free_pages: Vec::new(),
             op_latency: LogHistogram::new(),
+            node_accesses: [[0; 2]; NodeList::CAPACITY],
             last_vmstat: VmStat::new(),
             last_sample_ns: 0,
             window_ops: 0,
-            window_accesses: 0,
-            window_local: 0,
+            sampled_accesses: 0,
+            sampled_local: 0,
         }
     }
 
@@ -116,31 +127,61 @@ impl RunMetrics {
         self.op_latency.record(op_ns);
     }
 
-    /// Records one access served by a local (`is_local`) or CXL node.
-    ///
-    /// Branch-free: `is_anon` is a coin flip per access in mixed
-    /// workloads, so every counter adds its predicate as 0 or 1.
+    /// Records one access served by `node`: a single increment of the
+    /// node table. The totals follow at the next [`RunMetrics::settle`].
     #[inline]
-    pub(crate) fn note_access(&mut self, is_local: bool, is_anon: bool, latency_ns: u64) {
-        self.accesses += 1;
-        self.window_accesses += 1;
-        self.access_latency_ns += latency_ns;
-        self.local_accesses += is_local as u64;
-        self.window_local += is_local as u64;
-        self.cxl_accesses += !is_local as u64;
-        self.anon_accesses += is_anon as u64;
-        self.anon_local_accesses += (is_anon & is_local) as u64;
+    pub(crate) fn note_access(&mut self, node: NodeId, is_anon: bool) {
+        self.node_accesses[node.index()][is_anon as usize] += 1;
+    }
+
+    /// Accesses so far per node and page type, indexed `[node][is_anon]`
+    /// by `NodeId` (rows past the machine's last node stay zero). Every
+    /// access total is a sum over this table.
+    pub fn node_accesses(&self) -> &[[u64; 2]; NodeList::CAPACITY] {
+        &self.node_accesses
+    }
+
+    /// Derives every access total from the node table, taking each
+    /// node's locality and latency from `memory`'s machine description.
+    pub(crate) fn settle(&mut self, memory: &Memory) {
+        let (mut local, mut cxl, mut anon, mut anon_local, mut latency) = (0, 0, 0, 0, 0);
+        for id in memory.topology().ids() {
+            let [file_n, anon_n] = self.node_accesses[id.index()];
+            let n = file_n + anon_n;
+            let node = memory.node(id);
+            latency += n * node.latency_ns();
+            anon += anon_n;
+            if node.is_cpu_less() {
+                cxl += n;
+            } else {
+                local += n;
+                anon_local += anon_n;
+            }
+        }
+        self.accesses = local + cxl;
+        self.local_accesses = local;
+        self.cxl_accesses = cxl;
+        self.anon_accesses = anon;
+        self.anon_local_accesses = anon_local;
+        self.access_latency_ns = latency;
     }
 
     /// Takes a sample at `now_ns`: window rates plus memory-state gauges.
+    /// Settles the access totals first.
     pub fn sample(&mut self, now_ns: u64, memory: &Memory) {
+        self.settle(memory);
         let interval = now_ns.saturating_sub(self.last_sample_ns).max(1);
         let vm = memory.vmstat().clone();
         let d = vm.delta_since(&self.last_vmstat);
         self.throughput
             .record(now_ns, rate_per_sec(self.window_ops, interval));
-        self.local_traffic
-            .record(now_ns, fraction(self.window_local, self.window_accesses));
+        self.local_traffic.record(
+            now_ns,
+            fraction(
+                self.local_accesses - self.sampled_local,
+                self.accesses - self.sampled_accesses,
+            ),
+        );
         self.promotion_rate
             .record(now_ns, rate_per_sec(d.promoted_total(), interval));
         self.demotion_rate
@@ -179,8 +220,8 @@ impl RunMetrics {
         self.last_vmstat = vm;
         self.last_sample_ns = now_ns;
         self.window_ops = 0;
-        self.window_accesses = 0;
-        self.window_local = 0;
+        self.sampled_accesses = self.accesses;
+        self.sampled_local = self.local_accesses;
     }
 
     /// Fraction of all accesses served locally over the whole run.
@@ -499,12 +540,22 @@ mod tests {
     use super::*;
     use tiered_mem::{NodeKind, PageType, Pid, Vpn};
 
+    /// A local node and a CXL node at the given latencies.
+    fn local_and_cxl(local_ns: u64, cxl_ns: u64) -> Memory {
+        Memory::builder()
+            .node_with_latency(NodeKind::LocalDram, 32, local_ns)
+            .node_with_latency(NodeKind::Cxl, 32, cxl_ns)
+            .build()
+    }
+
     #[test]
     fn access_accounting() {
+        let mem = local_and_cxl(100, 185);
         let mut m = RunMetrics::new();
-        m.note_access(true, true, 100);
-        m.note_access(false, true, 185);
-        m.note_access(true, false, 100);
+        m.note_access(NodeId(0), true);
+        m.note_access(NodeId(1), true);
+        m.note_access(NodeId(0), false);
+        m.settle(&mem);
         assert_eq!(m.accesses, 3);
         m.note_op(1_000, 100);
         m.note_op(100_000, 90_000);
@@ -518,19 +569,52 @@ mod tests {
     fn note_access_counts_every_locality_and_type_combination() {
         // Combination k is noted k + 1 times, so every counter's total
         // names the combinations that reached it.
+        let mem = local_and_cxl(10, 10);
         let mut m = RunMetrics::new();
-        let combos = [(true, true), (true, false), (false, true), (false, false)];
-        for (k, (is_local, is_anon)) in combos.into_iter().enumerate() {
+        let combos = [(0, true), (0, false), (1, true), (1, false)];
+        for (k, (node, is_anon)) in combos.into_iter().enumerate() {
             for _ in 0..=k {
-                m.note_access(is_local, is_anon, 10);
+                m.note_access(NodeId(node), is_anon);
             }
         }
-        assert_eq!((m.accesses, m.window_accesses), (10, 10));
+        assert_eq!(m.node_accesses()[..2], [[2, 1], [4, 3]]);
+        m.sample(SEC, &mem);
+        assert_eq!(m.accesses, 10);
         assert_eq!(m.access_latency_ns, 100);
-        assert_eq!((m.local_accesses, m.window_local), (1 + 2, 1 + 2));
+        assert_eq!(m.local_accesses, 1 + 2);
         assert_eq!(m.cxl_accesses, 3 + 4);
         assert_eq!(m.anon_accesses, 1 + 3);
         assert_eq!(m.anon_local_accesses, 1);
+        // The window is the whole run so far: 3 of 10 accesses local.
+        assert_eq!(*m.local_traffic.values().last().unwrap(), 0.3);
+        // The next window counts only what was noted since.
+        m.note_access(NodeId(1), true);
+        m.sample(2 * SEC, &mem);
+        assert_eq!(*m.local_traffic.values().last().unwrap(), 0.0);
+        assert_eq!((m.accesses, m.cxl_accesses), (11, 8));
+    }
+
+    #[test]
+    fn settle_charges_each_cxl_tier_its_own_latency() {
+        // 3tier: local DRAM, a direct CXL expander and a switched pool,
+        // whose latencies all differ.
+        let mem = crate::configs::three_tier(1_000);
+        let latency: Vec<u64> = (0..3).map(|i| mem.node(NodeId(i)).latency_ns()).collect();
+        assert_eq!(latency, [100, 185, 270]);
+        let mut m = RunMetrics::new();
+        for (node, times) in [(0u8, 1), (1, 2), (2, 3)] {
+            for _ in 0..times {
+                m.note_access(NodeId(node), node != 1);
+            }
+        }
+        m.settle(&mem);
+        assert_eq!(m.access_latency_ns, 100 + 2 * 185 + 3 * 270);
+        assert_eq!((m.local_accesses, m.cxl_accesses), (1, 2 + 3));
+        assert_eq!((m.anon_accesses, m.anon_local_accesses), (1 + 3, 1));
+        // Settling twice derives the same totals.
+        let once = format!("{m:?}");
+        m.settle(&mem);
+        assert_eq!(format!("{m:?}"), once);
     }
 
     #[test]
@@ -593,7 +677,7 @@ mod tests {
     #[test]
     fn summary_and_histogram_json_are_flat_objects() {
         let mut metrics = RunMetrics::new();
-        metrics.note_access(true, true, 100);
+        metrics.note_access(NodeId(0), true);
         metrics.note_op(1_000, 100);
         let json = metrics.summary_json();
         assert!(json.starts_with('{') && json.ends_with('}'));

@@ -13,7 +13,9 @@
 
 use std::ops::{Deref, DerefMut};
 
-use tiered_mem::{Memory, PageFlags, PageKey, PageLocation, Pfn, TraceEvent, TraceRecord};
+use tiered_mem::{
+    Memory, NodeList, PageFlags, PageKey, PageLocation, Pfn, TraceEvent, TraceRecord,
+};
 use tiered_sim::{Access, AccessKind, LatencyModel, Periodic, SimRng, Workload, WorkloadEvent};
 
 use crate::metrics::RunMetrics;
@@ -61,10 +63,9 @@ pub struct System {
     sample_timer: Periodic,
     /// Per-node access latency, indexed by `NodeId` — node latencies are
     /// fixed at machine-build time, so the access path reads this array
-    /// instead of chasing `memory.node(node)` per access.
-    node_latency_ns: Vec<u64>,
-    /// Whether each node is CPU-attached, indexed by `NodeId`.
-    node_is_local: Vec<bool>,
+    /// instead of chasing `memory.node(node)` per access. Sized like each
+    /// lane's node access table, so one bounds check covers both.
+    node_latency_ns: [u64; NodeList::CAPACITY],
     /// The event buffer every op is generated into, cleared between ops
     /// and kept across runs, so steady-state ops allocate nothing.
     op_events: Vec<WorkloadEvent>,
@@ -110,12 +111,11 @@ impl System {
             memory.create_process(w.pid());
         }
         // Topology ids are dense and in index order (the builder asserts
-        // it), so these arrays index directly by `NodeId`.
-        let (node_latency_ns, node_is_local) = memory
-            .topology()
-            .ids()
-            .map(|id| (memory.node(id).latency_ns(), !memory.node(id).is_cpu_less()))
-            .unzip();
+        // it), so this array indexes directly by `NodeId`.
+        let mut node_latency_ns = [0; NodeList::CAPACITY];
+        for id in memory.topology().ids() {
+            node_latency_ns[id.index()] = memory.node(id).latency_ns();
+        }
         let lanes = workloads
             .into_iter()
             .map(|workload| Lane {
@@ -134,7 +134,6 @@ impl System {
             daemon_timer,
             sample_timer: Periodic::new(RunMetrics::sample_period_ns()),
             node_latency_ns,
-            node_is_local,
             op_events: Vec::new(),
         })
     }
@@ -198,7 +197,8 @@ impl System {
 
     /// Runs every lane for `duration_ns`, calling `observe(now, access)`
     /// after each access resolves, with the start time of the op that
-    /// issued it (e.g. to feed a Chameleon profiler).
+    /// issued it (e.g. to feed a Chameleon profiler). Every lane's access
+    /// totals are settled when it returns.
     pub fn run_observed(&mut self, duration_ns: u64, mut observe: impl FnMut(u64, &Access)) {
         let end: Vec<u64> = self
             .lanes
@@ -262,11 +262,15 @@ impl System {
             }
         }
         self.op_events = events;
+        for lane in &mut self.lanes {
+            lane.metrics.settle(&self.memory);
+        }
     }
 
     /// Resolves one access of the first lane exactly as the run loop
     /// would (for benchmarking the resolution hot path in isolation).
-    /// Returns the latency charged to the op.
+    /// Returns the latency charged to the op. The lane's access totals
+    /// count it once they next settle (the next sample or run).
     pub fn resolve_access(&mut self, now_ns: u64, access: &Access) -> u64 {
         self.execute_access(0, now_ns, access)
     }
@@ -365,16 +369,13 @@ impl System {
             head_frame.touch_hotness();
             head_frame.set_last_access_ns(now);
         }
-        let node_latency = self.node_latency_ns[node.index()];
-        self.lanes[lane].metrics.note_access(
-            self.node_is_local[node.index()],
-            access.page_type.is_anon(),
-            node_latency,
-        );
+        self.lanes[lane]
+            .metrics
+            .note_access(node, access.page_type.is_anon());
         // One workload access stands for a bundle of LLC misses (see
         // `LatencyModel::access_bundle`); metrics record the per-miss
         // latency, the op is charged the whole stall.
-        node_latency * self.latency.access_bundle
+        self.node_latency_ns[node.index()] * self.latency.access_bundle
     }
 }
 

@@ -73,6 +73,14 @@ if [ "$status" -ne 1 ]; then
   exit 1
 fi
 echo "unwritable-csv gate: repro exits 1 when the CSV directory cannot be created"
+# A target named twice runs, writes and gates once: one fig2 timing row.
+./target/release/repro --quick fig2 fig2 --csv "$tmp/dup" --timings-json "$tmp/dup.json" >/dev/null 2>&1
+rows="$(grep -c '"target": "fig2"' "$tmp/dup.json" || true)"
+if [ "$rows" -ne 1 ]; then
+  echo "duplicate-target gate FAILED: repro fig2 fig2 wrote $rows fig2 timing rows, not 1" >&2
+  exit 1
+fi
+echo "duplicate-target gate: repro fig2 fig2 runs fig2 once"
 
 # determinism_gate <target> <label>
 determinism_gate() {

@@ -14,13 +14,18 @@
 //!   and base pages, so a promotion can only fail for want of memory
 //!   (a compound head promoted with `migrate_page` would fail here).
 //!
+//! After every chunk each lane's per-node access table must also sum to
+//! its `accesses` and to the accesses a `run_observed` observer saw, its
+//! local and CXL counts must partition `accesses`, and its latency sum
+//! must be each node's count times that node's latency.
+//!
 //! Cells the policy rejects through `validate_config` are skipped and
 //! counted. The working set and duration are small so the whole matrix
 //! fits a debug `cargo test`; the cross-product itself is never reduced.
 
 use tiered_mem::telemetry::{replay_counters, TraceRecord, TRACED_COUNTERS};
-use tiered_mem::{Memory, ThpMode, TraceEvent, VmEvent};
-use tiered_sim::{Workload, MS};
+use tiered_mem::{Memory, Pid, ThpMode, TraceEvent, VmEvent};
+use tiered_sim::{access_latency_ns, Workload, MS};
 use tpp::experiment::PolicyChoice;
 use tpp::policy::TppConfig;
 use tpp::{configs, System};
@@ -74,21 +79,56 @@ fn check_pairing(records: &[TraceRecord], cell: &str) {
     }
 }
 
+/// Checks every lane's access totals against its per-node access table
+/// and against `observed`, the accesses an observer saw per lane.
+fn check_access_table(system: &System, observed: &[u64], cell: &str) {
+    let memory = system.memory();
+    for (i, &seen) in observed.iter().enumerate() {
+        let m = system.lane_metrics(i);
+        let table = m.node_accesses();
+        let total: u64 = table.iter().flatten().sum();
+        assert_eq!(
+            (total, m.accesses),
+            (seen, seen),
+            "{cell} lane {i}: table sum and accesses vs observed accesses"
+        );
+        assert_eq!(
+            m.local_accesses + m.cxl_accesses,
+            m.accesses,
+            "{cell} lane {i}: local + CXL accesses do not partition accesses"
+        );
+        let latency: u64 = memory
+            .topology()
+            .ids()
+            .map(|id| table[id.index()].iter().sum::<u64>() * access_latency_ns(memory, id))
+            .sum();
+        assert_eq!(
+            m.access_latency_ns, latency,
+            "{cell} lane {i}: latency sum is not the per-node count x latency"
+        );
+    }
+}
+
 /// Runs one cell; returns `false` if the policy rejected the machine.
 fn run_cell(choice: &PolicyChoice, name: &str, mode: ThpMode, lanes: usize) -> bool {
     let cell = format!("{} {name} {mode} {lanes} lane(s)", choice.label());
-    let Ok(mut system) =
-        System::colocated(machine(name, mode), choice.build(), workloads(lanes), 5)
+    let workloads = workloads(lanes);
+    let pids: Vec<Pid> = workloads.iter().map(|w| w.pid()).collect();
+    let Ok(mut system) = System::colocated(machine(name, mode), choice.build(), workloads, 5)
     else {
         return false;
     };
     system.enable_trace();
     let mut replayed = vec![0u64; TRACED_COUNTERS.len()];
+    let mut observed = vec![0u64; lanes];
     let mut elapsed = 0;
     while elapsed < DURATION_NS {
-        system.run(CHUNK_NS);
+        system.run_observed(CHUNK_NS, |_, a| {
+            observed[pids.iter().position(|&p| p == a.pid).unwrap()] += 1;
+        });
         elapsed += CHUNK_NS;
         system.memory().validate();
+        check_access_table(&system, &observed, &cell);
         let records = system.take_trace();
         check_pairing(&records, &cell);
         let vm = replay_counters(&records);
