@@ -644,143 +644,233 @@ mod tests {
         PageKey::new(Pid(pid), Vpn(vpn))
     }
 
+    /// One of each event shape with its exact JSONL line at `ts` = its
+    /// index: all 26 variants, then a `DaemonWake` without a node and a
+    /// pageless `Decision` whose policy needs escaping.
+    fn every_event() -> [(TraceEvent, &'static str); 28] {
+        [
+            (
+                TraceEvent::Fault {
+                    page: key(1, 2),
+                    major: true,
+                },
+                r#"{"ts":0,"event":"fault","pid":1,"vpn":2,"major":true}"#,
+            ),
+            (
+                TraceEvent::HintFault {
+                    page: key(1, 2),
+                    node: NodeId(1),
+                },
+                r#"{"ts":1,"event":"hint_fault","pid":1,"vpn":2,"node":1}"#,
+            ),
+            (
+                TraceEvent::HintFaultLocal {
+                    page: key(1, 2),
+                    node: NodeId(0),
+                },
+                r#"{"ts":2,"event":"hint_fault_local","pid":1,"vpn":2,"node":0}"#,
+            ),
+            (
+                TraceEvent::AllocLocal {
+                    page: key(1, 2),
+                    node: NodeId(0),
+                },
+                r#"{"ts":3,"event":"alloc_local","pid":1,"vpn":2,"node":0}"#,
+            ),
+            (
+                TraceEvent::AllocRemote {
+                    page: key(1, 2),
+                    node: NodeId(1),
+                },
+                r#"{"ts":4,"event":"alloc_remote","pid":1,"vpn":2,"node":1}"#,
+            ),
+            (
+                TraceEvent::AllocStall { node: NodeId(0) },
+                r#"{"ts":5,"event":"alloc_stall","node":0}"#,
+            ),
+            (
+                TraceEvent::Migrate {
+                    page: key(1, 2),
+                    from: NodeId(0),
+                    to: NodeId(1),
+                },
+                r#"{"ts":6,"event":"migrate","pid":1,"vpn":2,"from":0,"to":1}"#,
+            ),
+            (
+                TraceEvent::MigrateFail {
+                    page: key(1, 2),
+                    to: NodeId(1),
+                },
+                r#"{"ts":7,"event":"migrate_fail","pid":1,"vpn":2,"to":1}"#,
+            ),
+            (
+                TraceEvent::PromoteCandidate {
+                    page: key(1, 2),
+                    demoted: true,
+                },
+                r#"{"ts":8,"event":"promote_candidate","pid":1,"vpn":2,"demoted":true}"#,
+            ),
+            (
+                TraceEvent::PromoteAttempt {
+                    page: key(1, 2),
+                    from: NodeId(1),
+                    to: NodeId(0),
+                },
+                r#"{"ts":9,"event":"promote_attempt","pid":1,"vpn":2,"from":1,"to":0}"#,
+            ),
+            (
+                TraceEvent::PromoteSuccess {
+                    page: key(1, 2),
+                    from: NodeId(1),
+                    to: NodeId(0),
+                    page_type: PageType::Anon,
+                },
+                r#"{"ts":10,"event":"promote_success","pid":1,"vpn":2,"from":1,"to":0,"page_type":"anon"}"#,
+            ),
+            (
+                TraceEvent::PromoteFail {
+                    page: key(1, 2),
+                    reason: PromoteFailReason::LowMem,
+                },
+                r#"{"ts":11,"event":"promote_fail","pid":1,"vpn":2,"reason":"lowmem"}"#,
+            ),
+            (
+                TraceEvent::PromoteSkip {
+                    page: key(1, 2),
+                    reason: PromoteSkipReason::Inactive,
+                },
+                r#"{"ts":12,"event":"promote_skip","pid":1,"vpn":2,"reason":"inactive"}"#,
+            ),
+            (
+                TraceEvent::Demote {
+                    page: key(1, 2),
+                    from: NodeId(0),
+                    to: NodeId(1),
+                    page_type: PageType::File,
+                },
+                r#"{"ts":13,"event":"demote","pid":1,"vpn":2,"from":0,"to":1,"page_type":"file"}"#,
+            ),
+            (
+                TraceEvent::DemoteFallback {
+                    page: key(1, 2),
+                    node: NodeId(0),
+                },
+                r#"{"ts":14,"event":"demote_fallback","pid":1,"vpn":2,"node":0}"#,
+            ),
+            (
+                TraceEvent::ReclaimScan {
+                    node: NodeId(0),
+                    pages: 32,
+                },
+                r#"{"ts":15,"event":"reclaim_scan","node":0,"pages":32}"#,
+            ),
+            (
+                TraceEvent::ReclaimSteal {
+                    page: key(1, 2),
+                    node: NodeId(0),
+                },
+                r#"{"ts":16,"event":"reclaim_steal","pid":1,"vpn":2,"node":0}"#,
+            ),
+            (
+                TraceEvent::SwapOut {
+                    page: key(1, 2),
+                    node: NodeId(1),
+                },
+                r#"{"ts":17,"event":"swap_out","pid":1,"vpn":2,"node":1}"#,
+            ),
+            (
+                TraceEvent::SwapIn {
+                    page: key(1, 2),
+                    node: NodeId(0),
+                },
+                r#"{"ts":18,"event":"swap_in","pid":1,"vpn":2,"node":0}"#,
+            ),
+            (
+                TraceEvent::FileDrop {
+                    page: key(1, 2),
+                    node: NodeId(0),
+                },
+                r#"{"ts":19,"event":"file_drop","pid":1,"vpn":2,"node":0}"#,
+            ),
+            (
+                TraceEvent::Collapse {
+                    page: key(1, 2),
+                    node: NodeId(0),
+                    pages: 512,
+                },
+                r#"{"ts":20,"event":"collapse","pid":1,"vpn":2,"node":0,"pages":512}"#,
+            ),
+            (
+                TraceEvent::Split {
+                    page: key(1, 2),
+                    node: NodeId(1),
+                    pages: 512,
+                },
+                r#"{"ts":21,"event":"split","pid":1,"vpn":2,"node":1,"pages":512}"#,
+            ),
+            (
+                TraceEvent::Compact {
+                    node: NodeId(0),
+                    migrated: 64,
+                    success: true,
+                },
+                r#"{"ts":22,"event":"compact","node":0,"migrated":64,"success":true}"#,
+            ),
+            (
+                TraceEvent::WatermarkCross {
+                    node: NodeId(0),
+                    level: "demote",
+                    free: 17,
+                    below: true,
+                },
+                r#"{"ts":23,"event":"watermark_cross","node":0,"level":"demote","free":17,"below":true}"#,
+            ),
+            (
+                TraceEvent::DaemonWake {
+                    daemon: "kswapd",
+                    node: Some(NodeId(1)),
+                },
+                r#"{"ts":24,"event":"daemon_wake","daemon":"kswapd","node":1}"#,
+            ),
+            (
+                TraceEvent::Decision {
+                    policy: "tpp",
+                    reason: "ping_pong",
+                    page: Some(key(1, 2)),
+                },
+                r#"{"ts":25,"event":"decision","pid":1,"vpn":2,"policy":"tpp","reason":"ping_pong"}"#,
+            ),
+            (
+                TraceEvent::DaemonWake {
+                    daemon: "demoter",
+                    node: None,
+                },
+                r#"{"ts":26,"event":"daemon_wake","daemon":"demoter"}"#,
+            ),
+            (
+                TraceEvent::Decision {
+                    policy: "a\"b",
+                    reason: "cold",
+                    page: None,
+                },
+                r#"{"ts":27,"event":"decision","policy":"a\"b","reason":"cold"}"#,
+            ),
+        ]
+    }
+
     #[test]
     fn every_event_has_a_stable_name_and_json_shape() {
-        let events = [
-            TraceEvent::Fault {
-                page: key(1, 2),
-                major: true,
-            },
-            TraceEvent::HintFault {
-                page: key(1, 2),
-                node: NodeId(1),
-            },
-            TraceEvent::HintFaultLocal {
-                page: key(1, 2),
-                node: NodeId(0),
-            },
-            TraceEvent::AllocLocal {
-                page: key(1, 2),
-                node: NodeId(0),
-            },
-            TraceEvent::AllocRemote {
-                page: key(1, 2),
-                node: NodeId(1),
-            },
-            TraceEvent::AllocStall { node: NodeId(0) },
-            TraceEvent::Migrate {
-                page: key(1, 2),
-                from: NodeId(0),
-                to: NodeId(1),
-            },
-            TraceEvent::MigrateFail {
-                page: key(1, 2),
-                to: NodeId(1),
-            },
-            TraceEvent::PromoteCandidate {
-                page: key(1, 2),
-                demoted: true,
-            },
-            TraceEvent::PromoteAttempt {
-                page: key(1, 2),
-                from: NodeId(1),
-                to: NodeId(0),
-            },
-            TraceEvent::PromoteSuccess {
-                page: key(1, 2),
-                from: NodeId(1),
-                to: NodeId(0),
-                page_type: PageType::Anon,
-            },
-            TraceEvent::PromoteFail {
-                page: key(1, 2),
-                reason: PromoteFailReason::LowMem,
-            },
-            TraceEvent::PromoteSkip {
-                page: key(1, 2),
-                reason: PromoteSkipReason::Inactive,
-            },
-            TraceEvent::Demote {
-                page: key(1, 2),
-                from: NodeId(0),
-                to: NodeId(1),
-                page_type: PageType::File,
-            },
-            TraceEvent::DemoteFallback {
-                page: key(1, 2),
-                node: NodeId(0),
-            },
-            TraceEvent::ReclaimScan {
-                node: NodeId(0),
-                pages: 32,
-            },
-            TraceEvent::ReclaimSteal {
-                page: key(1, 2),
-                node: NodeId(0),
-            },
-            TraceEvent::SwapOut {
-                page: key(1, 2),
-                node: NodeId(1),
-            },
-            TraceEvent::SwapIn {
-                page: key(1, 2),
-                node: NodeId(0),
-            },
-            TraceEvent::FileDrop {
-                page: key(1, 2),
-                node: NodeId(0),
-            },
-            TraceEvent::Collapse {
-                page: key(1, 2),
-                node: NodeId(0),
-                pages: 512,
-            },
-            TraceEvent::Split {
-                page: key(1, 2),
-                node: NodeId(1),
-                pages: 512,
-            },
-            TraceEvent::Compact {
-                node: NodeId(0),
-                migrated: 64,
-                success: true,
-            },
-            TraceEvent::WatermarkCross {
-                node: NodeId(0),
-                level: "demote",
-                free: 17,
-                below: true,
-            },
-            TraceEvent::DaemonWake {
-                daemon: "kswapd",
-                node: Some(NodeId(1)),
-            },
-            TraceEvent::Decision {
-                policy: "tpp",
-                reason: "ping_pong",
-                page: Some(key(1, 2)),
-            },
-        ];
         let mut names = std::collections::HashSet::new();
-        for (i, event) in events.iter().enumerate() {
-            assert!(
-                names.insert(event.name()),
-                "duplicate name {}",
-                event.name()
-            );
-            let json = TraceRecord {
+        for (i, (event, line)) in every_event().into_iter().enumerate() {
+            names.insert(event.name());
+            let record = TraceRecord {
                 ts_ns: i as u64,
-                event: *event,
-            }
-            .to_json();
-            assert!(
-                json.starts_with(&format!("{{\"ts\":{i},\"event\":\"")),
-                "{json}"
-            );
-            assert!(json.ends_with('}'), "{json}");
-            // Balanced quotes: every key/value string is closed.
-            assert_eq!(json.matches('"').count() % 2, 0, "{json}");
+                event,
+            };
+            assert_eq!(record.to_json(), line);
         }
+        // Every variant has its own name.
+        assert_eq!(names.len(), 26);
     }
 
     #[test]
