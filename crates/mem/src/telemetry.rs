@@ -74,54 +74,89 @@ impl PromoteSkipReason {
     }
 }
 
-/// One structured trace event. Emitted by [`crate::Memory::record`],
-/// which also bumps the vmstat counters the event implies, so the two
-/// views stay consistent by construction.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub enum TraceEvent {
+/// Declares [`TraceEvent`] from one entry per event: its doc comment,
+/// variant, JSONL name, and fields with their docs. Generates the enum,
+/// `name()` and `write_fields()`, which prints every field in
+/// declaration order as its type's [`JsonField`] says.
+macro_rules! trace_events {
+    ($(
+        $(#[$meta:meta])*
+        $variant:ident = $name:literal {
+            $($(#[$field_meta:meta])* $field:ident: $ty:ty),* $(,)?
+        }
+    ),* $(,)?) => {
+        /// One structured trace event. Emitted by [`crate::Memory::record`],
+        /// which also bumps the vmstat counters the event implies, so the two
+        /// views stay consistent by construction.
+        #[derive(Clone, Copy, PartialEq, Debug)]
+        pub enum TraceEvent {
+            $($(#[$meta])* $variant { $($(#[$field_meta])* $field: $ty),* },)*
+        }
+
+        impl TraceEvent {
+            /// Stable lowercase event name used in JSONL output and summaries.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(TraceEvent::$variant { .. } => $name,)*
+                }
+            }
+
+            /// Appends `,"field":value` for every field, in declaration order.
+            fn write_fields(&self, out: &mut String) {
+                match self {
+                    $(TraceEvent::$variant { $($field),* } => {
+                        $($field.write_json(stringify!($field), out);)*
+                    })*
+                }
+            }
+        }
+    };
+}
+
+trace_events! {
     /// Page fault handled by a policy (one per placement attempt, to
     /// match the `pgfault` counter's semantics).
-    Fault {
+    Fault = "fault" {
         /// Faulting page.
         page: PageKey,
         /// Whether the fault required a swap-in.
         major: bool,
     },
     /// NUMA hint fault taken on a sampled page.
-    HintFault {
+    HintFault = "hint_fault" {
         /// Faulting page.
         page: PageKey,
         /// Node the page resides on.
         node: NodeId,
     },
     /// Hint fault on a CPU-attached node — wasted sampling work.
-    HintFaultLocal {
+    HintFaultLocal = "hint_fault_local" {
         /// Faulting page.
         page: PageKey,
         /// Node the page resides on.
         node: NodeId,
     },
     /// Page allocated on a CPU-attached node.
-    AllocLocal {
+    AllocLocal = "alloc_local" {
         /// Newly mapped page.
         page: PageKey,
         /// Node that supplied the frame.
         node: NodeId,
     },
     /// Page allocation landed on a CPU-less (CXL) node.
-    AllocRemote {
+    AllocRemote = "alloc_remote" {
         /// Newly mapped page.
         page: PageKey,
         /// Node that supplied the frame.
         node: NodeId,
     },
     /// Allocation stalled in direct reclaim.
-    AllocStall {
+    AllocStall = "alloc_stall" {
         /// Node that could not satisfy the allocation.
         node: NodeId,
     },
     /// Successful migration (any direction).
-    Migrate {
+    Migrate = "migrate" {
         /// Migrated page.
         page: PageKey,
         /// Source node.
@@ -130,14 +165,14 @@ pub enum TraceEvent {
         to: NodeId,
     },
     /// Migration failed (destination out of memory).
-    MigrateFail {
+    MigrateFail = "migrate_fail" {
         /// Page that stayed put.
         page: PageKey,
         /// Destination that rejected it.
         to: NodeId,
     },
     /// Page became a promotion candidate.
-    PromoteCandidate {
+    PromoteCandidate = "promote_candidate" {
         /// Candidate page.
         page: PageKey,
         /// Whether the page carried `PG_demoted` — the ping-pong
@@ -145,7 +180,7 @@ pub enum TraceEvent {
         demoted: bool,
     },
     /// Promotion attempt issued (candidate passed all filters).
-    PromoteAttempt {
+    PromoteAttempt = "promote_attempt" {
         /// Promoted page.
         page: PageKey,
         /// Source (CXL) node.
@@ -154,7 +189,7 @@ pub enum TraceEvent {
         to: NodeId,
     },
     /// Promotion succeeded.
-    PromoteSuccess {
+    PromoteSuccess = "promote_success" {
         /// Promoted page.
         page: PageKey,
         /// Source node.
@@ -165,21 +200,21 @@ pub enum TraceEvent {
         page_type: PageType,
     },
     /// Promotion failed, with the reason bucket.
-    PromoteFail {
+    PromoteFail = "promote_fail" {
         /// Page that stayed on the slow tier.
         page: PageKey,
         /// Failure reason.
         reason: PromoteFailReason,
     },
     /// Promotion candidate skipped before an attempt.
-    PromoteSkip {
+    PromoteSkip = "promote_skip" {
         /// Skipped page.
         page: PageKey,
         /// Skip reason.
         reason: PromoteSkipReason,
     },
     /// Page demoted to a lower tier.
-    Demote {
+    Demote = "demote" {
         /// Demoted page.
         page: PageKey,
         /// Source (local) node.
@@ -190,49 +225,49 @@ pub enum TraceEvent {
         page_type: PageType,
     },
     /// Demotion failed and fell back to the legacy reclaim path.
-    DemoteFallback {
+    DemoteFallback = "demote_fallback" {
         /// Page that will be reclaimed instead.
         page: PageKey,
         /// Node the page was on.
         node: NodeId,
     },
     /// Reclaim scanner visited pages on a node (one event per scan batch).
-    ReclaimScan {
+    ReclaimScan = "reclaim_scan" {
         /// Scanned node.
         node: NodeId,
         /// Pages visited in this batch.
         pages: u64,
     },
     /// Reclaim stole (evicted) a page.
-    ReclaimSteal {
+    ReclaimSteal = "reclaim_steal" {
         /// Evicted page.
         page: PageKey,
         /// Node it was stolen from.
         node: NodeId,
     },
     /// Page written to the swap device.
-    SwapOut {
+    SwapOut = "swap_out" {
         /// Swapped page.
         page: PageKey,
         /// Node the frame was freed from.
         node: NodeId,
     },
     /// Page read back from the swap device (major fault).
-    SwapIn {
+    SwapIn = "swap_in" {
         /// Restored page.
         page: PageKey,
         /// Node that received it.
         node: NodeId,
     },
     /// Clean file page dropped without I/O.
-    FileDrop {
+    FileDrop = "file_drop" {
         /// Dropped page.
         page: PageKey,
         /// Node it was dropped from.
         node: NodeId,
     },
     /// khugepaged assembled a run of base pages into a compound page.
-    Collapse {
+    Collapse = "collapse" {
         /// The compound's head page (pid + lowest vpn of the run).
         page: PageKey,
         /// Node the compound was assembled on.
@@ -241,7 +276,7 @@ pub enum TraceEvent {
         pages: u64,
     },
     /// A compound page was shattered back into base pages.
-    Split {
+    Split = "split" {
         /// The former head page.
         page: PageKey,
         /// Node the compound lived on.
@@ -250,7 +285,7 @@ pub enum TraceEvent {
         pages: u64,
     },
     /// A compaction pass finished on a node.
-    Compact {
+    Compact = "compact" {
         /// Compacted node.
         node: NodeId,
         /// Base pages relocated by the migration scanner.
@@ -259,7 +294,7 @@ pub enum TraceEvent {
         success: bool,
     },
     /// Free-page count crossed a named watermark on a node.
-    WatermarkCross {
+    WatermarkCross = "watermark_cross" {
         /// Node whose watermark was crossed.
         node: NodeId,
         /// Watermark name (`"min"`, `"low"`, `"high"`, `"demote"`, …).
@@ -271,65 +306,32 @@ pub enum TraceEvent {
         below: bool,
     },
     /// A reclaim/demotion daemon woke up.
-    DaemonWake {
+    DaemonWake = "daemon_wake" {
         /// Daemon name (`"kswapd"`, `"demoter"`, …).
         daemon: &'static str,
         /// Node the daemon serves, if per-node.
         node: Option<NodeId>,
     },
     /// Free-form policy decision with a policy-supplied reason.
-    Decision {
+    Decision = "decision" {
+        /// Page the decision concerned, if any.
+        page: Option<PageKey>,
         /// Policy name (matches `PlacementPolicy::name`).
         policy: &'static str,
         /// Decision reason, stable for aggregation.
         reason: &'static str,
-        /// Page the decision concerned, if any.
-        page: Option<PageKey>,
     },
 }
 
 impl TraceEvent {
-    /// Stable lowercase event name used in JSONL output and summaries.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TraceEvent::Fault { .. } => "fault",
-            TraceEvent::HintFault { .. } => "hint_fault",
-            TraceEvent::HintFaultLocal { .. } => "hint_fault_local",
-            TraceEvent::AllocLocal { .. } => "alloc_local",
-            TraceEvent::AllocRemote { .. } => "alloc_remote",
-            TraceEvent::AllocStall { .. } => "alloc_stall",
-            TraceEvent::Migrate { .. } => "migrate",
-            TraceEvent::MigrateFail { .. } => "migrate_fail",
-            TraceEvent::PromoteCandidate { .. } => "promote_candidate",
-            TraceEvent::PromoteAttempt { .. } => "promote_attempt",
-            TraceEvent::PromoteSuccess { .. } => "promote_success",
-            TraceEvent::PromoteFail { .. } => "promote_fail",
-            TraceEvent::PromoteSkip { .. } => "promote_skip",
-            TraceEvent::Demote { .. } => "demote",
-            TraceEvent::DemoteFallback { .. } => "demote_fallback",
-            TraceEvent::ReclaimScan { .. } => "reclaim_scan",
-            TraceEvent::ReclaimSteal { .. } => "reclaim_steal",
-            TraceEvent::SwapOut { .. } => "swap_out",
-            TraceEvent::SwapIn { .. } => "swap_in",
-            TraceEvent::FileDrop { .. } => "file_drop",
-            TraceEvent::Collapse { .. } => "collapse",
-            TraceEvent::Split { .. } => "split",
-            TraceEvent::Compact { .. } => "compact",
-            TraceEvent::WatermarkCross { .. } => "watermark_cross",
-            TraceEvent::DaemonWake { .. } => "daemon_wake",
-            TraceEvent::Decision { .. } => "decision",
-        }
-    }
-
     /// Bumps every vmstat counter this event implies. This is the single
     /// source of truth for the event ↔ counter mapping: `Memory::record`
     /// calls it, so a traced counter can never drift from its events.
     pub(crate) fn count_into(&self, vmstat: &mut VmStat) {
         match *self {
-            TraceEvent::Fault { major, .. } => {
+            TraceEvent::Fault { .. } => {
                 vmstat.count(VmEvent::PgFault);
                 // Major faults are counted by the swap-in path itself.
-                let _ = major;
             }
             TraceEvent::HintFault { .. } => vmstat.count(VmEvent::NumaHintFaults),
             TraceEvent::HintFaultLocal { .. } => vmstat.count(VmEvent::NumaHintFaultsLocal),
@@ -388,38 +390,6 @@ impl TraceEvent {
             | TraceEvent::Decision { .. } => {}
         }
     }
-
-    /// The page this event concerns, if any.
-    pub(crate) fn page(&self) -> Option<PageKey> {
-        match *self {
-            TraceEvent::Fault { page, .. }
-            | TraceEvent::HintFault { page, .. }
-            | TraceEvent::HintFaultLocal { page, .. }
-            | TraceEvent::AllocLocal { page, .. }
-            | TraceEvent::AllocRemote { page, .. }
-            | TraceEvent::Migrate { page, .. }
-            | TraceEvent::MigrateFail { page, .. }
-            | TraceEvent::PromoteCandidate { page, .. }
-            | TraceEvent::PromoteAttempt { page, .. }
-            | TraceEvent::PromoteSuccess { page, .. }
-            | TraceEvent::PromoteFail { page, .. }
-            | TraceEvent::PromoteSkip { page, .. }
-            | TraceEvent::Demote { page, .. }
-            | TraceEvent::DemoteFallback { page, .. }
-            | TraceEvent::ReclaimSteal { page, .. }
-            | TraceEvent::SwapOut { page, .. }
-            | TraceEvent::SwapIn { page, .. }
-            | TraceEvent::FileDrop { page, .. }
-            | TraceEvent::Collapse { page, .. }
-            | TraceEvent::Split { page, .. } => Some(page),
-            TraceEvent::Decision { page, .. } => page,
-            TraceEvent::AllocStall { .. }
-            | TraceEvent::ReclaimScan { .. }
-            | TraceEvent::Compact { .. }
-            | TraceEvent::WatermarkCross { .. }
-            | TraceEvent::DaemonWake { .. } => None,
-        }
-    }
 }
 
 /// A [`TraceEvent`] stamped with simulation time.
@@ -435,7 +405,8 @@ impl TraceRecord {
     /// Renders the record as one JSON object (no trailing newline).
     ///
     /// The format is flat and stable: `ts` and `event` first, then the
-    /// event's fields. Written by hand because the build environment has
+    /// event's fields in declaration order, each printed by its type's
+    /// [`JsonField`]. Written by hand because the build environment has
     /// no access to serde.
     pub(crate) fn to_json(self) -> String {
         let mut s = String::with_capacity(96);
@@ -445,115 +416,72 @@ impl TraceRecord {
             self.ts_ns,
             self.event.name()
         );
-        if let Some(page) = self.event.page() {
-            let _ = write!(s, ",\"pid\":{},\"vpn\":{}", page.pid.0, page.vpn.0);
-        }
-        match self.event {
-            TraceEvent::Fault { major, .. } => {
-                let _ = write!(s, ",\"major\":{major}");
-            }
-            TraceEvent::HintFault { node, .. }
-            | TraceEvent::HintFaultLocal { node, .. }
-            | TraceEvent::AllocLocal { node, .. }
-            | TraceEvent::AllocRemote { node, .. }
-            | TraceEvent::AllocStall { node }
-            | TraceEvent::DemoteFallback { node, .. }
-            | TraceEvent::ReclaimSteal { node, .. }
-            | TraceEvent::SwapOut { node, .. }
-            | TraceEvent::SwapIn { node, .. }
-            | TraceEvent::FileDrop { node, .. } => {
-                let _ = write!(s, ",\"node\":{}", node.0);
-            }
-            TraceEvent::Migrate { from, to, .. } | TraceEvent::PromoteAttempt { from, to, .. } => {
-                let _ = write!(s, ",\"from\":{},\"to\":{}", from.0, to.0);
-            }
-            TraceEvent::MigrateFail { to, .. } => {
-                let _ = write!(s, ",\"to\":{}", to.0);
-            }
-            TraceEvent::PromoteCandidate { demoted, .. } => {
-                let _ = write!(s, ",\"demoted\":{demoted}");
-            }
-            TraceEvent::PromoteSuccess {
-                from,
-                to,
-                page_type,
-                ..
-            }
-            | TraceEvent::Demote {
-                from,
-                to,
-                page_type,
-                ..
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"from\":{},\"to\":{},\"page_type\":\"{}\"",
-                    from.0,
-                    to.0,
-                    page_type_name(page_type)
-                );
-            }
-            TraceEvent::PromoteFail { reason, .. } => {
-                let _ = write!(s, ",\"reason\":\"{}\"", reason.as_str());
-            }
-            TraceEvent::PromoteSkip { reason, .. } => {
-                let _ = write!(s, ",\"reason\":\"{}\"", reason.as_str());
-            }
-            TraceEvent::ReclaimScan { node, pages } => {
-                let _ = write!(s, ",\"node\":{},\"pages\":{pages}", node.0);
-            }
-            TraceEvent::Collapse { node, pages, .. } | TraceEvent::Split { node, pages, .. } => {
-                let _ = write!(s, ",\"node\":{},\"pages\":{pages}", node.0);
-            }
-            TraceEvent::Compact {
-                node,
-                migrated,
-                success,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"node\":{},\"migrated\":{migrated},\"success\":{success}",
-                    node.0
-                );
-            }
-            TraceEvent::WatermarkCross {
-                node,
-                level,
-                free,
-                below,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"node\":{},\"level\":\"{}\",\"free\":{free},\"below\":{below}",
-                    node.0,
-                    escape_json(level)
-                );
-            }
-            TraceEvent::DaemonWake { daemon, node } => {
-                let _ = write!(s, ",\"daemon\":\"{}\"", escape_json(daemon));
-                if let Some(node) = node {
-                    let _ = write!(s, ",\"node\":{}", node.0);
-                }
-            }
-            TraceEvent::Decision { policy, reason, .. } => {
-                let _ = write!(
-                    s,
-                    ",\"policy\":\"{}\",\"reason\":\"{}\"",
-                    escape_json(policy),
-                    escape_json(reason)
-                );
-            }
-        }
+        self.event.write_fields(&mut s);
         s.push('}');
         s
     }
 }
 
-fn page_type_name(t: PageType) -> &'static str {
-    match t {
-        PageType::Anon => "anon",
-        PageType::File => "file",
-        PageType::Tmpfs => "tmpfs",
+/// How one event field prints in a JSONL line: `,"key":value`.
+trait JsonField {
+    fn write_json(&self, key: &str, out: &mut String);
+}
+
+impl JsonField for u64 {
+    fn write_json(&self, key: &str, out: &mut String) {
+        let _ = write!(out, ",\"{key}\":{self}");
+    }
+}
+
+impl JsonField for bool {
+    fn write_json(&self, key: &str, out: &mut String) {
+        let _ = write!(out, ",\"{key}\":{self}");
+    }
+}
+
+impl JsonField for NodeId {
+    fn write_json(&self, key: &str, out: &mut String) {
+        let _ = write!(out, ",\"{key}\":{}", self.0);
+    }
+}
+
+impl JsonField for &'static str {
+    fn write_json(&self, key: &str, out: &mut String) {
+        let _ = write!(out, ",\"{key}\":\"{}\"", escape_json(self));
+    }
+}
+
+impl JsonField for PageType {
+    fn write_json(&self, key: &str, out: &mut String) {
+        let _ = write!(out, ",\"{key}\":\"{self}\"");
+    }
+}
+
+impl JsonField for PromoteFailReason {
+    fn write_json(&self, key: &str, out: &mut String) {
+        let _ = write!(out, ",\"{key}\":\"{}\"", self.as_str());
+    }
+}
+
+impl JsonField for PromoteSkipReason {
+    fn write_json(&self, key: &str, out: &mut String) {
+        let _ = write!(out, ",\"{key}\":\"{}\"", self.as_str());
+    }
+}
+
+/// A page prints as its two parts, `"pid":…,"vpn":…`, not under its key.
+impl JsonField for PageKey {
+    fn write_json(&self, _key: &str, out: &mut String) {
+        let _ = write!(out, ",\"pid\":{},\"vpn\":{}", self.pid.0, self.vpn.0);
+    }
+}
+
+/// An absent value prints nothing.
+impl<T: JsonField> JsonField for Option<T> {
+    fn write_json(&self, key: &str, out: &mut String) {
+        if let Some(value) = self {
+            value.write_json(key, out);
+        }
     }
 }
 

@@ -10,173 +10,112 @@
 
 use std::fmt;
 
-/// A countable memory-management event.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-#[repr(usize)]
-pub enum VmEvent {
-    /// Any page fault (first touch or swap-in).
-    PgFault,
-    /// Major fault requiring a swap-in.
-    PgMajFault,
-    /// Page allocated on the faulting CPU's local node.
-    PgAllocLocal,
-    /// Page allocation spilled to a remote (CXL) node.
-    PgAllocRemote,
-    /// Allocation stalled in direct reclaim.
-    PgAllocStall,
-    /// Pages reclaimed (freed or swapped) by background reclaim.
-    PgSteal,
-    /// Pages scanned by the reclaimer.
-    PgScan,
-    /// Pages moved inactive → active.
-    PgActivate,
-    /// Pages moved active → inactive.
-    PgDeactivate,
-    /// Pages written to the swap device.
-    PswpOut,
-    /// Pages read back from the swap device.
-    PswpIn,
-    /// Clean file pages dropped without I/O.
-    PgDropFile,
-    /// Anonymous pages demoted to a lower tier (TPP counter).
-    PgDemoteAnon,
-    /// File pages demoted to a lower tier (TPP counter).
-    PgDemoteFile,
-    /// Demotion attempt that fell back to the legacy reclaim path.
-    PgDemoteFallback,
-    /// NUMA hint PTE updates installed by the sampling scanner.
-    NumaPteUpdates,
-    /// NUMA hint faults taken.
-    NumaHintFaults,
-    /// NUMA hint faults on the local node (wasted sampling work).
-    NumaHintFaultsLocal,
-    /// Pages that became promotion candidates.
-    PgPromoteCandidate,
-    /// Promotion candidates that carried `PG_demoted` — the ping-pong
-    /// detector (a high value means thrashing across nodes).
-    PgPromoteCandidateDemoted,
-    /// Promotion attempts actually issued (candidate passed all filters).
-    PgPromoteAttempt,
-    /// Anonymous pages successfully promoted.
-    PgPromoteSuccessAnon,
-    /// File pages successfully promoted.
-    PgPromoteSuccessFile,
-    /// Promotion failed: destination node low on memory.
-    PgPromoteFailLowMem,
-    /// Promotion failed: page was busy/isolated (abnormal refcount).
-    PgPromoteFailBusy,
-    /// Promotion failed: whole system low on memory.
-    PgPromoteFailSystem,
-    /// Promotion skipped: faulted page was on an inactive LRU (TPP's
-    /// active-LRU filter held it back and marked it accessed instead).
-    PgPromoteSkipInactive,
-    /// Pages migrated successfully (any direction).
-    PgMigrateSuccess,
-    /// Page migrations that failed.
-    PgMigrateFail,
-    /// File refaults of previously evicted pages (workingset detection).
-    WorkingsetRefault,
-    /// Refaulted pages judged part of the workingset and activated
-    /// directly.
-    WorkingsetActivate,
-    /// Transparent huge pages allocated directly at fault time.
-    ThpFaultAlloc,
-    /// Transparent huge pages assembled by the khugepaged-style collapse
-    /// scanner.
-    ThpCollapseAlloc,
-    /// Compound pages split back into base pages.
-    ThpSplit,
-    /// Compaction passes that freed at least one huge-page-sized block.
-    CompactSuccess,
-    /// Compaction passes that finished without freeing a huge block.
-    CompactFail,
+/// Declares [`VmEvent`] from one `Variant = "name"` entry per counter,
+/// in counter-file order. Generates the enum, `COUNT`, `ALL` and
+/// `name()`.
+macro_rules! vm_events {
+    ($($(#[$meta:meta])* $variant:ident = $name:literal,)*) => {
+        /// A countable memory-management event.
+        #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+        #[repr(usize)]
+        pub enum VmEvent {
+            $($(#[$meta])* $variant,)*
+        }
+
+        impl VmEvent {
+            /// Number of distinct events.
+            pub const COUNT: usize = [$($name),*].len();
+
+            /// All events, in counter-file order.
+            pub const ALL: [VmEvent; VmEvent::COUNT] = [$(VmEvent::$variant),*];
+
+            /// The `/proc/vmstat`-style name of this counter.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(VmEvent::$variant => $name,)*
+                }
+            }
+        }
+    };
 }
 
-impl VmEvent {
-    /// Number of distinct events.
-    pub const COUNT: usize = 36;
-
-    /// All events, in counter-file order.
-    pub const ALL: [VmEvent; VmEvent::COUNT] = [
-        VmEvent::PgFault,
-        VmEvent::PgMajFault,
-        VmEvent::PgAllocLocal,
-        VmEvent::PgAllocRemote,
-        VmEvent::PgAllocStall,
-        VmEvent::PgSteal,
-        VmEvent::PgScan,
-        VmEvent::PgActivate,
-        VmEvent::PgDeactivate,
-        VmEvent::PswpOut,
-        VmEvent::PswpIn,
-        VmEvent::PgDropFile,
-        VmEvent::PgDemoteAnon,
-        VmEvent::PgDemoteFile,
-        VmEvent::PgDemoteFallback,
-        VmEvent::NumaPteUpdates,
-        VmEvent::NumaHintFaults,
-        VmEvent::NumaHintFaultsLocal,
-        VmEvent::PgPromoteCandidate,
-        VmEvent::PgPromoteCandidateDemoted,
-        VmEvent::PgPromoteAttempt,
-        VmEvent::PgPromoteSuccessAnon,
-        VmEvent::PgPromoteSuccessFile,
-        VmEvent::PgPromoteFailLowMem,
-        VmEvent::PgPromoteFailBusy,
-        VmEvent::PgPromoteFailSystem,
-        VmEvent::PgPromoteSkipInactive,
-        VmEvent::PgMigrateSuccess,
-        VmEvent::PgMigrateFail,
-        VmEvent::WorkingsetRefault,
-        VmEvent::WorkingsetActivate,
-        VmEvent::ThpFaultAlloc,
-        VmEvent::ThpCollapseAlloc,
-        VmEvent::ThpSplit,
-        VmEvent::CompactSuccess,
-        VmEvent::CompactFail,
-    ];
-
-    /// The `/proc/vmstat`-style name of this counter.
-    pub fn name(self) -> &'static str {
-        match self {
-            VmEvent::PgFault => "pgfault",
-            VmEvent::PgMajFault => "pgmajfault",
-            VmEvent::PgAllocLocal => "pgalloc_local",
-            VmEvent::PgAllocRemote => "pgalloc_remote",
-            VmEvent::PgAllocStall => "allocstall",
-            VmEvent::PgSteal => "pgsteal",
-            VmEvent::PgScan => "pgscan",
-            VmEvent::PgActivate => "pgactivate",
-            VmEvent::PgDeactivate => "pgdeactivate",
-            VmEvent::PswpOut => "pswpout",
-            VmEvent::PswpIn => "pswpin",
-            VmEvent::PgDropFile => "pgdrop_file",
-            VmEvent::PgDemoteAnon => "pgdemote_anon",
-            VmEvent::PgDemoteFile => "pgdemote_file",
-            VmEvent::PgDemoteFallback => "pgdemote_fallback",
-            VmEvent::NumaPteUpdates => "numa_pte_updates",
-            VmEvent::NumaHintFaults => "numa_hint_faults",
-            VmEvent::NumaHintFaultsLocal => "numa_hint_faults_local",
-            VmEvent::PgPromoteCandidate => "pgpromote_candidate",
-            VmEvent::PgPromoteCandidateDemoted => "pgpromote_candidate_demoted",
-            VmEvent::PgPromoteAttempt => "pgpromote_attempt",
-            VmEvent::PgPromoteSuccessAnon => "pgpromote_success_anon",
-            VmEvent::PgPromoteSuccessFile => "pgpromote_success_file",
-            VmEvent::PgPromoteFailLowMem => "pgpromote_fail_lowmem",
-            VmEvent::PgPromoteFailBusy => "pgpromote_fail_busy",
-            VmEvent::PgPromoteFailSystem => "pgpromote_fail_system",
-            VmEvent::PgPromoteSkipInactive => "pgpromote_skip_inactive",
-            VmEvent::PgMigrateSuccess => "pgmigrate_success",
-            VmEvent::PgMigrateFail => "pgmigrate_fail",
-            VmEvent::WorkingsetRefault => "workingset_refault",
-            VmEvent::WorkingsetActivate => "workingset_activate",
-            VmEvent::ThpFaultAlloc => "thp_fault_alloc",
-            VmEvent::ThpCollapseAlloc => "thp_collapse_alloc",
-            VmEvent::ThpSplit => "thp_split",
-            VmEvent::CompactSuccess => "compact_success",
-            VmEvent::CompactFail => "compact_fail",
-        }
-    }
+vm_events! {
+    /// Any page fault (first touch or swap-in).
+    PgFault = "pgfault",
+    /// Major fault requiring a swap-in.
+    PgMajFault = "pgmajfault",
+    /// Page allocated on the faulting CPU's local node.
+    PgAllocLocal = "pgalloc_local",
+    /// Page allocation spilled to a remote (CXL) node.
+    PgAllocRemote = "pgalloc_remote",
+    /// Allocation stalled in direct reclaim.
+    PgAllocStall = "allocstall",
+    /// Pages reclaimed (freed or swapped) by background reclaim.
+    PgSteal = "pgsteal",
+    /// Pages scanned by the reclaimer.
+    PgScan = "pgscan",
+    /// Pages moved inactive → active.
+    PgActivate = "pgactivate",
+    /// Pages moved active → inactive.
+    PgDeactivate = "pgdeactivate",
+    /// Pages written to the swap device.
+    PswpOut = "pswpout",
+    /// Pages read back from the swap device.
+    PswpIn = "pswpin",
+    /// Clean file pages dropped without I/O.
+    PgDropFile = "pgdrop_file",
+    /// Anonymous pages demoted to a lower tier (TPP counter).
+    PgDemoteAnon = "pgdemote_anon",
+    /// File pages demoted to a lower tier (TPP counter).
+    PgDemoteFile = "pgdemote_file",
+    /// Demotion attempt that fell back to the legacy reclaim path.
+    PgDemoteFallback = "pgdemote_fallback",
+    /// NUMA hint PTE updates installed by the sampling scanner.
+    NumaPteUpdates = "numa_pte_updates",
+    /// NUMA hint faults taken.
+    NumaHintFaults = "numa_hint_faults",
+    /// NUMA hint faults on the local node (wasted sampling work).
+    NumaHintFaultsLocal = "numa_hint_faults_local",
+    /// Pages that became promotion candidates.
+    PgPromoteCandidate = "pgpromote_candidate",
+    /// Promotion candidates that carried `PG_demoted` — the ping-pong
+    /// detector (a high value means thrashing across nodes).
+    PgPromoteCandidateDemoted = "pgpromote_candidate_demoted",
+    /// Promotion attempts actually issued (candidate passed all filters).
+    PgPromoteAttempt = "pgpromote_attempt",
+    /// Anonymous pages successfully promoted.
+    PgPromoteSuccessAnon = "pgpromote_success_anon",
+    /// File pages successfully promoted.
+    PgPromoteSuccessFile = "pgpromote_success_file",
+    /// Promotion failed: destination node low on memory.
+    PgPromoteFailLowMem = "pgpromote_fail_lowmem",
+    /// Promotion failed: page was busy/isolated (abnormal refcount).
+    PgPromoteFailBusy = "pgpromote_fail_busy",
+    /// Promotion failed: whole system low on memory.
+    PgPromoteFailSystem = "pgpromote_fail_system",
+    /// Promotion skipped: faulted page was on an inactive LRU (TPP's
+    /// active-LRU filter held it back and marked it accessed instead).
+    PgPromoteSkipInactive = "pgpromote_skip_inactive",
+    /// Pages migrated successfully (any direction).
+    PgMigrateSuccess = "pgmigrate_success",
+    /// Page migrations that failed.
+    PgMigrateFail = "pgmigrate_fail",
+    /// File refaults of previously evicted pages (workingset detection).
+    WorkingsetRefault = "workingset_refault",
+    /// Refaulted pages judged part of the workingset and activated
+    /// directly.
+    WorkingsetActivate = "workingset_activate",
+    /// Transparent huge pages allocated directly at fault time.
+    ThpFaultAlloc = "thp_fault_alloc",
+    /// Transparent huge pages assembled by the khugepaged-style collapse
+    /// scanner.
+    ThpCollapseAlloc = "thp_collapse_alloc",
+    /// Compound pages split back into base pages.
+    ThpSplit = "thp_split",
+    /// Compaction passes that freed at least one huge-page-sized block.
+    CompactSuccess = "compact_success",
+    /// Compaction passes that finished without freeing a huge block.
+    CompactFail = "compact_fail",
 }
 
 /// A snapshot-friendly set of vmstat counters.
