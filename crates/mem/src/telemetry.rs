@@ -506,8 +506,8 @@ fn escape_json(s: &str) -> String {
 /// The vmstat counters that are bumped exclusively through
 /// [`crate::Memory::record`], i.e. the counters a complete trace fully
 /// reconstructs via [`replay_counters`]. Counters outside this list
-/// (LRU activity, working-set, PTE-scan counts) are plain counts with no
-/// per-event record.
+/// (LRU activity, working-set, PTE-scan and fault-time THP counts) are
+/// plain counts with no per-event record.
 pub const TRACED_COUNTERS: &[VmEvent] = &[
     VmEvent::PgFault,
     VmEvent::PgMajFault,
@@ -535,6 +535,10 @@ pub const TRACED_COUNTERS: &[VmEvent] = &[
     VmEvent::PswpOut,
     VmEvent::PswpIn,
     VmEvent::PgDropFile,
+    VmEvent::ThpCollapseAlloc,
+    VmEvent::ThpSplit,
+    VmEvent::CompactSuccess,
+    VmEvent::CompactFail,
 ];
 
 /// Replays a trace's counter side effects into a fresh [`VmStat`].
@@ -799,6 +803,52 @@ mod tests {
         }
         // Every variant has its own name.
         assert_eq!(names.len(), 26);
+    }
+
+    #[test]
+    fn every_counter_an_event_bumps_is_traced() {
+        // Every shape above, plus the other side of each branch in
+        // `count_into`.
+        let other_branches = [
+            TraceEvent::PromoteSuccess {
+                page: key(1, 2),
+                from: NodeId(1),
+                to: NodeId(0),
+                page_type: PageType::Tmpfs,
+            },
+            TraceEvent::PromoteFail {
+                page: key(1, 2),
+                reason: PromoteFailReason::Busy,
+            },
+            TraceEvent::PromoteFail {
+                page: key(1, 2),
+                reason: PromoteFailReason::System,
+            },
+            TraceEvent::Demote {
+                page: key(1, 2),
+                from: NodeId(0),
+                to: NodeId(1),
+                page_type: PageType::Anon,
+            },
+            TraceEvent::Compact {
+                node: NodeId(0),
+                migrated: 0,
+                success: false,
+            },
+        ];
+        let records: Vec<TraceRecord> = every_event()
+            .map(|(event, _)| event)
+            .into_iter()
+            .chain(other_branches)
+            .map(|event| TraceRecord { ts_ns: 0, event })
+            .collect();
+        for (counter, value) in replay_counters(&records).iter() {
+            assert!(
+                value == 0 || TRACED_COUNTERS.contains(&counter),
+                "{} is bumped by an event but missing from TRACED_COUNTERS",
+                counter.name()
+            );
+        }
     }
 
     #[test]
