@@ -26,6 +26,8 @@ struct Lane {
     workload: Box<dyn Workload>,
     /// This lane's virtual-CPU clock.
     clock_ns: u64,
+    /// Where the current `run_observed` call stops this lane's clock.
+    end_ns: u64,
     metrics: RunMetrics,
 }
 
@@ -121,6 +123,7 @@ impl System {
             .map(|workload| Lane {
                 workload,
                 clock_ns: 0,
+                end_ns: 0,
                 metrics: RunMetrics::new(),
             })
             .collect();
@@ -200,11 +203,9 @@ impl System {
     /// issued it (e.g. to feed a Chameleon profiler). Every lane's access
     /// totals are settled when it returns.
     pub fn run_observed(&mut self, duration_ns: u64, mut observe: impl FnMut(u64, &Access)) {
-        let end: Vec<u64> = self
-            .lanes
-            .iter()
-            .map(|l| l.clock_ns + duration_ns)
-            .collect();
+        for lane in &mut self.lanes {
+            lane.end_ns = lane.clock_ns + duration_ns;
+        }
         // Taken out of `self` for the loop: resolving an event needs
         // `self` mutably while the buffer is borrowed.
         let mut events = std::mem::take(&mut self.op_events);
@@ -214,7 +215,7 @@ impl System {
             .lanes
             .iter()
             .enumerate()
-            .filter(|(i, l)| l.clock_ns < end[*i])
+            .filter(|(_, l)| l.clock_ns < l.end_ns)
             .min_by_key(|(i, l)| (l.clock_ns, *i))
             .map(|(i, _)| i)
         {
