@@ -14,6 +14,12 @@
 //! [`write_jsonl`] writes records as JSONL. The JSON writer is
 //! hand-rolled: the build environment cannot reach the crates registry,
 //! so no `serde`/`tracing` dependency is allowed.
+//!
+//! Each event is declared once, in the `trace_events!` list below. A
+//! line's shape comes from that entry: `ts` and the entry's name, then
+//! its fields in declaration order, each printed by its type's
+//! `JsonField` impl (a [`PageKey`] as `"pid"` and `"vpn"`, an absent
+//! `Option` as nothing).
 
 use std::fmt::Write as _;
 use std::io::{self, Write};
