@@ -246,8 +246,9 @@ impl System {
             // Daemons and sampling follow the global (min) clock.
             let now = self.now_ns();
             self.memory.set_trace_now(now);
-            // Daemon wakeups (capped catch-up after long ops).
-            let fires = self.daemon_timer.fire(now).min(4);
+            // Daemon wakeups: one per period elapsed, however long the
+            // op that crossed them.
+            let fires = self.daemon_timer.fire(now);
             for _ in 0..fires {
                 let mut ctx = PolicyCtx {
                     memory: &mut self.memory,
@@ -422,7 +423,7 @@ impl DerefMut for MultiSystem {
 mod tests {
     use super::*;
     use crate::configs;
-    use crate::policy::{LinuxDefault, Tpp};
+    use crate::policy::{FaultOutcome, LinuxDefault, Tpp};
     use tiered_mem::{NodeId, NodeKind, PageType, Pid, ThpMode, Vpn, HUGE_PAGE_FRAMES};
     use tiered_sim::{Op, MS, SEC};
 
@@ -622,6 +623,73 @@ mod tests {
         fn working_set_pages(&self) -> u64 {
             HUGE_PAGE_FRAMES
         }
+    }
+
+    /// Runs only CPU: every op costs 500 ms and touches no memory.
+    struct SlowOps;
+
+    impl Workload for SlowOps {
+        fn name(&self) -> &str {
+            "slow_ops"
+        }
+        fn pid(&self) -> Pid {
+            Pid(98)
+        }
+        fn next_op(&mut self, _now_ns: u64, _rng: &mut SimRng) -> Op {
+            Op {
+                cpu_ns: 500 * MS,
+                events: Vec::new(),
+            }
+        }
+        fn working_set_pages(&self) -> u64 {
+            1
+        }
+    }
+
+    /// Default Linux that counts its daemon wakeups.
+    struct TickCounter {
+        inner: LinuxDefault,
+        ticks: std::rc::Rc<std::cell::Cell<u64>>,
+    }
+
+    impl PlacementPolicy for TickCounter {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn handle_fault(
+            &mut self,
+            ctx: &mut PolicyCtx<'_>,
+            pid: Pid,
+            vpn: Vpn,
+            page_type: PageType,
+        ) -> FaultOutcome {
+            self.inner.handle_fault(ctx, pid, vpn, page_type)
+        }
+        fn tick(&mut self, ctx: &mut PolicyCtx<'_>) {
+            self.ticks.set(self.ticks.get() + 1);
+            self.inner.tick(ctx);
+        }
+    }
+
+    #[test]
+    fn long_ops_get_every_daemon_wakeup_they_span() {
+        let ticks = std::rc::Rc::new(std::cell::Cell::new(0));
+        let policy = TickCounter {
+            inner: LinuxDefault::new(),
+            ticks: ticks.clone(),
+        };
+        let mut s = System::new(
+            configs::two_to_one(1_000),
+            Box::new(policy),
+            Box::new(SlowOps),
+            3,
+        )
+        .unwrap();
+        s.run(2 * SEC);
+        assert_eq!(s.now_ns(), 2 * SEC);
+        // Each op spans ten 50 ms periods, and each period wakes the
+        // daemons once.
+        assert_eq!(ticks.get(), s.now_ns() / (50 * MS));
     }
 
     #[test]
