@@ -1,6 +1,8 @@
 //! Cross-product invariant matrix: every policy (and TPP with
 //! page-type-aware allocation) under every THP mode, on every topology
-//! preset, with one workload and with two co-located ones.
+//! preset, with one workload, with two co-located ones, and with the
+//! allocator-churning fragmenter, whose scattered holes make khugepaged
+//! collapse and kcompactd compact under `madvise` and `always`.
 //!
 //! Each cell runs in daemon-tick-sized chunks with `Memory::validate()`
 //! after every chunk, and ends with three identities:
@@ -24,13 +26,14 @@
 //! fits a debug `cargo test`; the cross-product itself is never reduced.
 
 use tiered_mem::telemetry::{replay_counters, TraceRecord, TRACED_COUNTERS};
-use tiered_mem::{Memory, Pid, ThpMode, TraceEvent, VmEvent};
+use tiered_mem::{Memory, Pid, ThpMode, TraceEvent, VmEvent, VmStat};
 use tiered_sim::{access_latency_ns, Workload, MS};
 use tpp::experiment::PolicyChoice;
 use tpp::policy::TppConfig;
 use tpp::{configs, System};
 
-/// Working set of the whole cell, split evenly between co-located lanes.
+/// Working set of a cache1 cell, split evenly between co-located lanes
+/// (the fragmenter cell sizes its machine to its own footprint).
 const WS_PAGES: u64 = 4_096;
 /// Simulated time per cell.
 const DURATION_NS: u64 = 6_000 * MS;
@@ -38,28 +41,47 @@ const DURATION_NS: u64 = 6_000 * MS;
 const CHUNK_NS: u64 = 50 * MS;
 const MODES: [ThpMode; 3] = [ThpMode::Never, ThpMode::Madvise, ThpMode::Always];
 const MACHINES: [&str; 4] = ["two_to_one", "2s2c", "pooled", "3tier"];
+/// The lanes of a cell: one workload, two co-located ones, or the
+/// fragmenter.
+const MIXES: [&str; 3] = ["cache1", "cache1+data_warehouse", "fragmenter"];
 
-/// The named machine, rebuilt from its preset's topology with `mode`.
-fn machine(name: &str, mode: ThpMode) -> Memory {
+/// The named machine for `pages` of working set, rebuilt from its
+/// preset's topology with `mode`.
+fn machine(name: &str, mode: ThpMode, pages: u64) -> Memory {
     let preset = match name {
-        "two_to_one" => configs::two_to_one(WS_PAGES),
-        other => configs::topology_preset(other, WS_PAGES),
+        "two_to_one" => configs::two_to_one(pages),
+        other => configs::topology_preset(other, pages),
     };
     Memory::builder()
         .topology(preset.topology().clone())
-        .swap_pages(WS_PAGES * 4)
+        .swap_pages(pages * 4)
         .thp_mode(mode)
         .build()
 }
 
-fn workloads(lanes: usize) -> Vec<Box<dyn Workload>> {
-    if lanes == 1 {
-        vec![Box::new(tiered_workloads::cache1(WS_PAGES).build())]
-    } else {
-        vec![
-            Box::new(tiered_workloads::cache1(WS_PAGES / 2).build()),
-            Box::new(tiered_workloads::data_warehouse(WS_PAGES / 2).build()),
-        ]
+/// The lanes of `mix`, and the working set their machine is sized for.
+fn workloads(mix: &str) -> (Vec<Box<dyn Workload>>, u64) {
+    match mix {
+        "cache1" => (
+            vec![Box::new(tiered_workloads::cache1(WS_PAGES).build())],
+            WS_PAGES,
+        ),
+        "cache1+data_warehouse" => (
+            vec![
+                Box::new(tiered_workloads::cache1(WS_PAGES / 2).build()),
+                Box::new(tiered_workloads::data_warehouse(WS_PAGES / 2).build()),
+            ],
+            WS_PAGES,
+        ),
+        // Sized to its own footprint, whose transient range is 1.5x the
+        // steady one (as in the `thp_churn` benchmark), so the pages it
+        // frees leave scattered room to compact and collapse into.
+        "fragmenter" => {
+            let profile = tiered_workloads::fragmenter(WS_PAGES);
+            let pages = profile.working_set_pages();
+            (vec![Box::new(profile.build())], pages)
+        }
+        other => panic!("unknown lane mix {other}"),
     }
 }
 
@@ -109,14 +131,17 @@ fn check_access_table(system: &System, observed: &[u64], cell: &str) {
     }
 }
 
-/// Runs one cell; returns `false` if the policy rejected the machine.
-fn run_cell(choice: &PolicyChoice, name: &str, mode: ThpMode, lanes: usize) -> bool {
-    let cell = format!("{} {name} {mode} {lanes} lane(s)", choice.label());
-    let workloads = workloads(lanes);
+/// Runs one cell; returns its vmstat, or `None` if the policy rejected
+/// the machine.
+fn run_cell(choice: &PolicyChoice, name: &str, mode: ThpMode, mix: &str) -> Option<VmStat> {
+    let cell = format!("{} {name} {mode} {mix}", choice.label());
+    let (workloads, pages) = workloads(mix);
+    let lanes = workloads.len();
     let pids: Vec<Pid> = workloads.iter().map(|w| w.pid()).collect();
-    let Ok(mut system) = System::colocated(machine(name, mode), choice.build(), workloads, 5)
+    let Ok(mut system) =
+        System::colocated(machine(name, mode, pages), choice.build(), workloads, 5)
     else {
-        return false;
+        return None;
     };
     system.enable_trace();
     let mut replayed = vec![0u64; TRACED_COUNTERS.len()];
@@ -168,26 +193,43 @@ fn run_cell(choice: &PolicyChoice, name: &str, mode: ThpMode, lanes: usize) -> b
             event.name()
         );
     }
-    true
+    Some(vm.clone())
 }
 
 /// Runs every cell of `choice`'s slice of the matrix; returns how many
 /// cells `validate_config` rejected.
+///
+/// # Panics
+///
+/// Panics if no `madvise` or `always` cell of the slice collapsed a huge
+/// page or compacted a block: then the checks above never saw either
+/// path run.
 fn run_policy(choice: PolicyChoice) -> usize {
-    let mut skipped = 0;
+    let (mut skipped, mut collapsed, mut compacted) = (0, 0, 0);
     for name in MACHINES {
         for mode in MODES {
-            for lanes in [1, 2] {
-                if !run_cell(&choice, name, mode, lanes) {
-                    skipped += 1;
+            for mix in MIXES {
+                match run_cell(&choice, name, mode, mix) {
+                    Some(vm) if mode != ThpMode::Never => {
+                        collapsed += vm.get(VmEvent::ThpCollapseAlloc);
+                        compacted += vm.get(VmEvent::CompactSuccess);
+                    }
+                    Some(_) => {}
+                    None => skipped += 1,
                 }
             }
         }
     }
     eprintln!(
-        "matrix {}: {} cells run, {skipped} skipped by validate_config",
+        "matrix {}: {} cells run, {skipped} skipped by validate_config, \
+         {collapsed} collapses, {compacted} compactions",
         choice.label(),
-        MACHINES.len() * MODES.len() * 2 - skipped
+        MACHINES.len() * MODES.len() * MIXES.len() - skipped
+    );
+    assert!(
+        collapsed > 0 && compacted > 0,
+        "{}: no cell collapsed ({collapsed}) or compacted ({compacted})",
+        choice.label()
     );
     skipped
 }
