@@ -6,10 +6,14 @@
 //! cargo run --release -p tpp-bench --bin repro -- --trace /tmp/t.jsonl
 //! ```
 //!
-//! `repro` prints every table a target returns and writes it as CSV into
-//! `results/` (override with `--csv <dir>`); a CSV directory that cannot
-//! be created stops the run before any target runs, and a failed write
-//! makes it exit non-zero. At standard scale, the tables this run
+//! Every target is a plan: the jobs it needs and how its table renders
+//! from their outcomes. `repro` runs the distinct jobs of all selected
+//! targets once, in one queue over `--jobs N` workers, then prints every
+//! table in target order and writes it as CSV into `results/` (override
+//! with `--csv <dir>`); a CSV directory that cannot be created stops the
+//! run before any job runs, and a failed write makes it exit non-zero.
+//! `--timings-json <path>` writes the wall time of every job run and the
+//! render time of every target. At standard scale, the tables this run
 //! produced are compared against the checked-in snapshots in
 //! `crates/bench/expected/`; the run exits non-zero if any deviates
 //! beyond tolerance.
@@ -25,125 +29,112 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use tpp_bench::charfig::{self, Characterization};
-use tpp_bench::evalfig;
-use tpp_bench::sweeps;
-use tpp_bench::{Scale, Table};
+use tpp_bench::executor::{self, Plan};
+use tpp_bench::{charfig, evalfig, sweeps, Scale};
 
-/// How a target computes its table: from the run's scale, or from the
-/// characterization pass, which runs once before the first target when
-/// any selected target takes it.
-enum Run {
-    Scaled(fn(&Scale) -> Table),
-    Characterized(fn(&[Characterization]) -> Table),
-}
-use Run::{Characterized, Scaled};
-
-/// A target's name, its one-line description (`repro --list`) and how it
-/// runs.
-type Target = (&'static str, &'static str, Run);
+/// A target's name, its one-line description (`repro --list`) and its
+/// plan: the jobs it needs and how its table is rendered from them.
+type Target = (&'static str, &'static str, fn(&Scale) -> Plan);
 
 /// Every runnable experiment target, in `all` execution order.
 const TARGETS: &[Target] = &[
     (
         "fig2",
         "memory-tier latency hierarchy of the simulated machine",
-        Scaled(|_| charfig::fig2()),
+        |_| Plan::new(Vec::new(), |_| charfig::fig2()),
     ),
     (
         "fig7",
         "total tracked memory vs. memory accessed in 1-/2-interval windows",
-        Characterized(charfig::fig7),
+        |s| charfig::characterized(s, charfig::fig7),
     ),
     (
         "fig8",
         "per-page-type hotness within a 2-interval window",
-        Characterized(charfig::fig8),
+        |s| charfig::characterized(s, charfig::fig8),
     ),
     (
         "fig9",
         "anon/file shares of resident memory over time",
-        Characterized(charfig::fig9),
+        |s| charfig::characterized(s, charfig::fig9),
     ),
     (
         "fig10",
         "throughput vs. page-type utilisation per interval",
-        Characterized(charfig::fig10),
+        |s| charfig::characterized(s, charfig::fig10),
     ),
-    (
-        "fig11",
-        "re-access-interval CDF per workload",
-        Characterized(charfig::fig11),
-    ),
+    ("fig11", "re-access-interval CDF per workload", |s| {
+        charfig::characterized(s, charfig::fig11)
+    }),
     (
         "fig15",
         "production 2:1 machine, Linux vs TPP, all four workloads",
-        Scaled(evalfig::fig15),
+        evalfig::fig15,
     ),
     (
         "fig16",
         "memory expansion 1:4, Cache workloads",
-        Scaled(evalfig::fig16),
+        evalfig::fig16,
     ),
     (
         "fig17",
         "ablation: allocation/reclamation watermark decoupling",
-        Scaled(evalfig::fig17),
+        evalfig::fig17,
     ),
     (
         "fig18",
         "ablation: active-LRU promotion filter",
-        Scaled(evalfig::fig18),
+        evalfig::fig18,
     ),
     (
         "table1",
         "page-type-aware allocation (caches to CXL)",
-        Scaled(evalfig::table1),
+        evalfig::table1,
     ),
     (
         "fig19",
         "TPP vs NUMA balancing vs AutoTiering",
-        Scaled(evalfig::fig19),
+        evalfig::fig19,
     ),
     (
         "reclaim_rate",
         "reclaim mechanism rate probe (paper: ~44x)",
-        Scaled(sweeps::reclaim_rate_comparison),
+        |_| Plan::new(Vec::new(), |_| sweeps::reclaim_rate_comparison()),
     ),
     (
         "zswap",
         "CXL as swap pool vs CXL as memory",
-        Scaled(sweeps::zswap_comparison),
+        sweeps::zswap_comparison,
     ),
     (
         "colocation",
         "co-located cache1 + data_warehouse on one machine",
-        Scaled(sweeps::colocation),
+        sweeps::colocation,
     ),
     (
         "sweep_dsf",
         "sweep demote_scale_factor on Cache1 1:4 under TPP",
-        Scaled(sweeps::sweep_demote_scale),
+        sweeps::sweep_demote_scale,
     ),
     (
         "sweep_latency",
         "sweep CXL device latency on Cache1 1:4",
-        Scaled(sweeps::sweep_cxl_latency),
+        sweeps::sweep_cxl_latency,
     ),
     (
         "sweep_ratio",
         "sweep the local:CXL capacity ratio",
-        Scaled(sweeps::sweep_ratio),
+        sweeps::sweep_ratio,
     ),
     (
         "topology",
         "multi-socket/multi-CXL presets (2s2c, pooled, 3tier), Cache1/Web",
-        Scaled(sweeps::sweep_topology),
+        sweeps::sweep_topology,
     ),
     (
         "thp",
         "transparent huge pages (never/madvise/always), Linux vs TPP",
-        Scaled(sweeps::sweep_thp),
+        sweeps::sweep_thp,
     ),
 ];
 
@@ -250,12 +241,11 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
-    let mut scale = if args.quick {
+    let scale = if args.quick {
         Scale::quick()
     } else {
         Scale::standard()
     };
-    scale.jobs = args.jobs;
     // Every table lands in the CSV directory, so a directory that cannot
     // be made fails the run before anything runs.
     if let Err(e) = std::fs::create_dir_all(&args.csv_dir) {
@@ -264,64 +254,60 @@ fn main() {
     }
 
     let run_start = Instant::now();
-    let mut timings: Vec<(&str, f64)> = Vec::new();
     let mut failed = false;
 
-    let chars = if args
+    // One queue for every selected target: each distinct job runs once,
+    // then the tables render in target order.
+    let plans: Vec<Plan> = args
         .targets
         .iter()
-        .any(|(_, _, run)| matches!(run, Characterized(_)))
-    {
-        eprintln!("characterizing workloads (Chameleon)...");
-        let t = Instant::now();
-        let chars = charfig::characterize_all(&scale);
-        timings.push(("characterize", t.elapsed().as_secs_f64()));
-        chars
-    } else {
-        Vec::new()
-    };
+        .map(|(_, _, plan)| plan(&scale))
+        .collect();
+    let batch = executor::run(&plans, args.jobs);
+    eprintln!(
+        "jobs: {} run, {} reused",
+        batch.jobs_run(),
+        batch.jobs_reused()
+    );
 
+    let mut timings: Vec<(String, f64)> = Vec::new();
     let mut tables = Vec::new();
-    for (name, _, run) in &args.targets {
-        eprintln!("running {name}...");
+    for ((name, ..), plan) in args.targets.iter().zip(plans) {
         let t = Instant::now();
-        let table = match run {
-            Scaled(f) => f(&scale),
-            Characterized(f) => f(&chars),
-        };
+        let table = batch.table(plan);
         table.print();
         if let Err(e) = table.write_csv(&args.csv_dir) {
             eprintln!("{e}");
             failed = true;
         }
-        timings.push((name, t.elapsed().as_secs_f64()));
+        timings.push((name.to_string(), t.elapsed().as_secs_f64()));
         tables.push(table);
-    }
-
-    // Every target ran its cells through `scale`, so each distinct cell
-    // ran once; the rest were answered from its cache.
-    let (cells_run, cells_reused) = (scale.cells.cells_run(), scale.cells.cells_reused());
-    if cells_run > 0 {
-        eprintln!("cells: {cells_run} run, {cells_reused} reused");
     }
 
     if let Some(path) = &args.timings_json {
         let total_wall_s = run_start.elapsed().as_secs_f64();
-        let ops = tpp_bench::executor::ops_total();
-        let per_target: Vec<String> = timings
-            .iter()
-            .map(|(name, secs)| format!("    {{\"target\": \"{name}\", \"wall_s\": {secs:.3}}}"))
-            .collect();
+        let accesses = batch.accesses();
+        // One JSON row per job run, or per rendered target.
+        let rows = |key: &str, rows: Vec<(String, f64)>| {
+            let rows: Vec<String> = rows
+                .iter()
+                .map(|(name, secs)| format!("    {{\"{key}\": {name:?}, \"wall_s\": {secs:.3}}}"))
+                .collect();
+            rows.join(",\n")
+        };
         let json = format!(
             "{{\n  \"jobs\": {},\n  \"scale\": \"{}\",\n  \"total_wall_s\": {:.3},\n  \
-             \"simulated_accesses\": {},\n  \"aggregate_ops_per_s\": {:.0},\n  \
-             \"cells_run\": {cells_run},\n  \"cells_reused\": {cells_reused},\n  \"targets\": [\n{}\n  ]\n}}\n",
-            scale.jobs,
+             \"simulated_accesses\": {accesses},\n  \"aggregate_ops_per_s\": {:.0},\n  \
+             \"jobs_run\": {},\n  \"jobs_reused\": {},\n  \"job_timings\": [\n{}\n  ],\n  \
+             \"targets\": [\n{}\n  ]\n}}\n",
+            args.jobs,
             if args.quick { "quick" } else { "standard" },
             total_wall_s,
-            ops,
-            ops as f64 / total_wall_s.max(1e-9),
-            per_target.join(",\n"),
+            accesses as f64 / total_wall_s.max(1e-9),
+            batch.jobs_run(),
+            batch.jobs_reused(),
+            rows("job", batch.timings().collect()),
+            rows("target", timings),
         );
         if let Err(e) = std::fs::write(path, json) {
             eprintln!("cannot write timings to {}: {e}", path.display());

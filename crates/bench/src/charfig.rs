@@ -5,15 +5,18 @@
 //! Each workload runs on an all-local machine under the default policy
 //! with a Chameleon profiler attached — the same methodology as the
 //! paper's production characterization, with one Chameleon interval
-//! standing in for one minute.
+//! standing in for one minute. Each workload's run is one
+//! [`Job::Characterize`]; Figures 7–11 are plans over the same four
+//! jobs, so the executor runs them once for all five figures.
 
 use chameleon::{Chameleon, ChameleonConfig, CollectorConfig};
 use tiered_mem::NodeKind;
 use tiered_sim::LatencyModel;
-use tpp::experiment::PolicyChoice;
-use tpp::{configs, RunMetrics, System};
+use tiered_workloads::WorkloadProfile;
+use tpp::RunMetrics;
 
-use crate::executor::parallel_map;
+use crate::evalfig::baseline_spec;
+use crate::executor::{Job, Outcome, Plan};
 use crate::scale::{pct, Scale, Table};
 
 /// One workload's characterization artefacts.
@@ -30,53 +33,57 @@ pub struct Characterization {
     pub resident_file: u64,
 }
 
-/// Runs all four production workloads on all-local machines with a
-/// profiler attached.
-///
-/// The four runs are independent (each builds its own machine, profiler
-/// and seed), so they are fanned out over `scale.jobs` executor workers;
-/// results come back in workload order regardless of job count.
-pub fn characterize_all(scale: &Scale) -> Vec<Characterization> {
-    let profiles = tiered_workloads::all_production(scale.ws_pages);
-    parallel_map(scale.jobs, profiles.len(), |i| {
-        {
-            let profile = &profiles[i];
-            let memory = configs::all_local(profile.working_set_pages());
-            let workload = profile.build();
-            let mut system = System::new(
-                memory,
-                PolicyChoice::Linux.build(),
-                Box::new(workload),
-                scale.seed,
-            )
-            .expect("all-local machines are always supported");
-            // Sampling density scales with the compressed timescale: one
-            // 30 s interval stands in for the paper's 1 minute, but the
-            // simulated access rate is far below production's, so the
-            // production 1-in-200 rate would see only the very hottest
-            // pages. 1-in-5 restores the paper's per-interval detection
-            // probability for hot-window pages.
-            let mut profiler = Chameleon::new(ChameleonConfig {
-                collector: CollectorConfig {
-                    sample_period: 5,
-                    cores: 32,
-                    core_groups: 4,
-                    mini_interval_ns: (scale.profile_interval_ns / 12).max(1),
-                },
-                interval_ns: scale.profile_interval_ns,
-                max_gap_intervals: 16,
-            });
-            system.run_observed(scale.profile_duration_ns, |now, a| profiler.observe(now, a));
-            profiler.flush_interval(system.now_ns());
-            let (resident_anon, resident_file) = system.memory().node_usage(tiered_mem::NodeId(0));
-            Characterization {
-                name: profile.name.clone(),
-                profiler,
-                metrics: system.metrics().clone(),
-                resident_anon,
-                resident_file,
-            }
-        }
+/// Runs `profile` on an all-local machine under the default policy with
+/// a profiler attached, for `scale.profile_duration_ns`.
+pub(crate) fn characterize(profile: &WorkloadProfile, scale: &Scale) -> Characterization {
+    let mut system = baseline_spec(profile, scale)
+        .build_system()
+        .expect("all-local machines are always supported");
+    // Sampling density scales with the compressed timescale: one 30 s
+    // interval stands in for the paper's 1 minute, but the simulated
+    // access rate is far below production's, so the production 1-in-200
+    // rate would see only the very hottest pages. 1-in-5 restores the
+    // paper's per-interval detection probability for hot-window pages.
+    let mut profiler = Chameleon::new(ChameleonConfig {
+        collector: CollectorConfig {
+            sample_period: 5,
+            cores: 32,
+            core_groups: 4,
+            mini_interval_ns: (scale.profile_interval_ns / 12).max(1),
+        },
+        interval_ns: scale.profile_interval_ns,
+        max_gap_intervals: 16,
+    });
+    system.run_observed(scale.profile_duration_ns, |now, a| profiler.observe(now, a));
+    profiler.flush_interval(system.now_ns());
+    let (resident_anon, resident_file) = system.memory().node_usage(tiered_mem::NodeId(0));
+    Characterization {
+        name: profile.name.clone(),
+        profiler,
+        metrics: system.metrics().clone(),
+        resident_anon,
+        resident_file,
+    }
+}
+
+/// The plan of a characterization figure: the characterizations of all
+/// four production workloads, in workload order, rendered by `fig`.
+/// Figures 7–11 read the same four runs, so a `repro` run with several
+/// of them runs each once.
+pub fn characterized(scale: &Scale, fig: fn(&[&Characterization]) -> Table) -> Plan {
+    let jobs = tiered_workloads::all_production(scale.ws_pages)
+        .into_iter()
+        .map(|profile| Job::Characterize(profile, *scale))
+        .collect();
+    Plan::new(jobs, move |outcomes| {
+        let chars: Vec<&Characterization> = outcomes
+            .iter()
+            .map(|o| match o {
+                Outcome::Characterization(c) => c,
+                _ => unreachable!("characterize jobs yield characterizations"),
+            })
+            .collect();
+        fig(&chars)
     })
 }
 
@@ -125,7 +132,7 @@ pub fn fig2() -> Table {
 
 /// Figure 7: total tracked memory vs. memory accessed within 1- and
 /// 2-interval windows.
-pub fn fig7(chars: &[Characterization]) -> Table {
+pub fn fig7(chars: &[&Characterization]) -> Table {
     let rows: Vec<Vec<String>> = chars
         .iter()
         .map(|c| {
@@ -152,7 +159,7 @@ pub fn fig7(chars: &[Characterization]) -> Table {
 }
 
 /// Figure 8: per-type hotness within a 2-interval window.
-pub fn fig8(chars: &[Characterization]) -> Table {
+pub fn fig8(chars: &[&Characterization]) -> Table {
     let rows: Vec<Vec<String>> = chars
         .iter()
         .map(|c| {
@@ -174,7 +181,7 @@ pub fn fig8(chars: &[Characterization]) -> Table {
 /// Figure 9: page-type usage over time (anon/file shares of *resident*
 /// memory, from the system's per-second node-usage series, thinned to one
 /// row per 30 s).
-pub fn fig9(chars: &[Characterization]) -> Table {
+pub fn fig9(chars: &[&Characterization]) -> Table {
     let mut rows = Vec::new();
     for c in chars {
         let anon = c.metrics.local_anon_pages.points();
@@ -208,7 +215,7 @@ pub fn fig9(chars: &[Characterization]) -> Table {
 
 /// Figure 10: throughput vs. page-type utilisation (per-interval pairs,
 /// throughput normalised to the workload's own maximum).
-pub fn fig10(chars: &[Characterization]) -> Table {
+pub fn fig10(chars: &[&Characterization]) -> Table {
     let mut rows = Vec::new();
     for c in chars {
         let tp = c.metrics.throughput.points();
@@ -245,7 +252,7 @@ pub fn fig10(chars: &[Characterization]) -> Table {
 
 /// Figure 11: re-access-interval CDF per workload (gap measured in
 /// profiler intervals ~ paper minutes).
-pub fn fig11(chars: &[Characterization]) -> Table {
+pub fn fig11(chars: &[&Characterization]) -> Table {
     let mut rows = Vec::new();
     for c in chars {
         let cdf = c.profiler.reaccess_cdf();
@@ -263,6 +270,25 @@ pub fn fig11(chars: &[Characterization]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn characterization_figures_share_four_jobs() {
+        let scale = Scale {
+            ws_pages: 1_500,
+            profile_interval_ns: tiered_sim::SEC,
+            profile_duration_ns: 4 * tiered_sim::SEC,
+            ..Scale::quick()
+        };
+        let plans: Vec<Plan> = [fig7, fig8, fig9, fig10, fig11]
+            .into_iter()
+            .map(|fig| characterized(&scale, fig))
+            .collect();
+        let batch = crate::executor::run(&plans, 2);
+        assert_eq!((batch.jobs_run(), batch.jobs_reused()), (4, 16));
+        for plan in plans {
+            assert!(!batch.table(plan).rows.is_empty());
+        }
+    }
 
     #[test]
     fn fig2_lists_all_tiers() {

@@ -1,56 +1,47 @@
-//! The parallel experiment executor: fans independent work items over a
-//! fixed pool of scoped worker threads with **zero third-party deps**.
+//! The one job queue of a `repro` run: every target is a [`Plan`] (the
+//! jobs it needs plus a render closure over their outcomes), and [`run`]
+//! runs the distinct jobs of all selected plans once, on a fixed pool of
+//! scoped worker threads, with **zero third-party deps**.
 //!
-//! Experiment cells are embarrassingly parallel — each [`CellSpec`] owns
-//! its own machine description, workload profile, RNG seed and clock, and
-//! a running cell touches no shared mutable state. The executor therefore
-//! only has to solve scheduling and ordering:
+//! A [`Job`] is an experiment cell, a Chameleon characterization of one
+//! profile, or a co-located run. Each owns its own machine description,
+//! workload, RNG seed and clock, and a running job touches no shared
+//! mutable state, so the executor only has to solve deduplication,
+//! scheduling and ordering:
 //!
-//! * **Scheduling** — workers claim item indices from a shared
-//!   [`AtomicUsize`] "ticket" counter, so a slow cell never stalls the
-//!   cells behind it the way a static partition would.
+//! * **Deduplication** — equal jobs produce equal outcomes, so [`run`]
+//!   keeps the first of every set of equal jobs, in plan order, and
+//!   every plan that asks for one reads the same outcome.
+//! * **Scheduling** — workers claim job indices from a shared
+//!   [`AtomicUsize`] "ticket" counter, so a slow job never stalls the
+//!   jobs behind it the way a static partition would, and no target
+//!   waits for its own jobs while another target's are still queued.
 //! * **Ordering** — each worker records `(index, result)` pairs and the
-//!   results are reassembled into *input order* after the scope joins,
-//!   so the output never depends on thread timing. Combined with
-//!   per-cell state ownership this makes `--jobs N` output bit-identical
-//!   to `--jobs 1`.
-//!
-//! [`parallel_map`] is the generic primitive; `run_cells` is the
-//! cell-batch entry point of the figure drivers. Equal specs produce
-//! equal results, so `run_cells` runs each distinct cell once: it
-//! dedupes its batch and keeps every result in the [`CellCache`] that
-//! [`Scale`] carries, so the targets of one `repro` run share it.
+//!   results are reassembled into *input order* after the scope joins;
+//!   tables are rendered after every job finished, in target order. So
+//!   no output depends on thread timing, and `--jobs N` output is
+//!   bit-identical to `--jobs 1`.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 
-use tpp::experiment::{CellSpec, ExperimentResult};
+use tiered_workloads::WorkloadProfile;
+use tpp::experiment::{CellSpec, ExperimentResult, PolicyChoice};
 use tpp::policy::UnsupportedConfig;
+use tpp::RunMetrics;
 
-use crate::scale::Scale;
-
-/// Total simulated accesses executed by finished cells in this process
-/// (all threads), for the aggregate ops/s line in timing reports.
-static OPS_TOTAL: AtomicU64 = AtomicU64::new(0);
-
-/// Credits `n` simulated accesses to the process-wide counter.
-pub(crate) fn add_ops(n: u64) {
-    OPS_TOTAL.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Simulated accesses completed so far (process-wide).
-pub fn ops_total() -> u64 {
-    OPS_TOTAL.load(Ordering::Relaxed)
-}
+use crate::charfig::{self, Characterization};
+use crate::scale::{Scale, Table};
+use crate::sweeps;
 
 /// Maps `f` over `0..n` with up to `jobs` worker threads and returns the
 /// results in index order.
 ///
-/// `jobs <= 1` (or `n <= 1`) short-circuits to a plain sequential loop on
-/// the calling thread — exactly the single-threaded behaviour, with no
-/// threads spawned at all. Otherwise `min(jobs, n)` scoped threads claim
-/// indices from the shared ticket counter; each worker keeps its own
-/// `(index, result)` list and the lists are merged back into input order
+/// The calling thread is one of the workers and `min(jobs, n) - 1` scoped
+/// threads are the others, so `jobs <= 1` runs `f` over `0..n` in order
+/// on the calling thread, with no thread spawned at all. Every worker
+/// claims indices from the shared ticket counter and keeps its own
+/// `(index, result)` list; the lists are merged back into index order
 /// once the scope has joined every worker.
 ///
 /// # Panics
@@ -61,119 +52,236 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if jobs <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let workers = jobs.min(n);
     let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local: Vec<(usize, T)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, f(i)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, value) in handle.join().expect("executor worker panicked") {
-                debug_assert!(slots[i].is_none(), "ticket counter issued {i} twice");
-                slots[i] = Some(value);
+    let work = || {
+        let mut local = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return local;
             }
+            local.push((i, f(i)));
         }
+    };
+    let mut done: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let others: Vec<_> = (1..jobs.min(n)).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for worker in others {
+            done.extend(worker.join().expect("executor worker panicked"));
+        }
+        done
     });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every index claimed by exactly one worker"))
-        .collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, value)| value).collect()
 }
 
-/// What running one cell yields.
-pub type CellOutcome = Result<ExperimentResult, UnsupportedConfig>;
-
-/// Every cell outcome computed so far, by spec, plus how many cells were
-/// served from it instead of running.
-#[derive(Debug, Default)]
-pub struct CellCache {
-    inner: Mutex<CacheState>,
+/// One unit of simulation work. Two equal jobs describe the same run.
+#[derive(Clone, PartialEq, Debug)]
+pub enum Job {
+    /// One experiment cell.
+    Cell(CellSpec),
+    /// A Chameleon characterization of the profile on an all-local
+    /// machine, at the scale's profiling interval and duration.
+    Characterize(WorkloadProfile, Scale),
+    /// Cache1 and Data Warehouse co-located on one 2:1 machine under the
+    /// policy, for the scale's evaluation duration.
+    Colocate(PolicyChoice, Scale),
 }
 
-#[derive(Debug, Default)]
-struct CacheState {
-    cells: Vec<(CellSpec, CellOutcome)>,
+impl Job {
+    /// Runs the job on the calling thread.
+    fn run(&self) -> Outcome {
+        match self {
+            Job::Cell(spec) => Outcome::Cell(spec.run()),
+            Job::Characterize(profile, scale) => {
+                Outcome::Characterization(charfig::characterize(profile, scale))
+            }
+            Job::Colocate(choice, scale) => Outcome::Lanes(sweeps::colocate(choice, scale)),
+        }
+    }
+
+    /// A one-line name for the job's timing row.
+    fn label(&self) -> String {
+        match self {
+            Job::Cell(spec) => {
+                format!("{} {:?} {:?}", spec.profile.name, spec.choice, spec.machine)
+            }
+            Job::Characterize(profile, _) => format!("characterize {}", profile.name),
+            Job::Colocate(choice, _) => format!("colocate {}", choice.label()),
+        }
+    }
+}
+
+/// What running one [`Job`] yields.
+pub enum Outcome {
+    /// A cell's result, or the policy's refusal of the machine.
+    Cell(Result<ExperimentResult, UnsupportedConfig>),
+    /// A characterization run's profiler and metrics.
+    Characterization(Characterization),
+    /// Each lane's workload name and metrics, in lane order.
+    Lanes(Vec<(String, RunMetrics)>),
+}
+
+impl Outcome {
+    /// The cell's result or refusal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this is not a cell's outcome.
+    pub fn cell(&self) -> &Result<ExperimentResult, UnsupportedConfig> {
+        let Outcome::Cell(outcome) = self else {
+            panic!("not a cell outcome")
+        };
+        outcome
+    }
+
+    /// The result of a cell whose policy supports its machine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this is not a cell's outcome or the policy refused.
+    pub fn result(&self) -> &ExperimentResult {
+        self.cell()
+            .as_ref()
+            .expect("cell policy supports its machine")
+    }
+
+    /// Simulated accesses the job executed.
+    pub fn accesses(&self) -> u64 {
+        match self {
+            Outcome::Cell(Ok(r)) => r.metrics.accesses,
+            Outcome::Cell(Err(_)) => 0,
+            Outcome::Characterization(c) => c.metrics.accesses,
+            Outcome::Lanes(lanes) => lanes.iter().map(|(_, m)| m.accesses).sum(),
+        }
+    }
+}
+
+/// The render step of a [`Plan`]: its jobs' outcomes, in job order, to
+/// its table.
+type Render = Box<dyn FnOnce(&[&Outcome]) -> Table>;
+
+/// What one target needs: its jobs, and how to turn their outcomes into
+/// its table.
+pub struct Plan {
+    jobs: Vec<Job>,
+    render: Render,
+}
+
+impl Plan {
+    /// A plan over `jobs` whose table is `render` of their outcomes, in
+    /// the order of `jobs`.
+    pub fn new(jobs: Vec<Job>, render: impl FnOnce(&[&Outcome]) -> Table + 'static) -> Plan {
+        Plan {
+            jobs,
+            render: Box::new(render),
+        }
+    }
+
+    /// A plan over cells whose policies all support their machines;
+    /// `render` gets their results in spec order.
+    pub fn cells(
+        specs: Vec<CellSpec>,
+        render: impl FnOnce(&[&ExperimentResult]) -> Table + 'static,
+    ) -> Plan {
+        Plan::new(specs.into_iter().map(Job::Cell).collect(), |outcomes| {
+            let results: Vec<&ExperimentResult> = outcomes.iter().map(|o| o.result()).collect();
+            render(&results)
+        })
+    }
+}
+
+/// The distinct jobs of a set of plans, each run once, with its outcome
+/// and host wall time.
+pub struct Batch {
+    jobs: Vec<Job>,
+    outcomes: Vec<Outcome>,
+    wall_s: Vec<f64>,
     reused: usize,
 }
 
-impl CacheState {
-    fn get(&self, spec: &CellSpec) -> Option<&CellOutcome> {
-        self.cells.iter().find(|(s, _)| s == spec).map(|(_, o)| o)
-    }
-}
-
-impl CellCache {
-    fn state(&self) -> MutexGuard<'_, CacheState> {
-        self.inner
-            .lock()
-            .expect("no cell run panicked holding the cache")
-    }
-
-    /// Distinct cells run so far.
-    pub fn cells_run(&self) -> usize {
-        self.state().cells.len()
-    }
-
-    /// Requested cells answered by an earlier run of an equal spec.
-    pub fn cells_reused(&self) -> usize {
-        self.state().reused
-    }
-}
-
-/// Runs a batch of cells on `scale.jobs` workers and returns their
-/// outcomes in spec order (see [`parallel_map`] for the scheduling and
-/// ordering model).
+/// Runs the distinct jobs of `plans` on `workers` threads, in plan order
+/// (see [`parallel_map`] for the scheduling and ordering model).
 ///
-/// Each distinct cell runs once per `scale`: a spec equal to an earlier
-/// one in the batch, or to one in `scale.cells`, takes that outcome.
-/// Only the unseen cells go to the workers, and each one's simulated
-/// access count is credited to the process-wide [`ops_total`] counter as
-/// it finishes.
-pub(crate) fn run_cells(scale: &Scale, specs: &[CellSpec]) -> Vec<CellOutcome> {
-    let mut cache = scale.cells.state();
-    let mut fresh: Vec<&CellSpec> = Vec::new();
-    for spec in specs {
-        if cache.get(spec).is_none() && !fresh.contains(&spec) {
-            fresh.push(spec);
+/// A job equal to an earlier one, in the same plan or an earlier plan,
+/// does not run again: it is counted as reused and reads the earlier
+/// job's outcome.
+pub fn run(plans: &[Plan], workers: usize) -> Batch {
+    let mut jobs: Vec<Job> = Vec::new();
+    let mut requested = 0;
+    for job in plans.iter().flat_map(|plan| &plan.jobs) {
+        requested += 1;
+        if !jobs.contains(job) {
+            jobs.push(job.clone());
         }
     }
-    let outcomes = parallel_map(scale.jobs, fresh.len(), |i| {
-        let outcome = fresh[i].run();
-        if let Ok(result) = &outcome {
-            add_ops(result.metrics.accesses);
-        }
-        outcome
+    let timed = parallel_map(workers, jobs.len(), |i| {
+        let start = Instant::now();
+        let outcome = jobs[i].run();
+        (outcome, start.elapsed().as_secs_f64())
     });
-    cache.reused += specs.len() - fresh.len();
-    for (spec, outcome) in fresh.into_iter().zip(outcomes) {
-        cache.cells.push((spec.clone(), outcome));
+    let (outcomes, wall_s) = timed.into_iter().unzip();
+    Batch {
+        reused: requested - jobs.len(),
+        jobs,
+        outcomes,
+        wall_s,
     }
-    specs
-        .iter()
-        .map(|spec| {
-            cache
-                .get(spec)
-                .expect("every spec ran or was cached")
-                .clone()
-        })
-        .collect()
+}
+
+impl Batch {
+    /// The outcomes of `plan`'s jobs, in its job order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plan` was not one of the plans this batch ran.
+    pub fn outcomes(&self, plan: &Plan) -> Vec<&Outcome> {
+        plan.jobs
+            .iter()
+            .map(|job| {
+                let i = self
+                    .jobs
+                    .iter()
+                    .position(|j| j == job)
+                    .expect("plan was run in this batch");
+                &self.outcomes[i]
+            })
+            .collect()
+    }
+
+    /// Renders `plan`'s table from its jobs' outcomes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plan` was not one of the plans this batch ran.
+    pub fn table(&self, plan: Plan) -> Table {
+        let outcomes = self.outcomes(&plan);
+        (plan.render)(&outcomes)
+    }
+
+    /// Distinct jobs run.
+    pub fn jobs_run(&self) -> usize {
+        self.jobs.len()
+    }
+
+    /// Requested jobs answered by an equal job's outcome.
+    pub fn jobs_reused(&self) -> usize {
+        self.reused
+    }
+
+    /// Simulated accesses over every job run.
+    pub fn accesses(&self) -> u64 {
+        self.outcomes.iter().map(Outcome::accesses).sum()
+    }
+
+    /// Each job run, as its label and host wall time in seconds, in plan
+    /// order.
+    pub fn timings(&self) -> impl Iterator<Item = (String, f64)> + '_ {
+        self.jobs
+            .iter()
+            .map(Job::label)
+            .zip(self.wall_s.iter().copied())
+    }
 }
 
 #[cfg(test)]
@@ -181,7 +289,6 @@ mod tests {
     use super::*;
     use tiered_sim::SEC;
     use tpp::configs::{MachineSpec, Shape};
-    use tpp::experiment::PolicyChoice;
 
     #[test]
     fn parallel_map_preserves_input_order() {
@@ -212,59 +319,59 @@ mod tests {
         )
     }
 
-    fn scale(jobs: usize) -> Scale {
-        Scale {
-            jobs,
-            ..Scale::quick()
-        }
+    /// A plan over `specs` whose table nobody reads.
+    fn plan(specs: &[CellSpec]) -> Plan {
+        let jobs = specs.iter().cloned().map(Job::Cell).collect();
+        Plan::new(jobs, |_| Table::new("unused", &[""], Vec::new()))
     }
 
     #[test]
-    fn run_cells_matches_sequential_execution() {
+    fn run_matches_sequential_execution() {
         let specs = [demo_spec(PolicyChoice::Linux), demo_spec(PolicyChoice::Tpp)];
         let sequential: Vec<_> = specs.iter().map(|s| s.run()).collect();
-        let parallel = run_cells(&scale(4), &specs);
+        let plan = plan(&specs);
+        let batch = run(std::slice::from_ref(&plan), 4);
+        let parallel = batch.outcomes(&plan);
         assert_eq!(sequential.len(), parallel.len());
         for (s, p) in sequential.iter().zip(&parallel) {
-            let (s, p) = (s.as_ref().unwrap(), p.as_ref().unwrap());
+            let (s, p) = (s.as_ref().unwrap(), p.result());
             assert_eq!(s.policy, p.policy);
             assert_eq!(s.throughput, p.throughput);
             assert_eq!(s.local_traffic, p.local_traffic);
             assert_eq!(s.vmstat, p.vmstat);
         }
+        // The batch counts the accesses of every job it ran.
+        let accesses: u64 = sequential
+            .iter()
+            .map(|s| s.as_ref().unwrap().metrics.accesses)
+            .sum();
+        assert_eq!(batch.accesses(), accesses);
+        assert!(accesses > 0);
     }
 
     #[test]
-    fn each_distinct_cell_runs_once_per_scale() {
-        let scale = scale(2);
+    fn each_distinct_cell_runs_once_per_batch() {
         let (linux, tpp) = (demo_spec(PolicyChoice::Linux), demo_spec(PolicyChoice::Tpp));
-        let first = run_cells(&scale, &[tpp.clone(), linux, tpp.clone()]);
-        assert_eq!(
-            (scale.cells.cells_run(), scale.cells.cells_reused()),
-            (2, 1)
-        );
-        let second = run_cells(&scale, &[tpp]);
-        assert_eq!(
-            (scale.cells.cells_run(), scale.cells.cells_reused()),
-            (2, 2)
-        );
+        let first = plan(&[tpp.clone(), linux, tpp.clone()]);
+        let counts = |b: &Batch| (b.jobs_run(), b.jobs_reused());
+        assert_eq!(counts(&run(std::slice::from_ref(&first), 2)), (2, 1));
+        let plans = [first, plan(&[tpp])];
+        let batch = run(&plans, 2);
+        assert_eq!(counts(&batch), (2, 2));
 
-        let vmstat = |outcome: &CellOutcome| outcome.as_ref().unwrap().vmstat.clone();
-        assert_eq!(first[1].as_ref().unwrap().policy, "linux");
-        assert_eq!(first[0].as_ref().unwrap().policy, "tpp");
-        assert_eq!(vmstat(&first[0]), vmstat(&first[2]));
-        assert_eq!(vmstat(&first[0]), vmstat(&second[0]));
-        assert_eq!(
-            first[0].as_ref().unwrap().throughput,
-            second[0].as_ref().unwrap().throughput
-        );
-        // A fresh scale starts with an empty cache.
-        assert_eq!(Scale::quick().cells.cells_run(), 0);
+        let (first, second) = (batch.outcomes(&plans[0]), batch.outcomes(&plans[1]));
+        let vmstat = |outcome: &Outcome| outcome.result().vmstat.clone();
+        assert_eq!(first[1].result().policy, "linux");
+        assert_eq!(first[0].result().policy, "tpp");
+        assert_eq!(vmstat(first[0]), vmstat(first[2]));
+        assert_eq!(vmstat(first[0]), vmstat(second[0]));
+        assert_eq!(first[0].result().throughput, second[0].result().throughput);
+        // A batch of no plans runs nothing.
+        assert_eq!(counts(&run(&[], 2)), (0, 0));
     }
 
     #[test]
-    fn unsupported_outcomes_are_cached_too() {
-        let scale = scale(1);
+    fn unsupported_outcomes_are_reused_too() {
         let spec = CellSpec::new(
             tiered_workloads::uniform(1_500),
             MachineSpec::new(Shape::Ratio(1, 4), 2_000),
@@ -272,22 +379,14 @@ mod tests {
             SEC,
             7,
         );
-        let outcomes = run_cells(&scale, &[spec.clone(), spec]);
-        assert!(outcomes.iter().all(|o| o.is_err()));
+        let plan = plan(&[spec.clone(), spec]);
+        let batch = run(std::slice::from_ref(&plan), 1);
+        let outcomes = batch.outcomes(&plan);
+        assert!(outcomes.iter().all(|o| o.cell().is_err()));
         assert_eq!(
-            outcomes[0].as_ref().unwrap_err(),
-            outcomes[1].as_ref().unwrap_err()
+            outcomes[0].cell().as_ref().unwrap_err(),
+            outcomes[1].cell().as_ref().unwrap_err()
         );
-        assert_eq!(
-            (scale.cells.cells_run(), scale.cells.cells_reused()),
-            (1, 1)
-        );
-    }
-
-    #[test]
-    fn ops_counter_accumulates() {
-        let before = ops_total();
-        add_ops(123);
-        assert!(ops_total() >= before + 123);
+        assert_eq!((batch.jobs_run(), batch.jobs_reused()), (1, 1));
     }
 }

@@ -1,5 +1,5 @@
 //! Simulation scale settings shared by every figure reproduction, and
-//! the [`Table`] each reproduction returns.
+//! the [`Table`] each reproduction renders.
 //!
 //! The paper's machines hold hundreds of GiB and its runs last hours; the
 //! simulator reproduces the *dynamics* at a reduced scale. One Chameleon
@@ -11,12 +11,8 @@ use std::path::Path;
 
 use tiered_sim::{MINUTE, SEC};
 
-use crate::executor::CellCache;
-
-/// Scale configuration for experiment runs, plus the cache of the cells
-/// already run at this scale (every target of one `repro` run takes the
-/// same `Scale`, so a cell two targets share runs once).
-#[derive(Debug)]
+/// Scale configuration for experiment runs.
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct Scale {
     /// Working-set size per workload, in pages.
     pub ws_pages: u64,
@@ -28,10 +24,6 @@ pub struct Scale {
     pub profile_duration_ns: u64,
     /// Base RNG seed.
     pub seed: u64,
-    /// Worker threads for cell execution (1 = fully sequential).
-    pub jobs: usize,
-    /// Outcomes of the cells run so far (empty in a new `Scale`).
-    pub cells: CellCache,
 }
 
 impl Scale {
@@ -44,8 +36,6 @@ impl Scale {
             profile_interval_ns: 30 * SEC,
             profile_duration_ns: 5 * MINUTE,
             seed: 42,
-            jobs: 1,
-            cells: CellCache::default(),
         }
     }
 
@@ -57,8 +47,6 @@ impl Scale {
             profile_interval_ns: 10 * SEC,
             profile_duration_ns: 80 * SEC,
             seed: 42,
-            jobs: 1,
-            cells: CellCache::default(),
         }
     }
 }

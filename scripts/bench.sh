@@ -46,14 +46,15 @@ done
 # reports from different hosts differ by several times on every row,
 # and the revision the numbers were measured at), what the access
 # counts count, each microbench row's median and quartiles over the
-# runs (ns/iter), and both repro timing JSONs verbatim.
+# runs (ns/iter), and both repro timing JSONs verbatim (one row per job
+# and one per rendered target).
 GIT_REV="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 git diff --quiet HEAD 2>/dev/null || GIT_REV="$GIT_REV-dirty"
 CPU="$(sed -n 's/^model name[[:space:]]*: *//p' /proc/cpuinfo 2>/dev/null | head -n 1)"
 {
   echo "{"
   echo "  \"host\": {\"cpus\": $(nproc), \"cpu\": \"${CPU:-unknown}\", \"os\": \"$(uname -sr)\", \"git_rev\": \"$GIT_REV\"},"
-  echo "  \"accounting\": \"simulated_accesses and aggregate_ops_per_s count the cells_run distinct cells; the cells_reused repeats take an earlier cell's result and simulate nothing\","
+  echo "  \"accounting\": \"simulated_accesses and aggregate_ops_per_s count the jobs_run distinct jobs (cells, characterizations and co-located runs); the jobs_reused repeats read an earlier job's outcome and simulate nothing; job_timings holds each job's wall time on its worker, targets each table's render time\","
   echo "  \"microbench_ns_per_iter\": {"
   ./target/release/bench_ledger <"$tmp/micro.txt" | sed 's/^/    /'
   echo "  },"

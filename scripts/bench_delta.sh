@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Prints the delta between two bench.sh reports: the end-to-end
 # aggregate simulated accesses/s of each repro section (`repro` at
-# --jobs 2, `repro_jobs1` at --jobs 1), each section's distinct cells run
-# and repeated cells reused (`-` where a report predates the counts), and
+# --jobs 2, `repro_jobs1` at --jobs 1), each section's distinct jobs run
+# and repeated jobs reused (`-` where a report predates the job counts;
+# older reports counted cells only, under `cells_run`/`cells_reused`), and
 # every microbench row of the new report. A row shows its median and
 # quartiles in both reports and is called `moved` only when the two
 # quartile ranges do not overlap; otherwise it is `within noise`. Both
@@ -35,7 +36,7 @@ extract() {
         printf "%s %s %s %s\n", f[1], v["median"], v["q1"], v["q3"]
       }
     }
-    /"(aggregate_ops_per_s|cells_run|cells_reused)"/ {
+    /"(aggregate_ops_per_s|jobs_run|jobs_reused)"/ {
       line = $0
       gsub(/[",:]/, " ", line)
       split(line, f, " ")
@@ -46,8 +47,8 @@ extract() {
 
 join -a 2 -e - -o 0,1.2,1.3,1.4,2.2,2.3,2.4 \
   <(extract "$1" | sort -k1,1) <(extract "$2" | sort -k1,1) | awk '
-  $1 ~ /cells_(run|reused)$/ {
-    printf "%-44s %11s -> %11s cells\n", $1, $2, $5
+  $1 ~ /jobs_(run|reused)$/ {
+    printf "%-44s %11s -> %11s jobs\n", $1, $2, $5
     next
   }
   $2 == "-" {

@@ -101,23 +101,23 @@ fn executor_at_four_jobs_matches_sequential_byte_for_byte() {
 fn thp_sweep_is_identical_at_any_job_count() {
     // The THP grid runs huge-page daemons (khugepaged/kcompactd) inside
     // every non-`never` cell; the table must still be a pure function of
-    // the specs, independent of executor parallelism. Each side gets its
-    // own `Scale`, so neither reads the other's cell cache.
-    let scale = |jobs| tpp_bench::Scale {
+    // the specs, independent of executor parallelism. Each side is its
+    // own batch, so each really runs every cell.
+    let scale = tpp_bench::Scale {
         ws_pages: 2_000,
         duration_ns: 15 * SEC,
-        jobs,
         ..tpp_bench::Scale::quick()
     };
-    let (seq_scale, par_scale) = (scale(1), scale(4));
-    let sequential = tpp_bench::sweeps::sweep_thp(&seq_scale);
-    let parallel = tpp_bench::sweeps::sweep_thp(&par_scale);
-    // 2 baselines + 2 workloads x 2 policies x 3 modes, all distinct.
-    for s in [&seq_scale, &par_scale] {
-        assert_eq!((s.cells.cells_run(), s.cells.cells_reused()), (14, 0));
-    }
+    let table = |jobs| {
+        let plan = tpp_bench::sweeps::sweep_thp(&scale);
+        let batch = tpp_bench::executor::run(std::slice::from_ref(&plan), jobs);
+        // 2 baselines + 2 workloads x 2 policies x 3 modes, all distinct.
+        assert_eq!((batch.jobs_run(), batch.jobs_reused()), (14, 0));
+        batch.table(plan)
+    };
     assert_eq!(
-        sequential, parallel,
+        table(1),
+        table(4),
         "thp sweep rows diverged between jobs=1 and jobs=4"
     );
 }

@@ -223,16 +223,17 @@ fn multi_node_fallback_spreads_allocations_without_oom() {
 
 #[test]
 fn topology_sweep_rows_are_jobs_invariant() {
-    // One `Scale` per side, so the parallel run reads no cached cells.
-    let scale = |jobs| tpp_bench::Scale {
+    // One batch per side, so the parallel run reuses no cells.
+    let scale = tpp_bench::Scale {
         ws_pages: 2_000,
         duration_ns: 20 * SEC,
-        jobs,
         ..tpp_bench::Scale::quick()
     };
-    let (seq_scale, par_scale) = (scale(1), scale(4));
-    let sequential = tpp_bench::sweeps::sweep_topology(&seq_scale);
-    let parallel = tpp_bench::sweeps::sweep_topology(&par_scale);
-    assert_eq!(par_scale.cells.cells_reused(), 0);
-    assert_eq!(sequential, parallel);
+    let table = |jobs| {
+        let plan = tpp_bench::sweeps::sweep_topology(&scale);
+        let batch = tpp_bench::executor::run(std::slice::from_ref(&plan), jobs);
+        assert_eq!(batch.jobs_reused(), 0);
+        batch.table(plan)
+    };
+    assert_eq!(table(1), table(4));
 }
